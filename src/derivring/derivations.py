@@ -100,7 +100,14 @@ def extend_m2(delta):
 @dataclass(frozen=True)
 class ExtensionResult:
     """A base derivation lifted to M_n(R) by repeated 2x2 doubling up to
-    M_{2^depth}(R) and compression with e = e_{1,1} + ... + e_{n,n}."""
+    M_{2^depth}(R) and compression with e = e_{1,1} + ... + e_{n,n}.
+
+    It is evaluated entry by entry through the closed form
+    X_ij -> delta(X_ij) + (popcount(j-1) - popcount(i-1)) X_ij: each
+    doubling level adds +X on its upper-right and -X on its lower-left
+    block, so the level splitting on bit k adds bit_k(j-1) - bit_k(i-1),
+    and padding and compression leave the top-left n x n block alone.
+    """
 
     delta: BaseDerivation
     n: int
@@ -109,40 +116,13 @@ class ExtensionResult:
     def __call__(self, mat):
         if mat.n != self.n:
             raise DomainError(f"expected a {self.n}x{self.n} matrix, got n={mat.n}")
-        n = self.n
-        ring = mat.ring
-        size = 1 << self.depth
-        padded = [ring.zero] * (size * size)
-        for i in range(n):
-            for j in range(n):
-                padded[i * size + j] = mat.entries[i * n + j]
-        out = [ring.zero] * (size * size)
-        _apply_block(self.delta, padded, out, size, 0, 0, size)
-        # compressing with e and restricting to M_n keeps the top-left block
-        return Matrix(
-            ring, n, tuple(out[i * size + j] for i in range(n) for j in range(n))
-        )
-
-
-def _apply_block(delta, src, out, width, r0, c0, size):
-    # One doubling level: [[A, B], [C, E]] -> [[D(A), D(B)+B], [D(C)-C, D(E)]]
-    # with D the derivation of the half-sized blocks; size 1 bottoms out at delta.
-    if size == 1:
-        out[r0 * width + c0] = delta(src[r0 * width + c0])
-        return
-    h = size // 2
-    _apply_block(delta, src, out, width, r0, c0, h)
-    _apply_block(delta, src, out, width, r0, c0 + h, h)
-    _apply_block(delta, src, out, width, r0 + h, c0, h)
-    _apply_block(delta, src, out, width, r0 + h, c0 + h, h)
-    for i in range(r0, r0 + h):
-        for j in range(c0 + h, c0 + size):
-            k = i * width + j
-            out[k] = out[k] + src[k]
-    for i in range(r0 + h, r0 + size):
-        for j in range(c0, c0 + h):
-            k = i * width + j
-            out[k] = out[k] - src[k]
+        n, ring, delta = self.n, mat.ring, self.delta
+        weight = [k.bit_count() for k in range(n)]
+        out = []
+        for k, x in enumerate(mat.entries):
+            shift = weight[k % n] - weight[k // n]
+            out.append(delta(x) + x * ring.element(shift) if shift else delta(x))
+        return Matrix(ring, n, tuple(out))
 
 
 def extend_tower(delta, n):

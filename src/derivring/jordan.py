@@ -59,7 +59,7 @@ def jordan_inner_apply(pd, x):
     for a, b in pd.pairs:
         acc = acc + jordan_mul(a, jordan_mul(b, x)) - jordan_mul(b, jordan_mul(a, x))
     if isinstance(x, SymmetricMatrix):
-        return SymmetricMatrix.of(acc)
+        return SymmetricMatrix(acc.ring, acc.n, acc.entries)
     return acc
 
 

@@ -190,18 +190,15 @@ class Matrix:
 
 
 class SymmetricMatrix(Matrix):
-    """A transpose-invariant matrix, an element of H_n(R); symmetry is
-    checked when the value is constructed."""
+    """A transpose-invariant matrix, an element of H_n(R). The constructor
+    is trusted, like Matrix's; `of` checks symmetry at the boundary."""
 
     __slots__ = ()
 
-    def __init__(self, ring, n, entries):
-        super().__init__(ring, n, entries)
-        if not self.is_symmetric():
-            raise DomainError("matrix is not symmetric")
-
     @classmethod
     def of(cls, mat):
+        if not mat.is_symmetric():
+            raise DomainError("matrix is not symmetric")
         return cls(mat.ring, mat.n, mat.entries)
 
 
@@ -258,5 +255,5 @@ def jordan_mul(a, b):
     result, and SymmetricMatrix inputs stay SymmetricMatrix."""
     prod = (a * b + b * a) * a.ring.half
     if isinstance(a, SymmetricMatrix) and isinstance(b, SymmetricMatrix):
-        return SymmetricMatrix.of(prod)
+        return SymmetricMatrix(prod.ring, prod.n, prod.entries)
     return prod

@@ -43,6 +43,9 @@ def loads_strict(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:
+        # integer literals over the interpreter's digit cap; too deep nesting
+        raise ParseError(str(exc)) from exc
 
 
 def ring_to_obj(ring):
@@ -66,10 +69,11 @@ def ring_from_obj(obj):
     if kind == "poly":
         if "base" not in obj:
             raise ParseError('poly descriptor is missing "base"')
-        base = ring_from_obj(obj["base"])
-        if not isinstance(base, Zmod):
+        base = obj["base"]
+        # checked before recursing, so nesting cannot drive the recursion deep
+        if not isinstance(base, dict) or base.get("ring") != "zmod":
             raise ParseError("poly base must be a zmod descriptor")
-        return PolyRing(base)
+        return PolyRing(ring_from_obj(base))
     raise ParseError(f"unknown ring kind {kind!r}")
 
 
@@ -162,24 +166,44 @@ def family_to_obj(family):
 
 
 def family_from_obj(obj):
+    keys = ("ring", "n", "witnesses", "c")
+    ring, n, offdiag = _witnesses_from_obj(obj, "witness family", keys, ("i", "j"))
+    c = _rows_from_obj(ring, n, obj["c"], what="witness c")
+    return _family(WitnessFamily, ring, n, offdiag, c)
+
+
+def _witnesses_from_obj(obj, what, keys, indices):
+    """Ring, n and witnesses of a family object whose records sit in the
+    list obj[keys[2]], keyed by `indices`: integers in 1..n, each key once."""
     if not isinstance(obj, dict):
-        raise ParseError("witness family must be an object")
-    for key in ("ring", "n", "witnesses", "c"):
+        raise ParseError(f"{what} must be an object")
+    for key in keys:
         if key not in obj:
             raise ParseError(f'missing "{key}" key')
     ring = ring_from_obj(obj["ring"])
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise ParseError(f'"n" must be an integer >= 2, got {n!r}')
-    offdiag = {}
-    for rec in obj["witnesses"]:
-        if not isinstance(rec, dict) or not {"i", "j", "rows"} <= set(rec):
-            raise ParseError("each witness needs i, j and rows")
-        key = (rec["i"], rec["j"])
-        offdiag[key] = _rows_from_obj(ring, n, rec["rows"], what=f"witness a{key}")
-    c = _rows_from_obj(ring, n, obj["c"], what="witness c")
+    records = obj[keys[2]]
+    if not isinstance(records, list):
+        raise ParseError(f'"{keys[2]}" must be a list, got {type(records).__name__}')
+    witnesses = {}
+    for rec in records:
+        if not isinstance(rec, dict) or not {*indices, "rows"} <= set(rec):
+            raise ParseError(f"each witness needs {', '.join(indices)} and rows")
+        key = tuple(rec[k] for k in indices)
+        if not all(type(v) is int and 1 <= v <= n for v in key):  # bool is not int
+            raise ParseError(f"witness indices must be integers in 1..{n}")
+        key = key if len(key) > 1 else key[0]
+        if key in witnesses:
+            raise ParseError(f"duplicate witness {key}")
+        witnesses[key] = _rows_from_obj(ring, n, rec["rows"], what=f"witness {key}")
+    return ring, n, witnesses
+
+
+def _family(cls, *args):
     try:
-        return WitnessFamily(ring, n, offdiag, c)
+        return cls(*args)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -197,24 +221,9 @@ def jordan_family_to_obj(family):
 
 
 def jordan_family_from_obj(obj):
-    if not isinstance(obj, dict):
-        raise ParseError("jordan witness family must be an object")
-    for key in ("ring", "n", "diag"):
-        if key not in obj:
-            raise ParseError(f'missing "{key}" key')
-    ring = ring_from_obj(obj["ring"])
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ParseError(f'"n" must be an integer >= 2, got {n!r}')
-    diag = {}
-    for rec in obj["diag"]:
-        if not isinstance(rec, dict) or not {"i", "rows"} <= set(rec):
-            raise ParseError("each diagonal witness needs i and rows")
-        diag[rec["i"]] = _rows_from_obj(ring, n, rec["rows"], what=f"witness d({rec['i']})")
-    try:
-        return JordanWitnessFamily(ring, n, diag)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    keys = ("ring", "n", "diag")
+    ring, n, diag = _witnesses_from_obj(obj, "jordan witness family", keys, ("i",))
+    return _family(JordanWitnessFamily, ring, n, diag)
 
 
 def payload_to_obj(value):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import derivring.campaign as campaign
 from derivring import (
     CampaignConfig,
     DomainError,
@@ -14,6 +15,8 @@ from derivring import (
     JordanPairDerivation,
     JordanWitnessFamily,
     Matrix,
+    NoiseSpec,
+    ReconstructionResult,
     Report,
     SymmetricMatrix,
     TwoLocalOracle,
@@ -78,6 +81,43 @@ class TestRunCampaign:
         report = run_campaign(CampaignConfig(suite="theorem1", ring=Z5, trials=1))
         assert report.wall_ms >= 0.0
         assert "wall" not in report.to_json()
+
+
+class TestRecoveryCheck:
+    """Negative control for theorem1's recovery check: abar - hidden must
+    lie in the centre R*I of M_n(R)."""
+
+    def _run_shifted(self, monkeypatch, shift):
+        real = campaign.reconstruct_abar
+        abars = []
+
+        def shifted(family):
+            result = real(family)
+            abars.append(result.abar + shift)
+            return ReconstructionResult(abars[-1], result.parts)
+
+        monkeypatch.setattr(campaign, "reconstruct_abar", shifted)
+        config = CampaignConfig(
+            suite="theorem1", ring=Z5, n=3, trials=4, seed=5,
+            noise=NoiseSpec.CENTRAL_SHIFTS, samples=2,
+        )
+        return run_campaign(config), abars
+
+    def test_non_central_shift_is_reported(self, monkeypatch):
+        report, abars = self._run_shifted(monkeypatch, matrix_unit(Z5, 3, 1, 2))
+        assert [rec["instance"] for rec in report.failures] == [0, 1, 2, 3]
+        for rec, abar in zip(report.failures, abars):
+            assert rec["kind"] == "recovery-up-to-center"
+            # replay the instance from its seed: hidden is its first draw
+            hidden = random_matrix(Z5, 3, random.Random(rec["seed"]))
+            drift = abar - hidden
+            assert rec["lhs"] == payload_to_obj(drift)
+            assert rec["rhs"] == payload_to_obj(Matrix.scalar(drift.entry(1, 1), 3))
+
+    def test_central_shift_is_not_reported(self, monkeypatch):
+        report, abars = self._run_shifted(monkeypatch, Matrix.scalar(Z5.element(2), 3))
+        assert len(abars) == 4
+        assert report.ok
 
 
 class TestReport:

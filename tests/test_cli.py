@@ -50,6 +50,18 @@ class TestVerify:
         assert code == 2
         assert "2 is invertible" in err
 
+    @pytest.mark.parametrize("suite", ["theorem1", "extend"])
+    def test_negative_max_degree_is_config_error(self, capsys, suite):
+        # a negative cap would sample only the zero polynomial and pass vacuously
+        code, out, err = run_cli(
+            capsys,
+            ["verify", suite, "--ring", "poly:zmod:5", "--max-degree", "-1",
+             "--trials", "3"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_degree" in err
+
     def test_n_below_two_is_config_error(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -194,6 +194,65 @@ class TestExtendTower:
         assert leibniz_check(tower, samples).ok
 
 
+def recursive_tower(delta, n):
+    """The doubling tower as the paper builds it, kept as a reference for
+    the closed form: pad to M_{2^depth}(R), apply
+    [[A, B], [C, E]] -> [[D(A), D(B)+B], [D(C)-C, D(E)]] level by level
+    with D the derivation of the half-sized blocks, and keep the top-left
+    n x n block."""
+    size = 1 << (n - 1).bit_length()
+
+    def block(src, out, r0, c0, h2):
+        if h2 == 1:
+            out[r0 * size + c0] = delta(src[r0 * size + c0])
+            return
+        h = h2 // 2
+        for dr, dc in ((0, 0), (0, h), (h, 0), (h, h)):
+            block(src, out, r0 + dr, c0 + dc, h)
+        for i in range(h):
+            for j in range(h):
+                up = (r0 + i) * size + c0 + h + j
+                down = (r0 + h + i) * size + c0 + j
+                out[up] = out[up] + src[up]
+                out[down] = out[down] - src[down]
+
+    def apply(mat):
+        ring = mat.ring
+        padded = [ring.zero] * (size * size)
+        for i in range(n):
+            for j in range(n):
+                padded[i * size + j] = mat.entry(i + 1, j + 1)
+        out = [ring.zero] * (size * size)
+        block(padded, out, 0, 0, size)
+        kept = (out[i * size + j] for i in range(n) for j in range(n))
+        return Matrix(ring, n, tuple(kept))
+
+    return apply
+
+
+class TestTowerClosedForm:
+    """The closed form against the recursion. A sign-flipped tower level is
+    still a derivation (the entrywise lift plus ad(-diag(w))) and still
+    restricts to delta on e_{1,1}, so above n = 2 this comparison is what
+    pins the tower's values."""
+
+    @pytest.mark.parametrize("ring", [P5, P9])
+    @pytest.mark.parametrize("kind", ["zero", "d/dt", "t*d/dt"])
+    def test_matches_recursive_doubling(self, ring, kind):
+        delta = {
+            "zero": BaseDerivation.zero(ring),
+            "d/dt": BaseDerivation.formal(ring),
+            "t*d/dt": BaseDerivation.scaled(ring.t),
+        }[kind]
+        rng = random.Random(33)
+        for n in range(2, 10):
+            tower = extend_tower(delta, n)
+            reference = recursive_tower(delta, n)
+            for _ in range(5):
+                m = random_matrix(ring, n, rng)
+                assert tower(m) == reference(m), n
+
+
 class TestTwoGenerator:
     def test_unit_example(self):
         x = matrix_unit(Z5, 2, 1, 2)

@@ -77,6 +77,7 @@ class TestPairAction:
             x = random_symmetric(Z9, 3, rng)
             out = jordan_inner_apply(pd, x)
             assert isinstance(out, SymmetricMatrix)
+            assert out.is_symmetric()
 
     def test_rejects_asymmetric_pairs(self):
         e12 = matrix_unit(Z5, 2, 1, 2)

@@ -1,12 +1,18 @@
 """JSON round-trips: rings, values, matrices, witness families; canonical
 form is enforced on the way in and emission is byte-stable."""
 
+import copy
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivring import (
+    DerivringError,
     JordanPairDerivation,
+    Matrix,
     NoiseSpec,
     ParseError,
     PolyRing,
@@ -25,6 +31,7 @@ from derivring.serialize import (
     matrix_from_json,
     matrix_from_obj,
     matrix_to_json,
+    matrix_to_obj,
     ring_from_obj,
     ring_to_obj,
     value_from_obj,
@@ -154,6 +161,127 @@ class TestFamilyCodec:
         obj["witnesses"] = obj["witnesses"][:1]
         with pytest.raises(ParseError):
             family_from_obj(obj)
+
+
+def _witness_family_obj():
+    hidden = random_matrix(Z5, 2, random.Random(95))
+    _, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=17)
+    return family_to_obj(family)
+
+
+def _jordan_family_obj():
+    hidden = JordanPairDerivation(Z5, 2, random_pairs(Z5, 2, random.Random(96), 1))
+    _, family = gen_jordan_instance(hidden, seed=18)
+    return jordan_family_to_obj(family)
+
+
+class TestParsersAreTotal:
+    @pytest.mark.parametrize("bad", [7, None, "ab", {"i": 1}])
+    def test_non_list_records(self, bad):
+        obj = _witness_family_obj()
+        obj["witnesses"] = bad
+        with pytest.raises(ParseError, match='"witnesses" must be a list'):
+            family_from_obj(obj)
+        obj = _jordan_family_obj()
+        obj["diag"] = bad
+        with pytest.raises(ParseError, match='"diag" must be a list'):
+            jordan_family_from_obj(obj)
+
+    @pytest.mark.parametrize("bad", [[1], {"k": 1}, "1", 1.0, True, 0, 3])
+    def test_bad_index(self, bad):
+        obj = _witness_family_obj()
+        obj["witnesses"][0]["j"] = bad
+        with pytest.raises(ParseError, match="witness indices"):
+            family_from_obj(obj)
+        obj = _jordan_family_obj()
+        obj["diag"][0]["i"] = bad
+        with pytest.raises(ParseError, match="witness indices"):
+            jordan_family_from_obj(obj)
+
+    def test_duplicate_record(self):
+        obj = _witness_family_obj()
+        obj["witnesses"].append(obj["witnesses"][0])
+        with pytest.raises(ParseError, match="duplicate witness"):
+            family_from_obj(obj)
+        obj = _jordan_family_obj()
+        obj["diag"].append(obj["diag"][0])
+        with pytest.raises(ParseError, match="duplicate witness"):
+            jordan_family_from_obj(obj)
+
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError):
+            loads_strict("[" * 100_000 + "]" * 100_000)
+
+    def test_over_long_integer(self):
+        # Python 3.11+ caps the digits of an int literal with a ValueError
+        try:
+            loads_strict("9" * 5000)
+        except ParseError:
+            pass
+
+    def test_nested_poly_bases(self):
+        obj = {"ring": "zmod", "m": 5}
+        for _ in range(5000):
+            obj = {"ring": "poly", "base": obj}
+        with pytest.raises(ParseError, match="poly base"):
+            ring_from_obj(obj)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=30,
+)
+_KEYS = ("kind", "ring", "n", "witnesses", "c", "diag", "i", "j", "rows", "m", "base")
+
+
+def _near_valid(template, records=None):
+    """Valid documents with one field swapped for arbitrary JSON, at the
+    top or in the first item under `records`; random objects alone rarely
+    get past the first key check."""
+
+    def swap(key, value, inner):
+        doc = copy.deepcopy(template)
+        target = doc[records][0] if inner and records else doc
+        target[key] = value
+        return doc
+
+    return st.builds(swap, st.sampled_from(_KEYS), _JSON, st.booleans())
+
+
+class TestParsersFuzz:
+    """Whatever the input, the parsers raise only DerivringError."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(_JSON, _near_valid(_witness_family_obj(), "witnesses")))
+    def test_family_from_obj(self, obj):
+        try:
+            family_from_obj(obj)
+        except DerivringError:
+            pass
+
+    @settings(max_examples=300)
+    @given(st.one_of(_JSON, _near_valid(_jordan_family_obj(), "diag")))
+    def test_jordan_family_from_obj(self, obj):
+        try:
+            jordan_family_from_obj(obj)
+        except DerivringError:
+            pass
+
+    @given(st.one_of(_JSON, _near_valid(matrix_to_obj(Matrix.identity(P5, 2)))))
+    def test_matrix_from_obj(self, obj):
+        try:
+            matrix_from_obj(obj)
+        except DerivringError:
+            pass
+
+    @given(st.one_of(_JSON.map(json.dumps), st.text(max_size=20)))
+    def test_loads_strict(self, text):
+        try:
+            loads_strict(text)
+        except DerivringError:
+            pass
 
 
 class TestCanonicalDumps:
