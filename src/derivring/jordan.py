@@ -10,7 +10,7 @@ import random
 
 from .checks import CheckReport, Violation
 from .errors import ContractError, DomainError
-from .matrices import Matrix, SymmetricMatrix, commutator, corner, jordan_mul, matrix_unit
+from .matrices import Matrix, SymmetricMatrix, commutator, jordan_mul, matrix_unit
 from .sampling import random_symmetric
 from .twolocal import ReconstructionResult, TwoLocalOracle
 
@@ -94,28 +94,23 @@ def check_diag_zero(pairs):
 
 def check_corner_consistency(d_ii, d_jj, i, j):
     """The corner agreements between the diagonal-probe witnesses d(ii)
-    and d(jj): the (i,i)/(j,j) corners of both coincide, the (i,j) and
-    (j,i) corners coincide, and for every third index k the corners in
-    row/column i and row/column j coincide."""
+    and d(jj). The (i,i) and (j,j) corners of d(ii) and the (j,j) corner
+    of d(jj) must coincide; they sit at different positions, so all three
+    entries must vanish. The two witnesses must also agree at every
+    off-diagonal position in row or column i or j."""
     if i == j:
         raise DomainError("corner consistency compares distinct indices")
     d_ii._require_compatible(d_jj)
     n = d_ii.n
-    if corner(d_ii, i, i) != corner(d_ii, j, j):
+    diagonal = (d_ii.entry(i, i), d_ii.entry(j, j), d_jj.entry(j, j))
+    if not all(z.is_zero() for z in diagonal):
         return False
-    if corner(d_ii, i, i) != corner(d_jj, j, j):
-        return False
-    if corner(d_ii, i, j) != corner(d_jj, i, j):
-        return False
-    if corner(d_ii, j, i) != corner(d_jj, j, i):
-        return False
-    for k in range(1, n + 1):
-        if k in (i, j):
-            continue
-        for (r, c) in ((i, k), (k, i), (j, k), (k, j)):
-            if corner(d_ii, r, c) != corner(d_jj, r, c):
-                return False
-    return True
+    return all(
+        d_ii.entry(r, c) == d_jj.entry(r, c)
+        for r in range(1, n + 1)
+        for c in range(1, n + 1)
+        if r != c and (r in (i, j) or c in (i, j))
+    )
 
 
 def corner_compress(oracle, i, j):
@@ -178,36 +173,30 @@ class JordanWitnessFamily:
 
 def reconstruct_abar_jordan(family):
     """Reassemble the implementing element from the diagonal-probe
-    witnesses: row i of abar comes from d(ii). The diagonal summands are
-    computed literally even though the zero-diagonal identity forces them
-    to vanish; a nonzero one trips a ContractError, as does any corner
-    disagreement between two witnesses."""
+    witnesses: off the diagonal, row i of abar is row i of d(ii), and the
+    diagonal is zero. A nonzero (i,i) entry of d(ii) (which validation
+    rules out), a corner disagreement between two witnesses, or a result
+    that is not skew trips a ContractError."""
     if not family.validated:
         raise ContractError(
             "reconstruction requires a family validated against its oracle"
         )
-    ring, n = family.ring, family.n
-    parts = {}
-    abar = Matrix.zero(ring, n)
+    ring, n, diag = family.ring, family.n, family.diag
     for i in range(1, n + 1):
-        part = corner(family.diag[i], i, i)
-        if not part.is_zero():
+        if not diag[i].entry(i, i).is_zero():
             raise ContractError(f"diagonal summand ({i},{i}) is nonzero")
-        parts[(i, i)] = part
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if not check_corner_consistency(family.diag[i], family.diag[j], i, j):
+            if not check_corner_consistency(diag[i], diag[j], i, j):
                 raise ContractError(f"corner consistency fails for ({i},{j})")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            part = corner(family.diag[i], i, j)
-            parts[(i, j)] = part
-            abar = abar + part
+    abar = Matrix(ring, n, tuple(
+        ring.zero if i == j else diag[i + 1].entries[i * n + j]
+        for i in range(n)
+        for j in range(n)
+    ))
     if not abar.is_skew():
         raise ContractError("reconstructed element is not skew-symmetric")
-    return ReconstructionResult(abar, parts)
+    return ReconstructionResult(abar)
 
 
 def verify_jordan_theorem(oracle, family, samples, pairs=None):

@@ -157,7 +157,9 @@ class Zmod:
 
     def __init__(self, modulus):
         if isinstance(modulus, bool) or not isinstance(modulus, int):
-            raise InvalidRing(f"modulus must be an integer, got {modulus!r}")
+            raise InvalidRing(
+                f"modulus must be an integer, got {type(modulus).__name__}"
+            )
         if modulus < 3 or modulus % 2 == 0:
             raise InvalidRing(
                 f"Z_{modulus} is rejected: the modulus must be odd and >= 3 "

@@ -74,7 +74,7 @@ def ring_from_obj(obj):
         if not isinstance(base, dict) or base.get("ring") != "zmod":
             raise ParseError("poly base must be a zmod descriptor")
         return PolyRing(ring_from_obj(base))
-    raise ParseError(f"unknown ring kind {kind!r}")
+    raise ParseError(f"unknown ring kind of type {type(kind).__name__}")
 
 
 def value_to_obj(elem):
@@ -86,7 +86,9 @@ def value_to_obj(elem):
 def value_from_obj(ring, obj):
     if isinstance(ring, Zmod):
         if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ParseError(f"Z_{ring.modulus} values are integers, got {obj!r}")
+            raise ParseError(
+                f"Z_{ring.modulus} values are integers, got {type(obj).__name__}"
+            )
         if not 0 <= obj < ring.modulus:
             raise ParseError(
                 f"non-canonical residue {obj} for Z_{ring.modulus}: "
@@ -94,11 +96,15 @@ def value_from_obj(ring, obj):
             )
         return ring.element(obj)
     if not isinstance(obj, list):
-        raise ParseError(f"polynomial values are coefficient arrays, got {obj!r}")
+        raise ParseError(
+            f"polynomial values are coefficient arrays, got {type(obj).__name__}"
+        )
     m = ring.base.modulus
     for c in obj:
         if isinstance(c, bool) or not isinstance(c, int):
-            raise ParseError(f"polynomial coefficients are integers, got {c!r}")
+            raise ParseError(
+                f"polynomial coefficients are integers, got {type(c).__name__}"
+            )
         if not 0 <= c < m:
             raise ParseError(
                 f"non-canonical coefficient {c}: must lie in [0, {m})"
@@ -138,7 +144,7 @@ def matrix_from_obj(obj):
             raise ParseError(f'missing "{key}" key')
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ParseError(f'"n" must be a positive integer, got {n!r}')
+        raise ParseError(f'"n" must be a positive integer, got {type(n).__name__}')
     ring = ring_from_obj(obj["ring"])
     return _rows_from_obj(ring, n, obj["rows"])
 
@@ -183,7 +189,7 @@ def _witnesses_from_obj(obj, what, keys, indices):
     ring = ring_from_obj(obj["ring"])
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ParseError(f'"n" must be an integer >= 2, got {n!r}')
+        raise ParseError(f'"n" must be an integer >= 2, got {type(n).__name__}')
     records = obj[keys[2]]
     if not isinstance(records, list):
         raise ParseError(f'"{keys[2]}" must be a list, got {type(records).__name__}')

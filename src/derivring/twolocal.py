@@ -13,7 +13,7 @@ from enum import Enum
 from .checks import CheckReport, Violation
 from .derivations import InnerDerivation
 from .errors import ContractError, DomainError
-from .matrices import Matrix, commutator, corner, matrix_unit, probe_x0
+from .matrices import Matrix, commutator, matrix_unit, probe_x0
 from .sampling import random_central, random_x0_commutant
 
 __all__ = [
@@ -118,32 +118,32 @@ class WitnessFamily:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """The reassembled element abar together with its corner summands."""
+    """The reassembled implementing element abar."""
 
     abar: Matrix
-    parts: dict
+
+
+def _swapped_corners(family, diagonal):
+    """The matrix whose (i, j) entry is the (i, j) entry of a(j, i) for
+    i != j (note the index swap) and diagonal[i - 1] for i == j."""
+    n, offdiag = family.n, family.offdiag
+    return Matrix(family.ring, n, tuple(
+        diagonal[i] if i == j else offdiag[(j + 1, i + 1)].entries[i * n + j]
+        for i in range(n)
+        for j in range(n)
+    ))
 
 
 def reconstruct_abar(family):
-    """Reassemble the implementing element: the (i, j) summand is the
-    (i, j) corner of a(j, i) for i != j (note the index swap), and the
-    diagonal summands are the diagonal corners of c."""
+    """Reassemble the implementing element from corner entries: the
+    (i, j) entry of abar is the (i, j) entry of a(j, i) for i != j (note
+    the index swap), and the diagonal of abar is the diagonal of c."""
     if not family.validated:
         raise ContractError(
             "reconstruction requires a family validated against its oracle"
         )
-    ring, n = family.ring, family.n
-    parts = {}
-    abar = Matrix.zero(ring, n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                part = corner(family.c, i, i)
-            else:
-                part = corner(family.offdiag[(j, i)], i, j)
-            parts[(i, j)] = part
-            abar = abar + part
-    return ReconstructionResult(abar, parts)
+    c = family.c
+    return ReconstructionResult(_swapped_corners(family, c.entries[:: c.n + 1]))
 
 
 def verify_theorem1(oracle, family, samples):
@@ -170,27 +170,28 @@ def check_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
     """Corner agreement between two witnesses of one Delta.
 
     Default form: e_{k,k} a(i,j) e_{i,j} == e_{k,k} a(i,k) e_{i,j},
-    defined for k != i (the arguments are the witnesses a(i,j), a(i,k)).
-    With mirror=True the arguments are (a(i,j), a(k,j)) and the mirrored
-    identity e_{i,j} a(i,j) e_{k,k} == e_{i,j} a(k,j) e_{k,k} is
-    checked, defined for k != j.
+    defined for k != i (the arguments are the witnesses a(i,j), a(i,k));
+    each side holds only the (k, i) entry of its witness. With mirror=True
+    the arguments are (a(i,j), a(k,j)) and the mirrored identity
+    e_{i,j} a(i,j) e_{k,k} == e_{i,j} a(k,j) e_{k,k} is checked, defined
+    for k != j; each side holds only the (j, k) entry of its witness.
 
     The caller is responsible for passing witnesses of the same Delta;
     unrelated inputs simply yield False.
     """
     a_ij._require_compatible(a_ik)
-    ring, n = a_ij.ring, a_ij.n
+    n = a_ij.n
     if mirror:
         if k == j:
             raise DomainError("the mirrored cross-corner identity needs k != j")
-        u = matrix_unit(ring, n, i, j)
-        p = matrix_unit(ring, n, k, k)
-        return u * a_ij * p == u * a_ik * p
-    if k == i:
-        raise DomainError("the cross-corner identity needs k != i")
-    u = matrix_unit(ring, n, i, j)
-    p = matrix_unit(ring, n, k, k)
-    return p * a_ij * u == p * a_ik * u
+        r, c = j, k
+    else:
+        if k == i:
+            raise DomainError("the cross-corner identity needs k != i")
+        r, c = k, i
+    if not all(1 <= x <= n for x in (i, j, k)):
+        raise DomainError(f"cross-corner indices ({i},{j},{k}) out of range for n={n}")
+    return a_ij.entry(r, c) == a_ik.entry(r, c)
 
 
 def check_offdiag_formula(family, oracle, i, j):
@@ -198,18 +199,13 @@ def check_offdiag_formula(family, oracle, i, j):
 
         S e_{i,j} - e_{i,j} S + a(i,j)^{i,i} e_{i,j} - e_{i,j} a(i,j)^{j,j}
 
-    where S is the sum of all off-diagonal corner summands a_{k,l}.
-    (Summing a_{k,l} or a_{l,k} over all ordered distinct pairs gives the
-    same S.)"""
+    where S is the off-diagonal part of abar: its (k, l) entry is the
+    (k, l) entry of a(l, k), and its diagonal is zero."""
     if i == j:
         raise DomainError("the off-diagonal expansion needs i != j")
     family.ensure_validated(oracle)
     ring, n = family.ring, family.n
-    s = Matrix.zero(ring, n)
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            if k != l:
-                s = s + corner(family.offdiag[(l, k)], k, l)
+    s = _swapped_corners(family, (ring.zero,) * n)
     unit = matrix_unit(ring, n, i, j)
     a = family.offdiag[(i, j)]
     lhs = oracle(unit)

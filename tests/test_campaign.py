@@ -94,7 +94,7 @@ class TestRecoveryCheck:
         def shifted(family):
             result = real(family)
             abars.append(result.abar + shift)
-            return ReconstructionResult(abars[-1], result.parts)
+            return ReconstructionResult(abars[-1])
 
         monkeypatch.setattr(campaign, "reconstruct_abar", shifted)
         config = CampaignConfig(

@@ -11,12 +11,14 @@ from derivring import (
     JordanPairDerivation,
     JordanWitnessFamily,
     Matrix,
+    PolyRing,
     SymmetricMatrix,
     TwoLocalOracle,
     Zmod,
     check_corner_consistency,
     check_diag_zero,
     commutator,
+    corner,
     corner_compress,
     gen_jordan_instance,
     jordan_inner_apply,
@@ -27,10 +29,18 @@ from derivring import (
     reconstruct_abar_jordan,
     verify_jordan_theorem,
 )
-from derivring.sampling import random_pairs, random_skew, random_symmetric
+from derivring.sampling import (
+    random_element,
+    random_matrix,
+    random_pairs,
+    random_skew,
+    random_symmetric,
+)
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
+P5 = PolyRing(Z5)
+AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
 
 
 def sym_unit(ring, n, i, j):
@@ -47,6 +57,43 @@ def skew_oracle(s):
 def family_from_skew(s):
     diag = {i: s for i in range(1, s.n + 1)}
     return JordanWitnessFamily(s.ring, s.n, diag)
+
+
+def literal_corner_consistency(d_ii, d_jj, i, j):
+    """Reference: the corner identities as equalities of corner matrices."""
+    n = d_ii.n
+    if corner(d_ii, i, i) != corner(d_ii, j, j):
+        return False
+    if corner(d_ii, i, i) != corner(d_jj, j, j):
+        return False
+    shared = [(i, j), (j, i)]
+    for k in range(1, n + 1):
+        if k not in (i, j):
+            shared += [(i, k), (k, i), (j, k), (k, j)]
+    return all(corner(d_ii, r, c) == corner(d_jj, r, c) for r, c in shared)
+
+
+def literal_jordan_corner_sum(family):
+    """Reference: abar as the sum of the corners e_{i,i} d(ii) e_{j,j}."""
+    ring, n = family.ring, family.n
+    total = Matrix.zero(ring, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                total = total + corner(family.diag[i], i, j)
+    return total
+
+
+def skew_unit(ring, n, r, c, z):
+    """z (e_{r,c} - e_{c,r})."""
+    return (matrix_unit(ring, n, r, c) - matrix_unit(ring, n, c, r)) * z
+
+
+def nonzero_element(ring, rng):
+    z = ring.zero
+    while z.is_zero():
+        z = random_element(ring, rng)
+    return z
 
 
 class TestPairAction:
@@ -187,6 +234,61 @@ class TestCornerConsistency:
         with pytest.raises(DomainError):
             check_corner_consistency(s, s, 2, 2)
 
+    def test_indices_out_of_range(self):
+        s = random_skew(Z5, 3, random.Random(720))
+        with pytest.raises(DomainError):
+            check_corner_consistency(s, s, 1, 4)
+        with pytest.raises(DomainError):
+            check_corner_consistency(s, s, 0, 2)
+
+    def test_equal_diagonals_must_vanish(self):
+        # the (1,1) and (2,2) corners of 2I sit at different positions
+        two = Matrix.scalar(Z5.element(2), 2)
+        assert not check_corner_consistency(two, two, 1, 2)
+        assert not literal_corner_consistency(two, two, 1, 2)
+
+    @pytest.mark.parametrize("pos", [(1, 2), (2, 1), (1, 3), (4, 2), (2, 3)])
+    def test_skew_witnesses_differing_at_a_shared_position(self, pos):
+        rng = random.Random(721)
+        s = random_skew(Z9, 4, rng)
+        t = s + skew_unit(Z9, 4, *pos, nonzero_element(Z9, rng))
+        assert not check_corner_consistency(s, t, 1, 2)
+        assert not literal_corner_consistency(s, t, 1, 2)
+
+    def test_skew_witnesses_differing_elsewhere(self):
+        # (3,4) lies outside rows and columns 1 and 2
+        rng = random.Random(722)
+        s = random_skew(Z9, 4, rng)
+        t = s + skew_unit(Z9, 4, 3, 4, nonzero_element(Z9, rng))
+        assert check_corner_consistency(s, t, 1, 2)
+
+    @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
+    def test_matches_corner_form(self, ring, n):
+        rng = random.Random(723 + n)
+        outcomes = set()
+        for _ in range(6):
+            s = random_skew(ring, n, rng)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i == j:
+                        continue
+                    # unrelated, one entry off anywhere, or one skew pair off
+                    pick = rng.randrange(3)
+                    r, c = rng.randint(1, n), rng.randint(1, n)
+                    z = nonzero_element(ring, rng)
+                    if pick == 0:
+                        t = random_matrix(ring, n, rng)
+                    elif pick == 1:
+                        t = s + matrix_unit(ring, n, r, c) * z
+                    elif r != c:
+                        t = s + skew_unit(ring, n, r, c, z)
+                    else:
+                        t = s
+                    got = check_corner_consistency(s, t, i, j)
+                    assert got is literal_corner_consistency(s, t, i, j)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
+
 
 class TestCornerCompress:
     def test_zero_oracle(self):
@@ -271,6 +373,41 @@ class TestJordanReconstruction:
         s = random_skew(Z5, 2, random.Random(80))
         with pytest.raises(ContractError):
             reconstruct_abar_jordan(family_from_skew(s))
+
+    @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
+    def test_matches_corner_sum(self, ring, n):
+        rng = random.Random(800 + n)
+        hidden = JordanPairDerivation(ring, n, random_pairs(ring, n, rng, 2))
+        _, family = gen_jordan_instance(hidden, seed=rng.getrandbits(32))
+        assert reconstruct_abar_jordan(family).abar == literal_jordan_corner_sum(family)
+
+    def _tampered(self, witness):
+        # witnesses replaced after validation are read as they are
+        n = witness.n
+        family = family_from_skew(Matrix.zero(Z9, n))
+        family.validate(TwoLocalOracle(Z9, n, lambda x: Matrix.zero(Z9, n)))
+        for i in family.diag:
+            family.diag[i] = witness
+        return family
+
+    def test_nonzero_diagonal_summand(self):
+        family = self._tampered(Matrix.zero(Z9, 3))
+        family.diag[2] = matrix_unit(Z9, 3, 2, 2)
+        with pytest.raises(ContractError, match="diagonal summand"):
+            reconstruct_abar_jordan(family)
+
+    def test_inconsistent_corners(self):
+        rng = random.Random(801)
+        s = random_skew(Z9, 3, rng)
+        family = self._tampered(s)
+        family.diag[3] = s + skew_unit(Z9, 3, 1, 3, nonzero_element(Z9, rng))
+        with pytest.raises(ContractError, match="corner consistency"):
+            reconstruct_abar_jordan(family)
+
+    def test_non_skew_reconstruction(self):
+        family = self._tampered(matrix_unit(Z9, 3, 1, 2))
+        with pytest.raises(ContractError, match="not skew"):
+            reconstruct_abar_jordan(family)
 
 
 class TestJordanTheorem:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from derivring import (
     DerivringError,
+    InvalidRing,
     JordanPairDerivation,
     Matrix,
     NoiseSpec,
@@ -225,6 +226,38 @@ class TestParsersAreTotal:
             obj = {"ring": "poly", "base": obj}
         with pytest.raises(ParseError, match="poly base"):
             ring_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "error,parse",
+        [
+            (ParseError, lambda x: value_from_obj(Z5, x)),
+            (ParseError, lambda x: value_from_obj(P5, {"v": x})),
+            (ParseError, lambda x: value_from_obj(P5, x)),
+            (ParseError, lambda x: matrix_from_obj({"n": x, "ring": {}, "rows": []})),
+            (ParseError, lambda x: family_from_obj({**_witness_family_obj(), "n": x})),
+            (
+                ParseError,
+                lambda x: jordan_family_from_obj({**_jordan_family_obj(), "n": x}),
+            ),
+            (ParseError, lambda x: ring_from_obj({"ring": x})),
+            (InvalidRing, lambda x: ring_from_obj({"ring": "zmod", "m": x})),
+            (InvalidRing, Zmod),
+        ],
+        ids=[
+            "zmod-value", "poly-value", "poly-coefficient", "matrix-n",
+            "family-n", "jordan-family-n", "ring-kind", "ring-modulus", "zmod",
+        ],
+    )
+    def test_deep_input_on_a_deep_stack(self, error, parse):
+        # error messages name the offending type: a repr of a list nested
+        # 900 deep, taken 150 frames down, would raise RecursionError
+        deep = loads_strict("[" * 900 + "]" * 900)
+
+        def descend(frames):
+            return parse(deep) if frames == 0 else descend(frames - 1)
+
+        with pytest.raises(error):
+            descend(150)
 
 
 _JSON = st.recursive(

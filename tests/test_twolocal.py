@@ -19,6 +19,7 @@ from derivring import (
     check_diag_difference,
     check_offdiag_formula,
     commutator,
+    corner,
     gen_witness_family,
     matrix_unit,
     probe_x0,
@@ -45,6 +46,50 @@ def constant_family(hidden, witness=None, c=None):
     oracle = TwoLocalOracle(ring, n, InnerDerivation(hidden))
     family = WitnessFamily(ring, n, offdiag, c)
     return oracle, family
+
+
+def literal_corner_sum(family, diagonal=True):
+    """Reference: the sum of the corners e_{i,i} a(j,i) e_{j,j} over all
+    i != j, plus the diagonal corners of c when `diagonal` is set."""
+    ring, n = family.ring, family.n
+    total = Matrix.zero(ring, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                total = total + corner(family.offdiag[(j, i)], i, j)
+            elif diagonal:
+                total = total + corner(family.c, i, i)
+    return total
+
+
+def literal_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
+    """Reference: the cross-corner identity as matrix-unit products."""
+    ring, n = a_ij.ring, a_ij.n
+    u = matrix_unit(ring, n, i, j)
+    p = matrix_unit(ring, n, k, k)
+    if mirror:
+        return u * a_ij * p == u * a_ik * p
+    return p * a_ij * u == p * a_ik * u
+
+
+def literal_offdiag_formula(family, oracle, i, j):
+    """Reference: the off-diagonal expansion with S summed from corners."""
+    s = literal_corner_sum(family, diagonal=False)
+    unit = matrix_unit(family.ring, family.n, i, j)
+    a = family.offdiag[(i, j)]
+    rhs = s * unit - unit * s + unit * a.entry(i, i) - unit * a.entry(j, j)
+    return oracle(unit) == rhs
+
+
+def perturbed(a, r, c, rng):
+    """a plus a random nonzero element at (r, c)."""
+    z = a.ring.zero
+    while z.is_zero():
+        z = random_element(a.ring, rng)
+    return a + matrix_unit(a.ring, a.n, r, c) * z
+
+
+AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
 
 
 class TestWitnessFamily:
@@ -123,12 +168,21 @@ class TestReconstruction:
         rng = random.Random(40)
         hidden = random_matrix(Z9, 3, rng)
         oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=1)
-        result = reconstruct_abar(family)
-        assert set(result.parts) == {(i, j) for i in range(1, 4) for j in range(1, 4)}
-        total = Matrix.zero(Z9, 3)
-        for part in result.parts.values():
-            total = total + part
-        assert total == result.abar
+        assert reconstruct_abar(family).abar == literal_corner_sum(family)
+
+    @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
+    def test_matches_corner_sum_on_unrelated_witnesses(self, ring, n):
+        # validation is per family, so witnesses swapped in after it are
+        # read as they are: abar must still be the literal corner sum
+        rng = random.Random(400 + n)
+        for _ in range(5):
+            _, family = gen_witness_family(
+                random_matrix(ring, n, rng), NoiseSpec.NONE, seed=rng.getrandbits(32)
+            )
+            for key in family.offdiag:
+                family.offdiag[key] = random_matrix(ring, n, rng)
+            family.c = random_matrix(ring, n, rng)
+            assert reconstruct_abar(family).abar == literal_corner_sum(family)
 
     def test_idempotent_on_its_own_output(self):
         rng = random.Random(41)
@@ -187,6 +241,49 @@ class TestCrossCorner:
         a = random_matrix(Z5, 3, rng)
         b = random_matrix(Z5, 3, rng)
         assert check_cross_corner(a, b, 1, 2, 3) in (True, False)
+        # entry (3,1) is 1 in a and 4 in b
+        assert check_cross_corner(a, b, 1, 2, 3) is False
+        assert literal_cross_corner(a, b, 1, 2, 3) is False
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_differs_only_at_the_compared_entry(self, mirror):
+        rng = random.Random(440)
+        n, i, j, k = 4, 2, 3, 1
+        r, c = (j, k) if mirror else (k, i)
+        a = random_matrix(Z9, n, rng)
+        assert not check_cross_corner(a, perturbed(a, r, c, rng), i, j, k, mirror)
+        for rr in range(1, n + 1):
+            for cc in range(1, n + 1):
+                if (rr, cc) != (r, c):
+                    b = perturbed(a, rr, cc, rng)
+                    assert check_cross_corner(a, b, i, j, k, mirror)
+
+    @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
+    def test_matches_matrix_unit_products(self, ring, n):
+        rng = random.Random(441 + n)
+        outcomes = set()
+        for _ in range(4):
+            a = random_matrix(ring, n, rng)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    for k in range(1, n + 1):
+                        for mirror in (False, True):
+                            if k == (j if mirror else i):
+                                continue
+                            # unrelated, or one entry off: either the
+                            # compared entry or a random one
+                            pick = rng.randrange(3)
+                            if pick == 0:
+                                b = random_matrix(ring, n, rng)
+                            else:
+                                r, c = (j, k) if mirror else (k, i)
+                                if pick == 2:
+                                    r, c = rng.randint(1, n), rng.randint(1, n)
+                                b = perturbed(a, r, c, rng)
+                            got = check_cross_corner(a, b, i, j, k, mirror)
+                            assert got is literal_cross_corner(a, b, i, j, k, mirror)
+                            outcomes.add(got)
+        assert outcomes == {True, False}
 
     def test_k_constraints(self):
         a = Matrix.zero(Z5, 3)
@@ -194,6 +291,17 @@ class TestCrossCorner:
             check_cross_corner(a, a, 1, 2, 1)
         with pytest.raises(DomainError):
             check_cross_corner(a, a, 1, 2, 2, mirror=True)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("i,j,k", [(1, 4, 2), (4, 1, 2), (1, 2, 4), (0, 2, 3)])
+    def test_indices_out_of_range(self, i, j, k, mirror):
+        a = Matrix.zero(Z5, 3)
+        with pytest.raises(DomainError):
+            check_cross_corner(a, a, i, j, k, mirror)
+
+    def test_ring_mismatch(self):
+        with pytest.raises(DomainError):
+            check_cross_corner(Matrix.zero(Z5, 3), Matrix.zero(Z9, 3), 1, 2, 3)
 
 
 class TestOffdiagFormula:
@@ -224,6 +332,41 @@ class TestOffdiagFormula:
         oracle, family = constant_family(Matrix.zero(Z5, 2))
         with pytest.raises(DomainError):
             check_offdiag_formula(family, oracle, 1, 1)
+
+    def test_perturbed_witness_is_seen(self):
+        # S reads the (3,1) entry of a(1,3); S e_{1,2} moves it to (3,2)
+        rng = random.Random(460)
+        hidden = random_matrix(Z9, 3, rng)
+        oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=7)
+        assert check_offdiag_formula(family, oracle, 1, 2)
+        family.offdiag[(1, 3)] = perturbed(family.offdiag[(1, 3)], 3, 1, rng)
+        assert not check_offdiag_formula(family, oracle, 1, 2)
+        assert not literal_offdiag_formula(family, oracle, 1, 2)
+
+    @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
+    def test_matches_corner_sum_form(self, ring, n):
+        rng = random.Random(461 + n)
+        outcomes = set()
+        for _ in range(4):
+            oracle, family = gen_witness_family(
+                random_matrix(ring, n, rng), NoiseSpec.CENTRAL_SHIFTS,
+                seed=rng.getrandbits(32),
+            )
+            # after validation, perturb about half of the witnesses, half
+            # of those at the entry S reads from them
+            for (i, j), w in list(family.offdiag.items()):
+                if rng.random() < 0.5:
+                    r, c = (j, i) if rng.random() < 0.5 else (
+                        rng.randint(1, n), rng.randint(1, n)
+                    )
+                    family.offdiag[(i, j)] = perturbed(w, r, c, rng)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i != j:
+                        got = check_offdiag_formula(family, oracle, i, j)
+                        assert got is literal_offdiag_formula(family, oracle, i, j)
+                        outcomes.add(got)
+        assert outcomes == {True, False}
 
 
 class TestDiagDifference:
