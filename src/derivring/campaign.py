@@ -1,10 +1,18 @@
 """Seeded verification campaigns behind the CLI: suite dispatch,
 per-instance seed derivation, and deterministic reports.
 
+A suite is a function of the config. It does its suite-level setup and
+config checks first (extend resolves delta and builds the tower), so a
+bad config fails even with zero trials, and returns `check(irng)`: one
+instance, drawn from `irng`, yielding a `Violation` per identity that
+broke. `run_campaign` alone loops over instances and turns violations
+into failure records.
+
 The PRNG is Python's Mersenne Twister (random.Random); per-instance
 seeds are drawn from the campaign seed, so a config fully determines the
-report. Wall time is measured but kept out of the serialized report:
-identical configs must produce identical bytes.
+report, and a record's `seed` replays its instance alone as
+`check(random.Random(seed))`. Wall time is measured but kept out of the
+serialized report: identical configs must produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .checks import CheckReport
+from .checks import Violation
 from .derivations import (
     InnerDerivation,
     extend_tower,
@@ -50,17 +58,6 @@ from .twolocal import (
 )
 
 __all__ = ["SUITES", "CampaignConfig", "Report", "run_campaign"]
-
-SUITES = (
-    "theorem1",
-    "lemma-cross",
-    "lemma-offdiag",
-    "lemma-diagdiff",
-    "extend",
-    "two-generator",
-    "jordan-diag",
-    "jordan-theorem",
-)
 
 DELTAS = ("zero", "d/dt", "t*d/dt")
 
@@ -135,143 +132,117 @@ class Report:
 
 
 def run_campaign(config):
+    """Run one suite: its setup and config checks, then `config.trials`
+    instances, each drawn from its own seed."""
     if config.suite not in SUITES:
-        raise DomainError(f"unknown suite {config.suite!r}; choose one of {SUITES}")
+        raise DomainError(
+            f"unknown suite {config.suite!r}; choose one of {tuple(SUITES)}"
+        )
     if config.trials < 0:
         raise DomainError("trials must be >= 0")
     if config.max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    runner = _RUNNERS[config.suite]
     start = time.perf_counter()
-    instances, failures = runner(config)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return Report(config, instances, tuple(failures), wall_ms)
-
-
-def _failure(idx, seed, kind, probe, lhs, rhs):
-    return {
-        "instance": idx,
-        "seed": seed,
-        "kind": kind,
-        "probe": probe,
-        "lhs": payload_to_obj(lhs),
-        "rhs": payload_to_obj(rhs),
-    }
-
-
-def _report_failures(idx, seed, report: CheckReport, failures):
-    for v in report.violations:
-        failures.append(_failure(idx, seed, v.kind, v.probe, v.lhs, v.rhs))
-
-
-def _instance_seeds(config):
+    check = SUITES[config.suite](config)
     rng = random.Random(config.seed)
-    for idx in range(config.trials):
-        yield idx, rng.getrandbits(63)
-
-
-def _run_theorem1(config):
-    ring, n = config.ring, config.n
     failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
-        hidden = random_matrix(ring, n, irng, config.max_degree)
-        oracle, family = gen_witness_family(
-            hidden, config.noise, irng.getrandbits(63), config.max_degree
+    for idx in range(config.trials):
+        seed = rng.getrandbits(63)
+        failures.extend(
+            {
+                "instance": idx,
+                "seed": seed,
+                "kind": v.kind,
+                "probe": v.probe,
+                "lhs": payload_to_obj(v.lhs),
+                "rhs": payload_to_obj(v.rhs),
+            }
+            for v in check(random.Random(seed))
         )
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    return Report(config, config.trials, tuple(failures), wall_ms)
+
+
+def _witness_instance(config, irng):
+    """The 2-local instance of theorem1 and the witness lemmas: a hidden
+    element and its validated witness family."""
+    hidden = random_matrix(config.ring, config.n, irng, config.max_degree)
+    oracle, family = gen_witness_family(
+        hidden, config.noise, irng.getrandbits(63), config.max_degree
+    )
+    return hidden, oracle, family
+
+
+def _theorem1(config):
+    ring, n, degree = config.ring, config.n, config.max_degree
+
+    def check(irng):
+        hidden, oracle, family = _witness_instance(config, irng)
         # abar is recovered up to the centre of M_n(R), which is R*I
         drift = reconstruct_abar(family).abar - hidden
         central = Matrix.scalar(drift.entry(1, 1), n)
         if drift != central:
-            failures.append(
-                _failure(
-                    idx, iseed, "recovery-up-to-center", "abar-hidden", drift, central
-                )
-            )
-        samples = [
-            random_matrix(ring, n, irng, config.max_degree)
-            for _ in range(config.samples)
-        ]
-        _report_failures(idx, iseed, verify_theorem1(oracle, family, samples), failures)
-    return config.trials, failures
+            yield Violation("recovery-up-to-center", "abar-hidden", drift, central)
+        samples = [random_matrix(ring, n, irng, degree) for _ in range(config.samples)]
+        yield from verify_theorem1(oracle, family, samples).violations
+
+    return check
 
 
-def _run_lemma_cross(config):
-    ring, n = config.ring, config.n
-    failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
-        hidden = random_matrix(ring, n, irng, config.max_degree)
-        _, family = gen_witness_family(
-            hidden, config.noise, irng.getrandbits(63), config.max_degree
-        )
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                for k in range(1, n + 1):
-                    if k != i and not check_cross_corner(
-                        family.offdiag[(i, j)], family.offdiag[(i, k)], i, j, k
+def _lemma_cross(config):
+    n = config.n
+
+    def check(irng):
+        _, _, family = _witness_instance(config, irng)
+        a = family.offdiag
+        for (i, j) in sorted(a):
+            for k in range(1, n + 1):
+                # the default form compares a(i,j) with a(i,k), the mirror
+                # form with a(k,j); each needs that second witness to exist
+                for kind, other, mirror in (
+                    ("cross-corner", (i, k), False),
+                    ("cross-corner-mirror", (k, j), True),
+                ):
+                    if other in a and not check_cross_corner(
+                        a[(i, j)], a[other], i, j, k, mirror=mirror
                     ):
-                        failures.append(
-                            _failure(
-                                idx, iseed, "cross-corner", f"i={i} j={j} k={k}",
-                                family.offdiag[(i, j)], family.offdiag[(i, k)],
-                            )
-                        )
-                    if k != j and not check_cross_corner(
-                        family.offdiag[(i, j)], family.offdiag[(k, j)], i, j, k,
-                        mirror=True,
-                    ):
-                        failures.append(
-                            _failure(
-                                idx, iseed, "cross-corner-mirror", f"i={i} j={j} k={k}",
-                                family.offdiag[(i, j)], family.offdiag[(k, j)],
-                            )
-                        )
-    return config.trials, failures
+                        yield Violation(kind, f"i={i} j={j} k={k}", a[(i, j)], a[other])
+
+    return check
 
 
-def _run_lemma_offdiag(config):
+def _lemma_offdiag(config):
     ring, n = config.ring, config.n
-    failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
-        hidden = random_matrix(ring, n, irng, config.max_degree)
-        oracle, family = gen_witness_family(
-            hidden, config.noise, irng.getrandbits(63), config.max_degree
-        )
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and not check_offdiag_formula(family, oracle, i, j):
-                    failures.append(
-                        _failure(
-                            idx, iseed, "offdiag-expansion", f"e[{i},{j}]",
-                            oracle(matrix_unit(ring, n, i, j)), "expansion",
-                        )
-                    )
-    return config.trials, failures
+
+    def check(irng):
+        _, oracle, family = _witness_instance(config, irng)
+        for (i, j) in sorted(family.offdiag):
+            if not check_offdiag_formula(family, oracle, i, j):
+                lhs = oracle(matrix_unit(ring, n, i, j))
+                yield Violation("offdiag-expansion", f"e[{i},{j}]", lhs, "expansion")
+
+    return check
 
 
-def _run_lemma_diagdiff(config):
-    ring, n = config.ring, config.n
-    failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
-        hidden = random_matrix(ring, n, irng, config.max_degree)
+def _lemma_diagdiff(config):
+    ring, n, degree = config.ring, config.n, config.max_degree
+
+    def check(irng):
+        hidden = random_matrix(ring, n, irng, degree)
         irng.getrandbits(63)  # unused draw that keeps every seed's instance fixed
         oracle = TwoLocalOracle(ring, n, InnerDerivation(hidden))
         b = hidden
         c = hidden
         if config.noise is not NoiseSpec.NONE:
-            b = b + Matrix.scalar(random_element(ring, irng, config.max_degree), n)
-            c = c + Matrix.scalar(random_element(ring, irng, config.max_degree), n)
+            b = b + Matrix.scalar(random_element(ring, irng, degree), n)
+            c = c + Matrix.scalar(random_element(ring, irng, degree), n)
         if config.noise is NoiseSpec.X0_COMMUTANT_SHIFT_ON_C:
-            b = b + random_x0_commutant(ring, n, irng, config.max_degree)
-            c = c + random_x0_commutant(ring, n, irng, config.max_degree)
+            b = b + random_x0_commutant(ring, n, irng, degree)
+            c = c + random_x0_commutant(ring, n, irng, degree)
         if not check_diag_difference(b, c, oracle):
-            failures.append(_failure(idx, iseed, "diag-difference", "x0", b, c))
-    return config.trials, failures
+            yield Violation("diag-difference", "x0", b, c)
+
+    return check
 
 
 def _resolve_delta(config):
@@ -287,98 +258,83 @@ def _resolve_delta(config):
     raise DomainError(f"unknown delta {config.delta!r}; choose one of {DELTAS}")
 
 
-def _run_extend(config):
-    ring, n = config.ring, config.n
+def _extend(config):
+    ring, n, degree = config.ring, config.n, config.max_degree
     delta = _resolve_delta(config)
     ext = extend_tower(delta, n)
-    failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
-        x = random_matrix(ring, n, irng, config.max_degree)
-        y = random_matrix(ring, n, irng, config.max_degree)
-        _report_failures(idx, iseed, leibniz_check(ext, [(x, y)]), failures)
-        lam = random_element(ring, irng, config.max_degree)
+
+    def check(irng):
+        x = random_matrix(ring, n, irng, degree)
+        y = random_matrix(ring, n, irng, degree)
+        yield from leibniz_check(ext, [(x, y)]).violations
+        lam = random_element(ring, irng, degree)
         unit = matrix_unit(ring, n, 1, 1)
         lhs = ext(unit * lam)
         rhs = unit * delta(lam)
         if lhs != rhs:
-            failures.append(_failure(idx, iseed, "restriction", "lambda*e[1,1]", lhs, rhs))
-    return config.trials, failures
+            yield Violation("restriction", "lambda*e[1,1]", lhs, rhs)
+
+    return check
 
 
-def _run_two_generator(config):
-    ring, n = config.ring, config.n
-    failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
-        x = random_matrix(ring, n, irng, config.max_degree)
-        y = random_matrix(ring, n, irng, config.max_degree)
-        d = random_matrix(ring, n, irng, config.max_degree)
-        _report_failures(
-            idx, iseed, two_generator_check(x, y, d, config.max_len), failures
-        )
-    return config.trials, failures
+def _two_generator(config):
+    ring, n, degree = config.ring, config.n, config.max_degree
+
+    def check(irng):
+        x, y, d = (random_matrix(ring, n, irng, degree) for _ in range(3))
+        yield from two_generator_check(x, y, d, config.max_len).violations
+
+    return check
 
 
-def _run_jordan_diag(config):
-    ring, n = config.ring, config.n
-    failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
-        pairs = random_pairs(ring, n, irng, irng.randint(1, 4), config.max_degree)
+def _jordan_diag(config):
+    ring, n, degree = config.ring, config.n, config.max_degree
+
+    def check(irng):
+        pairs = random_pairs(ring, n, irng, irng.randint(1, 4), degree)
         if not check_diag_zero(pairs):
             total = Matrix.zero(ring, n)
             for a, b in pairs:
                 total = total + commutator(a, b)
-            failures.append(
-                _failure(
-                    idx, iseed, "diag-zero", "sum [a_k,b_k]",
-                    total, Matrix.zero(ring, n),
-                )
-            )
+            yield Violation("diag-zero", "sum [a_k,b_k]", total, Matrix.zero(ring, n))
         s = pairs_to_commutator(JordanPairDerivation(ring, n, pairs))
         if not s.is_skew():
-            failures.append(
-                _failure(idx, iseed, "skew", "reduced generator", s, -s.transpose())
-            )
-    return config.trials, failures
+            yield Violation("skew", "reduced generator", s, -s.transpose())
+
+    return check
 
 
-def _run_jordan_theorem(config):
-    ring, n = config.ring, config.n
-    failures = []
-    for idx, iseed in _instance_seeds(config):
-        irng = random.Random(iseed)
+def _jordan_theorem(config):
+    ring, n, degree = config.ring, config.n, config.max_degree
+
+    def check(irng):
         hidden = JordanPairDerivation(
-            ring, n, random_pairs(ring, n, irng, irng.randint(1, 3), config.max_degree)
+            ring, n, random_pairs(ring, n, irng, irng.randint(1, 3), degree)
         )
-        oracle, family = gen_jordan_instance(
-            hidden, irng.getrandbits(63), config.max_degree
-        )
+        oracle, family = gen_jordan_instance(hidden, irng.getrandbits(63), degree)
         samples = [
-            random_symmetric(ring, n, irng, config.max_degree)
-            for _ in range(config.samples)
+            random_symmetric(ring, n, irng, degree) for _ in range(config.samples)
         ]
         pairs = [
             (
-                random_symmetric(ring, n, irng, config.max_degree),
-                random_symmetric(ring, n, irng, config.max_degree),
+                random_symmetric(ring, n, irng, degree),
+                random_symmetric(ring, n, irng, degree),
             )
             for _ in range(config.samples)
         ]
-        _report_failures(
-            idx, iseed, verify_jordan_theorem(oracle, family, samples, pairs), failures
-        )
-    return config.trials, failures
+        yield from verify_jordan_theorem(oracle, family, samples, pairs).violations
+
+    return check
 
 
-_RUNNERS = {
-    "theorem1": _run_theorem1,
-    "lemma-cross": _run_lemma_cross,
-    "lemma-offdiag": _run_lemma_offdiag,
-    "lemma-diagdiff": _run_lemma_diagdiff,
-    "extend": _run_extend,
-    "two-generator": _run_two_generator,
-    "jordan-diag": _run_jordan_diag,
-    "jordan-theorem": _run_jordan_theorem,
+# suite name -> setup(config), which returns the per-instance check(irng)
+SUITES = {
+    "theorem1": _theorem1,
+    "lemma-cross": _lemma_cross,
+    "lemma-offdiag": _lemma_offdiag,
+    "lemma-diagdiff": _lemma_diagdiff,
+    "extend": _extend,
+    "two-generator": _two_generator,
+    "jordan-diag": _jordan_diag,
+    "jordan-theorem": _jordan_theorem,
 }

@@ -7,6 +7,7 @@ checks, and the Jordan reconstruction of the implementing element.
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 from .checks import CheckReport, Violation
 from .errors import ContractError, DomainError
@@ -132,9 +133,10 @@ def corner_compress(oracle, i, j):
 class JordanWitnessFamily:
     """The reduced diagonal-probe witnesses: for each index i the matrix
     d(ii) = (1/4) sum [a_k, b_k] of a pair list witnessing Delta at
-    e_{i,i}. Each d(ii) must be skew with zero diagonal."""
+    e_{i,i}. Each d(ii) must be skew with zero diagonal. The witnesses
+    are read-only, so a validation mark stays true of what it vouches for."""
 
-    __slots__ = ("ring", "n", "diag", "_validated_with")
+    __slots__ = ("ring", "n", "_diag", "_validated_with")
 
     def __init__(self, ring, n, diag):
         if n < 2:
@@ -143,11 +145,16 @@ class JordanWitnessFamily:
             raise DomainError("need exactly one d(ii) per index in 1..n")
         self.ring = ring
         self.n = n
-        self.diag = dict(diag)
-        for mat in self.diag.values():
+        self._diag = MappingProxyType(dict(diag))
+        for mat in self._diag.values():
             if mat.n != n or mat.ring != ring:
                 raise DomainError("witnesses must be n x n matrices over the ring")
         self._validated_with = None
+
+    @property
+    def diag(self):
+        """d(ii) by i, read-only."""
+        return self._diag
 
     @property
     def validated(self):

@@ -176,7 +176,9 @@ class Zmod:
         if isinstance(value, ZmodElement) and value.ring == self:
             return value
         if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"Z_{self.modulus} values are integers, got {value!r}")
+            raise DomainError(
+                f"Z_{self.modulus} values are integers, got {type(value).__name__}"
+            )
         return ZmodElement(self, value % self.modulus)
 
     def sample(self, rng, max_degree=0):
@@ -211,7 +213,9 @@ class PolyRing:
 
     def __init__(self, base):
         if not isinstance(base, Zmod):
-            raise InvalidRing(f"polynomial rings need a Zmod base, got {base!r}")
+            raise InvalidRing(
+                f"polynomial rings need a Zmod base, got {type(base).__name__}"
+            )
         self.base = base
         self.zero = PolyElement(self, ())
         self.one = PolyElement(self, (1,))
@@ -224,17 +228,20 @@ class PolyRing:
             return value
         m = self.base.modulus
         if isinstance(value, bool):
-            raise DomainError(f"cannot coerce {value!r} into {self}")
+            raise DomainError(f"cannot coerce {type(value).__name__} into {self}")
         if isinstance(value, int):
             return PolyElement(self, _strip([value % m]))
         if isinstance(value, (list, tuple)):
             coeffs = []
             for c in value:
                 if isinstance(c, bool) or not isinstance(c, int):
-                    raise DomainError(f"polynomial coefficients are integers, got {c!r}")
+                    raise DomainError(
+                        "polynomial coefficients are integers, "
+                        f"got {type(c).__name__}"
+                    )
                 coeffs.append(c % m)
             return PolyElement(self, _strip(coeffs))
-        raise DomainError(f"cannot coerce {value!r} into {self}")
+        raise DomainError(f"cannot coerce {type(value).__name__} into {self}")
 
     def sample(self, rng, max_degree=3):
         m = self.base.modulus

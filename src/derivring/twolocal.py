@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .checks import CheckReport, Violation
 from .derivations import InnerDerivation
@@ -67,10 +68,11 @@ class WitnessFamily:
 
     c defaults to a(1,2): every off-diagonal witness also witnesses x0.
     Reconstruction refuses families that have not been validated against
-    their oracle.
+    their oracle. The witnesses are read-only, so a validation mark stays
+    true of what it vouches for.
     """
 
-    __slots__ = ("ring", "n", "offdiag", "c", "_validated_with")
+    __slots__ = ("ring", "n", "_offdiag", "_c", "_validated_with")
 
     def __init__(self, ring, n, offdiag, c=None):
         if n < 2:
@@ -83,12 +85,22 @@ class WitnessFamily:
             )
         self.ring = ring
         self.n = n
-        self.offdiag = dict(offdiag)
-        self.c = c if c is not None else self.offdiag[(1, 2)]
-        for mat in list(self.offdiag.values()) + [self.c]:
+        self._offdiag = MappingProxyType(dict(offdiag))
+        self._c = c if c is not None else self._offdiag[(1, 2)]
+        for mat in list(self._offdiag.values()) + [self._c]:
             if mat.n != n or mat.ring != ring:
                 raise DomainError("witnesses must be n x n matrices over the ring")
         self._validated_with = None
+
+    @property
+    def offdiag(self):
+        """a(i,j) by (i, j), read-only."""
+        return self._offdiag
+
+    @property
+    def c(self):
+        """The x0 witness c, read-only."""
+        return self._c
 
     @property
     def validated(self):

@@ -2,12 +2,14 @@
 violation path through an oracle that agrees on every probe but is not a
 derivation anywhere else."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
 import derivring.campaign as campaign
+import derivring.derivations as derivations
 from derivring import (
     CampaignConfig,
     DomainError,
@@ -16,6 +18,7 @@ from derivring import (
     JordanWitnessFamily,
     Matrix,
     NoiseSpec,
+    PolyRing,
     ReconstructionResult,
     Report,
     SymmetricMatrix,
@@ -34,6 +37,7 @@ from derivring.serialize import payload_to_obj
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
+P5 = PolyRing(Z5)
 
 
 def adversarial_oracle(hidden):
@@ -54,6 +58,20 @@ def adversarial_oracle(hidden):
         if x in probes:
             return inner(x)
         return inner(x) + Matrix.identity(ring, n)
+
+    return TwoLocalOracle(ring, n, evaluate)
+
+
+def jordan_adversarial_oracle(hidden):
+    """Agrees with the pair-list derivation on the diagonal probes e_{i,i}
+    the Jordan witnesses are validated on, adds the identity elsewhere."""
+    ring, n = hidden.ring, hidden.n
+    probes = {SymmetricMatrix.of(matrix_unit(ring, n, i, i)) for i in range(1, n + 1)}
+
+    def evaluate(x):
+        if x in probes:
+            return hidden(x)
+        return hidden(x) + Matrix.identity(ring, n)
 
     return TwoLocalOracle(ring, n, evaluate)
 
@@ -169,16 +187,200 @@ class TestViolationsAreData:
         rng = random.Random(102)
         hidden = JordanPairDerivation(Z9, 2, random_pairs(Z9, 2, rng, 2))
         s = pairs_to_commutator(hidden)
-        probes = {SymmetricMatrix.of(matrix_unit(Z9, 2, i, i)) for i in (1, 2)}
-
-        def evaluate(x):
-            if x in probes:
-                return hidden(x)
-            return hidden(x) + Matrix.identity(Z9, 2)
-
-        oracle = TwoLocalOracle(Z9, 2, evaluate)
+        oracle = jordan_adversarial_oracle(hidden)
         family = JordanWitnessFamily(Z9, 2, {1: s, 2: s})
         family.validate(oracle)
         sample = random_symmetric(Z9, 2, rng) + Matrix.identity(Z9, 2)
         report = verify_jordan_theorem(oracle, family, [SymmetricMatrix.of(sample)])
         assert not report.ok
+
+
+def plant_theorem1(monkeypatch):
+    real = campaign.gen_witness_family
+
+    def planted(hidden, noise, seed, max_degree):
+        _, family = real(hidden, noise, seed, max_degree)
+        return adversarial_oracle(hidden), family
+
+    monkeypatch.setattr(campaign, "gen_witness_family", planted)
+    return CampaignConfig(suite="theorem1", ring=Z5, n=3, trials=3, seed=11, samples=2)
+
+
+def plant_lemma_cross(monkeypatch):
+    real = campaign.check_cross_corner
+
+    def planted(a, b, i, j, k, mirror=False):
+        return (i, j, k) != (1, 2, 3) and real(a, b, i, j, k, mirror=mirror)
+
+    monkeypatch.setattr(campaign, "check_cross_corner", planted)
+    return CampaignConfig(
+        suite="lemma-cross", ring=Z9, n=3, trials=2, seed=12,
+        noise=NoiseSpec.CENTRAL_SHIFTS,
+    )
+
+
+def plant_lemma_offdiag(monkeypatch):
+    real = campaign.check_offdiag_formula
+
+    def planted(family, oracle, i, j):
+        return (i, j) != (2, 1) and real(family, oracle, i, j)
+
+    monkeypatch.setattr(campaign, "check_offdiag_formula", planted)
+    return CampaignConfig(
+        suite="lemma-offdiag", ring=Z5, n=3, trials=2, seed=13,
+        noise=NoiseSpec.CENTRAL_SHIFTS,
+    )
+
+
+def plant_lemma_diagdiff(monkeypatch):
+    real = campaign.check_diag_difference
+    monkeypatch.setattr(
+        campaign, "check_diag_difference", lambda b, c, oracle: not real(b, c, oracle)
+    )
+    return CampaignConfig(
+        suite="lemma-diagdiff", ring=Z9, n=3, trials=2, seed=14,
+        noise=NoiseSpec.X0_COMMUTANT_SHIFT_ON_C,
+    )
+
+
+def _plant_tower(monkeypatch, bend):
+    real = campaign.extend_tower
+
+    def planted(delta, n):
+        ext = real(delta, n)
+        return lambda x: ext(x) + bend(x)
+
+    monkeypatch.setattr(campaign, "extend_tower", planted)
+    return CampaignConfig(
+        suite="extend", ring=P5, n=3, trials=2, seed=15, delta="d/dt", max_degree=2
+    )
+
+
+def plant_extend_not_additive(monkeypatch):
+    return _plant_tower(monkeypatch, lambda x: Matrix.identity(x.ring, x.n))
+
+
+def plant_extend_not_leibniz(monkeypatch):
+    # x -> ext(x) + x is additive, so only the product rule can fail
+    return _plant_tower(monkeypatch, lambda x: x)
+
+
+def plant_two_generator(monkeypatch):
+    # Delta(x) = [d, x] + x on the generators: additive, but no derivation
+    real = derivations.commutator
+    monkeypatch.setattr(derivations, "commutator", lambda a, b: real(a, b) + b)
+    return CampaignConfig(
+        suite="two-generator", ring=Z5, n=2, trials=2, seed=16, max_len=3
+    )
+
+
+def plant_jordan_diag(monkeypatch):
+    real = campaign.pairs_to_commutator
+    monkeypatch.setattr(campaign, "check_diag_zero", lambda pairs: False)
+    monkeypatch.setattr(
+        campaign,
+        "pairs_to_commutator",
+        lambda pd: real(pd) + matrix_unit(pd.ring, pd.n, 1, 2),
+    )
+    return CampaignConfig(suite="jordan-diag", ring=Z9, n=3, trials=2, seed=17)
+
+
+def plant_jordan_oracle(monkeypatch):
+    real = campaign.gen_jordan_instance
+
+    def planted(hidden, seed, max_degree):
+        _, family = real(hidden, seed, max_degree)
+        return jordan_adversarial_oracle(hidden), family
+
+    monkeypatch.setattr(campaign, "gen_jordan_instance", planted)
+    return CampaignConfig(
+        suite="jordan-theorem", ring=Z9, n=3, trials=2, seed=18, samples=2
+    )
+
+
+def plant_jordan_samples(monkeypatch):
+    # a "symmetric" sample that is not: [abar, x] still matches the pair
+    # action, but it is no longer symmetric
+    real = campaign.random_symmetric
+
+    def planted(ring, n, rng, max_degree=3):
+        x = real(ring, n, rng, max_degree) + matrix_unit(ring, n, 1, 2)
+        return SymmetricMatrix(ring, n, x.entries)
+
+    monkeypatch.setattr(campaign, "random_symmetric", planted)
+    return CampaignConfig(
+        suite="jordan-theorem", ring=Z9, n=3, trials=2, seed=19, samples=2
+    )
+
+
+PLANTED = [
+    (
+        plant_theorem1, {"action"},
+        "9ef1e603f0b6f7fbb2bc480fccf2b33f143e446b11d269c0864a93d83ae67ac4",
+    ),
+    (
+        plant_lemma_cross, {"cross-corner", "cross-corner-mirror"},
+        "3294050c7fd343af44532876efbd3273d0379c1da2b9e739c85bf8e44b52e133",
+    ),
+    (
+        plant_lemma_offdiag, {"offdiag-expansion"},
+        "9d3297fc5cd4a51159f5ea44580225555c6cb5c2b208733d476d8ec762dfe087",
+    ),
+    (
+        plant_lemma_diagdiff, {"diag-difference"},
+        "f4bc0ef1eaacc17e9cfb60dedaf1c5882b95e83c160d6d85ee945915968f6362",
+    ),
+    (
+        plant_extend_not_additive, {"additivity", "restriction"},
+        "58a3aa8f34fc168755205ecfbcf0e5c177b39d2448a87d59b3149cec982a00de",
+    ),
+    (
+        plant_extend_not_leibniz, {"leibniz", "restriction"},
+        "066ca6751929387ff9e8710de6e3cfed740b446cf463c1a136eb10e1126ce81b",
+    ),
+    (
+        plant_two_generator, {"inner-mismatch"},
+        "b12cafc4cf4c3f72938b6ad2568caf2e821e84ad7240afe12a1bd78f79a287ba",
+    ),
+    (
+        plant_jordan_diag, {"diag-zero", "skew"},
+        "e728b18bc11a9351b781901afde5d6754008a5483dcfb10a4f275654b4a4a562",
+    ),
+    (
+        plant_jordan_oracle, {"action"},
+        "eb02794366e31a34b49aa6350cc7a491bd57dd491f1baf5164b564d8ff97d0db",
+    ),
+    (
+        plant_jordan_samples, {"closure"},
+        "6257cd2d1e9f628d81134cd203292724de0a1590874d3fa8e93ac1dba36e06ed",
+    ),
+]
+
+
+class TestPlantedDefects:
+    """Sensitivity matrix: each suite reports a planted defect with exit 1,
+    the expected kinds, and exactly these report bytes."""
+
+    @pytest.mark.parametrize("plant,kinds,digest", PLANTED)
+    def test_defect_is_reported(self, monkeypatch, plant, kinds, digest):
+        config = plant(monkeypatch)
+        report = run_campaign(config)
+        assert report.exit_code == 1
+        assert {rec["kind"] for rec in report.failures} == kinds
+        assert {rec["instance"] for rec in report.failures} == set(range(config.trials))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("plant", [plant for plant, _, _ in PLANTED])
+    def test_record_seed_replays_its_instance(self, monkeypatch, plant):
+        config = plant(monkeypatch)
+        report = run_campaign(config)
+        check = campaign.SUITES[config.suite](config)
+        for idx in range(config.trials):
+            records = [rec for rec in report.failures if rec["instance"] == idx]
+            replayed = [
+                (v.kind, v.probe, payload_to_obj(v.lhs), payload_to_obj(v.rhs))
+                for v in check(random.Random(records[0]["seed"]))
+            ]
+            assert replayed == [
+                (rec["kind"], rec["probe"], rec["lhs"], rec["rhs"]) for rec in records
+            ]

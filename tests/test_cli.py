@@ -84,6 +84,18 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "ring,delta", [("zmod:5", "bogus"), ("zmod:5", "d/dt"), ("zmod:5", "t*d/dt")]
+    )
+    def test_delta_is_checked_before_any_instance(self, capsys, ring, delta):
+        # with no instance to run, a bad delta must still not pass vacuously
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "extend", "--ring", ring, "--delta", delta, "--trials", "0"],
+        )
+        assert code == 2
+        assert out == ""
+
     def test_extend_suite(self, capsys):
         code, out, err = run_cli(
             capsys,

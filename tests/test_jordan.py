@@ -343,6 +343,16 @@ class TestJordanFamily:
         with pytest.raises(DomainError):
             JordanWitnessFamily(Z5, 3, {1: s, 2: s})
 
+    def test_witnesses_are_read_only(self):
+        s = random_skew(Z5, 2, random.Random(79))
+        family = family_from_skew(s)
+        family.validate(skew_oracle(s))
+        with pytest.raises(TypeError):
+            family.diag[1] = Matrix.zero(Z5, 2)
+        with pytest.raises(AttributeError):
+            family.diag = {}
+        assert family.diag[1] == s
+
 
 class TestJordanReconstruction:
     def test_zero_family(self):
@@ -381,31 +391,30 @@ class TestJordanReconstruction:
         _, family = gen_jordan_instance(hidden, seed=rng.getrandbits(32))
         assert reconstruct_abar_jordan(family).abar == literal_jordan_corner_sum(family)
 
-    def _tampered(self, witness):
-        # witnesses replaced after validation are read as they are
-        n = witness.n
-        family = family_from_skew(Matrix.zero(Z9, n))
-        family.validate(TwoLocalOracle(Z9, n, lambda x: Matrix.zero(Z9, n)))
-        for i in family.diag:
-            family.diag[i] = witness
+    def _tampered(self, *witnesses):
+        # marked as validated without validation: the reconstruction's own
+        # checks must catch these witnesses
+        n = witnesses[0].n
+        family = JordanWitnessFamily(Z9, n, dict(enumerate(witnesses, 1)))
+        family._validated_with = TwoLocalOracle(Z9, n, lambda x: Matrix.zero(Z9, n))
         return family
 
     def test_nonzero_diagonal_summand(self):
-        family = self._tampered(Matrix.zero(Z9, 3))
-        family.diag[2] = matrix_unit(Z9, 3, 2, 2)
+        zero = Matrix.zero(Z9, 3)
+        family = self._tampered(zero, matrix_unit(Z9, 3, 2, 2), zero)
         with pytest.raises(ContractError, match="diagonal summand"):
             reconstruct_abar_jordan(family)
 
     def test_inconsistent_corners(self):
         rng = random.Random(801)
         s = random_skew(Z9, 3, rng)
-        family = self._tampered(s)
-        family.diag[3] = s + skew_unit(Z9, 3, 1, 3, nonzero_element(Z9, rng))
+        bent = s + skew_unit(Z9, 3, 1, 3, nonzero_element(Z9, rng))
+        family = self._tampered(s, s, bent)
         with pytest.raises(ContractError, match="corner consistency"):
             reconstruct_abar_jordan(family)
 
     def test_non_skew_reconstruction(self):
-        family = self._tampered(matrix_unit(Z9, 3, 1, 2))
+        family = self._tampered(*[matrix_unit(Z9, 3, 1, 2)] * 3)
         with pytest.raises(ContractError, match="not skew"):
             reconstruct_abar_jordan(family)
 

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from derivring import BaseDerivation, DomainError, InvalidRing, PolyRing, Zmod
+from derivring import (
+    BaseDerivation,
+    DomainError,
+    InvalidRing,
+    Matrix,
+    PolyRing,
+    Zmod,
+)
+from derivring.serialize import loads_strict
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
@@ -60,6 +68,28 @@ class TestConstruction:
     def test_error_message_names_the_requirement(self):
         with pytest.raises(InvalidRing, match="2 is invertible"):
             Zmod(6)
+
+    @pytest.mark.parametrize(
+        "error,build",
+        [
+            (DomainError, lambda x: Z5.element(x)),
+            (DomainError, lambda x: P5.element({"v": x})),
+            (DomainError, lambda x: P5.element([x])),
+            (InvalidRing, lambda x: PolyRing(x)),
+            (DomainError, lambda x: Matrix.from_rows(Z5, [[x]])),
+        ],
+        ids=["zmod", "poly-value", "poly-coefficient", "poly-base", "from-rows"],
+    )
+    def test_deep_input_on_a_deep_stack(self, error, build):
+        # error messages name the offending type: a repr of a list nested
+        # 900 deep, taken 150 frames down, would raise RecursionError
+        deep = loads_strict("[" * 900 + "]" * 900)
+
+        def descend(frames):
+            return build(deep) if frames == 0 else descend(frames - 1)
+
+        with pytest.raises(error):
+            descend(150)
 
     def test_canonical_residues(self):
         assert Z5.element(7).payload == 2

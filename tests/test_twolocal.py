@@ -89,6 +89,18 @@ def perturbed(a, r, c, rng):
     return a + matrix_unit(a.ring, a.n, r, c) * z
 
 
+def tampered(family, oracle, replace, c=None):
+    """A copy of `family` with the witnesses in `replace` (and c, if given)
+    swapped in, marked as validated against `oracle` without validating
+    it: the controls below read witnesses that no oracle vouches for."""
+    copy = WitnessFamily(
+        family.ring, family.n, {**family.offdiag, **replace},
+        family.c if c is None else c,
+    )
+    copy._validated_with = oracle
+    return copy
+
+
 AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
 
 
@@ -127,6 +139,25 @@ class TestWitnessFamily:
         oracle, family = constant_family(a, witness=a + Matrix.scalar(Z5.element(2), 2))
         family.validate(oracle)
         assert family.validated
+
+    def test_witnesses_are_read_only(self):
+        a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
+        oracle, family = constant_family(a)
+        family.validate(oracle)
+        with pytest.raises(TypeError):
+            family.offdiag[(1, 2)] = Matrix.zero(Z5, 2)
+        with pytest.raises(AttributeError):
+            family.offdiag = {}
+        with pytest.raises(AttributeError):
+            family.c = Matrix.zero(Z5, 2)
+        assert family.offdiag[(1, 2)] == a and family.c == a
+
+    def test_caller_dict_is_copied(self):
+        a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
+        offdiag = {(1, 2): a, (2, 1): a}
+        family = WitnessFamily(Z5, 2, offdiag)
+        offdiag[(1, 2)] = Matrix.zero(Z5, 2)
+        assert family.offdiag[(1, 2)] == a
 
 
 class TestReconstruction:
@@ -172,16 +203,15 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
     def test_matches_corner_sum_on_unrelated_witnesses(self, ring, n):
-        # validation is per family, so witnesses swapped in after it are
-        # read as they are: abar must still be the literal corner sum
+        # unrelated witnesses marked as validated are read as they are:
+        # abar must still be the literal corner sum
         rng = random.Random(400 + n)
         for _ in range(5):
-            _, family = gen_witness_family(
+            oracle, family = gen_witness_family(
                 random_matrix(ring, n, rng), NoiseSpec.NONE, seed=rng.getrandbits(32)
             )
-            for key in family.offdiag:
-                family.offdiag[key] = random_matrix(ring, n, rng)
-            family.c = random_matrix(ring, n, rng)
+            replace = {key: random_matrix(ring, n, rng) for key in family.offdiag}
+            family = tampered(family, oracle, replace, c=random_matrix(ring, n, rng))
             assert reconstruct_abar(family).abar == literal_corner_sum(family)
 
     def test_idempotent_on_its_own_output(self):
@@ -339,7 +369,8 @@ class TestOffdiagFormula:
         hidden = random_matrix(Z9, 3, rng)
         oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=7)
         assert check_offdiag_formula(family, oracle, 1, 2)
-        family.offdiag[(1, 3)] = perturbed(family.offdiag[(1, 3)], 3, 1, rng)
+        replace = {(1, 3): perturbed(family.offdiag[(1, 3)], 3, 1, rng)}
+        family = tampered(family, oracle, replace)
         assert not check_offdiag_formula(family, oracle, 1, 2)
         assert not literal_offdiag_formula(family, oracle, 1, 2)
 
@@ -352,14 +383,16 @@ class TestOffdiagFormula:
                 random_matrix(ring, n, rng), NoiseSpec.CENTRAL_SHIFTS,
                 seed=rng.getrandbits(32),
             )
-            # after validation, perturb about half of the witnesses, half
-            # of those at the entry S reads from them
-            for (i, j), w in list(family.offdiag.items()):
+            # perturb about half of the validated witnesses, half of those
+            # at the entry S reads from them
+            replace = {}
+            for (i, j), w in family.offdiag.items():
                 if rng.random() < 0.5:
                     r, c = (j, i) if rng.random() < 0.5 else (
                         rng.randint(1, n), rng.randint(1, n)
                     )
-                    family.offdiag[(i, j)] = perturbed(w, r, c, rng)
+                    replace[(i, j)] = perturbed(w, r, c, rng)
+            family = tampered(family, oracle, replace)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
