@@ -2,8 +2,9 @@
 per-instance seed derivation, and deterministic reports.
 
 A suite is a function of the config. It does its suite-level setup and
-config checks first (extend resolves delta and builds the tower), so a
-bad config fails even with zero trials, and returns `check(irng)`: one
+config checks first (n, samples and max_len against the suite's
+minimum; extend resolves delta and builds the tower), so a bad config
+fails even with zero trials, and returns `check(irng)`: one
 instance, drawn from `irng`, yielding a `Violation` per identity that
 broke. `run_campaign` alone loops over instances and turns violations
 into failure records.
@@ -173,7 +174,16 @@ def _witness_instance(config, irng):
     return hidden, oracle, family
 
 
+def _require(config, field, minimum):
+    """Reject a config that the suite's checks would only refuse inside an
+    instance, so that zero trials cannot pass it vacuously."""
+    if getattr(config, field) < minimum:
+        raise DomainError(f"{config.suite} needs {field} >= {minimum}")
+
+
 def _theorem1(config):
+    _require(config, "n", 2)
+    _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -190,6 +200,7 @@ def _theorem1(config):
 
 
 def _lemma_cross(config):
+    _require(config, "n", 2)
     n = config.n
 
     def check(irng):
@@ -212,6 +223,7 @@ def _lemma_cross(config):
 
 
 def _lemma_offdiag(config):
+    _require(config, "n", 2)
     ring, n = config.ring, config.n
 
     def check(irng):
@@ -225,6 +237,7 @@ def _lemma_offdiag(config):
 
 
 def _lemma_diagdiff(config):
+    _require(config, "n", 2)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -278,6 +291,7 @@ def _extend(config):
 
 
 def _two_generator(config):
+    _require(config, "max_len", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -305,6 +319,8 @@ def _jordan_diag(config):
 
 
 def _jordan_theorem(config):
+    _require(config, "n", 2)
+    _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):

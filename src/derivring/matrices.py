@@ -3,7 +3,12 @@ commutators, the Jordan product a.b = (ab + ba)/2, and the symmetric
 subspace H_n(R).
 
 Public row/column indices run from 1 to match the e_{i,j} notation;
-storage is 0-based row-major.
+storage is 0-based row-major. Entries are canonical ring elements, but
+arithmetic and equality run on their payloads: once `_require_compatible`
+has passed, `+`, `-`, negation, scaling and the product hand the entry
+tuples to the ring's payload kernel (`ring.matmul` and friends, see
+`derivring.rings`), which sums each dot product as plain ints (Z_m) or
+as Kronecker-packed ints (Z_m[t]) and builds one element per entry.
 """
 
 from __future__ import annotations
@@ -90,24 +95,16 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_compatible(other)
-        return Matrix(
-            self.ring,
-            self.n,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        return Matrix(self.ring, self.n, self.ring.matadd(self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_compatible(other)
-        return Matrix(
-            self.ring,
-            self.n,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
+        return Matrix(self.ring, self.n, self.ring.matsub(self.entries, other.entries))
 
     def __neg__(self):
-        return Matrix(self.ring, self.n, tuple(-a for a in self.entries))
+        return Matrix(self.ring, self.n, self.ring.matneg(self.entries))
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -116,21 +113,7 @@ class Matrix:
             return NotImplemented
         self._require_compatible(other)
         n = self.n
-        a = self.entries
-        b = other.entries
-        out = [self.ring.zero] * (n * n)
-        for i in range(n):
-            ro = i * n
-            for k in range(n):
-                aik = a[ro + k]
-                if not aik.payload:
-                    continue
-                bo = k * n
-                for j in range(n):
-                    bkj = b[bo + j]
-                    if bkj.payload:
-                        out[ro + j] = out[ro + j] + aik * bkj
-        return Matrix(self.ring, n, tuple(out))
+        return Matrix(self.ring, n, self.ring.matmul(n, self.entries, other.entries))
 
     def __rmul__(self, other):
         if isinstance(other, RingElement):
@@ -140,7 +123,7 @@ class Matrix:
     def _scaled(self, z):
         if z.ring is not self.ring and z.ring != self.ring:
             raise DomainError(f"ring mismatch: {self.ring} vs {z.ring}")
-        return Matrix(self.ring, self.n, tuple(z * a for a in self.entries))
+        return Matrix(self.ring, self.n, self.ring.matscale(z, self.entries))
 
     def transpose(self):
         n = self.n
@@ -172,8 +155,8 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.n == other.n
-            and self.entries == other.entries
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
+            and all(a.payload == b.payload for a, b in zip(self.entries, other.entries))
         )
 
     def __hash__(self):

@@ -5,9 +5,27 @@ Z_m[t] on top of such a base. Values are immutable and canonical
 (residues in [0, m), little-endian coefficient tuples with no trailing
 zeros), so equality of values is equality of payloads and nothing ever
 rounds.
+
+Each ring also carries the payload kernel behind the matrix layer:
+`matmul`, `matadd`, `matsub`, `matneg` and `matscale` take row-major
+tuples of canonical elements and return one, computing on payloads
+rather than through one element object per partial result. On Z_m a
+dot product is summed in plain ints and reduced mod m once. On Z_m[t]
+it uses Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009): each
+polynomial is packed into one int with a `bits`-wide slot per
+coefficient, the dot product is summed as ints, and each result is
+unpacked once, every slot reduced mod m and trailing zeros stripped (a
+leading term can vanish mod a composite m: 3t * 3t = 0 in Z_9[t]).
+Coefficients are residues in [0, m), so a coefficient of an n-term dot
+product of polynomials with at most la and lb coefficients is at most
+n * min(la, lb) * (m - 1)**2; `_slot_bits` makes each slot that wide,
+so no slot carries into the next. A single product is the case n = 1.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import DomainError, InvalidRing
 
@@ -90,6 +108,52 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
+def _poly_add(a, b, m):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for idx, c in enumerate(b):
+        out[idx] = (out[idx] + c) % m
+    return _strip(out)
+
+
+def _poly_sub(a, b, m):
+    out = list(a) + [0] * (len(b) - len(a))
+    for idx, c in enumerate(b):
+        out[idx] = (out[idx] - c) % m
+    return _strip(out)
+
+
+def _poly_neg(a, m):
+    return tuple((-c) % m for c in a)
+
+
+def _slot_bits(n, la, lb, m):
+    """Slot width for an n-term dot product of polynomials with at most
+    la and lb coefficients: the bit length of the largest coefficient
+    it can reach, n * min(la, lb) * (m - 1)**2."""
+    return (n * min(la, lb) * (m - 1) ** 2).bit_length()
+
+
+def _pack(coeffs, bits):
+    """Kronecker substitution: the polynomial evaluated at t = 2**bits."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = packed << bits | c
+    return packed
+
+
+def _unpack(packed, bits, m):
+    """The canonical payload of a packed sum of products: slot k is
+    coefficient k, reduced mod m; trailing zeros are stripped."""
+    mask = (1 << bits) - 1
+    coeffs = []
+    while packed:
+        coeffs.append((packed & mask) % m)
+        packed >>= bits
+    return _strip(coeffs)
+
+
 class PolyElement(RingElement):
     __slots__ = ()
 
@@ -99,14 +163,8 @@ class PolyElement(RingElement):
         ring = self.ring
         if ring is not other.ring and ring != other.ring:
             raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        a, b = self.payload, other.payload
-        if len(a) < len(b):
-            a, b = b, a
         m = ring.base.modulus
-        out = list(a)
-        for idx in range(len(b)):
-            out[idx] = (out[idx] + b[idx]) % m
-        return PolyElement(ring, _strip(out))
+        return PolyElement(ring, _poly_add(self.payload, other.payload, m))
 
     def __sub__(self, other):
         if not isinstance(other, RingElement):
@@ -114,15 +172,8 @@ class PolyElement(RingElement):
         ring = self.ring
         if ring is not other.ring and ring != other.ring:
             raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        a, b = self.payload, other.payload
         m = ring.base.modulus
-        la, lb = len(a), len(b)
-        out = [0] * max(la, lb)
-        for idx in range(len(out)):
-            ca = a[idx] if idx < la else 0
-            cb = b[idx] if idx < lb else 0
-            out[idx] = (ca - cb) % m
-        return PolyElement(ring, _strip(out))
+        return PolyElement(ring, _poly_sub(self.payload, other.payload, m))
 
     def __mul__(self, other):
         if not isinstance(other, RingElement):
@@ -131,21 +182,12 @@ class PolyElement(RingElement):
         if ring is not other.ring and ring != other.ring:
             raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
         a, b = self.payload, other.payload
-        if not a or not b:
-            return ring.zero
         m = ring.base.modulus
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = (out[i + j] + ca * cb) % m
-        # the leading product can vanish mod a composite modulus
-        return PolyElement(ring, _strip(out))
+        bits = _slot_bits(1, len(a), len(b), m)
+        return PolyElement(ring, _unpack(_pack(a, bits) * _pack(b, bits), bits, m))
 
     def __neg__(self):
-        m = self.ring.base.modulus
-        return PolyElement(self.ring, tuple((-c) % m for c in self.payload))
+        return PolyElement(self.ring, _poly_neg(self.payload, self.ring.base.modulus))
 
 
 class Zmod:
@@ -186,6 +228,38 @@ class Zmod:
 
     def format_payload(self, payload):
         return str(payload)
+
+    def matmul(self, n, a, b):
+        """The entries of the n x n product a b: each dot product is
+        summed in plain ints and reduced mod m once."""
+        m = self.modulus
+        pa = [x.payload for x in a]
+        pb = [y.payload for y in b]
+        rows = [pa[i : i + n] for i in range(0, n * n, n)]
+        cols = [pb[j::n] for j in range(n)]
+        return tuple(
+            [ZmodElement(self, sum(map(mul, r, c)) % m) for r in rows for c in cols]
+        )
+
+    def matadd(self, a, b):
+        m = self.modulus
+        return tuple(
+            ZmodElement(self, (x.payload + y.payload) % m) for x, y in zip(a, b)
+        )
+
+    def matsub(self, a, b):
+        m = self.modulus
+        return tuple(
+            ZmodElement(self, (x.payload - y.payload) % m) for x, y in zip(a, b)
+        )
+
+    def matneg(self, a):
+        m = self.modulus
+        return tuple(ZmodElement(self, (-x.payload) % m) for x in a)
+
+    def matscale(self, z, a):
+        m, s = self.modulus, z.payload
+        return tuple(ZmodElement(self, (s * x.payload) % m) for x in a)
 
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.modulus == self.modulus
@@ -247,6 +321,52 @@ class PolyRing:
         m = self.base.modulus
         return PolyElement(
             self, _strip([rng.randrange(m) for _ in range(max_degree + 1)])
+        )
+
+    def matmul(self, n, a, b):
+        """The entries of the n x n product a b by Kronecker substitution:
+        one packed int per entry, dot products summed as ints, each
+        result unpacked once."""
+        m = self.base.modulus
+        pa = [x.payload for x in a]
+        pb = [y.payload for y in b]
+        bits = _slot_bits(n, max(map(len, pa)), max(map(len, pb)), m)
+        ka = [_pack(p, bits) for p in pa]
+        kb = [_pack(p, bits) for p in pb]
+        rows = [ka[i : i + n] for i in range(0, n * n, n)]
+        cols = [kb[j::n] for j in range(n)]
+        return tuple(
+            [
+                PolyElement(self, _unpack(sum(map(mul, r, c)), bits, m))
+                for r in rows
+                for c in cols
+            ]
+        )
+
+    def matadd(self, a, b):
+        m = self.base.modulus
+        return tuple(
+            PolyElement(self, _poly_add(x.payload, y.payload, m)) for x, y in zip(a, b)
+        )
+
+    def matsub(self, a, b):
+        m = self.base.modulus
+        return tuple(
+            PolyElement(self, _poly_sub(x.payload, y.payload, m)) for x, y in zip(a, b)
+        )
+
+    def matneg(self, a):
+        m = self.base.modulus
+        return tuple(PolyElement(self, _poly_neg(x.payload, m)) for x in a)
+
+    def matscale(self, z, a):
+        """z times each entry, by Kronecker substitution with z packed once."""
+        m, s = self.base.modulus, z.payload
+        bits = _slot_bits(1, len(s), max(len(x.payload) for x in a), m)
+        packed = _pack(s, bits)
+        return tuple(
+            PolyElement(self, _unpack(packed * _pack(x.payload, bits), bits, m))
+            for x in a
         )
 
     def format_payload(self, payload):

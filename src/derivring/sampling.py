@@ -35,16 +35,6 @@ def random_symmetric(ring, n, rng, max_degree=3):
     return SymmetricMatrix(ring, n, tuple(ent))
 
 
-def random_skew(ring, n, rng, max_degree=3):
-    ent = [ring.zero] * (n * n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = ring.sample(rng, max_degree)
-            ent[i * n + j] = v
-            ent[j * n + i] = -v
-    return Matrix(ring, n, tuple(ent))
-
-
 def random_pairs(ring, n, rng, count, max_degree=3):
     """`count` pairs of random symmetric matrices."""
     return tuple(

@@ -69,6 +69,31 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    @pytest.mark.parametrize(
+        "suite,flags",
+        [
+            ("theorem1", ["--n", "1"]),
+            ("lemma-cross", ["--n", "1"]),
+            ("lemma-offdiag", ["--n", "1"]),
+            ("lemma-diagdiff", ["--n", "1"]),
+            ("jordan-theorem", ["--n", "1"]),
+            ("theorem1", ["--samples", "0"]),
+            ("jordan-theorem", ["--samples", "0"]),
+            ("two-generator", ["--max-len", "0"]),
+        ],
+    )
+    def test_below_suite_minimum_is_checked_before_any_instance(
+        self, capsys, suite, flags, trials
+    ):
+        # a config no instance could run must not pass vacuously at zero trials
+        code, out, err = run_cli(
+            capsys, ["verify", suite, "--ring", "zmod:5", "--trials", trials] + flags
+        )
+        assert code == 2
+        assert out == ""
+        assert flags[0].lstrip("-").replace("-", "_") + " >= " in err
+
     def test_zero_trials_vacuous_pass(self, capsys):
         code, out, err = run_cli(
             capsys, ["verify", "theorem1", "--ring", "zmod:5", "--trials", "0"]

@@ -4,6 +4,8 @@ symmetry predicates, and the shift probe."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from derivring import (
     DomainError,
@@ -23,6 +25,9 @@ from derivring.sampling import random_matrix, random_symmetric
 Z5 = Zmod(5)
 Z9 = Zmod(9)
 P5 = PolyRing(Z5)
+P9 = PolyRing(Z9)
+BIG = Zmod(10**61 + 3)  # an odd modulus of 62 digits
+KERNEL_RINGS = [Z5, Z9, BIG, P5, P9]
 
 
 def ref_matmul(rows_a, rows_b, m):
@@ -32,6 +37,149 @@ def ref_matmul(rows_a, rows_b, m):
         [sum(rows_a[i][k] * rows_b[k][j] for k in range(n)) % m for j in range(n)]
         for i in range(n)
     ]
+
+
+def schoolbook(x, y):
+    """One partial product: Z_m elements multiply as they always have;
+    polynomials by the schoolbook rule, so the reference shares nothing
+    with the kernel's Kronecker packing."""
+    ring = x.ring
+    if isinstance(ring, Zmod):
+        return x * y
+    out = [0] * (len(x.payload) + len(y.payload))
+    for i, c in enumerate(x.payload):
+        for j, d in enumerate(y.payload):
+            out[i + j] += c * d
+    return ring.element(out)
+
+
+def literal_product(a, b):
+    """Reference: the per-entry triple loop Matrix.__mul__ ran before the
+    payload kernel, one element per partial product."""
+    a._require_compatible(b)
+    n, ring = a.n, a.ring
+    out = [ring.zero] * (n * n)
+    for i in range(n):
+        for k in range(n):
+            aik = a.entries[i * n + k]
+            if not aik.payload:
+                continue
+            for j in range(n):
+                bkj = b.entries[k * n + j]
+                if bkj.payload:
+                    out[i * n + j] = out[i * n + j] + schoolbook(aik, bkj)
+    return Matrix(ring, n, tuple(out))
+
+
+def modulus(ring):
+    return ring.modulus if isinstance(ring, Zmod) else ring.base.modulus
+
+
+def random_entries(ring, n, rng, degree, zero_share):
+    """n*n canonical entries; about `zero_share` of them zero, the rest
+    uniform with up to degree + 1 coefficients (any value on Z_m)."""
+    m = modulus(ring)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if rng.random() < zero_share:
+                row.append(0)
+            elif isinstance(ring, Zmod):
+                row.append(rng.randrange(m))
+            else:
+                size = rng.randint(1, degree + 1)
+                row.append([rng.randrange(m) for _ in range(size)])
+        rows.append(row)
+    return Matrix.from_rows(ring, rows)
+
+
+def worst_case(ring, n, degree):
+    """Every entry (m-1)(1 + t + ... + t^degree): each coefficient of the
+    product reaches the slot bound n * (degree + 1) * (m-1)**2 exactly."""
+    m = modulus(ring)
+    value = m - 1 if isinstance(ring, Zmod) else [m - 1] * (degree + 1)
+    return Matrix.from_rows(ring, [[value] * n for _ in range(n)])
+
+
+@st.composite
+def kernel_cases(draw):
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    n = draw(st.integers(1, 8))
+    degree = draw(st.integers(0, 20))
+    rng = draw(st.randoms(use_true_random=False))
+    shares = st.sampled_from([0.0, 0.3, 0.8, 1.0])
+    a = random_entries(ring, n, rng, degree, draw(shares))
+    b = random_entries(ring, n, rng, degree, draw(shares))
+    return a, b
+
+
+class TestPayloadKernel:
+    """Matrix arithmetic runs on payloads; the per-entry forms are the
+    reference."""
+
+    @given(kernel_cases())
+    def test_product_matches_literal_product(self, case):
+        a, b = case
+        assert a * b == literal_product(a, b)
+        assert b * a == literal_product(b, a)
+
+    @given(kernel_cases())
+    def test_elementwise_ops_match_entry_ops(self, case):
+        a, b = case
+        z = b.entries[0]
+        assert (a + b).entries == tuple(x + y for x, y in zip(a.entries, b.entries))
+        assert (a - b).entries == tuple(x - y for x, y in zip(a.entries, b.entries))
+        assert (-a).entries == tuple(-x for x in a.entries)
+        assert (a * z).entries == tuple(z * x for x in a.entries)
+        assert (a == b) == (a.entries == b.entries)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_worst_case_entries(self, ring, n):
+        a = worst_case(ring, n, 20)
+        assert a * a == literal_product(a, a)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_zero_matrices(self, ring, n):
+        zero = Matrix.zero(ring, n)
+        a = random_entries(ring, n, random.Random(n), 20, 0.0)
+        assert (zero * a).is_zero()
+        assert (a * zero).is_zero()
+        assert zero * zero == zero
+
+    def test_leading_terms_cancel_mod_composite(self):
+        # 3t * 3t = 9 t^2 = 0 in Z_9[t]: the product's top slot reduces to 0
+        t = P9.t
+        three_t = Matrix.from_rows(P9, [[[0, 3]]])
+        assert (three_t * three_t).entries == (P9.zero,)
+        # t^2 + 8 t^2 = 9 t^2 = 0: the dot product cancels its top slot
+        a = Matrix.from_rows(P9, [[t, t], [0, 1]])
+        b = Matrix.from_rows(P9, [[t, 0], [P9.element([1, 8]), 1]])
+        prod = a * b
+        assert prod == literal_product(a, b)
+        assert prod.entry(1, 1).payload == (0, 1)
+        assert all(not e.payload or e.payload[-1] for e in prod.entries)
+
+    @pytest.mark.parametrize(
+        "left,right", [(Z5, Z9), (Z9, Z5), (Z5, P5), (P5, Z5), (P5, P9)], ids=str
+    )
+    def test_ring_mismatch(self, left, right):
+        with pytest.raises(DomainError):
+            Matrix.identity(left, 2) * Matrix.identity(right, 2)
+
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_narrower_slot_is_caught(self, monkeypatch, ring, n):
+        # negative control: one bit short of the slot bound, the worst-case
+        # coefficient carries into its neighbour and the reference sees it
+        from derivring import rings
+
+        exact = rings._slot_bits
+        monkeypatch.setattr(rings, "_slot_bits", lambda *args: exact(*args) - 1)
+        a = worst_case(ring, n, 20)
+        assert a * a != literal_product(a, a)
 
 
 class TestUnits:

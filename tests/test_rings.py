@@ -123,6 +123,24 @@ class TestArithmetic:
         assert expected == (4, 0, 1)  # t^2 + 4
         assert P5.element(a) * P5.element(b) == P5.element(list(expected))
 
+    @given(
+        st.sampled_from([P5, P9, PolyRing(Zmod(10**61 + 3))]),
+        st.data(),
+    )
+    def test_poly_ops_match_coefficient_references(self, ring, data):
+        # degrees 0..20 and all-(m-1) coefficients, against schoolbook
+        # multiplication and coefficientwise addition
+        m = ring.base.modulus
+        coeff = st.one_of(st.just(m - 1), st.integers(0, m - 1))
+        a, b = (data.draw(st.lists(coeff, max_size=21)) for _ in range(2))
+        x, y = ring.element(a), ring.element(b)
+        assert (x * y).payload == ref_poly_mul(x.payload, y.payload, m)
+        width = max(len(a), len(b))
+        pad = lambda c: list(c) + [0] * (width - len(c))  # noqa: E731
+        assert x + y == ring.element([p + q for p, q in zip(pad(a), pad(b))])
+        assert x - y == ring.element([p - q for p, q in zip(pad(a), pad(b))])
+        assert -x == ring.element([-p for p in a])
+
     def test_leading_coefficient_can_vanish(self):
         # (3t)(3t) = 9 t^2 = 0 over Z_9
         assert P9.element([0, 3]) * P9.element([0, 3]) == P9.zero
