@@ -12,7 +12,7 @@ from itertools import product
 from .checks import CheckReport, Violation
 from .errors import DomainError
 from .matrices import Matrix, commutator
-from .rings import BaseDerivation
+from .rings import BaseDerivation, same_ring
 
 __all__ = [
     "InnerDerivation",
@@ -71,7 +71,8 @@ def entrywise(delta, n):
     def apply(mat):
         if mat.n != n:
             raise DomainError(f"expected a {n}x{n} matrix, got {mat.n}x{mat.n}")
-        return Matrix(mat.ring, n, tuple(delta(a) for a in mat.entries))
+        ring = same_ring(delta, mat)
+        return Matrix(ring, n, tuple(map(delta.on_payload, mat.entries)))
 
     return apply
 
@@ -87,11 +88,10 @@ def extend_m2(delta):
     def apply(mat):
         if mat.n != 2:
             raise DomainError(f"extend_m2 acts on 2x2 matrices, got n={mat.n}")
+        ring, d = same_ring(delta, mat), delta.on_payload
         lam, mu, nu, eta = mat.entries
         return Matrix(
-            mat.ring,
-            2,
-            (delta(lam), delta(mu) + mu, delta(nu) - nu, delta(eta)),
+            ring, 2, (d(lam), ring.add(d(mu), mu), ring.sub(d(nu), nu), d(eta))
         )
 
     return apply
@@ -116,12 +116,15 @@ class ExtensionResult:
     def __call__(self, mat):
         if mat.n != self.n:
             raise DomainError(f"expected a {self.n}x{self.n} matrix, got n={mat.n}")
-        n, ring, delta = self.n, mat.ring, self.delta
+        n, ring, d = self.n, same_ring(self.delta, mat), self.delta.on_payload
         weight = [k.bit_count() for k in range(n)]
         out = []
         for k, x in enumerate(mat.entries):
             shift = weight[k % n] - weight[k // n]
-            out.append(delta(x) + x * ring.element(shift) if shift else delta(x))
+            if shift:
+                out.append(ring.add(d(x), ring.mul(x, ring.element(shift).payload)))
+            else:
+                out.append(d(x))
         return Matrix(ring, n, tuple(out))
 
 
@@ -137,7 +140,13 @@ def two_generator_check(x, y, d, max_len):
     """Propagate Delta from Delta(x) = [d, x], Delta(y) = [d, y] to every
     word in x, y of length <= max_len via the Leibniz rule, computing
     every split of every word; checks that all splits of a word agree
-    and that each propagated value equals [d, word]."""
+    and that each propagated value equals [d, word].
+
+    `split-disagreement` cannot fire for any d a suite passes in: every
+    propagated value starts from the inner map [d, .], and
+    [d, u] v + u [d, v] = [d, uv] for every split because the matrix
+    product is associative. Only a non-associative product would make
+    two splits disagree; a wrong map shows up as `inner-mismatch`."""
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     x._require_compatible(y)

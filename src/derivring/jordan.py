@@ -197,7 +197,7 @@ def reconstruct_abar_jordan(family):
             if not check_corner_consistency(diag[i], diag[j], i, j):
                 raise ContractError(f"corner consistency fails for ({i},{j})")
     abar = Matrix(ring, n, tuple(
-        ring.zero if i == j else diag[i + 1].entries[i * n + j]
+        ring.zero.payload if i == j else diag[i + 1].entries[i * n + j]
         for i in range(n)
         for j in range(n)
     ))
@@ -210,7 +210,13 @@ def verify_jordan_theorem(oracle, family, samples, pairs=None):
     """Check, exactly: Delta(x) = [abar, x] on every sample, symmetry of
     every value, and the Jordan Leibniz rule
     D(x.y) = D(x).y + x.D(y) for D = [abar, .] on the sampled pairs
-    (consecutive samples when no pairs are given)."""
+    (consecutive samples when no pairs are given).
+
+    `jordan-leibniz` cannot fire for any map a suite passes in: whatever
+    abar is reconstructed, [abar, .] is an inner derivation of the
+    associative product and hence a derivation of the Jordan product.
+    Only a non-associative product would break it; a wrong map shows up
+    as `action` or `closure`."""
     samples = list(samples)
     if not samples:
         raise DomainError("verify_jordan_theorem needs at least one sample")

@@ -3,18 +3,19 @@ commutators, the Jordan product a.b = (ab + ba)/2, and the symmetric
 subspace H_n(R).
 
 Public row/column indices run from 1 to match the e_{i,j} notation;
-storage is 0-based row-major. Entries are canonical ring elements, but
-arithmetic and equality run on their payloads: once `_require_compatible`
-has passed, `+`, `-`, negation, scaling and the product hand the entry
-tuples to the ring's payload kernel (`ring.matmul` and friends, see
-`derivring.rings`), which sums each dot product as plain ints (Z_m) or
-as Kronecker-packed ints (Z_m[t]) and builds one element per entry.
+storage is 0-based row-major. The ring belongs to the matrix: `entries`
+holds bare canonical payloads (ints for Z_m, coefficient tuples for
+Z_m[t]), and the ring owns the arithmetic on them (see
+`derivring.rings`). `+`, `-`, negation and scaling map the ring's
+scalar ops over the payloads, the product hands both payload tuples to
+`ring.matmul`, and equality and the symmetry predicates compare
+payloads. Only `entry` builds a ring element.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .rings import RingElement
+from .rings import RingElement, same_ring
 
 __all__ = [
     "Matrix",
@@ -35,7 +36,7 @@ class Matrix:
 
     def __init__(self, ring, n, entries):
         # Trusted constructor: `entries` is a row-major tuple of n*n
-        # canonical elements of `ring`. External callers use from_rows
+        # canonical payloads of `ring`. External callers use from_rows
         # or the builders below.
         self.ring = ring
         self.n = n
@@ -51,14 +52,14 @@ class Matrix:
         for row in rows:
             if len(row) != n:
                 raise DomainError(f"expected {n} columns per row, got {len(row)}")
-            entries.extend(ring.element(v) for v in row)
+            entries.extend(ring.element(v).payload for v in row)
         return cls(ring, n, tuple(entries))
 
     @classmethod
     def zero(cls, ring, n):
         if n < 1:
             raise DomainError("matrix dimension must be >= 1")
-        return cls(ring, n, (ring.zero,) * (n * n))
+        return cls(ring, n, (ring.zero.payload,) * (n * n))
 
     @classmethod
     def identity(cls, ring, n):
@@ -70,17 +71,17 @@ class Matrix:
         if n < 1:
             raise DomainError("matrix dimension must be >= 1")
         ring = z.ring
-        ent = [ring.zero] * (n * n)
+        ent = [ring.zero.payload] * (n * n)
         for i in range(n):
-            ent[i * n + i] = z
+            ent[i * n + i] = z.payload
         return cls(ring, n, tuple(ent))
 
     def entry(self, i, j):
-        """The (i, j) entry, 1-based."""
+        """The (i, j) entry as a ring element, 1-based."""
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise DomainError(f"index ({i},{j}) out of range for n={n}")
-        return self.entries[(i - 1) * n + (j - 1)]
+        return self.ring.wrap(self.entries[(i - 1) * n + (j - 1)])
 
     def _require_compatible(self, other):
         if self.n != other.n or (
@@ -95,16 +96,18 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_compatible(other)
-        return Matrix(self.ring, self.n, self.ring.matadd(self.entries, other.entries))
+        add = self.ring.add
+        return Matrix(self.ring, self.n, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_compatible(other)
-        return Matrix(self.ring, self.n, self.ring.matsub(self.entries, other.entries))
+        sub = self.ring.sub
+        return Matrix(self.ring, self.n, tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self):
-        return Matrix(self.ring, self.n, self.ring.matneg(self.entries))
+        return Matrix(self.ring, self.n, tuple(map(self.ring.neg, self.entries)))
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -121,9 +124,8 @@ class Matrix:
         return NotImplemented
 
     def _scaled(self, z):
-        if z.ring is not self.ring and z.ring != self.ring:
-            raise DomainError(f"ring mismatch: {self.ring} vs {z.ring}")
-        return Matrix(self.ring, self.n, self.ring.matscale(z, self.entries))
+        mul, s = same_ring(self, z).mul, z.payload
+        return Matrix(self.ring, self.n, tuple([mul(s, x) for x in self.entries]))
 
     def transpose(self):
         n = self.n
@@ -133,22 +135,21 @@ class Matrix:
         )
 
     def is_zero(self):
-        return all(not a.payload for a in self.entries)
+        return not any(self.entries)
 
     def is_symmetric(self):
         n = self.n
         ent = self.entries
         return all(
-            ent[i * n + j].payload == ent[j * n + i].payload
-            for i in range(n)
-            for j in range(i + 1, n)
+            ent[i * n + j] == ent[j * n + i] for i in range(n) for j in range(i + 1, n)
         )
 
     def is_skew(self):
         n = self.n
         ent = self.entries
+        neg = self.ring.neg
         return all(
-            ent[i * n + j] == -ent[j * n + i] for i in range(n) for j in range(i, n)
+            ent[i * n + j] == neg(ent[j * n + i]) for i in range(n) for j in range(i, n)
         )
 
     def __eq__(self, other):
@@ -156,7 +157,7 @@ class Matrix:
             isinstance(other, Matrix)
             and self.n == other.n
             and (self.ring is other.ring or self.ring == other.ring)
-            and all(a.payload == b.payload for a, b in zip(self.entries, other.entries))
+            and self.entries == other.entries
         )
 
     def __hash__(self):
@@ -166,7 +167,7 @@ class Matrix:
         n = self.n
         fmt = self.ring.format_payload
         rows = "; ".join(
-            " ".join(fmt(self.entries[i * n + j].payload) for j in range(n))
+            " ".join(fmt(self.entries[i * n + j]) for j in range(n))
             for i in range(n)
         )
         return f"M{n}({self.ring})[{rows}]"
@@ -191,8 +192,8 @@ def matrix_unit(ring, n, i, j):
         raise DomainError("matrix dimension must be >= 1")
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError(f"unit index ({i},{j}) out of range for n={n}")
-    ent = [ring.zero] * (n * n)
-    ent[(i - 1) * n + (j - 1)] = ring.one
+    ent = [ring.zero.payload] * (n * n)
+    ent[(i - 1) * n + (j - 1)] = ring.one.payload
     return Matrix(ring, n, tuple(ent))
 
 
@@ -202,9 +203,9 @@ def jordan_unit(ring, n, i, j):
         raise DomainError("jordan_unit needs i != j; diagonal probes are e_{i,i}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError(f"unit index ({i},{j}) out of range for n={n}")
-    ent = [ring.zero] * (n * n)
-    ent[(i - 1) * n + (j - 1)] = ring.one
-    ent[(j - 1) * n + (i - 1)] = ring.one
+    ent = [ring.zero.payload] * (n * n)
+    ent[(i - 1) * n + (j - 1)] = ring.one.payload
+    ent[(j - 1) * n + (i - 1)] = ring.one.payload
     return SymmetricMatrix(ring, n, tuple(ent))
 
 
@@ -212,9 +213,9 @@ def probe_x0(ring, n):
     """The superdiagonal shift e_{1,2} + e_{2,3} + ... + e_{n-1,n}."""
     if n < 2:
         raise DomainError("the shift probe needs n >= 2")
-    ent = [ring.zero] * (n * n)
+    ent = [ring.zero.payload] * (n * n)
     for k in range(n - 1):
-        ent[k * n + k + 1] = ring.one
+        ent[k * n + k + 1] = ring.one.payload
     return Matrix(ring, n, tuple(ent))
 
 
@@ -228,7 +229,7 @@ def corner(a, i, j):
     n = a.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError(f"corner index ({i},{j}) out of range for n={n}")
-    ent = [a.ring.zero] * (n * n)
+    ent = [a.ring.zero.payload] * (n * n)
     ent[(i - 1) * n + (j - 1)] = a.entries[(i - 1) * n + (j - 1)]
     return Matrix(a.ring, n, tuple(ent))
 

@@ -1,17 +1,19 @@
 """Exact arithmetic in commutative unital rings where 2 is invertible.
 
 Two rings are available: Z_m for odd m >= 3, and the polynomial ring
-Z_m[t] on top of such a base. Values are immutable and canonical
-(residues in [0, m), little-endian coefficient tuples with no trailing
-zeros), so equality of values is equality of payloads and nothing ever
-rounds.
+Z_m[t] on top of such a base. A value is a canonical payload (a residue
+in [0, m), or a little-endian coefficient tuple with no trailing zeros),
+so equality of values is equality of payloads and nothing ever rounds.
 
-Each ring also carries the payload kernel behind the matrix layer:
-`matmul`, `matadd`, `matsub`, `matneg` and `matscale` take row-major
-tuples of canonical elements and return one, computing on payloads
-rather than through one element object per partial result. On Z_m a
-dot product is summed in plain ints and reduced mod m once. On Z_m[t]
-it uses Kronecker substitution (Harvey, "Faster polynomial
+The ring owns the arithmetic, written once on payloads: `add`, `sub`,
+`neg`, `mul` and the n x n product `matmul` over row-major payload
+tuples. Matrices store bare payloads and map these ops over them; a
+`RingElement` pairs a payload with its ring only where the scalar API
+hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
+operators call the same ring ops behind one ring-mismatch check.
+
+On Z_m a dot product is summed in plain ints and reduced mod m once. On
+Z_m[t], products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
 polynomial is packed into one int with a `bits`-wide slot per
 coefficient, the dot product is summed as ints, and each result is
@@ -25,7 +27,7 @@ so no slot carries into the next. A single product is the case n = 1.
 
 from __future__ import annotations
 
-from operator import mul
+import operator
 
 from .errors import DomainError, InvalidRing
 
@@ -36,17 +38,29 @@ __all__ = [
     "ZmodElement",
     "PolyElement",
     "BaseDerivation",
+    "same_ring",
 ]
 
 
+def same_ring(a, b):
+    """The ring that a and b (elements, matrices, derivations) share;
+    DomainError if they are over different rings."""
+    ring = a.ring
+    if ring is not b.ring and ring != b.ring:
+        raise DomainError(f"ring mismatch: {ring} vs {b.ring}")
+    return ring
+
+
 class RingElement:
-    """A canonical element of a ring; subclasses carry the arithmetic."""
+    """A canonical payload of a ring, paired with that ring; the ring
+    carries the arithmetic."""
 
     __slots__ = ("ring", "payload")
 
     def __init__(self, ring, payload):
         # Trusted constructor: `payload` must already be canonical for
-        # `ring`. Callers outside this module go through ring.element().
+        # `ring`. Callers outside this module go through ring.element(),
+        # or ring.wrap() for a payload already known to be canonical.
         self.ring = ring
         self.payload = payload
 
@@ -56,6 +70,27 @@ class RingElement:
     def half(self):
         """The unique h with h + h == self (2 is invertible here)."""
         return self * self.ring.half
+
+    def __add__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        ring = same_ring(self, other)
+        return self.__class__(ring, ring.add(self.payload, other.payload))
+
+    def __sub__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        ring = same_ring(self, other)
+        return self.__class__(ring, ring.sub(self.payload, other.payload))
+
+    def __mul__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        ring = same_ring(self, other)
+        return self.__class__(ring, ring.mul(self.payload, other.payload))
+
+    def __neg__(self):
+        return self.__class__(self.ring, self.ring.neg(self.payload))
 
     def __eq__(self, other):
         return (
@@ -71,61 +106,30 @@ class RingElement:
         return f"{self.ring.format_payload(self.payload)} in {self.ring}"
 
 
+# Each ring's element class binds the shared operators in its own
+# namespace, so that one ring's scalar ops can be wrapped on their own.
+_OPERATORS = (
+    RingElement.__add__,
+    RingElement.__sub__,
+    RingElement.__mul__,
+    RingElement.__neg__,
+)
+
+
 class ZmodElement(RingElement):
     __slots__ = ()
+    __add__, __sub__, __mul__, __neg__ = _OPERATORS
 
-    def __add__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        return ZmodElement(ring, (self.payload + other.payload) % ring.modulus)
 
-    def __sub__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        return ZmodElement(ring, (self.payload - other.payload) % ring.modulus)
-
-    def __mul__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        return ZmodElement(ring, (self.payload * other.payload) % ring.modulus)
-
-    def __neg__(self):
-        return ZmodElement(self.ring, (-self.payload) % self.ring.modulus)
+class PolyElement(RingElement):
+    __slots__ = ()
+    __add__, __sub__, __mul__, __neg__ = _OPERATORS
 
 
 def _strip(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _poly_add(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for idx, c in enumerate(b):
-        out[idx] = (out[idx] + c) % m
-    return _strip(out)
-
-
-def _poly_sub(a, b, m):
-    out = list(a) + [0] * (len(b) - len(a))
-    for idx, c in enumerate(b):
-        out[idx] = (out[idx] - c) % m
-    return _strip(out)
-
-
-def _poly_neg(a, m):
-    return tuple((-c) % m for c in a)
 
 
 def _slot_bits(n, la, lb, m):
@@ -154,44 +158,9 @@ def _unpack(packed, bits, m):
     return _strip(coeffs)
 
 
-class PolyElement(RingElement):
-    __slots__ = ()
-
-    def __add__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        m = ring.base.modulus
-        return PolyElement(ring, _poly_add(self.payload, other.payload, m))
-
-    def __sub__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        m = ring.base.modulus
-        return PolyElement(ring, _poly_sub(self.payload, other.payload, m))
-
-    def __mul__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise DomainError(f"ring mismatch: {ring} vs {other.ring}")
-        a, b = self.payload, other.payload
-        m = ring.base.modulus
-        bits = _slot_bits(1, len(a), len(b), m)
-        return PolyElement(ring, _unpack(_pack(a, bits) * _pack(b, bits), bits, m))
-
-    def __neg__(self):
-        return PolyElement(self.ring, _poly_neg(self.payload, self.ring.base.modulus))
-
-
 class Zmod:
-    """The ring Z_m with m odd and >= 3, so that 2 has an inverse."""
+    """The ring Z_m with m odd and >= 3, so that 2 has an inverse.
+    Payloads are the residues 0..m-1."""
 
     kind = "zmod"
 
@@ -223,43 +192,35 @@ class Zmod:
             )
         return ZmodElement(self, value % self.modulus)
 
+    def wrap(self, payload):
+        """The element with the canonical `payload` (trusted)."""
+        return ZmodElement(self, payload)
+
     def sample(self, rng, max_degree=0):
         return ZmodElement(self, rng.randrange(self.modulus))
 
     def format_payload(self, payload):
         return str(payload)
 
+    def add(self, a, b):
+        return (a + b) % self.modulus
+
+    def sub(self, a, b):
+        return (a - b) % self.modulus
+
+    def neg(self, a):
+        return -a % self.modulus
+
+    def mul(self, a, b):
+        return a * b % self.modulus
+
     def matmul(self, n, a, b):
-        """The entries of the n x n product a b: each dot product is
+        """The payloads of the n x n product a b: each dot product is
         summed in plain ints and reduced mod m once."""
         m = self.modulus
-        pa = [x.payload for x in a]
-        pb = [y.payload for y in b]
-        rows = [pa[i : i + n] for i in range(0, n * n, n)]
-        cols = [pb[j::n] for j in range(n)]
-        return tuple(
-            [ZmodElement(self, sum(map(mul, r, c)) % m) for r in rows for c in cols]
-        )
-
-    def matadd(self, a, b):
-        m = self.modulus
-        return tuple(
-            ZmodElement(self, (x.payload + y.payload) % m) for x, y in zip(a, b)
-        )
-
-    def matsub(self, a, b):
-        m = self.modulus
-        return tuple(
-            ZmodElement(self, (x.payload - y.payload) % m) for x, y in zip(a, b)
-        )
-
-    def matneg(self, a):
-        m = self.modulus
-        return tuple(ZmodElement(self, (-x.payload) % m) for x in a)
-
-    def matscale(self, z, a):
-        m, s = self.modulus, z.payload
-        return tuple(ZmodElement(self, (s * x.payload) % m) for x in a)
+        rows = [a[i : i + n] for i in range(0, n * n, n)]
+        cols = [b[j::n] for j in range(n)]
+        return tuple([sum(map(operator.mul, r, c)) % m for r in rows for c in cols])
 
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.modulus == self.modulus
@@ -317,56 +278,54 @@ class PolyRing:
             return PolyElement(self, _strip(coeffs))
         raise DomainError(f"cannot coerce {type(value).__name__} into {self}")
 
+    def wrap(self, payload):
+        """The element with the canonical `payload` (trusted)."""
+        return PolyElement(self, payload)
+
     def sample(self, rng, max_degree=3):
         m = self.base.modulus
         return PolyElement(
             self, _strip([rng.randrange(m) for _ in range(max_degree + 1)])
         )
 
+    def add(self, a, b):
+        m = self.base.modulus
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for idx, c in enumerate(b):
+            out[idx] = (out[idx] + c) % m
+        return _strip(out)
+
+    def sub(self, a, b):
+        m = self.base.modulus
+        out = list(a) + [0] * (len(b) - len(a))
+        for idx, c in enumerate(b):
+            out[idx] = (out[idx] - c) % m
+        return _strip(out)
+
+    def neg(self, a):
+        m = self.base.modulus
+        return tuple([-c % m for c in a])
+
+    def mul(self, a, b):
+        """Kronecker substitution at n = 1."""
+        m = self.base.modulus
+        bits = _slot_bits(1, len(a), len(b), m)
+        return _unpack(_pack(a, bits) * _pack(b, bits), bits, m)
+
     def matmul(self, n, a, b):
-        """The entries of the n x n product a b by Kronecker substitution:
+        """The payloads of the n x n product a b by Kronecker substitution:
         one packed int per entry, dot products summed as ints, each
         result unpacked once."""
         m = self.base.modulus
-        pa = [x.payload for x in a]
-        pb = [y.payload for y in b]
-        bits = _slot_bits(n, max(map(len, pa)), max(map(len, pb)), m)
-        ka = [_pack(p, bits) for p in pa]
-        kb = [_pack(p, bits) for p in pb]
+        bits = _slot_bits(n, max(map(len, a)), max(map(len, b)), m)
+        ka = [_pack(p, bits) for p in a]
+        kb = [_pack(p, bits) for p in b]
         rows = [ka[i : i + n] for i in range(0, n * n, n)]
         cols = [kb[j::n] for j in range(n)]
         return tuple(
-            [
-                PolyElement(self, _unpack(sum(map(mul, r, c)), bits, m))
-                for r in rows
-                for c in cols
-            ]
-        )
-
-    def matadd(self, a, b):
-        m = self.base.modulus
-        return tuple(
-            PolyElement(self, _poly_add(x.payload, y.payload, m)) for x, y in zip(a, b)
-        )
-
-    def matsub(self, a, b):
-        m = self.base.modulus
-        return tuple(
-            PolyElement(self, _poly_sub(x.payload, y.payload, m)) for x, y in zip(a, b)
-        )
-
-    def matneg(self, a):
-        m = self.base.modulus
-        return tuple(PolyElement(self, _poly_neg(x.payload, m)) for x in a)
-
-    def matscale(self, z, a):
-        """z times each entry, by Kronecker substitution with z packed once."""
-        m, s = self.base.modulus, z.payload
-        bits = _slot_bits(1, len(s), max(len(x.payload) for x in a), m)
-        packed = _pack(s, bits)
-        return tuple(
-            PolyElement(self, _unpack(packed * _pack(x.payload, bits), bits, m))
-            for x in a
+            [_unpack(sum(map(operator.mul, r, c)), bits, m) for r in rows for c in cols]
         )
 
     def format_payload(self, payload):
@@ -437,21 +396,18 @@ class BaseDerivation:
         return cls(factor.ring, cls.SCALED, factor)
 
     def __call__(self, p):
-        if p.ring is not self.ring and p.ring != self.ring:
-            raise DomainError(f"ring mismatch: {self.ring} vs {p.ring}")
-        if self.kind == self.ZERO:
-            return self.ring.zero
-        d = self._formal(p)
-        if self.kind == self.SCALED:
-            return self.scale * d
-        return d
+        same_ring(self, p)
+        return p.__class__(self.ring, self.on_payload(p.payload))
 
-    def _formal(self, p):
+    def on_payload(self, a):
+        """The derivation on a canonical payload of its ring."""
+        if self.kind == self.ZERO:
+            return self.ring.zero.payload
         m = self.ring.base.modulus
-        coeffs = p.payload
-        return PolyElement(
-            self.ring, _strip([(k * coeffs[k]) % m for k in range(1, len(coeffs))])
-        )
+        d = _strip([(k * a[k]) % m for k in range(1, len(a))])
+        if self.kind == self.SCALED:
+            return self.ring.mul(self.scale.payload, d)
+        return d
 
     def __repr__(self):
         if self.kind == self.SCALED:

@@ -22,14 +22,16 @@ def random_element(ring, rng, max_degree=3):
 
 
 def random_matrix(ring, n, rng, max_degree=3):
-    return Matrix(ring, n, tuple(ring.sample(rng, max_degree) for _ in range(n * n)))
+    return Matrix(
+        ring, n, tuple(ring.sample(rng, max_degree).payload for _ in range(n * n))
+    )
 
 
 def random_symmetric(ring, n, rng, max_degree=3):
-    ent = [ring.zero] * (n * n)
+    ent = [ring.zero.payload] * (n * n)
     for i in range(n):
         for j in range(i, n):
-            v = ring.sample(rng, max_degree)
+            v = ring.sample(rng, max_degree).payload
             ent[i * n + j] = v
             ent[j * n + i] = v
     return SymmetricMatrix(ring, n, tuple(ent))

@@ -78,12 +78,20 @@ def ring_from_obj(obj):
 
 
 def value_to_obj(elem):
-    if isinstance(elem.ring, Zmod):
-        return elem.payload
-    return list(elem.payload)
+    return _payload_to_obj(elem.ring, elem.payload)
+
+
+def _payload_to_obj(ring, payload):
+    return payload if isinstance(ring, Zmod) else list(payload)
 
 
 def value_from_obj(ring, obj):
+    return ring.wrap(_payload_from_obj(ring, obj))
+
+
+def _payload_from_obj(ring, obj):
+    """The canonical payload that `obj` spells; ParseError unless `obj`
+    is already canonical."""
     if isinstance(ring, Zmod):
         if isinstance(obj, bool) or not isinstance(obj, int):
             raise ParseError(
@@ -94,7 +102,7 @@ def value_from_obj(ring, obj):
                 f"non-canonical residue {obj} for Z_{ring.modulus}: "
                 f"must lie in [0, {ring.modulus})"
             )
-        return ring.element(obj)
+        return obj
     if not isinstance(obj, list):
         raise ParseError(
             f"polynomial values are coefficient arrays, got {type(obj).__name__}"
@@ -111,13 +119,13 @@ def value_from_obj(ring, obj):
             )
     if obj and obj[-1] == 0:
         raise ParseError("non-canonical polynomial: trailing zero coefficient")
-    return ring.element(obj)
+    return tuple(obj)
 
 
 def _rows_obj(mat):
-    n = mat.n
+    n, ring, ent = mat.n, mat.ring, mat.entries
     return [
-        [value_to_obj(mat.entries[i * n + j]) for j in range(n)] for i in range(n)
+        [_payload_to_obj(ring, ent[i * n + j]) for j in range(n)] for i in range(n)
     ]
 
 
@@ -128,7 +136,7 @@ def _rows_from_obj(ring, n, rows, what="matrix"):
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{what} rows must each hold {n} values")
-        entries.extend(value_from_obj(ring, v) for v in row)
+        entries.extend(_payload_from_obj(ring, v) for v in row)
     return Matrix(ring, n, tuple(entries))
 
 

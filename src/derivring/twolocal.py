@@ -217,7 +217,7 @@ def check_offdiag_formula(family, oracle, i, j):
         raise DomainError("the off-diagonal expansion needs i != j")
     family.ensure_validated(oracle)
     ring, n = family.ring, family.n
-    s = _swapped_corners(family, (ring.zero,) * n)
+    s = _swapped_corners(family, (ring.zero.payload,) * n)
     unit = matrix_unit(ring, n, i, j)
     a = family.offdiag[(i, j)]
     lhs = oracle(unit)

@@ -224,7 +224,7 @@ def recursive_tower(delta, n):
                 padded[i * size + j] = mat.entry(i + 1, j + 1)
         out = [ring.zero] * (size * size)
         block(padded, out, 0, 0, size)
-        kept = (out[i * size + j] for i in range(n) for j in range(n))
+        kept = (out[i * size + j].payload for i in range(n) for j in range(n))
         return Matrix(ring, n, tuple(kept))
 
     return apply

@@ -45,12 +45,12 @@ AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
 def random_skew(ring, n, rng, max_degree=3):
     """A random skew matrix: zero diagonal, entries above it drawn row by
     row, each mirrored negated below."""
-    ent = [ring.zero] * (n * n)
+    ent = [ring.zero.payload] * (n * n)
     for i in range(n):
         for j in range(i + 1, n):
             v = ring.sample(rng, max_degree)
-            ent[i * n + j] = v
-            ent[j * n + i] = -v
+            ent[i * n + j] = v.payload
+            ent[j * n + i] = (-v).payload
     return Matrix(ring, n, tuple(ent))
 
 

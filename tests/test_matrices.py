@@ -21,6 +21,7 @@ from derivring import (
     probe_x0,
 )
 from derivring.sampling import random_matrix, random_symmetric
+from test_jordan import random_skew
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
@@ -53,22 +54,37 @@ def schoolbook(x, y):
     return ring.element(out)
 
 
+def elements(mat):
+    """The entries of `mat` as ring elements, row-major."""
+    n = mat.n
+    return [mat.entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def is_canonical(ring, payload):
+    """A payload of `ring`'s type that canonicalizes to itself."""
+    return (
+        type(payload) is type(ring.zero.payload)
+        and ring.element(payload).payload == payload
+    )
+
+
 def literal_product(a, b):
     """Reference: the per-entry triple loop Matrix.__mul__ ran before the
     payload kernel, one element per partial product."""
     a._require_compatible(b)
     n, ring = a.n, a.ring
+    ea, eb = elements(a), elements(b)
     out = [ring.zero] * (n * n)
     for i in range(n):
         for k in range(n):
-            aik = a.entries[i * n + k]
-            if not aik.payload:
+            aik = ea[i * n + k]
+            if aik.is_zero():
                 continue
             for j in range(n):
-                bkj = b.entries[k * n + j]
-                if bkj.payload:
+                bkj = eb[k * n + j]
+                if not bkj.is_zero():
                     out[i * n + j] = out[i * n + j] + schoolbook(aik, bkj)
-    return Matrix(ring, n, tuple(out))
+    return Matrix(ring, n, tuple(x.payload for x in out))
 
 
 def modulus(ring):
@@ -127,12 +143,15 @@ class TestPayloadKernel:
     @given(kernel_cases())
     def test_elementwise_ops_match_entry_ops(self, case):
         a, b = case
-        z = b.entries[0]
-        assert (a + b).entries == tuple(x + y for x, y in zip(a.entries, b.entries))
-        assert (a - b).entries == tuple(x - y for x, y in zip(a.entries, b.entries))
-        assert (-a).entries == tuple(-x for x in a.entries)
-        assert (a * z).entries == tuple(z * x for x in a.entries)
-        assert (a == b) == (a.entries == b.entries)
+        ea, eb = elements(a), elements(b)
+        z = eb[0]
+        assert elements(a + b) == [x + y for x, y in zip(ea, eb)]
+        assert elements(a - b) == [x - y for x, y in zip(ea, eb)]
+        assert elements(-a) == [-x for x in ea]
+        assert elements(a * z) == [z * x for x in ea]
+        assert (a == b) == (ea == eb)
+        for result in (a + b, a - b, -a, a * z, z * a):
+            assert all(is_canonical(result.ring, p) for p in result.entries)
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 9))
@@ -153,14 +172,14 @@ class TestPayloadKernel:
         # 3t * 3t = 9 t^2 = 0 in Z_9[t]: the product's top slot reduces to 0
         t = P9.t
         three_t = Matrix.from_rows(P9, [[[0, 3]]])
-        assert (three_t * three_t).entries == (P9.zero,)
+        assert (three_t * three_t).entry(1, 1) == P9.zero
         # t^2 + 8 t^2 = 9 t^2 = 0: the dot product cancels its top slot
         a = Matrix.from_rows(P9, [[t, t], [0, 1]])
         b = Matrix.from_rows(P9, [[t, 0], [P9.element([1, 8]), 1]])
         prod = a * b
         assert prod == literal_product(a, b)
         assert prod.entry(1, 1).payload == (0, 1)
-        assert all(not e.payload or e.payload[-1] for e in prod.entries)
+        assert all(is_canonical(P9, p) for p in prod.entries)
 
     @pytest.mark.parametrize(
         "left,right", [(Z5, Z9), (Z9, Z5), (Z5, P5), (P5, Z5), (P5, P9)], ids=str
@@ -272,6 +291,11 @@ class TestArithmetic:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Matrix.from_rows(Z5, [[1, 2], [3, 0]])
+        # a SymmetricMatrix is equal to, and hashes like, the same Matrix
+        plain = Matrix.from_rows(P5, [[[1, 2], 3], [3, 0]])
+        sym = SymmetricMatrix.of(plain)
+        assert sym == plain and plain == sym
+        assert hash(sym) == hash(plain)
 
 
 class TestCommutator:
@@ -385,11 +409,18 @@ class TestPredicates:
         sym = SymmetricMatrix.of(Matrix.from_rows(Z5, [[0, 1], [1, 0]]))
         assert sym == jordan_unit(Z5, 2, 1, 2)
 
-    def test_skew(self):
-        assert Matrix.from_rows(Z5, [[0, 1], [4, 0]]).is_skew()
-        assert not Matrix.from_rows(Z5, [[0, 1], [1, 0]]).is_skew()
+    @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
+    def test_skew(self, ring):
+        assert Matrix.from_rows(ring, [[0, 1], [-1, 0]]).is_skew()
+        assert not Matrix.from_rows(ring, [[0, 1], [1, 0]]).is_skew()
         # over these rings skewness forces a zero diagonal
-        assert not Matrix.from_rows(Z5, [[1, 0], [0, 4]]).is_skew()
+        assert not Matrix.from_rows(ring, [[1, 0], [0, -1]]).is_skew()
+        rng = random.Random(21)
+        for n in range(2, 6):
+            s = random_skew(ring, n, rng)
+            assert s.is_skew()
+            for i, j in ((1, 2), (2, 1), (n, n)):
+                assert not (s + matrix_unit(ring, n, i, j)).is_skew()
 
 
 class TestShiftProbe:

@@ -1,5 +1,7 @@
 """Ring arithmetic: canonical forms, axioms, halving, base derivations."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ P5 = PolyRing(Z5)
 P9 = PolyRing(Z9)
 
 RINGS = [Z5, Z9, Zmod(15), P5, P9]
+MISMATCHED = [(Z5, Z9), (Z9, Z5), (Z5, P5), (P5, Z5), (P5, P9), (P9, P5)]
 
 
 def elements_of(ring):
@@ -166,11 +169,21 @@ class TestArithmetic:
         assert a - a == ring.zero
         assert a + (-a) == ring.zero
 
-    def test_ring_mismatch(self):
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"]
+    )
+    @pytest.mark.parametrize("left,right", MISMATCHED, ids=str)
+    def test_ring_mismatch(self, op, left, right):
         with pytest.raises(DomainError):
-            Z5.element(1) + Z9.element(1)
+            op(left.one, right.one)
+
+    @pytest.mark.parametrize("left,right", MISMATCHED, ids=str)
+    def test_scaling_ring_mismatch(self, left, right):
+        mat, z = Matrix.identity(left, 2), right.one
         with pytest.raises(DomainError):
-            Z5.element(1) * P5.one
+            mat * z
+        with pytest.raises(DomainError):
+            z * mat
 
     def test_foreign_types_rejected(self):
         with pytest.raises(TypeError):
