@@ -37,6 +37,7 @@ from .jordan import (
 )
 from .matrices import (
     Matrix,
+    SkewMatrix,
     SymmetricMatrix,
     commutator,
     corner,
@@ -81,6 +82,7 @@ __all__ = [
     "Report",
     "RingElement",
     "SUITES",
+    "SkewMatrix",
     "SymmetricMatrix",
     "TwoLocalOracle",
     "Violation",

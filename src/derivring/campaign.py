@@ -3,8 +3,9 @@ per-instance seed derivation, and deterministic reports.
 
 A suite is a function of the config. It does its suite-level setup and
 config checks first (n, samples and max_len against the suite's
-minimum; extend resolves delta and builds the tower), so a bad config
-fails even with zero trials, and returns `check(irng)`: one
+minimum; a noise mode or delta the suite never reads is refused; extend
+resolves delta and builds the tower), so a bad config fails even with
+zero trials, and returns `check(irng)`: one
 instance, drawn from `irng`, yielding a `Violation` per identity that
 broke. `run_campaign` alone loops over instances and turns violations
 into failure records.
@@ -70,7 +71,7 @@ class CampaignConfig:
     n: int = 2
     trials: int = 100
     seed: int = 0
-    noise: NoiseSpec = NoiseSpec.NONE
+    noise: NoiseSpec = NoiseSpec.NONE  # theorem1 and the lemma suites only
     max_degree: int = 3
     delta: str = "zero"  # extend suite only
     max_len: int = 6  # two-generator suite only
@@ -181,7 +182,18 @@ def _require(config, field, minimum):
         raise DomainError(f"{config.suite} needs {field} >= {minimum}")
 
 
+def _reject_unused(config, *fields):
+    """Reject a setting that the suite never reads, so that a report
+    cannot name a noise mode or delta that had no effect."""
+    for field in fields:
+        default = getattr(CampaignConfig, field)
+        if getattr(config, field) != default:
+            shown = getattr(default, "value", default)
+            raise DomainError(f"{config.suite} takes no {field}; leave it at {shown!r}")
+
+
 def _theorem1(config):
+    _reject_unused(config, "delta")
     _require(config, "n", 2)
     _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
@@ -200,6 +212,7 @@ def _theorem1(config):
 
 
 def _lemma_cross(config):
+    _reject_unused(config, "delta")
     _require(config, "n", 2)
     n = config.n
 
@@ -223,6 +236,7 @@ def _lemma_cross(config):
 
 
 def _lemma_offdiag(config):
+    _reject_unused(config, "delta")
     _require(config, "n", 2)
     ring, n = config.ring, config.n
 
@@ -237,6 +251,7 @@ def _lemma_offdiag(config):
 
 
 def _lemma_diagdiff(config):
+    _reject_unused(config, "delta")
     _require(config, "n", 2)
     ring, n, degree = config.ring, config.n, config.max_degree
 
@@ -272,6 +287,7 @@ def _resolve_delta(config):
 
 
 def _extend(config):
+    _reject_unused(config, "noise")
     ring, n, degree = config.ring, config.n, config.max_degree
     delta = _resolve_delta(config)
     ext = extend_tower(delta, n)
@@ -291,6 +307,7 @@ def _extend(config):
 
 
 def _two_generator(config):
+    _reject_unused(config, "noise", "delta")
     _require(config, "max_len", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
@@ -302,6 +319,7 @@ def _two_generator(config):
 
 
 def _jordan_diag(config):
+    _reject_unused(config, "noise", "delta")
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -319,6 +337,7 @@ def _jordan_diag(config):
 
 
 def _jordan_theorem(config):
+    _reject_unused(config, "noise", "delta")
     _require(config, "n", 2)
     _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree

@@ -11,7 +11,14 @@ from types import MappingProxyType
 
 from .checks import CheckReport, Violation
 from .errors import ContractError, DomainError
-from .matrices import Matrix, SymmetricMatrix, commutator, jordan_mul, matrix_unit
+from .matrices import (
+    Matrix,
+    SkewMatrix,
+    SymmetricMatrix,
+    commutator,
+    jordan_mul,
+    matrix_unit,
+)
 from .sampling import random_symmetric
 from .twolocal import ReconstructionResult, TwoLocalOracle
 
@@ -183,7 +190,7 @@ def reconstruct_abar_jordan(family):
     witnesses: off the diagonal, row i of abar is row i of d(ii), and the
     diagonal is zero. A nonzero (i,i) entry of d(ii) (which validation
     rules out), a corner disagreement between two witnesses, or a result
-    that is not skew trips a ContractError."""
+    that is not skew trips a ContractError. abar is a SkewMatrix."""
     if not family.validated:
         raise ContractError(
             "reconstruction requires a family validated against its oracle"
@@ -196,13 +203,15 @@ def reconstruct_abar_jordan(family):
         for j in range(i + 1, n + 1):
             if not check_corner_consistency(diag[i], diag[j], i, j):
                 raise ContractError(f"corner consistency fails for ({i},{j})")
-    abar = Matrix(ring, n, tuple(
+    entries = tuple(
         ring.zero.payload if i == j else diag[i + 1].entries[i * n + j]
         for i in range(n)
         for j in range(n)
-    ))
-    if not abar.is_skew():
-        raise ContractError("reconstructed element is not skew-symmetric")
+    )
+    try:
+        abar = SkewMatrix(ring, n, entries)
+    except DomainError:
+        raise ContractError("reconstructed element is not skew-symmetric") from None
     return ReconstructionResult(abar)
 
 

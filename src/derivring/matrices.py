@@ -1,6 +1,6 @@
 """Dense n-by-n matrices over the exact rings: matrix units, corners,
-commutators, the Jordan product a.b = (ab + ba)/2, and the symmetric
-subspace H_n(R).
+commutators, the Jordan product a.b = (ab + ba)/2, the symmetric
+subspace H_n(R) and the skew matrices.
 
 Public row/column indices run from 1 to match the e_{i,j} notation;
 storage is 0-based row-major. The ring belongs to the matrix: `entries`
@@ -10,6 +10,14 @@ Z_m[t]), and the ring owns the arithmetic on them (see
 scalar ops over the payloads, the product hands both payload tuples to
 `ring.matmul`, and equality and the symmetry predicates compare
 payloads. Only `entry` builds a ring element.
+
+Symmetry is a checked type. `SymmetricMatrix` (a^T = a) and
+`SkewMatrix` (a^T = -a) check their property in their one constructor,
+so an instance always has it. The Jordan product and the commutator use
+that to spend one matrix product where the literal formulas spend two:
+for symmetric a, b, ba = (ab)^T, so a.b = (p + p^T)/2 with p = ab; for
+skew s and symmetric x, xs = -(sx)^T, so [s, x] = p + p^T with p = sx.
+Both products still go through `Matrix.__mul__`.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .rings import RingElement, same_ring
 __all__ = [
     "Matrix",
     "SymmetricMatrix",
+    "SkewMatrix",
     "matrix_unit",
     "jordan_unit",
     "probe_x0",
@@ -75,6 +84,12 @@ class Matrix:
         for i in range(n):
             ent[i * n + i] = z.payload
         return cls(ring, n, tuple(ent))
+
+    @classmethod
+    def of(cls, mat):
+        """The entries of `mat` as a `cls`; the subclasses' constructors
+        check their property."""
+        return cls(mat.ring, mat.n, mat.entries)
 
     def entry(self, i, j):
         """The (i, j) entry as a ring element, 1-based."""
@@ -175,15 +190,28 @@ class Matrix:
 
 class SymmetricMatrix(Matrix):
     """A transpose-invariant matrix, an element of H_n(R). The constructor
-    is trusted, like Matrix's; `of` checks symmetry at the boundary."""
+    checks symmetry, so every SymmetricMatrix is symmetric; `of` converts
+    a Matrix, checked the same way."""
 
     __slots__ = ()
 
-    @classmethod
-    def of(cls, mat):
-        if not mat.is_symmetric():
+    def __init__(self, ring, n, entries):
+        Matrix.__init__(self, ring, n, entries)
+        if not self.is_symmetric():
             raise DomainError("matrix is not symmetric")
-        return cls(mat.ring, mat.n, mat.entries)
+
+
+class SkewMatrix(Matrix):
+    """A matrix with a^T = -a, so with zero diagonal (2 is invertible).
+    The constructor checks skewness, so every SkewMatrix is skew; `of`
+    converts a Matrix, checked the same way."""
+
+    __slots__ = ()
+
+    def __init__(self, ring, n, entries):
+        Matrix.__init__(self, ring, n, entries)
+        if not self.is_skew():
+            raise DomainError("matrix is not skew-symmetric")
 
 
 def matrix_unit(ring, n, i, j):
@@ -220,8 +248,28 @@ def probe_x0(ring, n):
 
 
 def commutator(a, b):
-    """[a, b] = ab - ba."""
+    """[a, b] = ab - ba. For a SkewMatrix a and a SymmetricMatrix b,
+    ba = -(ab)^T, so [a, b] = p + p^T with p = ab: one product, and the
+    result is a SymmetricMatrix."""
+    if isinstance(a, SkewMatrix) and isinstance(b, SymmetricMatrix):
+        p = a * b
+        return SymmetricMatrix(p.ring, p.n, _plus_transpose(p))
     return a * b - b * a
+
+
+def _plus_transpose(p, scale=None):
+    """The payloads of p + p^T, each times `scale` if given, computed on
+    the upper triangle and mirrored."""
+    ring, n, ent = p.ring, p.n, p.entries
+    add, mul = ring.add, ring.mul
+    out = list(ent)
+    for i in range(n):
+        for j in range(i, n):
+            v = add(ent[i * n + j], ent[j * n + i])
+            if scale is not None:
+                v = mul(scale, v)
+            out[i * n + j] = out[j * n + i] = v
+    return tuple(out)
 
 
 def corner(a, i, j):
@@ -235,9 +283,10 @@ def corner(a, i, j):
 
 
 def jordan_mul(a, b):
-    """The Jordan product (ab + ba)/2; symmetric inputs give a symmetric
-    result, and SymmetricMatrix inputs stay SymmetricMatrix."""
-    prod = (a * b + b * a) * a.ring.half
+    """The Jordan product (ab + ba)/2. For two SymmetricMatrix arguments
+    ba = (ab)^T, so the product is (p + p^T)/2 with p = ab, one matrix
+    product, and the result is a SymmetricMatrix."""
     if isinstance(a, SymmetricMatrix) and isinstance(b, SymmetricMatrix):
-        return SymmetricMatrix(prod.ring, prod.n, prod.entries)
-    return prod
+        p = a * b
+        return SymmetricMatrix(p.ring, p.n, _plus_transpose(p, p.ring.half.payload))
+    return (a * b + b * a) * a.ring.half

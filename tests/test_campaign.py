@@ -300,12 +300,12 @@ def plant_jordan_oracle(monkeypatch):
 
 def plant_jordan_samples(monkeypatch):
     # a "symmetric" sample that is not: [abar, x] still matches the pair
-    # action, but it is no longer symmetric
+    # action, but it is no longer symmetric. A SymmetricMatrix cannot hold
+    # it, so the sample is the plain Matrix that the sum gives
     real = campaign.random_symmetric
 
     def planted(ring, n, rng, max_degree=3):
-        x = real(ring, n, rng, max_degree) + matrix_unit(ring, n, 1, 2)
-        return SymmetricMatrix(ring, n, x.entries)
+        return real(ring, n, rng, max_degree) + matrix_unit(ring, n, 1, 2)
 
     monkeypatch.setattr(campaign, "random_symmetric", planted)
     return CampaignConfig(

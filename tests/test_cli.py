@@ -94,6 +94,34 @@ class TestVerify:
         assert out == ""
         assert flags[0].lstrip("-").replace("-", "_") + " >= " in err
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    @pytest.mark.parametrize(
+        "suite,flags,field,default",
+        [
+            ("jordan-theorem", ["--noise", "central"], "noise", "none"),
+            ("jordan-diag", ["--noise", "x0-commutant"], "noise", "none"),
+            ("two-generator", ["--noise", "central"], "noise", "none"),
+            ("extend", ["--ring", "poly:zmod:5", "--noise", "central"], "noise", "none"),
+            ("theorem1", ["--delta", "d/dt"], "delta", "zero"),
+            ("lemma-cross", ["--delta", "d/dt"], "delta", "zero"),
+            ("lemma-offdiag", ["--delta", "d/dt"], "delta", "zero"),
+            ("lemma-diagdiff", ["--delta", "t*d/dt"], "delta", "zero"),
+            ("two-generator", ["--delta", "d/dt"], "delta", "zero"),
+            ("jordan-diag", ["--delta", "d/dt"], "delta", "zero"),
+            ("jordan-theorem", ["--delta", "bogus"], "delta", "zero"),
+        ],
+    )
+    def test_unused_setting_is_config_error(
+        self, capsys, suite, flags, field, default, trials
+    ):
+        # a report must not name a noise mode or delta that had no effect
+        code, out, err = run_cli(
+            capsys, ["verify", suite, "--trials", trials] + flags
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{suite} takes no {field}; leave it at '{default}'" in err
+
     def test_zero_trials_vacuous_pass(self, capsys):
         code, out, err = run_cli(
             capsys, ["verify", "theorem1", "--ring", "zmod:5", "--trials", "0"]

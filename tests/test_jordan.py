@@ -12,6 +12,7 @@ from derivring import (
     JordanWitnessFamily,
     Matrix,
     PolyRing,
+    SkewMatrix,
     SymmetricMatrix,
     TwoLocalOracle,
     Zmod,
@@ -389,6 +390,7 @@ class TestJordanReconstruction:
         result = reconstruct_abar_jordan(family)
         assert result.abar == s
         assert result.abar.is_skew()
+        assert type(result.abar) is SkewMatrix
 
     def test_refuses_unvalidated(self):
         s = random_skew(Z5, 2, random.Random(80))

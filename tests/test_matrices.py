@@ -1,5 +1,6 @@
 """Matrix layer: unit algebra, corners, commutators, the Jordan product,
-symmetry predicates, and the shift probe."""
+symmetry predicates and the checked symmetric/skew types, and the shift
+probe."""
 
 import random
 
@@ -11,6 +12,7 @@ from derivring import (
     DomainError,
     Matrix,
     PolyRing,
+    SkewMatrix,
     SymmetricMatrix,
     Zmod,
     commutator,
@@ -128,6 +130,47 @@ def kernel_cases(draw):
     a = random_entries(ring, n, rng, degree, draw(shares))
     b = random_entries(ring, n, rng, degree, draw(shares))
     return a, b
+
+
+def literal_jordan_mul(a, b):
+    """Reference: the Jordan product as (ab + ba)/2, two products."""
+    return (a * b + b * a) * a.ring.half
+
+
+def literal_commutator(a, b):
+    """Reference: the commutator as ab - ba, two products."""
+    return a * b - b * a
+
+
+def mirrored(mat, sign):
+    """The upper triangle of `mat` mirrored below it, times `sign` (1 for
+    symmetric, -1 for skew, which also zeroes the diagonal)."""
+    ring, n, ent = mat.ring, mat.n, list(mat.entries)
+    for i in range(n):
+        if sign < 0:
+            ent[i * n + i] = ring.zero.payload
+        for j in range(i + 1, n):
+            v = ent[i * n + j]
+            ent[j * n + i] = v if sign > 0 else ring.neg(v)
+    return Matrix(ring, n, tuple(ent))
+
+
+@st.composite
+def symmetry_cases(draw):
+    """Two symmetric matrices and a skew one over a kernel ring, n = 1..6;
+    a zero share of 1.0 gives zero matrices."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    shares = st.sampled_from([0.0, 0.3, 1.0])
+
+    def draw_matrix(sign):
+        return mirrored(random_entries(ring, n, rng, 4, draw(shares)), sign)
+
+    a = SymmetricMatrix.of(draw_matrix(1))
+    b = SymmetricMatrix.of(draw_matrix(1))
+    s = SkewMatrix.of(draw_matrix(-1))
+    return a, b, s
 
 
 class TestPayloadKernel:
@@ -393,6 +436,73 @@ class TestJordan:
         assert jordan_unit(Z5, 3, 1, 2) == jordan_unit(Z5, 3, 2, 1)
         with pytest.raises(DomainError):
             jordan_unit(Z5, 3, 2, 2)
+
+
+class TestSymmetryShortcuts:
+    """jordan_mul of two SymmetricMatrix arguments and the commutator of a
+    SkewMatrix with a SymmetricMatrix take one product; the literal
+    two-product formulas are the reference."""
+
+    @given(symmetry_cases())
+    def test_jordan_mul_of_symmetric_matches_literal(self, case):
+        a, b, _ = case
+        for x, y in ((a, b), (b, a), (a, a)):
+            prod = jordan_mul(x, y)
+            assert prod == literal_jordan_mul(x, y)
+            assert type(prod) is SymmetricMatrix
+
+    @given(symmetry_cases())
+    def test_skew_symmetric_commutator_matches_literal(self, case):
+        a, b, s = case
+        for x in (a, b):
+            out = commutator(s, x)
+            assert out == literal_commutator(s, x)
+            assert type(out) is SymmetricMatrix
+
+    @given(symmetry_cases())
+    def test_other_argument_pairs_keep_the_literal_formula(self, case):
+        a, b, s = case
+        plain = Matrix(a.ring, a.n, a.entries)
+        for x, y in ((plain, b), (b, plain), (s, a), (a, s)):
+            prod = jordan_mul(x, y)
+            assert prod == literal_jordan_mul(x, y)
+            assert type(prod) is Matrix
+        for x, y in ((a, s), (a, b), (s, s), (plain, b)):
+            out = commutator(x, y)
+            assert out == literal_commutator(x, y)
+            assert type(out) is Matrix
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_symmetric_constructor_rejects_one_broken_entry(self, ring, n):
+        rng = random.Random(n)
+        sym = mirrored(random_entries(ring, n, rng, 3, 0.0), 1)
+        assert SymmetricMatrix(ring, n, sym.entries) == sym
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                broken = sym + matrix_unit(ring, n, i, j)
+                with pytest.raises(DomainError):
+                    SymmetricMatrix(ring, n, broken.entries)
+                with pytest.raises(DomainError):
+                    SymmetricMatrix.of(broken)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_skew_constructor_rejects_one_broken_entry(self, ring, n):
+        rng = random.Random(n)
+        skew = mirrored(random_entries(ring, n, rng, 3, 0.0), -1)
+        assert SkewMatrix(ring, n, skew.entries) == skew
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                # off the diagonal one entry breaks the pair; on it, a
+                # nonzero entry breaks skewness
+                broken = skew + matrix_unit(ring, n, i, j)
+                with pytest.raises(DomainError):
+                    SkewMatrix(ring, n, broken.entries)
+                with pytest.raises(DomainError):
+                    SkewMatrix.of(broken)
 
 
 class TestPredicates:
