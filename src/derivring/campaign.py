@@ -3,12 +3,12 @@ per-instance seed derivation, and deterministic reports.
 
 A suite is a function of the config. It does its suite-level setup and
 config checks first (n, samples and max_len against the suite's
-minimum; a noise mode or delta the suite never reads is refused; extend
-resolves delta and builds the tower), so a bad config fails even with
-zero trials, and returns `check(irng)`: one
-instance, drawn from `irng`, yielding a `Violation` per identity that
-broke. `run_campaign` alone loops over instances and turns violations
-into failure records.
+minimum; a noise mode, delta, samples or max_len the suite never reads
+is refused; extend resolves delta and builds the tower), so a bad config
+fails even with zero trials, and returns `check(irng)`: one instance,
+drawn from `irng`, yielding a `Violation` per identity that broke.
+`run_campaign` alone loops over instances and turns violations into
+failure records.
 
 The PRNG is Python's Mersenne Twister (random.Random); per-instance
 seeds are drawn from the campaign seed, so a config fully determines the
@@ -184,7 +184,8 @@ def _require(config, field, minimum):
 
 def _reject_unused(config, *fields):
     """Reject a setting that the suite never reads, so that a report
-    cannot name a noise mode or delta that had no effect."""
+    cannot name a noise mode, delta, sample count or word length that had
+    no effect."""
     for field in fields:
         default = getattr(CampaignConfig, field)
         if getattr(config, field) != default:
@@ -193,7 +194,7 @@ def _reject_unused(config, *fields):
 
 
 def _theorem1(config):
-    _reject_unused(config, "delta")
+    _reject_unused(config, "delta", "max_len")
     _require(config, "n", 2)
     _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
@@ -212,7 +213,7 @@ def _theorem1(config):
 
 
 def _lemma_cross(config):
-    _reject_unused(config, "delta")
+    _reject_unused(config, "delta", "samples", "max_len")
     _require(config, "n", 2)
     n = config.n
 
@@ -236,7 +237,7 @@ def _lemma_cross(config):
 
 
 def _lemma_offdiag(config):
-    _reject_unused(config, "delta")
+    _reject_unused(config, "delta", "samples", "max_len")
     _require(config, "n", 2)
     ring, n = config.ring, config.n
 
@@ -251,7 +252,7 @@ def _lemma_offdiag(config):
 
 
 def _lemma_diagdiff(config):
-    _reject_unused(config, "delta")
+    _reject_unused(config, "delta", "samples", "max_len")
     _require(config, "n", 2)
     ring, n, degree = config.ring, config.n, config.max_degree
 
@@ -287,7 +288,7 @@ def _resolve_delta(config):
 
 
 def _extend(config):
-    _reject_unused(config, "noise")
+    _reject_unused(config, "noise", "samples", "max_len")
     ring, n, degree = config.ring, config.n, config.max_degree
     delta = _resolve_delta(config)
     ext = extend_tower(delta, n)
@@ -307,7 +308,7 @@ def _extend(config):
 
 
 def _two_generator(config):
-    _reject_unused(config, "noise", "delta")
+    _reject_unused(config, "noise", "delta", "samples")
     _require(config, "max_len", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
@@ -319,7 +320,7 @@ def _two_generator(config):
 
 
 def _jordan_diag(config):
-    _reject_unused(config, "noise", "delta")
+    _reject_unused(config, "noise", "delta", "samples", "max_len")
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -337,7 +338,7 @@ def _jordan_diag(config):
 
 
 def _jordan_theorem(config):
-    _reject_unused(config, "noise", "delta")
+    _reject_unused(config, "noise", "delta", "max_len")
     _require(config, "n", 2)
     _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree

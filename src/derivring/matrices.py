@@ -7,9 +7,19 @@ storage is 0-based row-major. The ring belongs to the matrix: `entries`
 holds bare canonical payloads (ints for Z_m, coefficient tuples for
 Z_m[t]), and the ring owns the arithmetic on them (see
 `derivring.rings`). `+`, `-`, negation and scaling map the ring's
-scalar ops over the payloads, the product hands both payload tuples to
-`ring.matmul`, and equality and the symmetry predicates compare
-payloads. Only `entry` builds a ring element.
+scalar ops over the payloads, and equality and the symmetry predicates
+compare payloads. Only `entry` builds a ring element.
+
+The product ab picks its path from the operands' support. If b has at
+most n nonzero entries, each nonzero b_kj adds column k of a, times
+b_kj, to column j of ab; otherwise, if a has at most n, each nonzero
+a_ik adds a_ik times row k of b to row i of ab; otherwise both payload
+tuples go to the dense kernel `ring.matmul`. The cut-off is n because there n
+nonzeros times n entries per line make n*n entry steps, as many as the
+dense kernel's n*n dot products (each summed in one C-level call). The
+probes e_{i,j}, e_{i,i}, the shift x0 and the Jordan units lie at or
+below it, a general matrix above it. A nonzero equal to one adds its
+line without a multiplication, which covers every probe.
 
 Symmetry is a checked type. `SymmetricMatrix` (a^T = a) and
 `SkewMatrix` (a^T = -a) check their property in their one constructor,
@@ -21,6 +31,8 @@ Both products still go through `Matrix.__mul__`.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .errors import DomainError
 from .rings import RingElement, same_ring
@@ -130,8 +142,14 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_compatible(other)
-        n = self.n
-        return Matrix(self.ring, n, self.ring.matmul(n, self.entries, other.entries))
+        ring, n, a, b = self.ring, self.n, self.entries, other.entries
+        min_zeros = n * n - n  # so at most n nonzero entries
+        zero = ring.zero.payload
+        if b.count(zero) >= min_zeros:
+            return Matrix(ring, n, _sparse_product(ring, n, b, a, left=False))
+        if a.count(zero) >= min_zeros:
+            return Matrix(ring, n, _sparse_product(ring, n, a, b, left=True))
+        return Matrix(ring, n, ring.matmul(n, a, b))
 
     def __rmul__(self, other):
         if isinstance(other, RingElement):
@@ -186,6 +204,42 @@ class Matrix:
             for i in range(n)
         )
         return f"M{n}({self.ring})[{rows}]"
+
+
+def _sparse_product(ring, n, s, d, left):
+    """The payloads of the n x n product s d (left=True) or d s, where s
+    has at most n nonzero entries (Gustavson, ACM TOMS 1978). On the
+    left, a nonzero s_ik adds s_ik times row k of d to row i of the
+    product; on the right, a nonzero s_kj adds column k of d times s_kj
+    to column j. A nonzero equal to one adds the line without a
+    multiplication, as one slice copy while line i is still empty. Zero
+    entries of d are skipped. Zero payloads (0 and ()) are the only
+    falsy ones."""
+    # a line starts every `span` entries and steps `step` along itself
+    span, step = (n, 1) if left else (1, n)
+    end = n * step
+    one, add, mul = ring.one.payload, ring.add, ring.mul
+    out = [ring.zero.payload] * (n * n)
+    filled = [False] * n
+    for idx in compress(range(n * n), s):
+        x = s[idx]
+        if left:
+            i, k = divmod(idx, n)
+        else:
+            k, i = divmod(idx, n)
+        src, dst = k * span, i * span
+        if x == one and not filled[i]:
+            out[dst : dst + end : step] = d[src : src + end : step]
+        else:
+            for p in range(0, end, step):
+                y = d[src + p]
+                if y:
+                    if x != one:
+                        y = mul(x, y)
+                    o = dst + p
+                    out[o] = add(out[o], y) if out[o] else y
+        filled[i] = True
+    return tuple(out)
 
 
 class SymmetricMatrix(Matrix):

@@ -6,8 +6,11 @@ in [0, m), or a little-endian coefficient tuple with no trailing zeros),
 so equality of values is equality of payloads and nothing ever rounds.
 
 The ring owns the arithmetic, written once on payloads: `add`, `sub`,
-`neg`, `mul` and the n x n product `matmul` over row-major payload
-tuples. Matrices store bare payloads and map these ops over them; a
+`neg`, `mul` and the dense n x n product `matmul` over row-major payload
+tuples. Matrices store bare payloads and map these ops over them. A
+matrix product goes to `matmul` only when both operands have more than
+n nonzero entries; a sparser operand is multiplied by its support with
+`add` and `mul` (see `derivring.matrices`). A
 `RingElement` pairs a payload with its ring only where the scalar API
 hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
 operators call the same ring ops behind one ring-mismatch check.

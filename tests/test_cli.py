@@ -109,18 +109,33 @@ class TestVerify:
             ("two-generator", ["--delta", "d/dt"], "delta", "zero"),
             ("jordan-diag", ["--delta", "d/dt"], "delta", "zero"),
             ("jordan-theorem", ["--delta", "bogus"], "delta", "zero"),
+            ("theorem1", ["--max-len", "3"], "max_len", 6),
+            ("lemma-cross", ["--samples", "0"], "samples", 20),
+            ("lemma-offdiag", ["--max-len", "0"], "max_len", 6),
+            ("lemma-diagdiff", ["--samples", "5"], "samples", 20),
+            (
+                "extend",
+                ["--ring", "poly:zmod:5", "--samples", "0", "--max-len", "0"],
+                "samples",
+                20,
+            ),
+            ("extend", ["--ring", "poly:zmod:5", "--max-len", "3"], "max_len", 6),
+            ("two-generator", ["--samples", "0"], "samples", 20),
+            ("jordan-diag", ["--samples", "5"], "samples", 20),
+            ("jordan-diag", ["--max-len", "3"], "max_len", 6),
+            ("jordan-theorem", ["--max-len", "3"], "max_len", 6),
         ],
     )
     def test_unused_setting_is_config_error(
         self, capsys, suite, flags, field, default, trials
     ):
-        # a report must not name a noise mode or delta that had no effect
+        # a report must not name a setting that had no effect
         code, out, err = run_cli(
             capsys, ["verify", suite, "--trials", trials] + flags
         )
         assert code == 2
         assert out == ""
-        assert f"{suite} takes no {field}; leave it at '{default}'" in err
+        assert f"{suite} takes no {field}; leave it at {default!r}" in err
 
     def test_zero_trials_vacuous_pass(self, capsys):
         code, out, err = run_cli(

@@ -112,6 +112,35 @@ def random_entries(ring, n, rng, degree, zero_share):
     return Matrix.from_rows(ring, rows)
 
 
+def nonzero_payload(ring, rng):
+    """A random nonzero canonical payload with up to five coefficients
+    (any residue on Z_m). Half the draws take multiples of 3, which on
+    Z_9 and Z_9[t] are zero divisors: 3t * 3t = 0."""
+    m = modulus(ring)
+    step = rng.choice((1, 3))
+    while True:
+        if isinstance(ring, Zmod):
+            value = rng.randrange(0, m, step)
+        else:
+            size = rng.randint(1, 5)
+            value = ring.element([rng.randrange(0, m, step) for _ in range(size)])
+            value = value.payload
+        if value:
+            return value
+
+
+def with_support(ring, n, rng, count, one_share):
+    """An n x n matrix with exactly `count` nonzero entries at random
+    places, each one with probability `one_share` and otherwise a random
+    nonzero value."""
+    ent = [ring.zero.payload] * (n * n)
+    for idx in rng.sample(range(n * n), count):
+        ent[idx] = (
+            ring.one.payload if rng.random() < one_share else nonzero_payload(ring, rng)
+        )
+    return Matrix(ring, n, tuple(ent))
+
+
 def worst_case(ring, n, degree):
     """Every entry (m-1)(1 + t + ... + t^degree): each coefficient of the
     product reaches the slot bound n * (degree + 1) * (m-1)**2 exactly."""
@@ -130,6 +159,27 @@ def kernel_cases(draw):
     a = random_entries(ring, n, rng, degree, draw(shares))
     b = random_entries(ring, n, rng, degree, draw(shares))
     return a, b
+
+
+@st.composite
+def support_cases(draw):
+    """Two operands over a kernel ring, n = 1..6. One of them, or both,
+    has exactly 0, 1, n - 1, n or n + 1 nonzero entries, so each side of
+    the cut-off at n nonzeros runs; its nonzeros are all one, all other
+    values, or mixed. The other operand is a general matrix."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    counts = st.sampled_from([min(c, n * n) for c in (0, 1, n - 1, n, n + 1)])
+    one_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+    def operand(sparse):
+        if sparse:
+            return with_support(ring, n, rng, draw(counts), one_share)
+        return random_entries(ring, n, rng, 4, draw(st.sampled_from([0.0, 0.3])))
+
+    side = draw(st.sampled_from(["left", "right", "both"]))
+    return operand(side != "right"), operand(side != "left")
 
 
 def literal_jordan_mul(a, b):
@@ -177,11 +227,43 @@ class TestPayloadKernel:
     """Matrix arithmetic runs on payloads; the per-entry forms are the
     reference."""
 
-    @given(kernel_cases())
+    @given(st.one_of(kernel_cases(), support_cases()))
     def test_product_matches_literal_product(self, case):
         a, b = case
-        assert a * b == literal_product(a, b)
-        assert b * a == literal_product(b, a)
+        for x, y in ((a, b), (b, a)):
+            prod = x * y
+            assert prod == literal_product(x, y)
+            assert all(is_canonical(prod.ring, p) for p in prod.entries)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_probe_products_match_literal_product(self, ring, n):
+        idx = range(1, n + 1)
+        probes = [matrix_unit(ring, n, i, j) for i in idx for j in idx]
+        if n > 1:
+            probes.append(probe_x0(ring, n))
+            probes += [jordan_unit(ring, n, i, j) for i in idx for j in idx if i < j]
+        a = random_entries(ring, n, random.Random(n), 4, 0.0)
+        for probe in probes:
+            for x, y in ((a, probe), (probe, a), (probe, probes[-1])):
+                prod = x * y
+                assert prod == literal_product(x, y)
+                assert all(is_canonical(ring, p) for p in prod.entries)
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    def test_sparse_operand_skips_the_dense_kernel(self, monkeypatch, ring):
+        n = 4
+        a = random_entries(ring, n, random.Random(3), 4, 0.0)
+        unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
+
+        def dense(self, n, a, b):
+            raise RuntimeError("dense kernel")
+
+        monkeypatch.setattr(type(ring), "matmul", dense)
+        assert a * unit == literal_product(a, unit)
+        assert x0 * a == literal_product(x0, a)
+        with pytest.raises(RuntimeError, match="dense kernel"):
+            a * a
 
     @given(kernel_cases())
     def test_elementwise_ops_match_entry_ops(self, case):
