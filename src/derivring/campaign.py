@@ -309,6 +309,7 @@ def _extend(config):
 
 def _two_generator(config):
     _reject_unused(config, "noise", "delta", "samples")
+    _require(config, "n", 1)
     _require(config, "max_len", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
@@ -321,6 +322,7 @@ def _two_generator(config):
 
 def _jordan_diag(config):
     _reject_unused(config, "noise", "delta", "samples", "max_len")
+    _require(config, "n", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):

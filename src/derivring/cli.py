@@ -103,7 +103,11 @@ def main(argv=None):
         return 2
     payload = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        try:
+            Path(args.out).write_text(payload + "\n")
+        except OSError as exc:
+            print(f"derivring: error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     print(f"# wall time: {report.wall_ms:.1f} ms", file=sys.stderr)

@@ -7,7 +7,6 @@ checks, and the Jordan reconstruction of the implementing element.
 from __future__ import annotations
 
 import random
-from types import MappingProxyType
 
 from .checks import CheckReport, Violation
 from .errors import ContractError, DomainError
@@ -20,7 +19,7 @@ from .matrices import (
     matrix_unit,
 )
 from .sampling import random_symmetric
-from .twolocal import ReconstructionResult, TwoLocalOracle
+from .twolocal import ReconstructionResult, TwoLocalOracle, _ValidatedFamily
 
 __all__ = [
     "JordanPairDerivation",
@@ -43,12 +42,10 @@ class JordanPairDerivation:
     __slots__ = ("ring", "n", "pairs")
 
     def __init__(self, ring, n, pairs=()):
-        pairs = tuple(pairs)
+        pairs = tuple((SymmetricMatrix.of(a), SymmetricMatrix.of(b)) for a, b in pairs)
         for a, b in pairs:
             if a.n != n or b.n != n or a.ring != ring or b.ring != ring:
                 raise DomainError("pair entries must be n x n matrices over the ring")
-            if not a.is_symmetric() or not b.is_symmetric():
-                raise DomainError("pair entries must be symmetric")
         self.ring = ring
         self.n = n
         self.pairs = pairs
@@ -74,30 +71,29 @@ def jordan_inner_apply(pd, x):
 def pairs_to_commutator(pd):
     """The single skew generator with the same action: one quarter of the
     summed commutators sum [a_k, b_k]."""
-    quarter = pd.ring.half * pd.ring.half
+    return _commutator_sum(pd) * (pd.ring.half * pd.ring.half)
+
+
+def _commutator_sum(pd):
+    """sum [a_k, b_k] over the pairs of `pd`."""
     acc = Matrix.zero(pd.ring, pd.n)
     for a, b in pd.pairs:
         acc = acc + commutator(a, b)
-    return acc * quarter
+    return acc
 
 
 def check_diag_zero(pairs):
     """True iff every diagonal entry of sum [a_k, b_k] vanishes; over a
     commutative ring this is forced for symmetric pairs."""
-    if isinstance(pairs, JordanPairDerivation):
-        seq = pairs.pairs
-    else:
-        seq = tuple(pairs)
-    if not seq:
-        return True
-    total = None
-    for a, b in seq:
-        if not a.is_symmetric() or not b.is_symmetric():
-            raise DomainError("check_diag_zero needs symmetric pairs")
-        term = commutator(a, b)
-        total = term if total is None else total + term
-    n = total.n
-    return all(total.entry(i, i).is_zero() for i in range(1, n + 1))
+    if not isinstance(pairs, JordanPairDerivation):
+        pairs = tuple(pairs)
+        if not pairs:
+            return True
+        first = pairs[0][0]
+        pairs = JordanPairDerivation(first.ring, first.n, pairs)
+    total = _commutator_sum(pairs)
+    # zero payloads are the only falsy ones
+    return not any(total.entries[:: total.n + 1])
 
 
 def check_corner_consistency(d_ii, d_jj, i, j):
@@ -137,52 +133,32 @@ def corner_compress(oracle, i, j):
     return apply
 
 
-class JordanWitnessFamily:
+class JordanWitnessFamily(_ValidatedFamily):
     """The reduced diagonal-probe witnesses: for each index i the matrix
     d(ii) = (1/4) sum [a_k, b_k] of a pair list witnessing Delta at
-    e_{i,i}. Each d(ii) must be skew with zero diagonal. The witnesses
-    are read-only, so a validation mark stays true of what it vouches for."""
+    e_{i,i}. Each d(ii) must be skew, hence with zero diagonal."""
 
-    __slots__ = ("ring", "n", "_diag", "_validated_with")
+    __slots__ = ()
 
     def __init__(self, ring, n, diag):
-        if n < 2:
-            raise DomainError("Jordan witness families need n >= 2")
-        if set(diag) != set(range(1, n + 1)):
-            raise DomainError("need exactly one d(ii) per index in 1..n")
-        self.ring = ring
-        self.n = n
-        self._diag = MappingProxyType(dict(diag))
-        for mat in self._diag.values():
-            if mat.n != n or mat.ring != ring:
-                raise DomainError("witnesses must be n x n matrices over the ring")
-        self._validated_with = None
+        super().__init__(ring, n, diag, set(range(1, n + 1)), "d(ii) per index")
 
     @property
     def diag(self):
         """d(ii) by i, read-only."""
-        return self._diag
-
-    @property
-    def validated(self):
-        return self._validated_with is not None
+        return self._witnesses
 
     def validate(self, oracle):
         ring, n = self.ring, self.n
         for i in range(1, n + 1):
-            d = self.diag[i]
-            if not d.is_skew():
-                raise ContractError(f"d({i}{i}) must be skew-symmetric")
-            if any(not d.entry(k, k).is_zero() for k in range(1, n + 1)):
-                raise ContractError(f"d({i}{i}) must have zero diagonal")
-            unit = matrix_unit(ring, n, i, i)
-            if oracle(SymmetricMatrix.of(unit)) != commutator(d, unit):
+            try:
+                d = SkewMatrix.of(self.diag[i])
+            except DomainError:
+                raise ContractError(f"d({i}{i}) must be skew-symmetric") from None
+            unit = SymmetricMatrix.of(matrix_unit(ring, n, i, i))
+            if oracle(unit) != commutator(d, unit):
                 raise ContractError(f"d({i}{i}) does not witness Delta at e[{i},{i}]")
         self._validated_with = oracle
-
-    def ensure_validated(self, oracle):
-        if self._validated_with is not oracle:
-            self.validate(oracle)
 
 
 def reconstruct_abar_jordan(family):
@@ -191,10 +167,7 @@ def reconstruct_abar_jordan(family):
     diagonal is zero. A nonzero (i,i) entry of d(ii) (which validation
     rules out), a corner disagreement between two witnesses, or a result
     that is not skew trips a ContractError. abar is a SkewMatrix."""
-    if not family.validated:
-        raise ContractError(
-            "reconstruction requires a family validated against its oracle"
-        )
+    family._require_validated()
     ring, n, diag = family.ring, family.n, family.diag
     for i in range(1, n + 1):
         if not diag[i].entry(i, i).is_zero():
@@ -215,11 +188,10 @@ def reconstruct_abar_jordan(family):
     return ReconstructionResult(abar)
 
 
-def verify_jordan_theorem(oracle, family, samples, pairs=None):
+def verify_jordan_theorem(oracle, family, samples, pairs):
     """Check, exactly: Delta(x) = [abar, x] on every sample, symmetry of
     every value, and the Jordan Leibniz rule
-    D(x.y) = D(x).y + x.D(y) for D = [abar, .] on the sampled pairs
-    (consecutive samples when no pairs are given).
+    D(x.y) = D(x).y + x.D(y) for D = [abar, .] on the sampled pairs.
 
     `jordan-leibniz` cannot fire for any map a suite passes in: whatever
     abar is reconstructed, [abar, .] is an inner derivation of the
@@ -231,14 +203,6 @@ def verify_jordan_theorem(oracle, family, samples, pairs=None):
         raise DomainError("verify_jordan_theorem needs at least one sample")
     family.ensure_validated(oracle)
     abar = reconstruct_abar_jordan(family).abar
-    if pairs is None:
-        if len(samples) > 1:
-            pairs = [
-                (samples[idx], samples[(idx + 1) % len(samples)])
-                for idx in range(len(samples))
-            ]
-        else:
-            pairs = []
     checked = 0
     for idx, x in enumerate(samples):
         lhs = oracle(x)

@@ -21,13 +21,12 @@ probes e_{i,j}, e_{i,i}, the shift x0 and the Jordan units lie at or
 below it, a general matrix above it. A nonzero equal to one adds its
 line without a multiplication, which covers every probe.
 
-Symmetry is a checked type. `SymmetricMatrix` (a^T = a) and
-`SkewMatrix` (a^T = -a) check their property in their one constructor,
-so an instance always has it. The Jordan product and the commutator use
-that to spend one matrix product where the literal formulas spend two:
-for symmetric a, b, ba = (ab)^T, so a.b = (p + p^T)/2 with p = ab; for
-skew s and symmetric x, xs = -(sx)^T, so [s, x] = p + p^T with p = sx.
-Both products still go through `Matrix.__mul__`.
+Symmetry is a checked type, and checked only there: `SymmetricMatrix`
+(a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
+their property in their one constructor. For typed a and b,
+ba = sign (ab)^T with sign = a.parity * b.parity, so with p = ab the
+commutator p - sign p^T and the Jordan product (p + sign p^T)/2 take one
+product, through `Matrix.__mul__`, where the literal formulas take two.
 """
 
 from __future__ import annotations
@@ -54,6 +53,8 @@ class Matrix:
     """Immutable square matrix whose entries all share one ring."""
 
     __slots__ = ("ring", "n", "entries")
+    # a^T = parity * a for every instance of the class; 0 claims nothing
+    parity = 0
 
     def __init__(self, ring, n, entries):
         # Trusted constructor: `entries` is a row-major tuple of n*n
@@ -99,8 +100,10 @@ class Matrix:
 
     @classmethod
     def of(cls, mat):
-        """The entries of `mat` as a `cls`; the subclasses' constructors
-        check their property."""
+        """`mat` as a `cls`: unchanged if it already is one, otherwise its
+        entries through the constructor, which checks the property."""
+        if isinstance(mat, cls):
+            return mat
         return cls(mat.ring, mat.n, mat.entries)
 
     def entry(self, i, j):
@@ -248,6 +251,7 @@ class SymmetricMatrix(Matrix):
     a Matrix, checked the same way."""
 
     __slots__ = ()
+    parity = 1
 
     def __init__(self, ring, n, entries):
         Matrix.__init__(self, ring, n, entries)
@@ -261,6 +265,7 @@ class SkewMatrix(Matrix):
     converts a Matrix, checked the same way."""
 
     __slots__ = ()
+    parity = -1
 
     def __init__(self, ring, n, entries):
         Matrix.__init__(self, ring, n, entries)
@@ -302,28 +307,30 @@ def probe_x0(ring, n):
 
 
 def commutator(a, b):
-    """[a, b] = ab - ba. For a SkewMatrix a and a SymmetricMatrix b,
-    ba = -(ab)^T, so [a, b] = p + p^T with p = ab: one product, and the
-    result is a SymmetricMatrix."""
-    if isinstance(a, SkewMatrix) and isinstance(b, SymmetricMatrix):
-        p = a * b
-        return SymmetricMatrix(p.ring, p.n, _plus_transpose(p))
-    return a * b - b * a
+    """[a, b] = ab - ba. For typed a and b, ba = sign (ab)^T with
+    sign = a.parity * b.parity, so [a, b] = p - sign p^T with p = ab: one
+    product, and the result has parity -sign."""
+    sign = a.parity * b.parity
+    if not sign:
+        return a * b - b * a
+    return _plus_transpose(a * b, -sign)
 
 
-def _plus_transpose(p, scale=None):
-    """The payloads of p + p^T, each times `scale` if given, computed on
-    the upper triangle and mirrored."""
+def _plus_transpose(p, sign, scale=None):
+    """p + sign p^T, each entry times `scale` if given, as the matrix type
+    of parity `sign`; computed on the upper triangle and mirrored."""
     ring, n, ent = p.ring, p.n, p.entries
-    add, mul = ring.add, ring.mul
+    combine = ring.add if sign > 0 else ring.sub
+    mirror, mul = ring.neg, ring.mul
     out = list(ent)
     for i in range(n):
         for j in range(i, n):
-            v = add(ent[i * n + j], ent[j * n + i])
+            v = combine(ent[i * n + j], ent[j * n + i])
             if scale is not None:
                 v = mul(scale, v)
-            out[i * n + j] = out[j * n + i] = v
-    return tuple(out)
+            out[i * n + j] = v
+            out[j * n + i] = v if sign > 0 else mirror(v)
+    return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, tuple(out))
 
 
 def corner(a, i, j):
@@ -337,10 +344,10 @@ def corner(a, i, j):
 
 
 def jordan_mul(a, b):
-    """The Jordan product (ab + ba)/2. For two SymmetricMatrix arguments
-    ba = (ab)^T, so the product is (p + p^T)/2 with p = ab, one matrix
-    product, and the result is a SymmetricMatrix."""
-    if isinstance(a, SymmetricMatrix) and isinstance(b, SymmetricMatrix):
-        p = a * b
-        return SymmetricMatrix(p.ring, p.n, _plus_transpose(p, p.ring.half.payload))
-    return (a * b + b * a) * a.ring.half
+    """The Jordan product (ab + ba)/2. For typed a and b, ba = sign (ab)^T
+    with sign = a.parity * b.parity, so the product is (p + sign p^T)/2
+    with p = ab: one product, and the result has parity sign."""
+    sign = a.parity * b.parity
+    if not sign:
+        return (a * b + b * a) * a.ring.half
+    return _plus_transpose(a * b, sign, a.ring.half.payload)

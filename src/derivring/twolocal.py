@@ -61,50 +61,73 @@ class TwoLocalOracle:
         return self._evaluate(x)
 
 
-class WitnessFamily:
+class _ValidatedFamily:
+    """What both witness families share: n >= 2, one n x n witness over
+    the ring per expected key, held read-only so that a validation mark
+    stays true of what it vouches for, and that mark, which each family's
+    own `validate(oracle)` sets and reconstruction requires."""
+
+    __slots__ = ("ring", "n", "_witnesses", "_validated_with")
+
+    def __init__(self, ring, n, witnesses, keys, per):
+        if n < 2:
+            raise DomainError("witness families need n >= 2")
+        if set(witnesses) != keys:
+            raise DomainError(f"witness family needs exactly one {per} in 1..n")
+        self.ring = ring
+        self.n = n
+        self._witnesses = MappingProxyType(dict(witnesses))
+        self._check_witnesses(self._witnesses.values())
+        self._validated_with = None
+
+    def _check_witnesses(self, mats):
+        for mat in mats:
+            if mat.n != self.n or mat.ring != self.ring:
+                raise DomainError("witnesses must be n x n matrices over the ring")
+
+    @property
+    def validated(self):
+        return self._validated_with is not None
+
+    def ensure_validated(self, oracle):
+        if self._validated_with is not oracle:
+            self.validate(oracle)
+
+    def _require_validated(self):
+        if not self.validated:
+            raise ContractError(
+                "reconstruction requires a family validated against its oracle"
+            )
+
+
+class WitnessFamily(_ValidatedFamily):
     """Per-probe implementing elements: a(i,j) for every ordered pair of
     distinct indices (each witnessing the probe pair e_{i,j}, x0) and c
     for the shift probe x0 itself.
 
     c defaults to a(1,2): every off-diagonal witness also witnesses x0.
-    Reconstruction refuses families that have not been validated against
-    their oracle. The witnesses are read-only, so a validation mark stays
-    true of what it vouches for.
     """
 
-    __slots__ = ("ring", "n", "_offdiag", "_c", "_validated_with")
+    __slots__ = ("_c",)
 
     def __init__(self, ring, n, offdiag, c=None):
-        if n < 2:
-            raise DomainError("witness families need n >= 2")
         expected = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-        if set(offdiag) != expected:
-            raise DomainError(
-                "witness family needs exactly one a(i,j) per ordered pair of "
-                "distinct indices in 1..n"
-            )
-        self.ring = ring
-        self.n = n
-        self._offdiag = MappingProxyType(dict(offdiag))
-        self._c = c if c is not None else self._offdiag[(1, 2)]
-        for mat in list(self._offdiag.values()) + [self._c]:
-            if mat.n != n or mat.ring != ring:
-                raise DomainError("witnesses must be n x n matrices over the ring")
-        self._validated_with = None
+        super().__init__(
+            ring, n, offdiag, expected,
+            "a(i,j) per ordered pair of distinct indices",
+        )
+        self._c = c if c is not None else self.offdiag[(1, 2)]
+        self._check_witnesses([self._c])
 
     @property
     def offdiag(self):
         """a(i,j) by (i, j), read-only."""
-        return self._offdiag
+        return self._witnesses
 
     @property
     def c(self):
         """The x0 witness c, read-only."""
         return self._c
-
-    @property
-    def validated(self):
-        return self._validated_with is not None
 
     def validate(self, oracle):
         """Check every defining identity against the oracle; raises
@@ -122,10 +145,6 @@ class WitnessFamily:
         if dx0 != commutator(self.c, x0):
             raise ContractError("c does not witness Delta at x0")
         self._validated_with = oracle
-
-    def ensure_validated(self, oracle):
-        if self._validated_with is not oracle:
-            self.validate(oracle)
 
 
 @dataclass(frozen=True)
@@ -150,10 +169,7 @@ def reconstruct_abar(family):
     """Reassemble the implementing element from corner entries: the
     (i, j) entry of abar is the (i, j) entry of a(j, i) for i != j (note
     the index swap), and the diagonal of abar is the diagonal of c."""
-    if not family.validated:
-        raise ContractError(
-            "reconstruction requires a family validated against its oracle"
-        )
+    family._require_validated()
     c = family.c
     return ReconstructionResult(_swapped_corners(family, c.entries[:: c.n + 1]))
 

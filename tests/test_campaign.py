@@ -191,7 +191,8 @@ class TestViolationsAreData:
         family = JordanWitnessFamily(Z9, 2, {1: s, 2: s})
         family.validate(oracle)
         sample = random_symmetric(Z9, 2, rng) + Matrix.identity(Z9, 2)
-        report = verify_jordan_theorem(oracle, family, [SymmetricMatrix.of(sample)])
+        samples = [SymmetricMatrix.of(sample)]
+        report = verify_jordan_theorem(oracle, family, samples, [])
         assert not report.ok
 
 

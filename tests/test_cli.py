@@ -81,6 +81,9 @@ class TestVerify:
             ("theorem1", ["--samples", "0"]),
             ("jordan-theorem", ["--samples", "0"]),
             ("two-generator", ["--max-len", "0"]),
+            ("two-generator", ["--n", "0"]),
+            ("two-generator", ["--n", "-1"]),
+            ("jordan-diag", ["--n", "0"]),
         ],
     )
     def test_below_suite_minimum_is_checked_before_any_instance(
@@ -260,6 +263,19 @@ class TestOutput:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["instances"] == 1
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, where):
+        # exit 1 would read as a violated property
+        target = tmp_path if where == "directory" else tmp_path / "no" / "r.json"
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "theorem1", "--ring", "zmod:5", "--trials", "1",
+             "--out", str(target)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "derivring: error:" in err
 
     def test_text_format(self, capsys):
         code, out, err = run_cli(

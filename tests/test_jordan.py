@@ -66,6 +66,11 @@ def skew_oracle(s):
     return TwoLocalOracle(s.ring, s.n, lambda x: commutator(s, x))
 
 
+def consecutive(samples):
+    """Each sample paired with the next, the last with the first."""
+    return list(zip(samples, samples[1:] + samples[:1]))
+
+
 def family_from_skew(s):
     diag = {i: s for i in range(1, s.n + 1)}
     return JordanWitnessFamily(s.ring, s.n, diag)
@@ -221,6 +226,20 @@ class TestDiagZero:
         e12 = matrix_unit(Z5, 2, 1, 2)
         with pytest.raises(DomainError):
             check_diag_zero([(e12, e12)])
+
+    def test_symmetric_pairs_are_not_checked_again(self, monkeypatch):
+        # the SymmetricMatrix constructor is the one place symmetry is checked
+        pairs = random_pairs(Z9, 3, random.Random(72), 3)
+        calls = []
+        real = Matrix.is_symmetric
+        monkeypatch.setattr(
+            Matrix, "is_symmetric", lambda self: calls.append(self) or real(self)
+        )
+        pd = JordanPairDerivation(Z9, 3, pairs)
+        assert pd.pairs == pairs
+        assert check_diag_zero(pd)
+        assert check_diag_zero(pairs)
+        assert calls == []
 
 
 class TestCornerConsistency:
@@ -443,13 +462,33 @@ class TestJordanTheorem:
             )
             oracle, family = gen_jordan_instance(hidden, seed=rng.getrandbits(32))
             samples = [random_symmetric(ring, n, rng) for _ in range(20)]
-            report = verify_jordan_theorem(oracle, family, samples)
-            assert report.ok
+            pairs = consecutive(samples)
+            assert verify_jordan_theorem(oracle, family, samples, pairs).ok
 
     def test_zero_instance(self):
         oracle, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=9)
         samples = [random_symmetric(Z5, 2, random.Random(82)) for _ in range(5)]
-        assert verify_jordan_theorem(oracle, family, samples).ok
+        assert verify_jordan_theorem(oracle, family, samples, consecutive(samples)).ok
+
+    def test_every_commutator_has_typed_arguments(self, monkeypatch):
+        # each commutator of the witness pipeline takes one product
+        import derivring.jordan as jordan
+
+        parities = []
+        real = jordan.commutator
+
+        def tallied(a, b):
+            parities.append((a.parity, b.parity))
+            return real(a, b)
+
+        monkeypatch.setattr(jordan, "commutator", tallied)
+        rng = random.Random(85)
+        hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 3))
+        oracle, family = gen_jordan_instance(hidden, seed=12)
+        samples = [random_symmetric(Z9, 3, rng) for _ in range(4)]
+        assert verify_jordan_theorem(oracle, family, samples, consecutive(samples)).ok
+        assert parities
+        assert all(p * q for p, q in parities)
 
     def test_symmetric_unit_probes(self):
         rng = random.Random(83)
@@ -465,7 +504,7 @@ class TestJordanTheorem:
     def test_needs_samples(self):
         oracle, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=11)
         with pytest.raises(DomainError):
-            verify_jordan_theorem(oracle, family, [])
+            verify_jordan_theorem(oracle, family, [], [])
 
 
 class TestJordanGenerator:

@@ -207,8 +207,8 @@ def mirrored(mat, sign):
 
 @st.composite
 def symmetry_cases(draw):
-    """Two symmetric matrices and a skew one over a kernel ring, n = 1..6;
-    a zero share of 1.0 gives zero matrices."""
+    """Two symmetric matrices and two skew ones over a kernel ring,
+    n = 1..6; a zero share of 1.0 gives zero matrices."""
     ring = draw(st.sampled_from(KERNEL_RINGS))
     n = draw(st.integers(1, 6))
     rng = draw(st.randoms(use_true_random=False))
@@ -220,7 +220,8 @@ def symmetry_cases(draw):
     a = SymmetricMatrix.of(draw_matrix(1))
     b = SymmetricMatrix.of(draw_matrix(1))
     s = SkewMatrix.of(draw_matrix(-1))
-    return a, b, s
+    t = SkewMatrix.of(draw_matrix(-1))
+    return a, b, s, t
 
 
 class TestPayloadKernel:
@@ -520,14 +521,31 @@ class TestJordan:
             jordan_unit(Z5, 3, 2, 2)
 
 
+def count_products(fn, *args):
+    """fn(*args) and the number of Matrix.__mul__ calls it made."""
+    real = Matrix.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    Matrix.__mul__ = counted
+    try:
+        return fn(*args), len(calls)
+    finally:
+        Matrix.__mul__ = real
+
+
 class TestSymmetryShortcuts:
-    """jordan_mul of two SymmetricMatrix arguments and the commutator of a
-    SkewMatrix with a SymmetricMatrix take one product; the literal
-    two-product formulas are the reference."""
+    """commutator and jordan_mul of two typed arguments (SymmetricMatrix or
+    SkewMatrix) take one product by the parity rule ba = sign (ab)^T,
+    sign = a.parity * b.parity; the literal two-product formulas are the
+    reference."""
 
     @given(symmetry_cases())
     def test_jordan_mul_of_symmetric_matches_literal(self, case):
-        a, b, _ = case
+        a, b, _, _ = case
         for x, y in ((a, b), (b, a), (a, a)):
             prod = jordan_mul(x, y)
             assert prod == literal_jordan_mul(x, y)
@@ -535,24 +553,55 @@ class TestSymmetryShortcuts:
 
     @given(symmetry_cases())
     def test_skew_symmetric_commutator_matches_literal(self, case):
-        a, b, s = case
+        a, b, s, _ = case
         for x in (a, b):
             out = commutator(s, x)
             assert out == literal_commutator(s, x)
             assert type(out) is SymmetricMatrix
 
     @given(symmetry_cases())
+    def test_every_typed_pair_takes_one_product(self, case):
+        a, b, s, t = case
+        # (x, y, type of [x, y], type of x.y)
+        table = (
+            (a, b, SkewMatrix, SymmetricMatrix),
+            (s, a, SymmetricMatrix, SkewMatrix),
+            (a, s, SymmetricMatrix, SkewMatrix),
+            (s, t, SkewMatrix, SymmetricMatrix),
+        )
+        for x, y, bracket_type, jordan_type in table:
+            out, products = count_products(commutator, x, y)
+            assert out == literal_commutator(x, y)
+            assert type(out) is bracket_type
+            assert products == 1
+            prod, products = count_products(jordan_mul, x, y)
+            assert prod == literal_jordan_mul(x, y)
+            assert type(prod) is jordan_type
+            assert products == 1
+
+    @given(symmetry_cases())
     def test_other_argument_pairs_keep_the_literal_formula(self, case):
-        a, b, s = case
+        a, b, s, _ = case
         plain = Matrix(a.ring, a.n, a.entries)
-        for x, y in ((plain, b), (b, plain), (s, a), (a, s)):
+        # a plain operand keeps Matrix; typed pairs take the parity rule
+        for x, y, kind in (
+            (plain, b, Matrix),
+            (b, plain, Matrix),
+            (s, a, SkewMatrix),
+            (a, s, SkewMatrix),
+        ):
             prod = jordan_mul(x, y)
             assert prod == literal_jordan_mul(x, y)
-            assert type(prod) is Matrix
-        for x, y in ((a, s), (a, b), (s, s), (plain, b)):
+            assert type(prod) is kind
+        for x, y, kind in (
+            (a, s, SymmetricMatrix),
+            (a, b, SkewMatrix),
+            (s, s, SkewMatrix),
+            (plain, b, Matrix),
+        ):
             out = commutator(x, y)
             assert out == literal_commutator(x, y)
-            assert type(out) is Matrix
+            assert type(out) is kind
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -600,6 +649,10 @@ class TestPredicates:
             SymmetricMatrix.of(Matrix.from_rows(Z5, [[0, 1], [2, 0]]))
         sym = SymmetricMatrix.of(Matrix.from_rows(Z5, [[0, 1], [1, 0]]))
         assert sym == jordan_unit(Z5, 2, 1, 2)
+        # a matrix that already has the type comes back unchanged
+        assert SymmetricMatrix.of(sym) is sym
+        skew = SkewMatrix.of(Matrix.from_rows(Z5, [[0, 1], [-1, 0]]))
+        assert SkewMatrix.of(skew) is skew
 
     @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
     def test_skew(self, ring):
