@@ -12,7 +12,6 @@ from .derivations import (
     entrywise,
     extend_m2,
     extend_tower,
-    inner_apply,
     leibniz_check,
     two_generator_check,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "extend_tower",
     "gen_jordan_instance",
     "gen_witness_family",
-    "inner_apply",
     "jordan_inner_apply",
     "jordan_mul",
     "jordan_unit",

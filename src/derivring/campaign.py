@@ -39,7 +39,7 @@ from .jordan import (
     verify_jordan_theorem,
 )
 from .matrices import Matrix, commutator, matrix_unit
-from .rings import BaseDerivation, PolyRing
+from .rings import BaseDerivation, PolyRing, Zmod
 from .sampling import (
     random_element,
     random_matrix,
@@ -119,10 +119,11 @@ class Report:
         return dumps_canonical(self.to_obj())
 
     def to_text(self):
-        cfg = self.config
+        # every field of the JSON config, so that the text replays the run
+        cfg = self.config.to_obj()
+        cfg["ring"] = self.config.ring
         lines = [
-            f"suite={cfg.suite} ring={cfg.ring} n={cfg.n} trials={cfg.trials} "
-            f"seed={cfg.seed} noise={cfg.noise.value}",
+            " ".join(f"{key}={value}" for key, value in cfg.items()),
             f"instances={self.instances} failures={len(self.failures)}",
         ]
         for rec in self.failures:
@@ -144,6 +145,9 @@ def run_campaign(config):
         raise DomainError("trials must be >= 0")
     if config.max_degree < 0:
         raise DomainError("max_degree must be >= 0")
+    if isinstance(config.ring, Zmod):
+        # Z_m samples are residues, which have no degree to cap
+        _reject_unused(config, "max_degree", owner=config.ring)
     start = time.perf_counter()
     check = SUITES[config.suite](config)
     rng = random.Random(config.seed)
@@ -182,15 +186,17 @@ def _require(config, field, minimum):
         raise DomainError(f"{config.suite} needs {field} >= {minimum}")
 
 
-def _reject_unused(config, *fields):
-    """Reject a setting that the suite never reads, so that a report
-    cannot name a noise mode, delta, sample count or word length that had
-    no effect."""
+def _reject_unused(config, *fields, owner=None):
+    """Reject a setting that the suite (or `owner`) never reads, so that
+    a report cannot name a noise mode, delta, sample count, word length
+    or degree cap that had no effect."""
     for field in fields:
         default = getattr(CampaignConfig, field)
         if getattr(config, field) != default:
             shown = getattr(default, "value", default)
-            raise DomainError(f"{config.suite} takes no {field}; leave it at {shown!r}")
+            raise DomainError(
+                f"{owner or config.suite} takes no {field}; leave it at {shown!r}"
+            )
 
 
 def _theorem1(config):

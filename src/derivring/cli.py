@@ -33,7 +33,18 @@ def parse_ring(text):
     raise DomainError(f"unrecognized ring {text!r}; use zmod:M or poly:zmod:M")
 
 
+# integer flags: (flag, help); the default is the CampaignConfig field's
+_INT_FLAGS = (
+    ("--n", "matrix dimension"),
+    ("--trials", "instances to run"),
+    ("--max-degree", "degree cap for sampled polynomials (Z_m[t] rings only)"),
+    ("--max-len", "word length for the two-generator suite"),
+    ("--samples", "per-instance samples (theorem suites)"),
+)
+
+
 def build_parser():
+    # every default is CampaignConfig's, which _reject_unused compares to
     parser = argparse.ArgumentParser(
         prog="derivring",
         description="Exact verification campaigns for derivations on matrix rings.",
@@ -42,8 +53,9 @@ def build_parser():
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--ring", default="zmod:5", help="zmod:M or poly:zmod:M")
-    verify.add_argument("--n", type=int, default=2, help="matrix dimension")
-    verify.add_argument("--trials", type=int, default=100, help="instances to run")
+    for flag, text in _INT_FLAGS:
+        default = getattr(CampaignConfig, flag[2:].replace("-", "_"))
+        verify.add_argument(flag, type=int, default=default, help=text)
     verify.add_argument(
         "--seed",
         type=int,
@@ -53,22 +65,13 @@ def build_parser():
     verify.add_argument(
         "--noise",
         choices=[spec.value for spec in NoiseSpec],
-        default="none",
+        default=CampaignConfig.noise.value,
         help="witness ambiguity for the generated instances",
     )
     verify.add_argument(
-        "--max-degree", type=int, default=3, help="degree cap for sampled polynomials"
-    )
-    verify.add_argument(
         "--delta",
-        default="zero",
+        default=CampaignConfig.delta,
         help="base derivation for the extend suite: zero, d/dt, or t*d/dt",
-    )
-    verify.add_argument(
-        "--max-len", type=int, default=6, help="word length for the two-generator suite"
-    )
-    verify.add_argument(
-        "--samples", type=int, default=20, help="per-instance samples (theorem suites)"
     )
     verify.add_argument("--format", choices=["json", "text"], default="json")
     verify.add_argument("--out", default=None, help="write the report to a file")

@@ -1,12 +1,12 @@
 """Derivations on associative matrix rings: the inner action x -> [a, x],
-Leibniz verification, entrywise lifts of base-ring derivations, the 2x2
-extension block and its doubling tower up to M_n(R), and the
-two-generator propagation check.
+Leibniz verification, the lifts of base-ring derivations to M_n(R) (the
+entrywise lift, the 2x2 extension block and its doubling tower, which
+share one closed form), and the two-generator propagation check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .checks import CheckReport, Violation
@@ -17,7 +17,6 @@ from .rings import BaseDerivation, same_ring
 __all__ = [
     "InnerDerivation",
     "ExtensionResult",
-    "inner_apply",
     "leibniz_check",
     "entrywise",
     "extend_m2",
@@ -28,17 +27,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InnerDerivation:
-    """x -> a x - x a for a fixed generator a."""
+    """x -> [a, x] = a x - x a for a fixed generator a."""
 
     generator: Matrix
 
     def __call__(self, x):
-        return inner_apply(self.generator, x)
-
-
-def inner_apply(a, x):
-    """The inner derivation action [a, x] = ax - xa."""
-    return a * x - x * a
+        return commutator(self.generator, x)
 
 
 def leibniz_check(deriv, samples):
@@ -64,17 +58,31 @@ def leibniz_check(deriv, samples):
     return CheckReport(checked)
 
 
-def entrywise(delta, n):
-    """Lift a base derivation to M_n(R) by applying it to every entry.
-    Over a commutative base this is itself a derivation."""
+def _lift(delta, n, weight):
+    """The map X_ij -> delta(X_ij) + (weight[j] - weight[i]) X_ij on
+    M_n(R): the entrywise lift of delta plus the inner derivation of
+    -diag(weight), hence a derivation for any integer weights. Each
+    weight difference becomes a ring payload here, once."""
+    ring = delta.ring
+    shifts = tuple(ring.element(wj - wi).payload for wi in weight for wj in weight)
+    d, add, mul = delta.on_payload, ring.add, ring.mul
 
     def apply(mat):
         if mat.n != n:
             raise DomainError(f"expected a {n}x{n} matrix, got {mat.n}x{mat.n}")
-        ring = same_ring(delta, mat)
-        return Matrix(ring, n, tuple(map(delta.on_payload, mat.entries)))
+        same_ring(delta, mat)
+        pairs = zip(mat.entries, shifts)
+        return Matrix(
+            ring, n, tuple([add(d(x), mul(x, s)) if s else d(x) for x, s in pairs])
+        )
 
     return apply
+
+
+def entrywise(delta, n):
+    """Lift a base derivation to M_n(R) by applying it to every entry.
+    Over a commutative base this is itself a derivation."""
+    return _lift(delta, n, (0,) * n)
 
 
 def extend_m2(delta):
@@ -83,18 +91,9 @@ def extend_m2(delta):
         [[l, m], [v, e]] -> [[dl, dm + m], [dv - v, de]]
 
     i.e. the entrywise lift plus the inner derivation of diag(1/2, -1/2).
+    It is the doubling tower at n = 2.
     """
-
-    def apply(mat):
-        if mat.n != 2:
-            raise DomainError(f"extend_m2 acts on 2x2 matrices, got n={mat.n}")
-        ring, d = same_ring(delta, mat), delta.on_payload
-        lam, mu, nu, eta = mat.entries
-        return Matrix(
-            ring, 2, (d(lam), ring.add(d(mu), mu), ring.sub(d(nu), nu), d(eta))
-        )
-
-    return apply
+    return extend_tower(delta, 2)
 
 
 @dataclass(frozen=True)
@@ -112,20 +111,14 @@ class ExtensionResult:
     delta: BaseDerivation
     n: int
     depth: int
+    _apply: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weight = [k.bit_count() for k in range(self.n)]
+        object.__setattr__(self, "_apply", _lift(self.delta, self.n, weight))
 
     def __call__(self, mat):
-        if mat.n != self.n:
-            raise DomainError(f"expected a {self.n}x{self.n} matrix, got n={mat.n}")
-        n, ring, d = self.n, same_ring(self.delta, mat), self.delta.on_payload
-        weight = [k.bit_count() for k in range(n)]
-        out = []
-        for k, x in enumerate(mat.entries):
-            shift = weight[k % n] - weight[k // n]
-            if shift:
-                out.append(ring.add(d(x), ring.mul(x, ring.element(shift).payload)))
-            else:
-                out.append(d(x))
-        return Matrix(ring, n, tuple(out))
+        return self._apply(mat)
 
 
 def extend_tower(delta, n):

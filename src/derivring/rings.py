@@ -360,27 +360,24 @@ class PolyRing:
 
 
 class BaseDerivation:
-    """A derivation of a base ring: the zero map, d/dt, or f*(d/dt).
+    """A derivation of a base ring: p -> scale * dp/dt, with the payload
+    `scale` = delta(t).
 
-    On Z_m every derivation is zero (additivity plus delta(1) = 0 force
-    it), so only the zero map can be built there; the formal derivative
-    and its scalings live on Z_m[t].
+    A derivation of Z_m[t] is fixed by its value on the generator t, so
+    every one is delta(t) * d/dt: `zero` has scale 0, `formal` scale 1
+    and `scaled(f)` scale f. On Z_m every derivation is zero (additivity
+    plus delta(1) = 0 force it), so only the zero map can be built there.
     """
 
-    ZERO = "zero"
-    FORMAL = "d/dt"
-    SCALED = "scaled"
+    __slots__ = ("ring", "scale")
 
-    __slots__ = ("ring", "kind", "scale")
-
-    def __init__(self, ring, kind, scale=None):
+    def __init__(self, ring, scale):
         self.ring = ring
-        self.kind = kind
         self.scale = scale
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, cls.ZERO)
+        return cls(ring, ring.zero.payload)
 
     @classmethod
     def formal(cls, ring):
@@ -389,14 +386,14 @@ class BaseDerivation:
                 f"the formal derivative needs a polynomial ring; on {ring} "
                 "only the zero derivation exists"
             )
-        return cls(ring, cls.FORMAL)
+        return cls(ring, ring.one.payload)
 
     @classmethod
     def scaled(cls, factor):
         """The map p -> factor * dp/dt."""
         if not isinstance(factor, PolyElement):
             raise DomainError("the scale factor must be a polynomial ring element")
-        return cls(factor.ring, cls.SCALED, factor)
+        return cls(factor.ring, factor.payload)
 
     def __call__(self, p):
         same_ring(self, p)
@@ -404,15 +401,13 @@ class BaseDerivation:
 
     def on_payload(self, a):
         """The derivation on a canonical payload of its ring."""
-        if self.kind == self.ZERO:
-            return self.ring.zero.payload
-        m = self.ring.base.modulus
+        ring, scale = self.ring, self.scale
+        if not scale:
+            return ring.zero.payload
+        m = ring.base.modulus
         d = _strip([(k * a[k]) % m for k in range(1, len(a))])
-        if self.kind == self.SCALED:
-            return self.ring.mul(self.scale.payload, d)
-        return d
+        return d if scale == ring.one.payload else ring.mul(scale, d)
 
     def __repr__(self):
-        if self.kind == self.SCALED:
-            return f"BaseDerivation({self.scale!r} * d/dt)"
-        return f"BaseDerivation({self.kind} on {self.ring})"
+        scale = self.ring.format_payload(self.scale)
+        return f"BaseDerivation(({scale}) d/dt on {self.ring})"

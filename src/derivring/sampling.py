@@ -5,7 +5,8 @@ whole stream; the campaign layer derives per-instance seeds from it.
 
 from __future__ import annotations
 
-from .matrices import Matrix, SymmetricMatrix, probe_x0
+from .errors import DomainError
+from .matrices import Matrix, SymmetricMatrix
 
 __all__ = [
     "random_element",
@@ -54,12 +55,13 @@ def random_central(ring, n, rng, max_degree=3):
 
 
 def random_x0_commutant(ring, n, rng, max_degree=3):
-    """A random polynomial in the shift probe x0; such matrices commute
-    with x0, which is exactly the ambiguity allowed for the c witness."""
-    x0 = probe_x0(ring, n)
-    acc = Matrix.scalar(ring.sample(rng, max_degree), n)
-    power = Matrix.identity(ring, n)
-    for _ in range(1, n):
-        power = power * x0
-        acc = acc + power * ring.sample(rng, max_degree)
-    return acc
+    """A random polynomial c_0 + c_1 x0 + ... + c_{n-1} x0^{n-1} in the
+    shift probe x0, i.e. the upper-triangular Toeplitz matrix with c_{j-i}
+    at (i, j), j >= i. Such matrices commute with x0, which is exactly the
+    ambiguity allowed for the c witness."""
+    if n < 2:
+        raise DomainError("the shift probe needs n >= 2")
+    c = [ring.sample(rng, max_degree).payload for _ in range(n)]
+    zero = ring.zero.payload
+    ent = (c[j - i] if j >= i else zero for i in range(n) for j in range(n))
+    return Matrix(ring, n, tuple(ent))

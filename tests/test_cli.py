@@ -1,12 +1,14 @@
 """The command-line front end: flags, exit codes, report determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from derivring.cli import main, parse_ring
+from derivring.campaign import CampaignConfig
+from derivring.cli import build_parser, main, parse_ring
 from derivring.errors import DomainError
 from derivring.rings import PolyRing, Zmod
 
@@ -15,6 +17,16 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestDefaults:
+    def test_parser_defaults_are_campaign_defaults(self):
+        args = build_parser().parse_args(["verify", "theorem1"])
+        for field in dataclasses.fields(CampaignConfig):
+            if field.name in ("suite", "ring", "seed"):
+                continue
+            parsed = getattr(args, field.name)
+            assert parsed == getattr(field.default, "value", field.default)
 
 
 class TestParseRing:
@@ -61,6 +73,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "max_degree" in err
+
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    @pytest.mark.parametrize("suite", ["theorem1", "jordan-diag", "extend"])
+    def test_max_degree_on_zmod_is_config_error(self, capsys, suite, trials):
+        # Z_m samples are residues: a degree cap would be recorded, never read
+        code, out, err = run_cli(
+            capsys,
+            ["verify", suite, "--ring", "zmod:5", "--max-degree", "9",
+             "--trials", trials],
+        )
+        assert code == 2
+        assert out == ""
+        assert "Z_5 takes no max_degree; leave it at 3" in err
 
     def test_n_below_two_is_config_error(self, capsys):
         code, out, err = run_cli(
@@ -286,6 +311,20 @@ class TestOutput:
         assert code == 0
         assert "suite=theorem1" in out
         assert "failures=0" in out
+
+    def test_text_header_names_every_config_field(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "extend", "--ring", "poly:zmod:5", "--delta", "d/dt",
+             "--max-degree", "2", "--trials", "2", "--seed", "5",
+             "--format", "text"],
+        )
+        assert code == 0
+        header = out.splitlines()[0]
+        assert "delta=d/dt" in header
+        assert "max_degree=2" in header
+        for key in CampaignConfig("extend", PolyRing(Zmod(5))).to_obj():
+            assert f"{key}=" in header
 
 
 class TestConsoleScript:

@@ -16,11 +16,11 @@ from derivring import (
     entrywise,
     extend_m2,
     extend_tower,
-    inner_apply,
     leibniz_check,
     matrix_unit,
     two_generator_check,
 )
+from derivring.rings import RingElement
 from derivring.sampling import random_element, random_matrix
 
 Z5 = Zmod(5)
@@ -32,21 +32,21 @@ class TestInnerApply:
     def test_unit_relation(self):
         a = matrix_unit(Z5, 2, 1, 1)
         x = matrix_unit(Z5, 2, 1, 2)
-        assert inner_apply(a, x) == x
+        assert InnerDerivation(a)(x) == x
 
     def test_center_acts_trivially(self):
         rng = random.Random(21)
         z = Matrix.scalar(Z5.element(3), 2)
         for _ in range(50):
             x = random_matrix(Z5, 2, rng)
-            assert inner_apply(z, x).is_zero()
+            assert InnerDerivation(z)(x).is_zero()
 
     def test_dense_generator(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
         x = matrix_unit(Z5, 2, 1, 2)
         # schoolbook: a e12 puts column 1 of a into column 2, e12 a puts
         # row 2 of a into row 1; the difference mod 5 is [[2, 2], [0, 3]]
-        assert inner_apply(a, x) == Matrix.from_rows(Z5, [[2, 2], [0, 3]])
+        assert InnerDerivation(a)(x) == Matrix.from_rows(Z5, [[2, 2], [0, 3]])
 
     def test_central_shift_acts_identically(self):
         rng = random.Random(22)
@@ -56,7 +56,7 @@ class TestInnerApply:
             for i in range(1, 4):
                 for j in range(1, 4):
                     unit = matrix_unit(Z5, 3, i, j)
-                    assert inner_apply(a, unit) == inner_apply(a + z, unit)
+                    assert InnerDerivation(a)(unit) == InnerDerivation(a + z)(unit)
 
 
 class TestLeibnizCheck:
@@ -83,6 +83,14 @@ class TestLeibnizCheck:
         zero = Matrix.zero(Z5, 2)
         report = leibniz_check(lambda x: zero, [(zero, zero)])
         assert report.ok
+
+
+def literal_m2(delta, mat):
+    """The 2x2 extension written out entry by entry, as a reference:
+    [[l, m], [v, e]] -> [[dl, dm + m], [dv - v, de]]."""
+    lam, mu, nu, eta = (mat.entry(i, j) for i in (1, 2) for j in (1, 2))
+    rows = [[delta(lam), delta(mu) + mu], [delta(nu) - nu, delta(eta)]]
+    return Matrix.from_rows(mat.ring, rows)
 
 
 class TestExtendM2:
@@ -135,6 +143,25 @@ class TestEntrywise:
         rng = random.Random(25)
         assert lift(random_matrix(P5, 2, rng)).is_zero()
 
+    @pytest.mark.parametrize("ring", [P5, P9])
+    @pytest.mark.parametrize("kind", ["zero", "d/dt", "t*d/dt"])
+    def test_matches_per_entry_delta(self, ring, kind):
+        delta = {
+            "zero": BaseDerivation.zero(ring),
+            "d/dt": BaseDerivation.formal(ring),
+            "t*d/dt": BaseDerivation.scaled(ring.t),
+        }[kind]
+        rng = random.Random(35)
+        for n in (1, 2, 3, 4):
+            lift = entrywise(delta, n)
+            for _ in range(10):
+                m = random_matrix(ring, n, rng)
+                expected = [
+                    [delta(m.entry(i, j)) for j in range(1, n + 1)]
+                    for i in range(1, n + 1)
+                ]
+                assert lift(m) == Matrix.from_rows(ring, expected)
+
     def test_is_a_derivation(self):
         rng = random.Random(26)
         lift = entrywise(BaseDerivation.formal(P5), 3)
@@ -157,13 +184,32 @@ class TestExtendTower:
             extend_tower(BaseDerivation.formal(P5), 1)
 
     def test_matches_extend_m2(self):
+        # both against the literal formula: extend_m2 is the tower at n = 2
         rng = random.Random(27)
         delta = BaseDerivation.formal(P5)
         tower = extend_tower(delta, 2)
         block = extend_m2(delta)
         for _ in range(500):
             m = random_matrix(P5, 2, rng, max_degree=2)
-            assert tower(m) == block(m)
+            expected = literal_m2(delta, m)
+            assert tower(m) == expected
+            assert block(m) == expected
+
+    def test_applying_creates_no_ring_elements(self, monkeypatch):
+        rng = random.Random(34)
+        tower = extend_tower(BaseDerivation.scaled(P5.t), 5)
+        m = random_matrix(P5, 5, rng)
+        created = []
+        init = RingElement.__init__
+
+        def counted(self, ring, payload):
+            created.append(payload)
+            init(self, ring, payload)
+
+        monkeypatch.setattr(RingElement, "__init__", counted)
+        tower(m)
+        tower(m * m)
+        assert created == []
 
     def test_zero_delta_still_a_derivation(self):
         rng = random.Random(28)

@@ -241,6 +241,13 @@ class TestBaseDerivation:
         with pytest.raises(DomainError):
             d(P9.t)
 
+    @given(st.lists(st.integers(0, 4), max_size=6))
+    def test_scale_one_and_zero(self, coeffs):
+        # delta(t) = 1 is d/dt and delta(t) = 0 the zero map
+        p = P5.element(coeffs)
+        assert BaseDerivation.scaled(P5.one)(p) == BaseDerivation.formal(P5)(p)
+        assert BaseDerivation.scaled(P5.zero)(p) == BaseDerivation.zero(P5)(p)
+
     @given(
         st.sampled_from(["zero", "formal", "scaled"]),
         st.lists(st.integers(0, 4), max_size=5),

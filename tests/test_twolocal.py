@@ -402,6 +402,42 @@ class TestOffdiagFormula:
         assert outcomes == {True, False}
 
 
+def literal_diag_difference(b, c, n):
+    """c^{k,k} - c^{l,l} == b^{k,k} - b^{l,l} for every pair k < l."""
+    return all(
+        c.entry(k, k) - c.entry(l, l) == b.entry(k, k) - b.entry(l, l)
+        for k in range(1, n + 1)
+        for l in range(k + 1, n + 1)
+    )
+
+
+def product_x0_polynomial(ring, n, rng, max_degree=3):
+    """c_0 + c_1 x0 + ... + c_{n-1} x0^{n-1} built from powers of x0, with
+    the coefficients drawn in order, as a reference for the Toeplitz form."""
+    x0 = probe_x0(ring, n)
+    acc = Matrix.scalar(ring.sample(rng, max_degree), n)
+    power = Matrix.identity(ring, n)
+    for _ in range(1, n):
+        power = power * x0
+        acc = acc + power * ring.sample(rng, max_degree)
+    return acc
+
+
+class TestX0Commutant:
+    @pytest.mark.parametrize("ring", [Z9, P5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_product_built_polynomial(self, ring, n):
+        x0 = probe_x0(ring, n)
+        for seed in range(10):
+            got = random_x0_commutant(ring, n, random.Random(seed))
+            assert got == product_x0_polynomial(ring, n, random.Random(seed))
+            assert commutator(got, x0).is_zero()
+
+    def test_needs_n_at_least_two(self):
+        with pytest.raises(DomainError):
+            random_x0_commutant(Z9, 1, random.Random(0))
+
+
 class TestDiagDifference:
     def test_frozen_example(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
@@ -424,6 +460,26 @@ class TestDiagDifference:
             b = hidden + random_x0_commutant(Z9, 4, rng)
             c = hidden + random_x0_commutant(Z9, 4, rng)
             assert check_diag_difference(b, c, oracle)
+
+    @pytest.mark.parametrize("ring", [Z9, P5])
+    def test_agrees_with_pairwise_reference(self, ring):
+        # [c - b, x0] = 0 makes c - b a polynomial in x0, whose diagonal is
+        # constant, so every pair within the contract passes; a diagonal
+        # bump breaks the pairwise identity and the contract together
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            hidden = random_matrix(ring, n, rng)
+            oracle = TwoLocalOracle(ring, n, InnerDerivation(hidden))
+            b = hidden + random_x0_commutant(ring, n, rng)
+            c = hidden + random_x0_commutant(ring, n, rng)
+            assert literal_diag_difference(b, c, n)
+            assert check_diag_difference(b, c, oracle)
+            k = rng.randint(1, n)
+            bumped = c + matrix_unit(ring, n, k, k)
+            assert not literal_diag_difference(b, bumped, n)
+            with pytest.raises(ContractError):
+                check_diag_difference(b, bumped, oracle)
 
     def test_non_witness_rejected(self):
         hidden = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
