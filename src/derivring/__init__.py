@@ -29,7 +29,6 @@ from .jordan import (
     check_diag_zero,
     corner_compress,
     gen_jordan_instance,
-    jordan_inner_apply,
     pairs_to_commutator,
     reconstruct_abar_jordan,
     verify_jordan_theorem,
@@ -100,7 +99,6 @@ __all__ = [
     "extend_tower",
     "gen_jordan_instance",
     "gen_witness_family",
-    "jordan_inner_apply",
     "jordan_mul",
     "jordan_unit",
     "leibniz_check",

@@ -359,14 +359,7 @@ def _jordan_theorem(config):
         samples = [
             random_symmetric(ring, n, irng, degree) for _ in range(config.samples)
         ]
-        pairs = [
-            (
-                random_symmetric(ring, n, irng, degree),
-                random_symmetric(ring, n, irng, degree),
-            )
-            for _ in range(config.samples)
-        ]
-        yield from verify_jordan_theorem(oracle, family, samples, pairs).violations
+        yield from verify_jordan_theorem(oracle, family, samples).violations
 
     return check
 

@@ -24,7 +24,6 @@ from .twolocal import ReconstructionResult, TwoLocalOracle, _ValidatedFamily
 __all__ = [
     "JordanPairDerivation",
     "JordanWitnessFamily",
-    "jordan_inner_apply",
     "pairs_to_commutator",
     "check_diag_zero",
     "check_corner_consistency",
@@ -51,21 +50,18 @@ class JordanPairDerivation:
         self.pairs = pairs
 
     def __call__(self, x):
-        return jordan_inner_apply(self, x)
-
-
-def jordan_inner_apply(pd, x):
-    """Apply the pair-list derivation; a SymmetricMatrix input gives a
-    SymmetricMatrix output. (The same formula on arbitrary matrices still
-    equals the commutator action of the reduced generator.)"""
-    if x.n != pd.n or x.ring != pd.ring:
-        raise DomainError(f"expected a {pd.n}x{pd.n} matrix over {pd.ring}")
-    acc = Matrix.zero(pd.ring, pd.n)
-    for a, b in pd.pairs:
-        acc = acc + jordan_mul(a, jordan_mul(b, x)) - jordan_mul(b, jordan_mul(a, x))
-    if isinstance(x, SymmetricMatrix):
-        return SymmetricMatrix(acc.ring, acc.n, acc.entries)
-    return acc
+        """Apply the pair-list derivation; a SymmetricMatrix input gives a
+        SymmetricMatrix output. (The same formula on arbitrary matrices
+        still equals the commutator action of the reduced generator.)"""
+        if x.n != self.n or x.ring != self.ring:
+            raise DomainError(f"expected a {self.n}x{self.n} matrix over {self.ring}")
+        acc = Matrix.zero(self.ring, self.n)
+        for a, b in self.pairs:
+            acc = acc + jordan_mul(a, jordan_mul(b, x))
+            acc = acc - jordan_mul(b, jordan_mul(a, x))
+        if isinstance(x, SymmetricMatrix):
+            return SymmetricMatrix(acc.ring, acc.n, acc.entries)
+        return acc
 
 
 def pairs_to_commutator(pd):
@@ -100,21 +96,21 @@ def check_corner_consistency(d_ii, d_jj, i, j):
     """The corner agreements between the diagonal-probe witnesses d(ii)
     and d(jj). The (i,i) and (j,j) corners of d(ii) and the (j,j) corner
     of d(jj) must coincide; they sit at different positions, so all three
-    entries must vanish. The two witnesses must also agree at every
-    off-diagonal position in row or column i or j."""
+    entries must vanish. The two witnesses must also agree at (i,j) and
+    (j,i), the only off-diagonal positions that both of them fix:
+    Delta(e_{i,i}) = [d(ii), e_{i,i}] reads d(ii) only in row and column i.
+
+    This is stricter than validation, which checks each witness against
+    its own probe alone. Agreement at (j,i) says that Delta(e_{i,i}) +
+    Delta(e_{j,j}) vanishes there, which holds when one element implements
+    Delta at both probes, as 2-locality provides."""
     if i == j:
         raise DomainError("corner consistency compares distinct indices")
     d_ii._require_compatible(d_jj)
-    n = d_ii.n
     diagonal = (d_ii.entry(i, i), d_ii.entry(j, j), d_jj.entry(j, j))
     if not all(z.is_zero() for z in diagonal):
         return False
-    return all(
-        d_ii.entry(r, c) == d_jj.entry(r, c)
-        for r in range(1, n + 1)
-        for c in range(1, n + 1)
-        if r != c and (r in (i, j) or c in (i, j))
-    )
+    return all(d_ii.entry(r, c) == d_jj.entry(r, c) for r, c in ((i, j), (j, i)))
 
 
 def corner_compress(oracle, i, j):
@@ -165,8 +161,8 @@ def reconstruct_abar_jordan(family):
     """Reassemble the implementing element from the diagonal-probe
     witnesses: off the diagonal, row i of abar is row i of d(ii), and the
     diagonal is zero. A nonzero (i,i) entry of d(ii) (which validation
-    rules out), a corner disagreement between two witnesses, or a result
-    that is not skew trips a ContractError. abar is a SkewMatrix."""
+    rules out), a disagreement of d(ii) and d(jj) at (i,j) or (j,i), or a
+    result that is not skew trips a ContractError. abar is a SkewMatrix."""
     family._require_validated()
     ring, n, diag = family.ring, family.n, family.diag
     for i in range(1, n + 1):
@@ -188,10 +184,13 @@ def reconstruct_abar_jordan(family):
     return ReconstructionResult(abar)
 
 
-def verify_jordan_theorem(oracle, family, samples, pairs):
+def verify_jordan_theorem(oracle, family, samples):
     """Check, exactly: Delta(x) = [abar, x] on every sample, symmetry of
     every value, and the Jordan Leibniz rule
-    D(x.y) = D(x).y + x.D(y) for D = [abar, .] on the sampled pairs.
+    D(x.y) = D(x).y + x.D(y) for D = [abar, .] on consecutive samples:
+    pair k is (sample k, sample k+1), and the last sample pairs with the
+    first (a single sample pairs with itself). The rule reuses the values
+    [abar, x] that the action check computed.
 
     `jordan-leibniz` cannot fire for any map a suite passes in: whatever
     abar is reconstructed, [abar, .] is an inner derivation of the
@@ -203,28 +202,28 @@ def verify_jordan_theorem(oracle, family, samples, pairs):
         raise DomainError("verify_jordan_theorem needs at least one sample")
     family.ensure_validated(oracle)
     abar = reconstruct_abar_jordan(family).abar
-    checked = 0
+    images = []
     for idx, x in enumerate(samples):
         lhs = oracle(x)
         rhs = commutator(abar, x)
         if lhs != rhs:
-            return CheckReport(
-                checked, (Violation("action", f"sample {idx}", lhs, rhs),)
-            )
+            return CheckReport(idx, (Violation("action", f"sample {idx}", lhs, rhs),))
         if not lhs.is_symmetric():
             return CheckReport(
-                checked, (Violation("closure", f"sample {idx}", lhs, lhs.transpose()),)
+                idx, (Violation("closure", f"sample {idx}", lhs, lhs.transpose()),)
             )
-        checked += 1
-    for idx, (x, y) in enumerate(pairs):
+        images.append(rhs)
+    count = len(samples)
+    for idx, x in enumerate(samples):
+        nxt = (idx + 1) % count
+        y = samples[nxt]
         lhs = commutator(abar, jordan_mul(x, y))
-        rhs = jordan_mul(commutator(abar, x), y) + jordan_mul(x, commutator(abar, y))
+        rhs = jordan_mul(images[idx], y) + jordan_mul(x, images[nxt])
         if lhs != rhs:
             return CheckReport(
-                checked, (Violation("jordan-leibniz", f"pair {idx}", lhs, rhs),)
+                count + idx, (Violation("jordan-leibniz", f"pair {idx}", lhs, rhs),)
             )
-        checked += 1
-    return CheckReport(checked)
+    return CheckReport(2 * count)
 
 
 def gen_jordan_instance(hidden_pairs, seed, max_degree=3):

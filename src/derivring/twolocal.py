@@ -245,7 +245,12 @@ def check_diag_difference(b, c, oracle):
     """Both b and c must witness Delta at x0 (ContractError otherwise);
     then their diagonal entries agree up to a common shift, i.e.
     c^{k,k} - c^{l,l} == b^{k,k} - b^{l,l} for every pair k, l, which
-    says exactly that the diagonal of c - b is constant."""
+    says exactly that the diagonal of c - b is constant.
+
+    It cannot return False on accepted inputs, so `diag-difference`
+    cannot fire from the lemma suite: both witnesses agree with Delta at
+    x0, so c - b commutes with the shift x0, and entry (k, k+1) of that
+    equation is (c - b)^{k,k} == (c - b)^{k+1,k+1}."""
     ring, n = oracle.ring, oracle.n
     x0 = probe_x0(ring, n)
     dx0 = oracle(x0)

@@ -16,7 +16,6 @@ from derivring import (
     commutator,
     extend_m2,
     extend_tower,
-    jordan_inner_apply,
     leibniz_check,
     matrix_unit,
     pairs_to_commutator,
@@ -143,7 +142,7 @@ def test_c5_jordan_reduction():
         pd = JordanPairDerivation(Z9, 4, random_pairs(Z9, 4, rng, rng.randint(1, 3)))
         s = pairs_to_commutator(pd)
         x = random_symmetric(Z9, 4, rng)
-        out = jordan_inner_apply(pd, x)
+        out = pd(x)
         assert out == commutator(s, x)
         assert out.is_symmetric()
     for _ in range(500):
@@ -157,7 +156,8 @@ def test_c5_jordan_reduction():
 def test_c6_jordan_theorem():
     # 2-local inner derivations on H_n(R) are derivations: the
     # reconstructed skew element implements the action and satisfies the
-    # Jordan Leibniz rule, 50 samples and 50 pairs per instance
+    # Jordan Leibniz rule, 50 samples per instance and 50 pairs of
+    # consecutive samples (the last pairs with the first)
     start = time.perf_counter()
     for n in (2, 3):
         for ring in (Z5, Z9):

@@ -192,7 +192,7 @@ class TestViolationsAreData:
         family.validate(oracle)
         sample = random_symmetric(Z9, 2, rng) + Matrix.identity(Z9, 2)
         samples = [SymmetricMatrix.of(sample)]
-        report = verify_jordan_theorem(oracle, family, samples, [])
+        report = verify_jordan_theorem(oracle, family, samples)
         assert not report.ok
 
 

@@ -22,7 +22,6 @@ from derivring import (
     corner,
     corner_compress,
     gen_jordan_instance,
-    jordan_inner_apply,
     jordan_mul,
     jordan_unit,
     matrix_unit,
@@ -66,11 +65,6 @@ def skew_oracle(s):
     return TwoLocalOracle(s.ring, s.n, lambda x: commutator(s, x))
 
 
-def consecutive(samples):
-    """Each sample paired with the next, the last with the first."""
-    return list(zip(samples, samples[1:] + samples[:1]))
-
-
 def family_from_skew(s):
     diag = {i: s for i in range(1, s.n + 1)}
     return JordanWitnessFamily(s.ring, s.n, diag)
@@ -78,15 +72,12 @@ def family_from_skew(s):
 
 def literal_corner_consistency(d_ii, d_jj, i, j):
     """Reference: the corner identities as equalities of corner matrices."""
-    n = d_ii.n
     if corner(d_ii, i, i) != corner(d_ii, j, j):
         return False
     if corner(d_ii, i, i) != corner(d_jj, j, j):
         return False
+    # Delta(e_{i,i}) fixes d(ii) only in row and column i
     shared = [(i, j), (j, i)]
-    for k in range(1, n + 1):
-        if k not in (i, j):
-            shared += [(i, k), (k, i), (j, k), (k, j)]
     return all(corner(d_ii, r, c) == corner(d_jj, r, c) for r, c in shared)
 
 
@@ -120,26 +111,26 @@ class TestPairAction:
         pd = JordanPairDerivation(Z5, 2, [(e11, eb12)])
         # with 1/2 = 3 over Z_5 the two terms are 4*eb12 and 3*eb12
         assert jordan_mul(eb12, e11) == eb12 * Z5.element(3)
-        assert jordan_inner_apply(pd, e11) == eb12
+        assert pd(e11) == eb12
 
     def test_equal_pairs_act_trivially(self):
         rng = random.Random(60)
         a = random_symmetric(Z9, 3, rng)
         pd = JordanPairDerivation(Z9, 3, [(a, a)])
         x = random_symmetric(Z9, 3, rng)
-        assert jordan_inner_apply(pd, x).is_zero()
+        assert pd(x).is_zero()
 
     def test_empty_list_is_zero(self):
         pd = JordanPairDerivation(Z5, 2)
         x = random_symmetric(Z5, 2, random.Random(61))
-        assert jordan_inner_apply(pd, x).is_zero()
+        assert pd(x).is_zero()
 
     def test_symmetric_closure(self):
         rng = random.Random(62)
         for _ in range(100):
             pd = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 2))
             x = random_symmetric(Z9, 3, rng)
-            out = jordan_inner_apply(pd, x)
+            out = pd(x)
             assert isinstance(out, SymmetricMatrix)
             assert out.is_symmetric()
 
@@ -174,7 +165,7 @@ class TestReduction:
             )
             s = pairs_to_commutator(pd)
             x = random_symmetric(Z9, 3, rng)
-            assert jordan_inner_apply(pd, x) == commutator(s, x)
+            assert pd(x) == commutator(s, x)
 
     def test_action_equivalence_on_full_matrix_ring(self):
         # the same pair formula applied to arbitrary matrices still equals
@@ -188,7 +179,7 @@ class TestReduction:
             )
             s = pairs_to_commutator(pd)
             x = random_matrix(Z9, 3, rng)
-            assert jordan_inner_apply(pd, x) == commutator(s, x)
+            assert pd(x) == commutator(s, x)
 
     def test_reduced_generator_is_skew_zero_diag(self):
         rng = random.Random(66)
@@ -280,18 +271,24 @@ class TestCornerConsistency:
 
     @pytest.mark.parametrize("pos", [(1, 2), (2, 1), (1, 3), (4, 2), (2, 3)])
     def test_skew_witnesses_differing_at_a_shared_position(self, pos):
+        # (i,j) and (j,i) are the positions both d(ii) and d(jj) fix
         rng = random.Random(721)
         s = random_skew(Z9, 4, rng)
         t = s + skew_unit(Z9, 4, *pos, nonzero_element(Z9, rng))
-        assert not check_corner_consistency(s, t, 1, 2)
-        assert not literal_corner_consistency(s, t, 1, 2)
+        i, j = sorted(pos)
+        assert not check_corner_consistency(s, t, i, j)
+        assert not literal_corner_consistency(s, t, i, j)
 
     def test_skew_witnesses_differing_elsewhere(self):
-        # (3,4) lies outside rows and columns 1 and 2
+        # (3,4) lies outside rows and columns 1 and 2; each of the others
+        # lies outside row and column 1 or outside row and column 2, so
+        # validation leaves it free in d(11) or in d(22)
         rng = random.Random(722)
         s = random_skew(Z9, 4, rng)
-        t = s + skew_unit(Z9, 4, 3, 4, nonzero_element(Z9, rng))
-        assert check_corner_consistency(s, t, 1, 2)
+        for pos in [(3, 4), (1, 3), (4, 2), (2, 3)]:
+            t = s + skew_unit(Z9, 4, *pos, nonzero_element(Z9, rng))
+            assert check_corner_consistency(s, t, 1, 2)
+            assert literal_corner_consistency(s, t, 1, 2)
 
     @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
     def test_matches_corner_form(self, ring, n):
@@ -431,6 +428,16 @@ class TestJordanReconstruction:
         family._validated_with = TwoLocalOracle(Z9, n, lambda x: Matrix.zero(Z9, n))
         return family
 
+    def test_witnesses_differing_off_their_probes(self):
+        # e_12 - e_21 commutes with e_33, so d(33) may differ from d(11)
+        # at (1,2) and (2,1) and the family still validates
+        hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, random.Random(5), 2))
+        s = pairs_to_commutator(hidden)
+        free = skew_unit(Z9, 3, 1, 2, Z9.one)
+        family = JordanWitnessFamily(Z9, 3, {1: s, 2: s, 3: s + free})
+        family.validate(TwoLocalOracle(Z9, 3, hidden))
+        assert reconstruct_abar_jordan(family).abar == s
+
     def test_nonzero_diagonal_summand(self):
         zero = Matrix.zero(Z9, 3)
         family = self._tampered(zero, matrix_unit(Z9, 3, 2, 2), zero)
@@ -462,13 +469,12 @@ class TestJordanTheorem:
             )
             oracle, family = gen_jordan_instance(hidden, seed=rng.getrandbits(32))
             samples = [random_symmetric(ring, n, rng) for _ in range(20)]
-            pairs = consecutive(samples)
-            assert verify_jordan_theorem(oracle, family, samples, pairs).ok
+            assert verify_jordan_theorem(oracle, family, samples).ok
 
     def test_zero_instance(self):
         oracle, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=9)
         samples = [random_symmetric(Z5, 2, random.Random(82)) for _ in range(5)]
-        assert verify_jordan_theorem(oracle, family, samples, consecutive(samples)).ok
+        assert verify_jordan_theorem(oracle, family, samples).ok
 
     def test_every_commutator_has_typed_arguments(self, monkeypatch):
         # each commutator of the witness pipeline takes one product
@@ -486,9 +492,37 @@ class TestJordanTheorem:
         hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 3))
         oracle, family = gen_jordan_instance(hidden, seed=12)
         samples = [random_symmetric(Z9, 3, rng) for _ in range(4)]
-        assert verify_jordan_theorem(oracle, family, samples, consecutive(samples)).ok
+        assert verify_jordan_theorem(oracle, family, samples).ok
         assert parities
         assert all(p * q for p, q in parities)
+
+    @pytest.mark.parametrize("count,k", [(3, 0), (3, 1), (3, 2), (1, 0)])
+    def test_leibniz_sees_a_bent_product(self, monkeypatch, count, k):
+        # bend x.y for pair k = (sample k, sample k+1) alone, the last
+        # sample pairing with the first and a single sample with itself;
+        # [s, e_11] != 0, so only the Leibniz check of pair k can fire
+        import derivring.jordan as jordan
+
+        s = skew_unit(Z9, 3, 1, 2, Z9.one)
+        e11 = sym_unit(Z9, 3, 1, 1)
+        rng = random.Random(87)
+        samples = [random_symmetric(Z9, 3, rng) for _ in range(count)]
+        x, y = samples[k], samples[(k + 1) % count]
+        real = jordan.jordan_mul
+
+        def bent(a, b):
+            out = real(a, b)
+            if a is x and b is y:
+                out = SymmetricMatrix.of(out + e11)
+            return out
+
+        monkeypatch.setattr(jordan, "jordan_mul", bent)
+        oracle = skew_oracle(s)
+        report = verify_jordan_theorem(oracle, family_from_skew(s), samples)
+        assert report.checked == count + k
+        (v,) = report.violations
+        assert (v.kind, v.probe) == ("jordan-leibniz", f"pair {k}")
+        assert v.lhs - v.rhs == commutator(s, e11)
 
     def test_symmetric_unit_probes(self):
         rng = random.Random(83)
@@ -504,7 +538,7 @@ class TestJordanTheorem:
     def test_needs_samples(self):
         oracle, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=11)
         with pytest.raises(DomainError):
-            verify_jordan_theorem(oracle, family, [], [])
+            verify_jordan_theorem(oracle, family, [])
 
 
 class TestJordanGenerator:
