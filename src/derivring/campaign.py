@@ -171,12 +171,12 @@ def run_campaign(config):
 
 def _witness_instance(config, irng):
     """The 2-local instance of theorem1 and the witness lemmas: a hidden
-    element and its validated witness family."""
+    element and a witness family of its inner derivation."""
     hidden = random_matrix(config.ring, config.n, irng, config.max_degree)
-    oracle, family = gen_witness_family(
+    _, family = gen_witness_family(
         hidden, config.noise, irng.getrandbits(63), config.max_degree
     )
-    return hidden, oracle, family
+    return hidden, family
 
 
 def _require(config, field, minimum):
@@ -206,14 +206,14 @@ def _theorem1(config):
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
-        hidden, oracle, family = _witness_instance(config, irng)
+        hidden, family = _witness_instance(config, irng)
         # abar is recovered up to the centre of M_n(R), which is R*I
         drift = reconstruct_abar(family).abar - hidden
         central = Matrix.scalar(drift.entry(1, 1), n)
         if drift != central:
             yield Violation("recovery-up-to-center", "abar-hidden", drift, central)
         samples = [random_matrix(ring, n, irng, degree) for _ in range(config.samples)]
-        yield from verify_theorem1(oracle, family, samples).violations
+        yield from verify_theorem1(family, samples).violations
 
     return check
 
@@ -224,7 +224,7 @@ def _lemma_cross(config):
     n = config.n
 
     def check(irng):
-        _, _, family = _witness_instance(config, irng)
+        _, family = _witness_instance(config, irng)
         a = family.offdiag
         for (i, j) in sorted(a):
             for k in range(1, n + 1):
@@ -248,10 +248,10 @@ def _lemma_offdiag(config):
     ring, n = config.ring, config.n
 
     def check(irng):
-        _, oracle, family = _witness_instance(config, irng)
+        _, family = _witness_instance(config, irng)
         for (i, j) in sorted(family.offdiag):
-            if not check_offdiag_formula(family, oracle, i, j):
-                lhs = oracle(matrix_unit(ring, n, i, j))
+            if not check_offdiag_formula(family, i, j):
+                lhs = family.oracle(matrix_unit(ring, n, i, j))
                 yield Violation("offdiag-expansion", f"e[{i},{j}]", lhs, "expansion")
 
     return check
@@ -355,11 +355,11 @@ def _jordan_theorem(config):
         hidden = JordanPairDerivation(
             ring, n, random_pairs(ring, n, irng, irng.randint(1, 3), degree)
         )
-        oracle, family = gen_jordan_instance(hidden, irng.getrandbits(63), degree)
+        _, family = gen_jordan_instance(hidden, irng.getrandbits(63), degree)
         samples = [
             random_symmetric(ring, n, irng, degree) for _ in range(config.samples)
         ]
-        yield from verify_jordan_theorem(oracle, family, samples).violations
+        yield from verify_jordan_theorem(family, samples).violations
 
     return check
 

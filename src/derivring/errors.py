@@ -16,7 +16,7 @@ class DomainError(DerivringError):
 
 class ContractError(DerivringError):
     """A validated precondition does not hold, e.g. witness data that is
-    inconsistent with its oracle or has not been validated at all."""
+    inconsistent with its oracle."""
 
 
 class ParseError(DerivringError):

@@ -130,22 +130,25 @@ def corner_compress(oracle, i, j):
 
 
 class JordanWitnessFamily(_ValidatedFamily):
-    """The reduced diagonal-probe witnesses: for each index i the matrix
-    d(ii) = (1/4) sum [a_k, b_k] of a pair list witnessing Delta at
-    e_{i,i}. Each d(ii) must be skew, hence with zero diagonal."""
+    """The reduced diagonal-probe witnesses of `oracle`: for each index i
+    the matrix d(ii) = (1/4) sum [a_k, b_k] of a pair list witnessing
+    Delta at e_{i,i}. Each d(ii) must be skew, hence with zero diagonal."""
 
     __slots__ = ()
 
-    def __init__(self, ring, n, diag):
-        super().__init__(ring, n, diag, set(range(1, n + 1)), "d(ii) per index")
+    def __init__(self, oracle, diag):
+        super().__init__(oracle, diag, set(range(1, oracle.n + 1)), "d(ii) per index")
+        self.validate()
 
     @property
     def diag(self):
         """d(ii) by i, read-only."""
         return self._witnesses
 
-    def validate(self, oracle):
-        ring, n = self.ring, self.n
+    def validate(self):
+        """Check each d(ii) for skewness and against the oracle at e_{i,i};
+        raises ContractError on the first failure."""
+        oracle, ring, n = self.oracle, self.ring, self.n
         for i in range(1, n + 1):
             try:
                 d = SkewMatrix.of(self.diag[i])
@@ -154,16 +157,16 @@ class JordanWitnessFamily(_ValidatedFamily):
             unit = SymmetricMatrix.of(matrix_unit(ring, n, i, i))
             if oracle(unit) != commutator(d, unit):
                 raise ContractError(f"d({i}{i}) does not witness Delta at e[{i},{i}]")
-        self._validated_with = oracle
 
 
 def reconstruct_abar_jordan(family):
     """Reassemble the implementing element from the diagonal-probe
     witnesses: off the diagonal, row i of abar is row i of d(ii), and the
-    diagonal is zero. A nonzero (i,i) entry of d(ii) (which validation
-    rules out), a disagreement of d(ii) and d(jj) at (i,j) or (j,i), or a
-    result that is not skew trips a ContractError. abar is a SkewMatrix."""
-    family._require_validated()
+    diagonal is zero. A nonzero (i,i) entry of d(ii), a disagreement of
+    d(ii) and d(jj) at (i,j) or (j,i), or a result that is not skew trips
+    a ContractError; abar is a SkewMatrix. Neither the first nor the last
+    can fire for a family that passed its constructor: each d(ii) is
+    skew, so once the corners agree the result is skew as well."""
     ring, n, diag = family.ring, family.n, family.diag
     for i in range(1, n + 1):
         if not diag[i].entry(i, i).is_zero():
@@ -184,13 +187,13 @@ def reconstruct_abar_jordan(family):
     return ReconstructionResult(abar)
 
 
-def verify_jordan_theorem(oracle, family, samples):
-    """Check, exactly: Delta(x) = [abar, x] on every sample, symmetry of
-    every value, and the Jordan Leibniz rule
-    D(x.y) = D(x).y + x.D(y) for D = [abar, .] on consecutive samples:
-    pair k is (sample k, sample k+1), and the last sample pairs with the
-    first (a single sample pairs with itself). The rule reuses the values
-    [abar, x] that the action check computed.
+def verify_jordan_theorem(family, samples):
+    """Check, exactly, for the oracle Delta that `family` witnesses:
+    Delta(x) = [abar, x] on every sample, symmetry of every value, and the
+    Jordan Leibniz rule D(x.y) = D(x).y + x.D(y) for D = [abar, .] on
+    consecutive samples: pair k is (sample k, sample k+1), and the last
+    sample pairs with the first (a single sample pairs with itself). The
+    rule reuses the values [abar, x] that the action check computed.
 
     `jordan-leibniz` cannot fire for any map a suite passes in: whatever
     abar is reconstructed, [abar, .] is an inner derivation of the
@@ -200,7 +203,7 @@ def verify_jordan_theorem(oracle, family, samples):
     samples = list(samples)
     if not samples:
         raise DomainError("verify_jordan_theorem needs at least one sample")
-    family.ensure_validated(oracle)
+    oracle = family.oracle
     abar = reconstruct_abar_jordan(family).abar
     images = []
     for idx, x in enumerate(samples):
@@ -231,7 +234,7 @@ def gen_jordan_instance(hidden_pairs, seed, max_degree=3):
     Each d(ii) is reduced from an independently re-expressed pair list
     for the same map: pairs are split by bilinearity in the first slot,
     canceling pairs (r, r) are appended, and the list is shuffled. All of
-    these preserve sum [a_k, b_k] exactly."""
+    these preserve sum [a_k, b_k] exactly. `family.oracle is oracle`."""
     ring, n = hidden_pairs.ring, hidden_pairs.n
     rng = random.Random(seed)
     oracle = TwoLocalOracle(ring, n, hidden_pairs)
@@ -239,9 +242,7 @@ def gen_jordan_instance(hidden_pairs, seed, max_degree=3):
     for i in range(1, n + 1):
         reexpressed = _reexpress(hidden_pairs.pairs, ring, n, rng, max_degree)
         diag[i] = pairs_to_commutator(JordanPairDerivation(ring, n, reexpressed))
-    family = JordanWitnessFamily(ring, n, diag)
-    family.validate(oracle)
-    return oracle, family
+    return oracle, JordanWitnessFamily(oracle, diag)
 
 
 def _reexpress(pairs, ring, n, rng, max_degree):

@@ -179,25 +179,30 @@ def family_to_obj(family):
     }
 
 
-def family_from_obj(obj):
+def family_from_obj(obj, oracle):
+    """The witness family of `oracle` that `obj` spells: ParseError if
+    `obj` is malformed or its ring or n is not the oracle's, ContractError
+    if its witnesses do not witness the oracle."""
     keys = ("ring", "n", "witnesses", "c")
-    ring, n, offdiag = _witnesses_from_obj(obj, "witness family", keys, ("i", "j"))
-    c = _rows_from_obj(ring, n, obj["c"], what="witness c")
-    return _family(WitnessFamily, ring, n, offdiag, c)
+    offdiag = _witnesses_from_obj(obj, oracle, "witness family", keys, ("i", "j"))
+    c = _rows_from_obj(oracle.ring, oracle.n, obj["c"], what="witness c")
+    return _family(WitnessFamily, oracle, offdiag, c)
 
 
-def _witnesses_from_obj(obj, what, keys, indices):
-    """Ring, n and witnesses of a family object whose records sit in the
-    list obj[keys[2]], keyed by `indices`: integers in 1..n, each key once."""
+def _witnesses_from_obj(obj, oracle, what, keys, indices):
+    """The witnesses of a family object for `oracle`, whose records sit in
+    the list obj[keys[2]], keyed by `indices`: integers in 1..n, each key
+    once."""
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object")
     for key in keys:
         if key not in obj:
             raise ParseError(f'missing "{key}" key')
-    ring = ring_from_obj(obj["ring"])
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ParseError(f'"n" must be an integer >= 2, got {type(n).__name__}')
+    ring, n = oracle.ring, oracle.n
+    if ring_from_obj(obj["ring"]) != ring:
+        raise ParseError(f"{what} ring does not match the oracle's {ring}")
+    if type(obj["n"]) is not int or obj["n"] != n:  # bool is not int
+        raise ParseError(f'"n" must be the oracle\'s n = {n}')
     records = obj[keys[2]]
     if not isinstance(records, list):
         raise ParseError(f'"{keys[2]}" must be a list, got {type(records).__name__}')
@@ -212,7 +217,7 @@ def _witnesses_from_obj(obj, what, keys, indices):
         if key in witnesses:
             raise ParseError(f"duplicate witness {key}")
         witnesses[key] = _rows_from_obj(ring, n, rec["rows"], what=f"witness {key}")
-    return ring, n, witnesses
+    return witnesses
 
 
 def _family(cls, *args):
@@ -234,10 +239,10 @@ def jordan_family_to_obj(family):
     }
 
 
-def jordan_family_from_obj(obj):
+def jordan_family_from_obj(obj, oracle):
     keys = ("ring", "n", "diag")
-    ring, n, diag = _witnesses_from_obj(obj, "jordan witness family", keys, ("i",))
-    return _family(JordanWitnessFamily, ring, n, diag)
+    diag = _witnesses_from_obj(obj, oracle, "jordan witness family", keys, ("i",))
+    return _family(JordanWitnessFamily, oracle, diag)
 
 
 def payload_to_obj(value):

@@ -1,7 +1,7 @@
-"""The witness model for 2-local inner derivations on M_n(R): validated
-witness families, corner reconstruction of the implementing element
-abar, the supporting corner/diagonal identities as executable checks,
-and a seeded adversarial instance generator.
+"""The witness model for 2-local inner derivations on M_n(R): witness
+families, each validated against its oracle when built, the corner
+reconstruction of abar, the supporting corner/diagonal identities as
+executable checks, and a seeded adversarial instance generator.
 """
 
 from __future__ import annotations
@@ -62,23 +62,20 @@ class TwoLocalOracle:
 
 
 class _ValidatedFamily:
-    """What both witness families share: n >= 2, one n x n witness over
-    the ring per expected key, held read-only so that a validation mark
-    stays true of what it vouches for, and that mark, which each family's
-    own `validate(oracle)` sets and reconstruction requires."""
+    """What both witness families share: the oracle they witness, whose
+    ring and n they take, and one n x n witness over that ring per
+    expected key. Everything is held read-only, and each family's
+    constructor ends in its own `validate()`, so a family that exists
+    witnesses its oracle."""
 
-    __slots__ = ("ring", "n", "_witnesses", "_validated_with")
+    __slots__ = ("_oracle", "_witnesses")
 
-    def __init__(self, ring, n, witnesses, keys, per):
-        if n < 2:
-            raise DomainError("witness families need n >= 2")
+    def __init__(self, oracle, witnesses, keys, per):
         if set(witnesses) != keys:
             raise DomainError(f"witness family needs exactly one {per} in 1..n")
-        self.ring = ring
-        self.n = n
+        self._oracle = oracle
         self._witnesses = MappingProxyType(dict(witnesses))
         self._check_witnesses(self._witnesses.values())
-        self._validated_with = None
 
     def _check_witnesses(self, mats):
         for mat in mats:
@@ -86,38 +83,39 @@ class _ValidatedFamily:
                 raise DomainError("witnesses must be n x n matrices over the ring")
 
     @property
-    def validated(self):
-        return self._validated_with is not None
+    def oracle(self):
+        """The map Delta that every witness implements at its probe."""
+        return self._oracle
 
-    def ensure_validated(self, oracle):
-        if self._validated_with is not oracle:
-            self.validate(oracle)
+    @property
+    def ring(self):
+        return self._oracle.ring
 
-    def _require_validated(self):
-        if not self.validated:
-            raise ContractError(
-                "reconstruction requires a family validated against its oracle"
-            )
+    @property
+    def n(self):
+        return self._oracle.n
 
 
 class WitnessFamily(_ValidatedFamily):
-    """Per-probe implementing elements: a(i,j) for every ordered pair of
-    distinct indices (each witnessing the probe pair e_{i,j}, x0) and c
-    for the shift probe x0 itself.
+    """Per-probe implementing elements of `oracle`: a(i,j) for every
+    ordered pair of distinct indices (each witnessing the probe pair
+    e_{i,j}, x0) and c for the shift probe x0 itself.
 
     c defaults to a(1,2): every off-diagonal witness also witnesses x0.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, ring, n, offdiag, c=None):
+    def __init__(self, oracle, offdiag, c=None):
+        n = oracle.n
         expected = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
         super().__init__(
-            ring, n, offdiag, expected,
+            oracle, offdiag, expected,
             "a(i,j) per ordered pair of distinct indices",
         )
         self._c = c if c is not None else self.offdiag[(1, 2)]
         self._check_witnesses([self._c])
+        self.validate()
 
     @property
     def offdiag(self):
@@ -129,10 +127,10 @@ class WitnessFamily(_ValidatedFamily):
         """The x0 witness c, read-only."""
         return self._c
 
-    def validate(self, oracle):
+    def validate(self):
         """Check every defining identity against the oracle; raises
         ContractError on the first failure."""
-        ring, n = self.ring, self.n
+        oracle, ring, n = self.oracle, self.ring, self.n
         x0 = probe_x0(ring, n)
         dx0 = oracle(x0)
         for (i, j) in sorted(self.offdiag):
@@ -144,7 +142,6 @@ class WitnessFamily(_ValidatedFamily):
                 raise ContractError(f"a({i},{j}) does not witness Delta at x0")
         if dx0 != commutator(self.c, x0):
             raise ContractError("c does not witness Delta at x0")
-        self._validated_with = oracle
 
 
 @dataclass(frozen=True)
@@ -169,18 +166,17 @@ def reconstruct_abar(family):
     """Reassemble the implementing element from corner entries: the
     (i, j) entry of abar is the (i, j) entry of a(j, i) for i != j (note
     the index swap), and the diagonal of abar is the diagonal of c."""
-    family._require_validated()
     c = family.c
     return ReconstructionResult(_swapped_corners(family, c.entries[:: c.n + 1]))
 
 
-def verify_theorem1(oracle, family, samples):
-    """Check Delta(x) = [abar, x] exactly on every sample; stops at the
-    first violation."""
+def verify_theorem1(family, samples):
+    """Check Delta(x) = [abar, x] exactly on every sample, for the oracle
+    Delta that `family` witnesses; stops at the first violation."""
     samples = list(samples)
     if not samples:
         raise DomainError("verify_theorem1 needs at least one sample")
-    family.ensure_validated(oracle)
+    oracle = family.oracle
     abar = reconstruct_abar(family).abar
     checked = 0
     for idx, x in enumerate(samples):
@@ -222,8 +218,9 @@ def check_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
     return a_ij.entry(r, c) == a_ik.entry(r, c)
 
 
-def check_offdiag_formula(family, oracle, i, j):
-    """The off-diagonal expansion: Delta(e_{i,j}) equals
+def check_offdiag_formula(family, i, j):
+    """The off-diagonal expansion for the oracle Delta that `family`
+    witnesses: Delta(e_{i,j}) equals
 
         S e_{i,j} - e_{i,j} S + a(i,j)^{i,i} e_{i,j} - e_{i,j} a(i,j)^{j,j}
 
@@ -231,12 +228,11 @@ def check_offdiag_formula(family, oracle, i, j):
     (k, l) entry of a(l, k), and its diagonal is zero."""
     if i == j:
         raise DomainError("the off-diagonal expansion needs i != j")
-    family.ensure_validated(oracle)
     ring, n = family.ring, family.n
     s = _swapped_corners(family, (ring.zero.payload,) * n)
     unit = matrix_unit(ring, n, i, j)
     a = family.offdiag[(i, j)]
-    lhs = oracle(unit)
+    lhs = family.oracle(unit)
     rhs = s * unit - unit * s + unit * a.entry(i, i) - unit * a.entry(j, j)
     return lhs == rhs
 
@@ -263,8 +259,7 @@ def check_diag_difference(b, c, oracle):
 
 def gen_witness_family(hidden, noise, seed, max_degree=3):
     """Build (oracle, family) for the hidden inner derivation [hidden, .]
-    with the requested witness ambiguity; the family is validated against
-    the oracle before it is returned.
+    with the requested witness ambiguity; `family.oracle is oracle`.
 
     Central shifts die in every identity the witnesses must satisfy, and
     polynomials in x0 commute with x0, so every noise mode yields a valid
@@ -288,6 +283,4 @@ def gen_witness_family(hidden, noise, seed, max_degree=3):
         c = c + random_central(ring, n, rng, max_degree)
     if noise is NoiseSpec.X0_COMMUTANT_SHIFT_ON_C:
         c = c + random_x0_commutant(ring, n, rng, max_degree)
-    family = WitnessFamily(ring, n, offdiag, c)
-    family.validate(oracle)
-    return oracle, family
+    return oracle, WitnessFamily(oracle, offdiag, c)

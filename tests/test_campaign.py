@@ -176,10 +176,10 @@ class TestViolationsAreData:
         rng = random.Random(101)
         hidden = random_matrix(Z5, 2, rng)
         oracle = adversarial_oracle(hidden)
-        family = WitnessFamily(Z5, 2, {(1, 2): hidden, (2, 1): hidden})
-        family.validate(oracle)  # the probe identities all hold
+        # the probe identities all hold, so the family can be built
+        family = WitnessFamily(oracle, {(1, 2): hidden, (2, 1): hidden})
         # any sample outside the probe set exposes the fraud
-        report = verify_theorem1(oracle, family, [Matrix.identity(Z5, 2)])
+        report = verify_theorem1(family, [Matrix.identity(Z5, 2)])
         assert not report.ok
         assert report.violations[0].kind == "action"
 
@@ -187,12 +187,10 @@ class TestViolationsAreData:
         rng = random.Random(102)
         hidden = JordanPairDerivation(Z9, 2, random_pairs(Z9, 2, rng, 2))
         s = pairs_to_commutator(hidden)
-        oracle = jordan_adversarial_oracle(hidden)
-        family = JordanWitnessFamily(Z9, 2, {1: s, 2: s})
-        family.validate(oracle)
+        family = JordanWitnessFamily(jordan_adversarial_oracle(hidden), {1: s, 2: s})
         sample = random_symmetric(Z9, 2, rng) + Matrix.identity(Z9, 2)
         samples = [SymmetricMatrix.of(sample)]
-        report = verify_jordan_theorem(oracle, family, samples)
+        report = verify_jordan_theorem(family, samples)
         assert not report.ok
 
 
@@ -201,7 +199,8 @@ def plant_theorem1(monkeypatch):
 
     def planted(hidden, noise, seed, max_degree):
         _, family = real(hidden, noise, seed, max_degree)
-        return adversarial_oracle(hidden), family
+        oracle = adversarial_oracle(hidden)
+        return oracle, WitnessFamily(oracle, family.offdiag, family.c)
 
     monkeypatch.setattr(campaign, "gen_witness_family", planted)
     return CampaignConfig(suite="theorem1", ring=Z5, n=3, trials=3, seed=11, samples=2)
@@ -223,8 +222,8 @@ def plant_lemma_cross(monkeypatch):
 def plant_lemma_offdiag(monkeypatch):
     real = campaign.check_offdiag_formula
 
-    def planted(family, oracle, i, j):
-        return (i, j) != (2, 1) and real(family, oracle, i, j)
+    def planted(family, i, j):
+        return (i, j) != (2, 1) and real(family, i, j)
 
     monkeypatch.setattr(campaign, "check_offdiag_formula", planted)
     return CampaignConfig(
@@ -291,7 +290,8 @@ def plant_jordan_oracle(monkeypatch):
 
     def planted(hidden, seed, max_degree):
         _, family = real(hidden, seed, max_degree)
-        return jordan_adversarial_oracle(hidden), family
+        oracle = jordan_adversarial_oracle(hidden)
+        return oracle, JordanWitnessFamily(oracle, family.diag)
 
     monkeypatch.setattr(campaign, "gen_jordan_instance", planted)
     return CampaignConfig(

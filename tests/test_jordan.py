@@ -65,9 +65,10 @@ def skew_oracle(s):
     return TwoLocalOracle(s.ring, s.n, lambda x: commutator(s, x))
 
 
-def family_from_skew(s):
+def family_from_skew(s, oracle=None):
+    """The family of `oracle` (by default [s, .]) with d(ii) = s for all i."""
     diag = {i: s for i in range(1, s.n + 1)}
-    return JordanWitnessFamily(s.ring, s.n, diag)
+    return JordanWitnessFamily(skew_oracle(s) if oracle is None else oracle, diag)
 
 
 def literal_corner_consistency(d_ii, d_jj, i, j):
@@ -355,38 +356,50 @@ class TestJordanFamily:
     def test_validation_needs_skew_witnesses(self):
         sym = random_symmetric(Z5, 2, random.Random(75))
         oracle = TwoLocalOracle(Z5, 2, lambda x: Matrix.zero(Z5, 2))
-        family = JordanWitnessFamily(Z5, 2, {1: sym, 2: sym})
-        with pytest.raises(ContractError):
-            family.validate(oracle)
+        with pytest.raises(ContractError, match=r"d\(11\) must be skew-symmetric"):
+            JordanWitnessFamily(oracle, {1: sym, 2: sym})
 
-    def test_validation_checks_the_probe(self):
+    def test_refuses_an_oracle_it_does_not_witness(self):
         s = random_skew(Z5, 3, random.Random(76))
         wrong = random_skew(Z5, 3, random.Random(77))
-        family = family_from_skew(wrong)
-        with pytest.raises(ContractError):
-            family.validate(skew_oracle(s))
+        with pytest.raises(ContractError, match=r"d\(11\) does not witness Delta"):
+            family_from_skew(wrong, skew_oracle(s))
+
+    def test_validation_checks_the_probe(self):
+        # d(33) alone is wrong: it must be caught at its own probe e_33
+        s = random_skew(Z5, 3, random.Random(76))
+        bent = s + skew_unit(Z5, 3, 1, 3, Z5.one)
+        oracle = skew_oracle(s)
+        with pytest.raises(ContractError, match=r"d\(33\) does not witness Delta"):
+            JordanWitnessFamily(oracle, {1: s, 2: s, 3: bent})
 
     def test_needs_every_index(self):
         s = random_skew(Z5, 3, random.Random(78))
         with pytest.raises(DomainError):
-            JordanWitnessFamily(Z5, 3, {1: s, 2: s})
+            JordanWitnessFamily(skew_oracle(s), {1: s, 2: s})
 
     def test_witnesses_are_read_only(self):
         s = random_skew(Z5, 2, random.Random(79))
         family = family_from_skew(s)
-        family.validate(skew_oracle(s))
+        oracle = family.oracle
         with pytest.raises(TypeError):
             family.diag[1] = Matrix.zero(Z5, 2)
         with pytest.raises(AttributeError):
             family.diag = {}
+        with pytest.raises(AttributeError):
+            family.oracle = skew_oracle(Matrix.zero(Z5, 2))
+        with pytest.raises(AttributeError):
+            family.ring = Z9
+        with pytest.raises(AttributeError):
+            family.n = 5
         assert family.diag[1] == s
+        assert family.oracle is oracle and (family.ring, family.n) == (Z5, 2)
 
 
 class TestJordanReconstruction:
     def test_zero_family(self):
         zero = Matrix.zero(Z5, 2)
-        family = family_from_skew(zero)
-        family.validate(TwoLocalOracle(Z5, 2, lambda x: zero))
+        family = family_from_skew(zero, TwoLocalOracle(Z5, 2, lambda x: zero))
         assert reconstruct_abar_jordan(family).abar.is_zero()
 
     def test_frozen_two_by_two(self):
@@ -394,7 +407,6 @@ class TestJordanReconstruction:
         e21 = matrix_unit(Z5, 2, 2, 1)
         s = (e12 - e21) * Z5.element(4)
         family = family_from_skew(s)
-        family.validate(skew_oracle(s))
         assert reconstruct_abar_jordan(family).abar == s
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -402,16 +414,10 @@ class TestJordanReconstruction:
         rng = random.Random(79)
         s = random_skew(Z9, n, rng)
         family = family_from_skew(s)
-        family.validate(skew_oracle(s))
         result = reconstruct_abar_jordan(family)
         assert result.abar == s
         assert result.abar.is_skew()
         assert type(result.abar) is SkewMatrix
-
-    def test_refuses_unvalidated(self):
-        s = random_skew(Z5, 2, random.Random(80))
-        with pytest.raises(ContractError):
-            reconstruct_abar_jordan(family_from_skew(s))
 
     @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
     def test_matches_corner_sum(self, ring, n):
@@ -421,12 +427,13 @@ class TestJordanReconstruction:
         assert reconstruct_abar_jordan(family).abar == literal_jordan_corner_sum(family)
 
     def _tampered(self, *witnesses):
-        # marked as validated without validation: the reconstruction's own
+        # built with validation switched off: the reconstruction's own
         # checks must catch these witnesses
         n = witnesses[0].n
-        family = JordanWitnessFamily(Z9, n, dict(enumerate(witnesses, 1)))
-        family._validated_with = TwoLocalOracle(Z9, n, lambda x: Matrix.zero(Z9, n))
-        return family
+        oracle = TwoLocalOracle(Z9, n, lambda x: Matrix.zero(Z9, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JordanWitnessFamily, "validate", lambda self: None)
+            return JordanWitnessFamily(oracle, dict(enumerate(witnesses, 1)))
 
     def test_witnesses_differing_off_their_probes(self):
         # e_12 - e_21 commutes with e_33, so d(33) may differ from d(11)
@@ -434,8 +441,8 @@ class TestJordanReconstruction:
         hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, random.Random(5), 2))
         s = pairs_to_commutator(hidden)
         free = skew_unit(Z9, 3, 1, 2, Z9.one)
-        family = JordanWitnessFamily(Z9, 3, {1: s, 2: s, 3: s + free})
-        family.validate(TwoLocalOracle(Z9, 3, hidden))
+        oracle = TwoLocalOracle(Z9, 3, hidden)
+        family = JordanWitnessFamily(oracle, {1: s, 2: s, 3: s + free})
         assert reconstruct_abar_jordan(family).abar == s
 
     def test_nonzero_diagonal_summand(self):
@@ -468,13 +475,14 @@ class TestJordanTheorem:
                 ring, n, random_pairs(ring, n, rng, rng.randint(1, 3))
             )
             oracle, family = gen_jordan_instance(hidden, seed=rng.getrandbits(32))
+            assert family.oracle is oracle
             samples = [random_symmetric(ring, n, rng) for _ in range(20)]
-            assert verify_jordan_theorem(oracle, family, samples).ok
+            assert verify_jordan_theorem(family, samples).ok
 
     def test_zero_instance(self):
-        oracle, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=9)
+        _, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=9)
         samples = [random_symmetric(Z5, 2, random.Random(82)) for _ in range(5)]
-        assert verify_jordan_theorem(oracle, family, samples).ok
+        assert verify_jordan_theorem(family, samples).ok
 
     def test_every_commutator_has_typed_arguments(self, monkeypatch):
         # each commutator of the witness pipeline takes one product
@@ -490,9 +498,9 @@ class TestJordanTheorem:
         monkeypatch.setattr(jordan, "commutator", tallied)
         rng = random.Random(85)
         hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 3))
-        oracle, family = gen_jordan_instance(hidden, seed=12)
+        _, family = gen_jordan_instance(hidden, seed=12)
         samples = [random_symmetric(Z9, 3, rng) for _ in range(4)]
-        assert verify_jordan_theorem(oracle, family, samples).ok
+        assert verify_jordan_theorem(family, samples).ok
         assert parities
         assert all(p * q for p, q in parities)
 
@@ -517,8 +525,7 @@ class TestJordanTheorem:
             return out
 
         monkeypatch.setattr(jordan, "jordan_mul", bent)
-        oracle = skew_oracle(s)
-        report = verify_jordan_theorem(oracle, family_from_skew(s), samples)
+        report = verify_jordan_theorem(family_from_skew(s), samples)
         assert report.checked == count + k
         (v,) = report.violations
         assert (v.kind, v.probe) == ("jordan-leibniz", f"pair {k}")
@@ -536,9 +543,9 @@ class TestJordanTheorem:
                     assert oracle(probe) == commutator(abar, probe)
 
     def test_needs_samples(self):
-        oracle, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=11)
+        _, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=11)
         with pytest.raises(DomainError):
-            verify_jordan_theorem(oracle, family, [])
+            verify_jordan_theorem(family, [])
 
 
 class TestJordanGenerator:

@@ -10,16 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivring import (
+    ContractError,
     DerivringError,
+    InnerDerivation,
     InvalidRing,
     JordanPairDerivation,
     Matrix,
     NoiseSpec,
     ParseError,
     PolyRing,
+    TwoLocalOracle,
     Zmod,
     gen_jordan_instance,
     gen_witness_family,
+    matrix_unit,
 )
 from derivring.sampling import random_matrix, random_pairs
 from derivring.serialize import (
@@ -132,82 +136,111 @@ class TestFamilyCodec:
     def test_witness_family_round_trip(self):
         rng = random.Random(91)
         hidden = random_matrix(Z9, 3, rng)
-        _, family = gen_witness_family(hidden, NoiseSpec.CENTRAL_SHIFTS, seed=13)
+        oracle, family = gen_witness_family(hidden, NoiseSpec.CENTRAL_SHIFTS, seed=13)
         obj = family_to_obj(family)
-        again = family_from_obj(obj)
+        again = family_from_obj(obj, oracle)
+        assert again.oracle is oracle
         assert again.offdiag == family.offdiag
         assert again.c == family.c
         assert dumps_canonical(family_to_obj(again)) == dumps_canonical(obj)
 
-    def test_restored_family_is_unvalidated(self):
+    def test_restored_family_must_witness_its_oracle(self):
         rng = random.Random(92)
         hidden = random_matrix(Z5, 2, rng)
-        _, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=14)
-        again = family_from_obj(family_to_obj(family))
-        assert not again.validated
+        oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=14)
+        obj = family_to_obj(family)
+        assert family_from_obj(obj, oracle).offdiag == family.offdiag
+        # [e_11, e_12] != 0: the witnesses of [hidden, .] miss this map
+        moved = hidden + matrix_unit(Z5, 2, 1, 1)
+        other = TwoLocalOracle(Z5, 2, InnerDerivation(moved))
+        with pytest.raises(ContractError, match=r"a\(1,2\) does not witness"):
+            family_from_obj(obj, other)
 
     def test_jordan_family_round_trip(self):
         rng = random.Random(93)
         hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 2))
-        _, family = gen_jordan_instance(hidden, seed=15)
+        oracle, family = gen_jordan_instance(hidden, seed=15)
         obj = jordan_family_to_obj(family)
-        again = jordan_family_from_obj(obj)
+        again = jordan_family_from_obj(obj, oracle)
+        assert again.oracle is oracle
         assert again.diag == family.diag
+        zero = TwoLocalOracle(Z9, 3, lambda x: Matrix.zero(Z9, 3))
+        with pytest.raises(ContractError, match=r"d\(11\) does not witness"):
+            jordan_family_from_obj(obj, zero)
+
+    @pytest.mark.parametrize(
+        "ring,n,message",
+        [(Z9, 2, "ring does not match"), (Z5, 3, '"n" must be the oracle')],
+    )
+    def test_ring_or_shape_of_another_oracle_is_a_parse_error(self, ring, n, message):
+        oracle = TwoLocalOracle(ring, n, lambda x: Matrix.zero(ring, n))
+        obj, _ = _witness_family_obj()
+        with pytest.raises(ParseError, match=message):
+            family_from_obj(obj, oracle)
+        obj, _ = _jordan_family_obj()
+        with pytest.raises(ParseError, match=message):
+            jordan_family_from_obj(obj, oracle)
 
     def test_incomplete_family_is_a_parse_error(self):
         rng = random.Random(94)
         hidden = random_matrix(Z5, 2, rng)
-        _, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=16)
+        oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=16)
         obj = family_to_obj(family)
         obj["witnesses"] = obj["witnesses"][:1]
         with pytest.raises(ParseError):
-            family_from_obj(obj)
+            family_from_obj(obj, oracle)
 
 
 def _witness_family_obj():
+    """A Z_5, n = 2 witness family document and the oracle it witnesses."""
     hidden = random_matrix(Z5, 2, random.Random(95))
-    _, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=17)
-    return family_to_obj(family)
+    oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=17)
+    return family_to_obj(family), oracle
 
 
 def _jordan_family_obj():
+    """A Z_5, n = 2 Jordan family document and the oracle it witnesses."""
     hidden = JordanPairDerivation(Z5, 2, random_pairs(Z5, 2, random.Random(96), 1))
-    _, family = gen_jordan_instance(hidden, seed=18)
-    return jordan_family_to_obj(family)
+    oracle, family = gen_jordan_instance(hidden, seed=18)
+    return jordan_family_to_obj(family), oracle
+
+
+_WITNESS_OBJ, _WITNESS_ORACLE = _witness_family_obj()
+_JORDAN_OBJ, _JORDAN_ORACLE = _jordan_family_obj()
 
 
 class TestParsersAreTotal:
     @pytest.mark.parametrize("bad", [7, None, "ab", {"i": 1}])
     def test_non_list_records(self, bad):
-        obj = _witness_family_obj()
+        obj, oracle = _witness_family_obj()
         obj["witnesses"] = bad
         with pytest.raises(ParseError, match='"witnesses" must be a list'):
-            family_from_obj(obj)
-        obj = _jordan_family_obj()
+            family_from_obj(obj, oracle)
+        obj, oracle = _jordan_family_obj()
         obj["diag"] = bad
         with pytest.raises(ParseError, match='"diag" must be a list'):
-            jordan_family_from_obj(obj)
+            jordan_family_from_obj(obj, oracle)
 
     @pytest.mark.parametrize("bad", [[1], {"k": 1}, "1", 1.0, True, 0, 3])
     def test_bad_index(self, bad):
-        obj = _witness_family_obj()
+        obj, oracle = _witness_family_obj()
         obj["witnesses"][0]["j"] = bad
         with pytest.raises(ParseError, match="witness indices"):
-            family_from_obj(obj)
-        obj = _jordan_family_obj()
+            family_from_obj(obj, oracle)
+        obj, oracle = _jordan_family_obj()
         obj["diag"][0]["i"] = bad
         with pytest.raises(ParseError, match="witness indices"):
-            jordan_family_from_obj(obj)
+            jordan_family_from_obj(obj, oracle)
 
     def test_duplicate_record(self):
-        obj = _witness_family_obj()
+        obj, oracle = _witness_family_obj()
         obj["witnesses"].append(obj["witnesses"][0])
         with pytest.raises(ParseError, match="duplicate witness"):
-            family_from_obj(obj)
-        obj = _jordan_family_obj()
+            family_from_obj(obj, oracle)
+        obj, oracle = _jordan_family_obj()
         obj["diag"].append(obj["diag"][0])
         with pytest.raises(ParseError, match="duplicate witness"):
-            jordan_family_from_obj(obj)
+            jordan_family_from_obj(obj, oracle)
 
     def test_deep_nesting(self):
         with pytest.raises(ParseError):
@@ -234,10 +267,15 @@ class TestParsersAreTotal:
             (ParseError, lambda x: value_from_obj(P5, {"v": x})),
             (ParseError, lambda x: value_from_obj(P5, x)),
             (ParseError, lambda x: matrix_from_obj({"n": x, "ring": {}, "rows": []})),
-            (ParseError, lambda x: family_from_obj({**_witness_family_obj(), "n": x})),
             (
                 ParseError,
-                lambda x: jordan_family_from_obj({**_jordan_family_obj(), "n": x}),
+                lambda x: family_from_obj({**_WITNESS_OBJ, "n": x}, _WITNESS_ORACLE),
+            ),
+            (
+                ParseError,
+                lambda x: jordan_family_from_obj(
+                    {**_JORDAN_OBJ, "n": x}, _JORDAN_ORACLE
+                ),
             ),
             (ParseError, lambda x: ring_from_obj({"ring": x})),
             (InvalidRing, lambda x: ring_from_obj({"ring": "zmod", "m": x})),
@@ -287,18 +325,18 @@ class TestParsersFuzz:
     """Whatever the input, the parsers raise only DerivringError."""
 
     @settings(max_examples=300)
-    @given(st.one_of(_JSON, _near_valid(_witness_family_obj(), "witnesses")))
+    @given(st.one_of(_JSON, _near_valid(_WITNESS_OBJ, "witnesses")))
     def test_family_from_obj(self, obj):
         try:
-            family_from_obj(obj)
+            family_from_obj(obj, _WITNESS_ORACLE)
         except DerivringError:
             pass
 
     @settings(max_examples=300)
-    @given(st.one_of(_JSON, _near_valid(_jordan_family_obj(), "diag")))
+    @given(st.one_of(_JSON, _near_valid(_JORDAN_OBJ, "diag")))
     def test_jordan_family_from_obj(self, obj):
         try:
-            jordan_family_from_obj(obj)
+            jordan_family_from_obj(obj, _JORDAN_ORACLE)
         except DerivringError:
             pass
 

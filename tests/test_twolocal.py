@@ -34,7 +34,7 @@ P5 = PolyRing(Z5)
 
 
 def constant_family(hidden, witness=None, c=None):
-    """A family using one fixed witness for every probe."""
+    """A family of [hidden, .] using one fixed witness for every probe."""
     ring, n = hidden.ring, hidden.n
     w = witness if witness is not None else hidden
     offdiag = {
@@ -44,8 +44,7 @@ def constant_family(hidden, witness=None, c=None):
         if i != j
     }
     oracle = TwoLocalOracle(ring, n, InnerDerivation(hidden))
-    family = WitnessFamily(ring, n, offdiag, c)
-    return oracle, family
+    return WitnessFamily(oracle, offdiag, c)
 
 
 def literal_corner_sum(family, diagonal=True):
@@ -72,13 +71,13 @@ def literal_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
     return p * a_ij * u == p * a_ik * u
 
 
-def literal_offdiag_formula(family, oracle, i, j):
+def literal_offdiag_formula(family, i, j):
     """Reference: the off-diagonal expansion with S summed from corners."""
     s = literal_corner_sum(family, diagonal=False)
     unit = matrix_unit(family.ring, family.n, i, j)
     a = family.offdiag[(i, j)]
     rhs = s * unit - unit * s + unit * a.entry(i, i) - unit * a.entry(j, j)
-    return oracle(unit) == rhs
+    return family.oracle(unit) == rhs
 
 
 def perturbed(a, r, c, rng):
@@ -89,16 +88,16 @@ def perturbed(a, r, c, rng):
     return a + matrix_unit(a.ring, a.n, r, c) * z
 
 
-def tampered(family, oracle, replace, c=None):
-    """A copy of `family` with the witnesses in `replace` (and c, if given)
-    swapped in, marked as validated against `oracle` without validating
-    it: the controls below read witnesses that no oracle vouches for."""
-    copy = WitnessFamily(
-        family.ring, family.n, {**family.offdiag, **replace},
-        family.c if c is None else c,
-    )
-    copy._validated_with = oracle
-    return copy
+def tampered(family, replace, c=None):
+    """A copy of `family` on its oracle with the witnesses in `replace`
+    (and c, if given) swapped in, built with validation switched off: the
+    controls below read witnesses that the oracle does not vouch for."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WitnessFamily, "validate", lambda self: None)
+        return WitnessFamily(
+            family.oracle, {**family.offdiag, **replace},
+            family.c if c is None else c,
+        )
 
 
 AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
@@ -106,70 +105,92 @@ AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
 
 class TestWitnessFamily:
     def test_requires_all_offdiagonal_probes(self):
+        oracle = TwoLocalOracle(Z5, 2, lambda x: Matrix.zero(Z5, 2))
         with pytest.raises(DomainError):
-            WitnessFamily(Z5, 2, {(1, 2): Matrix.zero(Z5, 2)})
+            WitnessFamily(oracle, {(1, 2): Matrix.zero(Z5, 2)})
 
     def test_rejects_n_below_two(self):
-        with pytest.raises(DomainError):
-            WitnessFamily(Z5, 1, {})
+        # a family takes its n from its oracle, which refuses n < 2
         with pytest.raises(DomainError):
             TwoLocalOracle(Z5, 1, lambda x: x)
 
     def test_c_defaults_to_a12(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
-        _, family = constant_family(a)
+        family = constant_family(a)
         assert family.c is family.offdiag[(1, 2)]
 
     def test_validation_succeeds_for_true_witnesses(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
-        oracle, family = constant_family(a)
-        assert not family.validated
-        family.validate(oracle)
-        assert family.validated
+        oracle = TwoLocalOracle(Z5, 2, InnerDerivation(a))
+        family = WitnessFamily(oracle, {(1, 2): a, (2, 1): a})
+        assert family.oracle is oracle
+        assert (family.ring, family.n) == (Z5, 2)
+        family.validate()
 
     def test_validation_rejects_corrupted_witness(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
         bad = a + matrix_unit(Z5, 2, 1, 1)  # not a central shift
-        oracle, family = constant_family(a, witness=bad)
         with pytest.raises(ContractError):
-            family.validate(oracle)
+            constant_family(a, witness=bad)
+
+    @pytest.mark.parametrize(
+        "shifts,c_shift,message",
+        [
+            # the witnesses of another map fail at the first probe
+            ({(1, 2): matrix_unit(Z9, 3, 2, 1)}, None,
+             r"a\(1,2\) does not witness Delta at e\[1,2\]"),
+            # e_11 + e_33 commutes with e_13 but not with the shift x0
+            ({(1, 3): matrix_unit(Z9, 3, 1, 1) + matrix_unit(Z9, 3, 3, 3)}, None,
+             r"a\(1,3\) does not witness Delta at x0"),
+            ({}, matrix_unit(Z9, 3, 1, 1), "c does not witness Delta at x0"),
+        ],
+        ids=["a12-at-e12", "a13-at-x0", "c-at-x0"],
+    )
+    def test_refuses_an_oracle_it_does_not_witness(self, shifts, c_shift, message):
+        hidden = random_matrix(Z9, 3, random.Random(39))
+        oracle = TwoLocalOracle(Z9, 3, InnerDerivation(hidden))
+        offdiag = {(i, j): hidden for i in range(1, 4) for j in range(1, 4) if i != j}
+        for key, shift in shifts.items():
+            offdiag[key] = hidden + shift
+        c = hidden if c_shift is None else hidden + c_shift
+        with pytest.raises(ContractError, match=message):
+            WitnessFamily(oracle, offdiag, c)
 
     def test_central_shift_still_validates(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
-        oracle, family = constant_family(a, witness=a + Matrix.scalar(Z5.element(2), 2))
-        family.validate(oracle)
-        assert family.validated
+        family = constant_family(a, witness=a + Matrix.scalar(Z5.element(2), 2))
+        family.validate()
 
     def test_witnesses_are_read_only(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
-        oracle, family = constant_family(a)
-        family.validate(oracle)
+        family = constant_family(a)
+        oracle = family.oracle
         with pytest.raises(TypeError):
             family.offdiag[(1, 2)] = Matrix.zero(Z5, 2)
         with pytest.raises(AttributeError):
             family.offdiag = {}
         with pytest.raises(AttributeError):
             family.c = Matrix.zero(Z5, 2)
+        with pytest.raises(AttributeError):
+            family.oracle = TwoLocalOracle(Z5, 2, lambda x: x)
+        with pytest.raises(AttributeError):
+            family.ring = Z9
+        with pytest.raises(AttributeError):
+            family.n = 5
         assert family.offdiag[(1, 2)] == a and family.c == a
+        assert family.oracle is oracle and (family.ring, family.n) == (Z5, 2)
 
     def test_caller_dict_is_copied(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
         offdiag = {(1, 2): a, (2, 1): a}
-        family = WitnessFamily(Z5, 2, offdiag)
+        family = WitnessFamily(TwoLocalOracle(Z5, 2, InnerDerivation(a)), offdiag)
         offdiag[(1, 2)] = Matrix.zero(Z5, 2)
         assert family.offdiag[(1, 2)] == a
 
 
 class TestReconstruction:
-    def test_refuses_unvalidated_family(self):
-        a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
-        _, family = constant_family(a)
-        with pytest.raises(ContractError):
-            reconstruct_abar(family)
-
     def test_zero_witnesses(self):
-        oracle, family = constant_family(Matrix.zero(Z5, 2))
-        family.validate(oracle)
+        family = constant_family(Matrix.zero(Z5, 2))
         assert reconstruct_abar(family).abar.is_zero()
 
     def test_frozen_example(self):
@@ -177,10 +198,7 @@ class TestReconstruction:
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
         shifted = a + Matrix.scalar(Z5.element(2), 2)
         oracle = TwoLocalOracle(Z5, 2, InnerDerivation(a))
-        family = WitnessFamily(
-            Z5, 2, {(1, 2): shifted, (2, 1): a}, c=shifted
-        )
-        family.validate(oracle)
+        family = WitnessFamily(oracle, {(1, 2): shifted, (2, 1): a}, c=shifted)
         result = reconstruct_abar(family)
         assert result.abar == Matrix.from_rows(Z5, [[3, 2], [3, 1]])
         drift = result.abar - a
@@ -191,8 +209,7 @@ class TestReconstruction:
 
     def test_single_unit_hidden(self):
         e12 = matrix_unit(Z5, 2, 1, 2)
-        oracle, family = constant_family(e12)
-        family.validate(oracle)
+        family = constant_family(e12)
         assert reconstruct_abar(family).abar == e12
 
     def test_parts_cover_all_corners(self):
@@ -203,24 +220,23 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
     def test_matches_corner_sum_on_unrelated_witnesses(self, ring, n):
-        # unrelated witnesses marked as validated are read as they are:
-        # abar must still be the literal corner sum
+        # unrelated witnesses built without validation are read as they
+        # are: abar must still be the literal corner sum
         rng = random.Random(400 + n)
         for _ in range(5):
-            oracle, family = gen_witness_family(
+            _, family = gen_witness_family(
                 random_matrix(ring, n, rng), NoiseSpec.NONE, seed=rng.getrandbits(32)
             )
             replace = {key: random_matrix(ring, n, rng) for key in family.offdiag}
-            family = tampered(family, oracle, replace, c=random_matrix(ring, n, rng))
+            family = tampered(family, replace, c=random_matrix(ring, n, rng))
             assert reconstruct_abar(family).abar == literal_corner_sum(family)
 
     def test_idempotent_on_its_own_output(self):
         rng = random.Random(41)
         hidden = random_matrix(Z5, 3, rng)
-        oracle, family = gen_witness_family(hidden, NoiseSpec.CENTRAL_SHIFTS, seed=2)
+        _, family = gen_witness_family(hidden, NoiseSpec.CENTRAL_SHIFTS, seed=2)
         abar = reconstruct_abar(family).abar
-        oracle2, family2 = constant_family(hidden, witness=abar, c=abar)
-        family2.validate(oracle2)
+        family2 = constant_family(hidden, witness=abar, c=abar)
         assert reconstruct_abar(family2).abar == abar
 
 
@@ -230,27 +246,27 @@ class TestVerifyTheorem1:
         for noise in NoiseSpec:
             hidden = random_matrix(Z5, 3, rng)
             oracle, family = gen_witness_family(hidden, noise, seed=rng.getrandbits(32))
+            assert family.oracle is oracle
             samples = [random_matrix(Z5, 3, rng) for _ in range(50)]
-            report = verify_theorem1(oracle, family, samples)
+            report = verify_theorem1(family, samples)
             assert report.ok, noise
 
     def test_zero_oracle(self):
-        oracle, family = constant_family(Matrix.zero(Z5, 2))
-        family.validate(oracle)
-        report = verify_theorem1(oracle, family, [matrix_unit(Z5, 2, 1, 2)])
+        family = constant_family(Matrix.zero(Z5, 2))
+        report = verify_theorem1(family, [matrix_unit(Z5, 2, 1, 2)])
         assert report.ok
 
     def test_corrupted_family_raises_before_checking(self):
+        # validation runs when the family is built: there is none to check
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
-        oracle, family = constant_family(a, witness=a + matrix_unit(Z5, 2, 1, 1))
         with pytest.raises(ContractError):
-            verify_theorem1(oracle, family, [a])
+            constant_family(a, witness=a + matrix_unit(Z5, 2, 1, 1))
 
     def test_needs_samples(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
-        oracle, family = constant_family(a)
+        family = constant_family(a)
         with pytest.raises(DomainError):
-            verify_theorem1(oracle, family, [])
+            verify_theorem1(family, [])
 
 
 class TestCrossCorner:
@@ -339,47 +355,47 @@ class TestOffdiagFormula:
     def test_constant_families(self, n):
         rng = random.Random(45)
         hidden = random_matrix(Z9, n, rng)
-        oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=3)
+        _, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=3)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
-                    assert check_offdiag_formula(family, oracle, i, j)
+                    assert check_offdiag_formula(family, i, j)
 
     def test_zero_family(self):
-        oracle, family = constant_family(Matrix.zero(Z5, 3))
-        assert check_offdiag_formula(family, oracle, 1, 3)
+        family = constant_family(Matrix.zero(Z5, 3))
+        assert check_offdiag_formula(family, 1, 3)
 
     def test_central_shifts_cancel(self):
         rng = random.Random(46)
         hidden = random_matrix(Z5, 3, rng)
-        oracle, family = gen_witness_family(hidden, NoiseSpec.CENTRAL_SHIFTS, seed=4)
+        _, family = gen_witness_family(hidden, NoiseSpec.CENTRAL_SHIFTS, seed=4)
         for i in range(1, 4):
             for j in range(1, 4):
                 if i != j:
-                    assert check_offdiag_formula(family, oracle, i, j)
+                    assert check_offdiag_formula(family, i, j)
 
     def test_needs_distinct_indices(self):
-        oracle, family = constant_family(Matrix.zero(Z5, 2))
+        family = constant_family(Matrix.zero(Z5, 2))
         with pytest.raises(DomainError):
-            check_offdiag_formula(family, oracle, 1, 1)
+            check_offdiag_formula(family, 1, 1)
 
     def test_perturbed_witness_is_seen(self):
         # S reads the (3,1) entry of a(1,3); S e_{1,2} moves it to (3,2)
         rng = random.Random(460)
         hidden = random_matrix(Z9, 3, rng)
-        oracle, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=7)
-        assert check_offdiag_formula(family, oracle, 1, 2)
+        _, family = gen_witness_family(hidden, NoiseSpec.NONE, seed=7)
+        assert check_offdiag_formula(family, 1, 2)
         replace = {(1, 3): perturbed(family.offdiag[(1, 3)], 3, 1, rng)}
-        family = tampered(family, oracle, replace)
-        assert not check_offdiag_formula(family, oracle, 1, 2)
-        assert not literal_offdiag_formula(family, oracle, 1, 2)
+        family = tampered(family, replace)
+        assert not check_offdiag_formula(family, 1, 2)
+        assert not literal_offdiag_formula(family, 1, 2)
 
     @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
     def test_matches_corner_sum_form(self, ring, n):
         rng = random.Random(461 + n)
         outcomes = set()
         for _ in range(4):
-            oracle, family = gen_witness_family(
+            _, family = gen_witness_family(
                 random_matrix(ring, n, rng), NoiseSpec.CENTRAL_SHIFTS,
                 seed=rng.getrandbits(32),
             )
@@ -392,12 +408,12 @@ class TestOffdiagFormula:
                         rng.randint(1, n), rng.randint(1, n)
                     )
                     replace[(i, j)] = perturbed(w, r, c, rng)
-            family = tampered(family, oracle, replace)
+            family = tampered(family, replace)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
-                        got = check_offdiag_formula(family, oracle, i, j)
-                        assert got is literal_offdiag_formula(family, oracle, i, j)
+                        got = check_offdiag_formula(family, i, j)
+                        assert got is literal_offdiag_formula(family, i, j)
                         outcomes.add(got)
         assert outcomes == {True, False}
 
