@@ -43,6 +43,7 @@ from .matrices import (
     jordan_unit,
     matrix_unit,
     probe_x0,
+    symmetric_part,
 )
 from .rings import BaseDerivation, PolyRing, RingElement, Zmod
 from .twolocal import (
@@ -108,6 +109,7 @@ __all__ = [
     "reconstruct_abar",
     "reconstruct_abar_jordan",
     "run_campaign",
+    "symmetric_part",
     "two_generator_check",
     "verify_jordan_theorem",
     "verify_theorem1",

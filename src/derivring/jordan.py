@@ -6,6 +6,7 @@ checks, and the Jordan reconstruction of the implementing element.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .checks import CheckReport, Violation
@@ -17,6 +18,7 @@ from .matrices import (
     commutator,
     jordan_mul,
     matrix_unit,
+    symmetric_part,
 )
 from .sampling import random_symmetric
 from .twolocal import ReconstructionResult, TwoLocalOracle, _ValidatedFamily
@@ -50,18 +52,22 @@ class JordanPairDerivation:
         self.pairs = pairs
 
     def __call__(self, x):
-        """Apply the pair-list derivation; a SymmetricMatrix input gives a
-        SymmetricMatrix output. (The same formula on arbitrary matrices
-        still equals the commutator action of the reduced generator.)"""
+        """Apply the pair-list derivation. On a SymmetricMatrix x, with
+        y_k = b_k.x and z_k = a_k.x, the value sum(a_k.y_k - b_k.z_k) is
+        the symmetric part of sum(a_k y_k - b_k z_k), because a_k, b_k,
+        y_k and z_k are all symmetric: each pair takes two Jordan products
+        and two matrix products, and the whole sum one symmetrisation,
+        whose SymmetricMatrix constructor checks the result. Any other x
+        takes the literal formula, whose value still equals the
+        commutator action of the reduced generator."""
         if x.n != self.n or x.ring != self.ring:
             raise DomainError(f"expected a {self.n}x{self.n} matrix over {self.ring}")
+        typed = isinstance(x, SymmetricMatrix)
+        outer = operator.mul if typed else jordan_mul
         acc = Matrix.zero(self.ring, self.n)
         for a, b in self.pairs:
-            acc = acc + jordan_mul(a, jordan_mul(b, x))
-            acc = acc - jordan_mul(b, jordan_mul(a, x))
-        if isinstance(x, SymmetricMatrix):
-            return SymmetricMatrix(acc.ring, acc.n, acc.entries)
-        return acc
+            acc = acc + outer(a, jordan_mul(b, x)) - outer(b, jordan_mul(a, x))
+        return symmetric_part(acc) if typed else acc
 
 
 def pairs_to_commutator(pd):
@@ -71,11 +77,13 @@ def pairs_to_commutator(pd):
 
 
 def _commutator_sum(pd):
-    """sum [a_k, b_k] over the pairs of `pd`."""
-    acc = Matrix.zero(pd.ring, pd.n)
+    """sum [a_k, b_k] over the pairs of `pd`. The pairs are symmetric, so
+    b_k a_k = (a_k b_k)^T and the sum is p - p^T with p = sum a_k b_k:
+    one product per pair, and one skew check for the sum."""
+    p = Matrix.zero(pd.ring, pd.n)
     for a, b in pd.pairs:
-        acc = acc + commutator(a, b)
-    return acc
+        p = p + a * b
+    return SkewMatrix.of(p - p.transpose())
 
 
 def check_diag_zero(pairs):
@@ -193,13 +201,19 @@ def verify_jordan_theorem(family, samples):
     Jordan Leibniz rule D(x.y) = D(x).y + x.D(y) for D = [abar, .] on
     consecutive samples: pair k is (sample k, sample k+1), and the last
     sample pairs with the first (a single sample pairs with itself). The
-    rule reuses the values [abar, x] that the action check computed.
+    rule reuses the values [abar, x] that the action check computed. Its
+    right-hand side is one symmetric part, of D(x) y + x D(y): D(x), D(y),
+    x and y are symmetric, so that is D(x).y + x.D(y) (see
+    `symmetric_part`).
 
     `jordan-leibniz` cannot fire for any map a suite passes in: whatever
-    abar is reconstructed, [abar, .] is an inner derivation of the
-    associative product and hence a derivation of the Jordan product.
-    Only a non-associative product would break it; a wrong map shows up
-    as `action` or `closure`."""
+    abar is reconstructed, D = [abar, .] is an inner derivation of the
+    associative product, so D(xy) = D(x) y + x D(y), and D(yx) is the
+    transpose of that for symmetric x, y and D-values. The left side,
+    D(x.y) = (D(xy) + D(yx))/2, is then the symmetric part of the same
+    sum, whatever abar is. Only a non-associative product, or a Jordan
+    product computed wrongly, would break it; a wrong map shows up as
+    `action` or `closure`."""
     samples = list(samples)
     if not samples:
         raise DomainError("verify_jordan_theorem needs at least one sample")
@@ -221,7 +235,7 @@ def verify_jordan_theorem(family, samples):
         nxt = (idx + 1) % count
         y = samples[nxt]
         lhs = commutator(abar, jordan_mul(x, y))
-        rhs = jordan_mul(images[idx], y) + jordan_mul(x, images[nxt])
+        rhs = symmetric_part(images[idx] * y + x * images[nxt])
         if lhs != rhs:
             return CheckReport(
                 count + idx, (Violation("jordan-leibniz", f"pair {idx}", lhs, rhs),)

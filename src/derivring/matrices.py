@@ -6,9 +6,12 @@ Public row/column indices run from 1 to match the e_{i,j} notation;
 storage is 0-based row-major. The ring belongs to the matrix: `entries`
 holds bare canonical payloads (ints for Z_m, coefficient tuples for
 Z_m[t]), and the ring owns the arithmetic on them (see
-`derivring.rings`). `+`, `-`, negation and scaling map the ring's
-scalar ops over the payloads, and equality and the symmetry predicates
-compare payloads. Only `entry` builds a ring element.
+`derivring.rings`). `+`, `-`, negation and scaling hand whole entry
+tuples to the ring's tuple ops (`add_all`, `sub_all`, `neg_all`,
+`scale_all`), and equality compares payload tuples. One transpose order
+per n, built once, serves `transpose`, `is_symmetric` (a^T == a),
+`is_skew` (a^T == -a) and `p + sign p^T`; both predicates compare the
+whole tuples. Only `entry` builds a ring element.
 
 The product ab picks its path from the operands' support. If b has at
 most n nonzero entries, each nonzero b_kj adds column k of a, times
@@ -27,11 +30,16 @@ their property in their one constructor. For typed a and b,
 ba = sign (ab)^T with sign = a.parity * b.parity, so with p = ab the
 commutator p - sign p^T and the Jordan product (p + sign p^T)/2 take one
 product, through `Matrix.__mul__`, where the literal formulas take two.
+The same rule makes a sum of Jordan products of symmetric matrices the
+symmetric part (q + q^T)/2 of the sum q of their plain products, so
+`symmetric_part` symmetrises a whole sum once.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import compress
+from operator import itemgetter
 
 from .errors import DomainError
 from .rings import RingElement, same_ring
@@ -46,6 +54,7 @@ __all__ = [
     "commutator",
     "corner",
     "jordan_mul",
+    "symmetric_part",
 ]
 
 
@@ -126,18 +135,16 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_compatible(other)
-        add = self.ring.add
-        return Matrix(self.ring, self.n, tuple(map(add, self.entries, other.entries)))
+        return Matrix(self.ring, self.n, self.ring.add_all(self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_compatible(other)
-        sub = self.ring.sub
-        return Matrix(self.ring, self.n, tuple(map(sub, self.entries, other.entries)))
+        return Matrix(self.ring, self.n, self.ring.sub_all(self.entries, other.entries))
 
     def __neg__(self):
-        return Matrix(self.ring, self.n, tuple(map(self.ring.neg, self.entries)))
+        return Matrix(self.ring, self.n, self.ring.neg_all(self.entries))
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -160,33 +167,22 @@ class Matrix:
         return NotImplemented
 
     def _scaled(self, z):
-        mul, s = same_ring(self, z).mul, z.payload
-        return Matrix(self.ring, self.n, tuple([mul(s, x) for x in self.entries]))
+        ring = same_ring(self, z)
+        return Matrix(ring, self.n, ring.scale_all(z.payload, self.entries))
 
     def transpose(self):
-        n = self.n
-        ent = self.entries
-        return Matrix(
-            self.ring, n, tuple(ent[j * n + i] for i in range(n) for j in range(n))
-        )
+        return Matrix(self.ring, self.n, _transposer(self.n)(self.entries))
 
     def is_zero(self):
         return not any(self.entries)
 
     def is_symmetric(self):
-        n = self.n
         ent = self.entries
-        return all(
-            ent[i * n + j] == ent[j * n + i] for i in range(n) for j in range(i + 1, n)
-        )
+        return ent == _transposer(self.n)(ent)
 
     def is_skew(self):
-        n = self.n
         ent = self.entries
-        neg = self.ring.neg
-        return all(
-            ent[i * n + j] == neg(ent[j * n + i]) for i in range(n) for j in range(i, n)
-        )
+        return self.ring.neg_all(ent) == _transposer(self.n)(ent)
 
     def __eq__(self, other):
         return (
@@ -207,6 +203,16 @@ class Matrix:
             for i in range(n)
         )
         return f"M{n}({self.ring})[{rows}]"
+
+
+@cache
+def _transposer(n):
+    """The map from the row-major entries of an n x n matrix to those of
+    its transpose, built once per n. At n = 1 transposing changes nothing
+    (and an itemgetter of one index would return the bare entry)."""
+    if n == 1:
+        return tuple
+    return itemgetter(*(j * n + i for i in range(n) for j in range(n)))
 
 
 def _sparse_product(ring, n, s, d, left):
@@ -316,21 +322,23 @@ def commutator(a, b):
     return _plus_transpose(a * b, -sign)
 
 
+def symmetric_part(p):
+    """(p + p^T)/2, a SymmetricMatrix. For symmetric a and y,
+    ya = (ay)^T, so a sum of Jordan products sum(a_k.y_k - b_k.z_k) is
+    the symmetric part of sum(a_k y_k - b_k z_k): one symmetrisation for
+    the whole sum instead of one per product."""
+    return _plus_transpose(p, 1, p.ring.half.payload)
+
+
 def _plus_transpose(p, sign, scale=None):
     """p + sign p^T, each entry times `scale` if given, as the matrix type
-    of parity `sign`; computed on the upper triangle and mirrored."""
+    of parity `sign`, whose constructor checks the property."""
     ring, n, ent = p.ring, p.n, p.entries
-    combine = ring.add if sign > 0 else ring.sub
-    mirror, mul = ring.neg, ring.mul
-    out = list(ent)
-    for i in range(n):
-        for j in range(i, n):
-            v = combine(ent[i * n + j], ent[j * n + i])
-            if scale is not None:
-                v = mul(scale, v)
-            out[i * n + j] = v
-            out[j * n + i] = v if sign > 0 else mirror(v)
-    return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, tuple(out))
+    mirror = _transposer(n)(ent)
+    out = ring.add_all(ent, mirror) if sign > 0 else ring.sub_all(ent, mirror)
+    if scale is not None:
+        out = ring.scale_all(scale, out)
+    return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, out)
 
 
 def corner(a, i, j):

@@ -5,15 +5,19 @@ Z_m[t] on top of such a base. A value is a canonical payload (a residue
 in [0, m), or a little-endian coefficient tuple with no trailing zeros),
 so equality of values is equality of payloads and nothing ever rounds.
 
-The ring owns the arithmetic, written once on payloads: `add`, `sub`,
-`neg`, `mul` and the dense n x n product `matmul` over row-major payload
-tuples. Matrices store bare payloads and map these ops over them. A
-matrix product goes to `matmul` only when both operands have more than
-n nonzero entries; a sparser operand is multiplied by its support with
-`add` and `mul` (see `derivring.matrices`). A
-`RingElement` pairs a payload with its ring only where the scalar API
-hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
-operators call the same ring ops behind one ring-mismatch check.
+The ring owns the arithmetic, written once on payloads: the scalar ops
+`add`, `sub`, `neg` and `mul`, their whole-tuple forms `add_all`,
+`sub_all`, `neg_all` and `scale_all` (entrywise over equal-length
+payload tuples), and the dense n x n product `matmul` over row-major
+payload tuples. Matrices store bare payloads and hand whole entry tuples
+to the tuple ops: Z_m runs each as one comprehension over ints, Z_m[t]
+maps its scalar op. A matrix product goes to `matmul` only when both
+operands have more than n nonzero entries; a sparser operand is
+multiplied by its support with `add` and `mul` (see
+`derivring.matrices`). A `RingElement` pairs a payload with its ring
+only where the scalar API hands one out (`ring.element`, `ring.sample`,
+`Matrix.entry`), and its operators call the same ring ops behind one
+ring-mismatch check.
 
 On Z_m a dot product is summed in plain ints and reduced mod m once. On
 Z_m[t], products use Kronecker substitution (Harvey, "Faster polynomial
@@ -217,6 +221,22 @@ class Zmod:
     def mul(self, a, b):
         return a * b % self.modulus
 
+    def add_all(self, a, b):
+        m = self.modulus
+        return tuple([(x + y) % m for x, y in zip(a, b)])
+
+    def sub_all(self, a, b):
+        m = self.modulus
+        return tuple([(x - y) % m for x, y in zip(a, b)])
+
+    def neg_all(self, a):
+        m = self.modulus
+        return tuple([-x % m for x in a])
+
+    def scale_all(self, s, a):
+        m = self.modulus
+        return tuple([s * x % m for x in a])
+
     def matmul(self, n, a, b):
         """The payloads of the n x n product a b: each dot product is
         summed in plain ints and reduced mod m once."""
@@ -316,6 +336,19 @@ class PolyRing:
         m = self.base.modulus
         bits = _slot_bits(1, len(a), len(b), m)
         return _unpack(_pack(a, bits) * _pack(b, bits), bits, m)
+
+    def add_all(self, a, b):
+        return tuple(map(self.add, a, b))
+
+    def sub_all(self, a, b):
+        return tuple(map(self.sub, a, b))
+
+    def neg_all(self, a):
+        return tuple(map(self.neg, a))
+
+    def scale_all(self, s, a):
+        mul = self.mul
+        return tuple([mul(s, x) for x in a])
 
     def matmul(self, n, a, b):
         """The payloads of the n x n product a b by Kronecker substitution:

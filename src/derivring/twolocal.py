@@ -42,21 +42,30 @@ class NoiseSpec(Enum):
 
 
 class TwoLocalOracle:
-    """Total evaluation access to the map Delta under scrutiny."""
+    """Total evaluation access to the map Delta under scrutiny. Its ring
+    and n are read-only: a witness family takes both from its oracle."""
 
-    __slots__ = ("ring", "n", "_evaluate")
+    __slots__ = ("_ring", "_n", "_evaluate")
 
     def __init__(self, ring, n, evaluate):
         if n < 2:
             raise DomainError("2-local analysis needs n >= 2")
-        self.ring = ring
-        self.n = n
+        self._ring = ring
+        self._n = n
         self._evaluate = evaluate
 
+    @property
+    def ring(self):
+        return self._ring
+
+    @property
+    def n(self):
+        return self._n
+
     def __call__(self, x):
-        if x.n != self.n or x.ring != self.ring:
+        if x.n != self._n or x.ring != self._ring:
             raise DomainError(
-                f"oracle expects {self.n}x{self.n} matrices over {self.ring}"
+                f"oracle expects {self._n}x{self._n} matrices over {self._ring}"
             )
         return self._evaluate(x)
 
@@ -252,8 +261,8 @@ def check_diag_difference(b, c, oracle):
     dx0 = oracle(x0)
     if commutator(b, x0) != dx0 or commutator(c, x0) != dx0:
         raise ContractError("diag-difference inputs must both witness Delta at x0")
-    sub, step = ring.sub, n + 1
-    shift = list(map(sub, c.entries[::step], b.entries[::step]))
+    step = n + 1
+    shift = ring.sub_all(c.entries[::step], b.entries[::step])
     return shift.count(shift[0]) == n
 
 

@@ -98,6 +98,26 @@ def skew_unit(ring, n, r, c, z):
     return (matrix_unit(ring, n, r, c) - matrix_unit(ring, n, c, r)) * z
 
 
+def literal_jordan_mul(a, b):
+    """Reference: the Jordan product as (ab + ba)/2, two products."""
+    return (a * b + b * a) * a.ring.half
+
+
+def literal_commutator(a, b):
+    """Reference: the commutator as ab - ba, two products."""
+    return a * b - b * a
+
+
+def literal_pair_action(pd, x):
+    """Reference: sum(a_k.(b_k.x) - b_k.(a_k.x)), four literal Jordan
+    products per pair."""
+    total = Matrix.zero(pd.ring, pd.n)
+    for a, b in pd.pairs:
+        total = total + literal_jordan_mul(a, literal_jordan_mul(b, x))
+        total = total - literal_jordan_mul(b, literal_jordan_mul(a, x))
+    return total
+
+
 def nonzero_element(ring, rng):
     z = ring.zero
     while z.is_zero():
@@ -189,6 +209,60 @@ class TestReduction:
             s = pairs_to_commutator(pd)
             assert s.is_skew()
             assert all(s.entry(i, i).is_zero() for i in range(1, 5))
+
+
+class TestLiteralReference:
+    """The pair-list action and its reduction take one symmetrisation per
+    sum; the literal formulas, two products per Jordan product or
+    commutator, are the reference."""
+
+    @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_action_matches_literal_jordan_products(self, ring, n, count):
+        rng = random.Random(10 * n + count)
+        pd = JordanPairDerivation(ring, n, random_pairs(ring, n, rng, count))
+        for x, kind in (
+            (random_symmetric(ring, n, rng), SymmetricMatrix),
+            (random_matrix(ring, n, rng), Matrix),
+        ):
+            out = pd(x)
+            assert out == literal_pair_action(pd, x)
+            assert type(out) is kind
+
+    @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_reduction_matches_literal_commutators(self, ring, n, count):
+        rng = random.Random(10 * n + count)
+        pd = JordanPairDerivation(ring, n, random_pairs(ring, n, rng, count))
+        total = Matrix.zero(ring, n)
+        for a, b in pd.pairs:
+            total = total + literal_commutator(a, b)
+        assert pairs_to_commutator(pd) == total * (ring.half * ring.half)
+
+    def test_a_symmetric_part_without_the_transpose_is_caught(self, monkeypatch):
+        # negative control: (q + q)/2 = q in place of (q + q^T)/2
+        import derivring.jordan as jordan
+
+        rng = random.Random(91)
+        pd = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 2))
+        x = random_symmetric(Z9, 3, rng)
+        expected = literal_pair_action(pd, x)
+        assert pd(x) == expected
+
+        def untransposed(q, cls):
+            ring = q.ring
+            doubled = ring.add_all(q.entries, q.entries)
+            return cls(ring, q.n, ring.scale_all(ring.half.payload, doubled))
+
+        monkeypatch.setattr(
+            jordan, "symmetric_part", lambda q: untransposed(q, SymmetricMatrix)
+        )
+        with pytest.raises(DomainError):
+            pd(x)
+        monkeypatch.setattr(jordan, "symmetric_part", lambda q: untransposed(q, Matrix))
+        assert pd(x) != expected
 
 
 class TestDiagZero:

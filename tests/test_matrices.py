@@ -23,7 +23,7 @@ from derivring import (
     probe_x0,
 )
 from derivring.sampling import random_matrix, random_symmetric
-from test_jordan import random_skew
+from test_jordan import literal_commutator, literal_jordan_mul, random_skew
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
@@ -180,16 +180,6 @@ def support_cases(draw):
 
     side = draw(st.sampled_from(["left", "right", "both"]))
     return operand(side != "right"), operand(side != "left")
-
-
-def literal_jordan_mul(a, b):
-    """Reference: the Jordan product as (ab + ba)/2, two products."""
-    return (a * b + b * a) * a.ring.half
-
-
-def literal_commutator(a, b):
-    """Reference: the commutator as ab - ba, two products."""
-    return a * b - b * a
 
 
 def mirrored(mat, sign):

@@ -1,6 +1,7 @@
 """Ring arithmetic: canonical forms, axioms, halving, base derivations."""
 
 import operator
+import random
 
 import pytest
 from hypothesis import given
@@ -188,6 +189,36 @@ class TestArithmetic:
     def test_foreign_types_rejected(self):
         with pytest.raises(TypeError):
             Z5.element(1) + 1
+
+
+class TestTupleOps:
+    """Each whole-tuple op equals the map of its scalar op."""
+
+    @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
+    @pytest.mark.parametrize("size", [0, 1, 4, 9, 16])
+    def test_each_is_the_map_of_its_scalar_op(self, ring, size):
+        rng = random.Random(size)
+        # every third entry zero, so () appears in Z_5[t]
+        a, b = (
+            tuple(
+                ring.zero.payload if k % 3 == 0 else ring.sample(rng, 3).payload
+                for k in range(size)
+            )
+            for _ in range(2)
+        )
+        assert ring.add_all(a, b) == tuple(map(ring.add, a, b))
+        assert ring.sub_all(a, b) == tuple(map(ring.sub, a, b))
+        assert ring.neg_all(a) == tuple(map(ring.neg, a))
+        for s in (ring.zero.payload, ring.one.payload, ring.sample(rng, 3).payload):
+            assert ring.scale_all(s, a) == tuple(ring.mul(s, x) for x in a)
+
+    def test_leading_terms_vanish_mod_9(self):
+        # 3t * 3t = 9t^2 = 0 and 3t + 6t = 9t = 0 over Z_9
+        three_t, six_t = (0, 3), (0, 6)
+        assert P9.scale_all(three_t, (three_t, (), (1,))) == ((), (), three_t)
+        assert P9.add_all((three_t, ()), (six_t, ())) == ((), ())
+        assert P9.sub_all((three_t,), (three_t,)) == ((),)
+        assert P9.neg_all((three_t, ())) == (six_t, ())
 
 
 class TestHalf:

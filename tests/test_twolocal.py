@@ -180,6 +180,18 @@ class TestWitnessFamily:
         assert family.offdiag[(1, 2)] == a and family.c == a
         assert family.oracle is oracle and (family.ring, family.n) == (Z5, 2)
 
+    def test_oracle_shape_is_read_only(self):
+        # a family reads ring and n from its oracle, so these must not move
+        oracle, family = gen_witness_family(
+            random_matrix(Z5, 2, random.Random(40)), NoiseSpec.NONE, seed=3
+        )
+        with pytest.raises(AttributeError):
+            oracle.n = 3
+        with pytest.raises(AttributeError):
+            oracle.ring = Z9
+        assert (family.ring, family.n) == (Z5, 2)
+        reconstruct_abar(family)
+
     def test_caller_dict_is_copied(self):
         a = Matrix.from_rows(Z5, [[1, 2], [3, 4]])
         offdiag = {(1, 2): a, (2, 1): a}
