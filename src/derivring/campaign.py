@@ -333,12 +333,15 @@ def _jordan_diag(config):
 
     def check(irng):
         pairs = random_pairs(ring, n, irng, irng.randint(1, 4), degree)
-        if not check_diag_zero(pairs):
+        pd = JordanPairDerivation(ring, n, pairs)
+        if not check_diag_zero(pd):
             total = Matrix.zero(ring, n)
             for a, b in pairs:
                 total = total + commutator(a, b)
             yield Violation("diag-zero", "sum [a_k,b_k]", total, Matrix.zero(ring, n))
-        s = pairs_to_commutator(JordanPairDerivation(ring, n, pairs))
+        s = pairs_to_commutator(pd)
+        # pairs_to_commutator returns a SkewMatrix, whose constructor raises
+        # on a non-skew result first: this fires only if it is replaced
         if not s.is_skew():
             yield Violation("skew", "reduced generator", s, -s.transpose())
 

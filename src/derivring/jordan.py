@@ -2,12 +2,15 @@
 x -> sum(a_k.(b_k.x) - b_k.(a_k.x)), its reduction to one skew
 commutator generator, the diagonal and corner identities as executable
 checks, and the Jordan reconstruction of the implementing element.
+Witnesses are SkewMatrix values from the reduction onward, and the
+reconstruction's one skewness check is the corner consistency condition.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from types import MappingProxyType
 
 from .checks import CheckReport, Violation
 from .errors import ContractError, DomainError
@@ -15,6 +18,7 @@ from .matrices import (
     Matrix,
     SkewMatrix,
     SymmetricMatrix,
+    _plus_transpose,
     commutator,
     jordan_mul,
     matrix_unit,
@@ -72,32 +76,29 @@ class JordanPairDerivation:
 
 def pairs_to_commutator(pd):
     """The single skew generator with the same action: one quarter of the
-    summed commutators sum [a_k, b_k]."""
-    return _commutator_sum(pd) * (pd.ring.half * pd.ring.half)
-
-
-def _commutator_sum(pd):
-    """sum [a_k, b_k] over the pairs of `pd`. The pairs are symmetric, so
-    b_k a_k = (a_k b_k)^T and the sum is p - p^T with p = sum a_k b_k:
-    one product per pair, and one skew check for the sum."""
+    summed commutators sum [a_k, b_k]. The pairs are symmetric, so that
+    sum is p - p^T with p = sum a_k b_k: one product per pair, and one
+    skew check, by the SkewMatrix constructor, on (p - p^T)/4."""
     p = Matrix.zero(pd.ring, pd.n)
     for a, b in pd.pairs:
         p = p + a * b
-    return SkewMatrix.of(p - p.transpose())
+    return _plus_transpose(p, -1, (pd.ring.half * pd.ring.half).payload)
 
 
-def check_diag_zero(pairs):
-    """True iff every diagonal entry of sum [a_k, b_k] vanishes; over a
-    commutative ring this is forced for symmetric pairs."""
-    if not isinstance(pairs, JordanPairDerivation):
-        pairs = tuple(pairs)
-        if not pairs:
-            return True
-        first = pairs[0][0]
-        pairs = JordanPairDerivation(first.ring, first.n, pairs)
-    total = _commutator_sum(pairs)
+def check_diag_zero(pd):
+    """True iff every diagonal entry of sum [a_k, b_k] over the pairs of
+    `pd` vanishes. Entry (i,i) is the sum over k and j of a_k[i,j] b_k[j,i]
+    - b_k[i,j] a_k[j,i], in the ring's scalar ops; for symmetric pairs
+    each term vanishes when the scalar product commutes."""
+    ring, n = pd.ring, pd.n
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    diagonal = [ring.zero.payload] * n
+    for a, b in pd.pairs:
+        terms = zip(a.entries, b.transpose().entries, b.entries, a.transpose().entries)
+        for k, (x, y, u, v) in enumerate(terms):
+            diagonal[k // n] = add(diagonal[k // n], sub(mul(x, y), mul(u, v)))
     # zero payloads are the only falsy ones
-    return not any(total.entries[:: total.n + 1])
+    return not any(diagonal)
 
 
 def check_corner_consistency(d_ii, d_jj, i, j):
@@ -140,12 +141,21 @@ def corner_compress(oracle, i, j):
 class JordanWitnessFamily(_ValidatedFamily):
     """The reduced diagonal-probe witnesses of `oracle`: for each index i
     the matrix d(ii) = (1/4) sum [a_k, b_k] of a pair list witnessing
-    Delta at e_{i,i}. Each d(ii) must be skew, hence with zero diagonal."""
+    Delta at e_{i,i}. The constructor converts each d(ii) with
+    `SkewMatrix.of` once and keeps it, so every `diag` value is a
+    SkewMatrix; one that is not skew is a ContractError."""
 
     __slots__ = ()
 
     def __init__(self, oracle, diag):
         super().__init__(oracle, diag, set(range(1, oracle.n + 1)), "d(ii) per index")
+        typed = {}
+        for i in range(1, self.n + 1):
+            try:
+                typed[i] = SkewMatrix.of(self._witnesses[i])
+            except DomainError:
+                raise ContractError(f"d({i}{i}) must be skew-symmetric") from None
+        self._witnesses = MappingProxyType(typed)
         self.validate()
 
     @property
@@ -154,44 +164,33 @@ class JordanWitnessFamily(_ValidatedFamily):
         return self._witnesses
 
     def validate(self):
-        """Check each d(ii) for skewness and against the oracle at e_{i,i};
-        raises ContractError on the first failure."""
+        """Check each d(ii) against the oracle at e_{i,i}; raises
+        ContractError on the first failure."""
         oracle, ring, n = self.oracle, self.ring, self.n
         for i in range(1, n + 1):
-            try:
-                d = SkewMatrix.of(self.diag[i])
-            except DomainError:
-                raise ContractError(f"d({i}{i}) must be skew-symmetric") from None
             unit = SymmetricMatrix.of(matrix_unit(ring, n, i, i))
-            if oracle(unit) != commutator(d, unit):
+            if oracle(unit) != commutator(self.diag[i], unit):
                 raise ContractError(f"d({i}{i}) does not witness Delta at e[{i},{i}]")
 
 
 def reconstruct_abar_jordan(family):
     """Reassemble the implementing element from the diagonal-probe
-    witnesses: off the diagonal, row i of abar is row i of d(ii), and the
-    diagonal is zero. A nonzero (i,i) entry of d(ii), a disagreement of
-    d(ii) and d(jj) at (i,j) or (j,i), or a result that is not skew trips
-    a ContractError; abar is a SkewMatrix. Neither the first nor the last
-    can fire for a family that passed its constructor: each d(ii) is
-    skew, so once the corners agree the result is skew as well."""
+    witnesses: row i of abar is row i of d(ii). Each d(ii) is skew, so
+    abar has zero diagonal, and abar[i,j] = -abar[j,i] says exactly that
+    d(ii) and d(jj) agree at (i,j) and (j,i). So the SkewMatrix
+    constructor of abar is the one corner-consistency check; if it fails,
+    a ContractError names the first pair that `check_corner_consistency`
+    refuses."""
     ring, n, diag = family.ring, family.n, family.diag
-    for i in range(1, n + 1):
-        if not diag[i].entry(i, i).is_zero():
-            raise ContractError(f"diagonal summand ({i},{i}) is nonzero")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not check_corner_consistency(diag[i], diag[j], i, j):
-                raise ContractError(f"corner consistency fails for ({i},{j})")
-    entries = tuple(
-        ring.zero.payload if i == j else diag[i + 1].entries[i * n + j]
-        for i in range(n)
-        for j in range(n)
-    )
+    entries = tuple(diag[k // n + 1].entries[k] for k in range(n * n))
     try:
         abar = SkewMatrix(ring, n, entries)
     except DomainError:
-        raise ContractError("reconstructed element is not skew-symmetric") from None
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if not check_corner_consistency(diag[i], diag[j], i, j):
+                    raise ContractError(f"corner consistency fails for ({i},{j})")
+        raise
     return ReconstructionResult(abar)
 
 

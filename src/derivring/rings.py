@@ -169,8 +169,6 @@ class Zmod:
     """The ring Z_m with m odd and >= 3, so that 2 has an inverse.
     Payloads are the residues 0..m-1."""
 
-    kind = "zmod"
-
     __slots__ = ("modulus", "inv2", "zero", "one", "half")
 
     def __init__(self, modulus):
@@ -264,8 +262,6 @@ class PolyRing:
     Payloads are coefficient tuples, constant term first, trailing zeros
     stripped; the zero polynomial is the empty tuple.
     """
-
-    kind = "poly"
 
     __slots__ = ("base", "zero", "one", "half", "t")
 

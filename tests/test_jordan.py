@@ -39,6 +39,7 @@ from derivring.sampling import (
 Z5 = Zmod(5)
 Z9 = Zmod(9)
 P5 = PolyRing(Z5)
+P3 = PolyRing(Zmod(3))
 AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
 
 
@@ -239,7 +240,9 @@ class TestLiteralReference:
         total = Matrix.zero(ring, n)
         for a, b in pd.pairs:
             total = total + literal_commutator(a, b)
-        assert pairs_to_commutator(pd) == total * (ring.half * ring.half)
+        s = pairs_to_commutator(pd)
+        assert s == total * (ring.half * ring.half)
+        assert type(s) is SkewMatrix
 
     def test_a_symmetric_part_without_the_transpose_is_caught(self, monkeypatch):
         # negative control: (q + q)/2 = q in place of (q + q^T)/2
@@ -265,6 +268,16 @@ class TestLiteralReference:
         assert pd(x) != expected
 
 
+class NoncommutativeZmod(Zmod):
+    """Z_m with the scalar product a*b replaced by a*(b+1): sums and
+    symmetry are as in Z_m, but a*b != b*a whenever a != b."""
+
+    __slots__ = ()
+
+    def mul(self, a, b):
+        return a * (b + 1) % self.modulus
+
+
 class TestDiagZero:
     def test_frozen_example(self):
         eb12 = jordan_unit(Z5, 2, 1, 2)
@@ -272,26 +285,29 @@ class TestDiagZero:
         assert commutator(eb12, e11) == matrix_unit(Z5, 2, 2, 1) - matrix_unit(
             Z5, 2, 1, 2
         )
-        assert check_diag_zero([(eb12, e11)])
+        assert check_diag_zero(JordanPairDerivation(Z5, 2, [(eb12, e11)]))
 
     def test_identical_pair(self):
         a = random_symmetric(Z9, 3, random.Random(67))
-        assert check_diag_zero([(a, a)])
+        assert check_diag_zero(JordanPairDerivation(Z9, 3, [(a, a)]))
 
     def test_random_campaign(self):
         rng = random.Random(68)
-        for _ in range(500):
-            assert check_diag_zero(random_pairs(Z9, 4, rng, rng.randint(1, 4)))
+        for ring in (Z9, P5):
+            for _ in range(500):
+                pairs = random_pairs(ring, 4, rng, rng.randint(1, 4))
+                assert check_diag_zero(JordanPairDerivation(ring, 4, pairs))
 
     def test_accepts_pair_derivation(self):
         rng = random.Random(69)
         pd = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 2))
         assert check_diag_zero(pd)
+        assert check_diag_zero(JordanPairDerivation(Z9, 3))
 
     def test_rejects_asymmetric(self):
         e12 = matrix_unit(Z5, 2, 1, 2)
         with pytest.raises(DomainError):
-            check_diag_zero([(e12, e12)])
+            check_diag_zero(JordanPairDerivation(Z5, 2, [(e12, e12)]))
 
     def test_symmetric_pairs_are_not_checked_again(self, monkeypatch):
         # the SymmetricMatrix constructor is the one place symmetry is checked
@@ -304,8 +320,18 @@ class TestDiagZero:
         pd = JordanPairDerivation(Z9, 3, pairs)
         assert pd.pairs == pairs
         assert check_diag_zero(pd)
-        assert check_diag_zero(pairs)
         assert calls == []
+
+    def test_a_noncommutative_scalar_product_is_caught(self):
+        # negative control: the diagonal is computed from the pair entries,
+        # so a scalar product that does not commute shows there
+        ring = NoncommutativeZmod(5)
+        e11 = SymmetricMatrix.of(matrix_unit(ring, 2, 1, 1))
+        eb12 = jordan_unit(ring, 2, 1, 2)
+        assert not check_diag_zero(JordanPairDerivation(ring, 2, [(e11, eb12)]))
+        rng = random.Random(73)
+        pd = JordanPairDerivation(ring, 3, random_pairs(ring, 3, rng, 2))
+        assert not check_diag_zero(pd)
 
 
 class TestCornerConsistency:
@@ -501,10 +527,11 @@ class TestJordanReconstruction:
         assert reconstruct_abar_jordan(family).abar == literal_jordan_corner_sum(family)
 
     def _tampered(self, *witnesses):
-        # built with validation switched off: the reconstruction's own
-        # checks must catch these witnesses
-        n = witnesses[0].n
-        oracle = TwoLocalOracle(Z9, n, lambda x: Matrix.zero(Z9, n))
+        # built with validation against the oracle switched off: the
+        # constructor's skew check and the reconstruction's corner check
+        # must catch these witnesses
+        ring, n = witnesses[0].ring, witnesses[0].n
+        oracle = TwoLocalOracle(ring, n, lambda x: Matrix.zero(ring, n))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(JordanWitnessFamily, "validate", lambda self: None)
             return JordanWitnessFamily(oracle, dict(enumerate(witnesses, 1)))
@@ -520,10 +547,11 @@ class TestJordanReconstruction:
         assert reconstruct_abar_jordan(family).abar == s
 
     def test_nonzero_diagonal_summand(self):
+        # a witness with a nonzero diagonal is not skew, so no family
+        # holding one can be built, even without validation
         zero = Matrix.zero(Z9, 3)
-        family = self._tampered(zero, matrix_unit(Z9, 3, 2, 2), zero)
-        with pytest.raises(ContractError, match="diagonal summand"):
-            reconstruct_abar_jordan(family)
+        with pytest.raises(ContractError, match=r"d\(22\) must be skew-symmetric"):
+            self._tampered(zero, matrix_unit(Z9, 3, 2, 2), zero)
 
     def test_inconsistent_corners(self):
         rng = random.Random(801)
@@ -534,9 +562,59 @@ class TestJordanReconstruction:
             reconstruct_abar_jordan(family)
 
     def test_non_skew_reconstruction(self):
-        family = self._tampered(*[matrix_unit(Z9, 3, 1, 2)] * 3)
-        with pytest.raises(ContractError, match="not skew"):
-            reconstruct_abar_jordan(family)
+        # non-skew witnesses are refused when the family is built, so the
+        # reconstruction never sees them
+        with pytest.raises(ContractError, match=r"d\(11\) must be skew-symmetric"):
+            self._tampered(*[matrix_unit(Z9, 3, 1, 2)] * 3)
+
+    @pytest.mark.parametrize("ring", [Z9, P3], ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_skew_check_is_corner_consistency(self, ring, n):
+        # skew witnesses, each off a shared base at most at one position:
+        # the reconstruction refuses exactly the families with a pair that
+        # fails corner consistency, and names the first such pair
+        rng = random.Random(900 + n)
+        outcomes = set()
+        for _ in range(60):
+            base = random_skew(ring, n, rng, max_degree=1)
+            witnesses = []
+            for _ in range(n):
+                r, c = sorted(rng.sample(range(1, n + 1), 2))
+                z = ring.sample(rng, 1) if rng.random() < 0.5 else ring.zero
+                witnesses.append(base + skew_unit(ring, n, r, c, z))
+            family = self._tampered(*witnesses)
+            failing = [
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                if not check_corner_consistency(family.diag[i], family.diag[j], i, j)
+            ]
+            outcomes.add(not failing)
+            if failing:
+                i, j = failing[0]
+                with pytest.raises(ContractError, match=rf"fails for \({i},{j}\)"):
+                    reconstruct_abar_jordan(family)
+            else:
+                abar = reconstruct_abar_jordan(family).abar
+                assert abar == literal_jordan_corner_sum(family)
+        assert outcomes == {True, False}
+
+    def test_success_makes_one_skew_check(self, monkeypatch):
+        import derivring.jordan as jordan
+
+        rng = random.Random(802)
+        hidden = JordanPairDerivation(Z9, 4, random_pairs(Z9, 4, rng, 2))
+        _, family = gen_jordan_instance(hidden, seed=rng.getrandbits(32))
+        checks, corners = [], []
+        real = Matrix.is_skew
+        monkeypatch.setattr(
+            Matrix, "is_skew", lambda self: checks.append(self) or real(self)
+        )
+        monkeypatch.setattr(
+            jordan, "check_corner_consistency", lambda *args: corners.append(args)
+        )
+        abar = reconstruct_abar_jordan(family).abar
+        assert checks == [abar] and corners == []
 
 
 class TestJordanTheorem:
@@ -641,6 +719,18 @@ class TestJordanGenerator:
         s1 = pairs_to_commutator(JordanPairDerivation(Z5, 2, base))
         s2 = pairs_to_commutator(JordanPairDerivation(Z5, 2, extended))
         assert s1 == s2
+
+    def test_witnesses_are_typed(self):
+        rng = random.Random(87)
+        hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 2))
+        _, generated = gen_jordan_instance(hidden, seed=13)
+        plain = random_skew(Z9, 3, rng)
+        assert type(plain) is Matrix
+        from_plain = family_from_skew(plain)
+        for family in (generated, from_plain):
+            for i in range(1, 4):
+                assert type(family.diag[i]) is SkewMatrix
+        assert from_plain.diag[1] == plain
 
     def test_determinism(self):
         rng = random.Random(86)
