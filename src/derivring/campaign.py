@@ -55,6 +55,7 @@ from .twolocal import (
     check_diag_difference,
     check_offdiag_formula,
     gen_witness_family,
+    offdiag_sides,
     reconstruct_abar,
     verify_theorem1,
 )
@@ -228,16 +229,21 @@ def _lemma_cross(config):
         a = family.offdiag
         for (i, j) in sorted(a):
             for k in range(1, n + 1):
-                # the default form compares a(i,j) with a(i,k), the mirror
-                # form with a(k,j); each needs that second witness to exist
-                for kind, other, mirror in (
-                    ("cross-corner", (i, k), False),
-                    ("cross-corner-mirror", (k, j), True),
+                # the default form compares a(i,j) with a(i,k) at (k, i),
+                # the mirror form with a(k,j) at (j, k); each needs that
+                # second witness to exist, and a violation records the two
+                # entries compared
+                for kind, other, mirror, (r, c) in (
+                    ("cross-corner", (i, k), False, (k, i)),
+                    ("cross-corner-mirror", (k, j), True, (j, k)),
                 ):
                     if other in a and not check_cross_corner(
                         a[(i, j)], a[other], i, j, k, mirror=mirror
                     ):
-                        yield Violation(kind, f"i={i} j={j} k={k}", a[(i, j)], a[other])
+                        yield Violation(
+                            kind, f"i={i} j={j} k={k}",
+                            a[(i, j)].entry(r, c), a[other].entry(r, c),
+                        )
 
     return check
 
@@ -245,14 +251,13 @@ def _lemma_cross(config):
 def _lemma_offdiag(config):
     _reject_unused(config, "delta", "samples", "max_len")
     _require(config, "n", 2)
-    ring, n = config.ring, config.n
 
     def check(irng):
         _, family = _witness_instance(config, irng)
         for (i, j) in sorted(family.offdiag):
             if not check_offdiag_formula(family, i, j):
-                lhs = family.oracle(matrix_unit(ring, n, i, j))
-                yield Violation("offdiag-expansion", f"e[{i},{j}]", lhs, "expansion")
+                lhs, rhs = offdiag_sides(family, i, j)
+                yield Violation("offdiag-expansion", f"e[{i},{j}]", lhs, rhs)
 
     return check
 

@@ -19,6 +19,16 @@ only where the scalar API hands one out (`ring.element`, `ring.sample`,
 `Matrix.entry`), and its operators call the same ring ops behind one
 ring-mismatch check.
 
+Random values come from one path, `draw(rng, count, max_degree)`, which
+returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
+Z_m draws exactly what `count` calls of `rng.randrange(m)` draw: the
+rejection loop of CPython's `_randbelow` (`getrandbits(k)` with
+k = m.bit_length() until the value is below m) over all `count` values
+in one C-level iterator chain. Z_m[t] takes count * (max_degree + 1)
+coefficients from one base draw and strips each chunk. So a seed gives
+the values that one `randrange` per coefficient gives, and the tests
+pin that against a literal per-coefficient reference.
+
 On Z_m a dot product is summed in plain ints and reduced mod m once. On
 Z_m[t], products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
@@ -35,6 +45,7 @@ so no slot carries into the next. A single product is the case n = 1.
 from __future__ import annotations
 
 import operator
+from itertools import islice, repeat
 
 from .errors import DomainError, InvalidRing
 
@@ -201,8 +212,20 @@ class Zmod:
         """The element with the canonical `payload` (trusted)."""
         return ZmodElement(self, payload)
 
+    def draw(self, rng, count, max_degree=0):
+        """`count` residues from the random.Random `rng`, drawn exactly
+        as `count` calls of `rng.randrange(m)` draw them: each takes
+        `getrandbits(k)`, k = m.bit_length(), until a value is below m.
+        So the residues are the first `count` values below m in the one
+        stream of getrandbits(k) calls, and `islice` stops on the last of
+        them without taking another. Residues have no degree;
+        `max_degree` is ignored."""
+        m = self.modulus
+        below = filter(m.__gt__, map(rng.getrandbits, repeat(m.bit_length())))
+        return tuple(islice(below, count))
+
     def sample(self, rng, max_degree=0):
-        return ZmodElement(self, rng.randrange(self.modulus))
+        return ZmodElement(self, self.draw(rng, 1)[0])
 
     def format_payload(self, payload):
         return str(payload)
@@ -301,13 +324,27 @@ class PolyRing:
         """The element with the canonical `payload` (trusted)."""
         return PolyElement(self, payload)
 
+    def draw(self, rng, count, max_degree=3):
+        """`count` polynomials of degree at most `max_degree`, one call to
+        the base's `draw` for all count * (max_degree + 1) coefficients:
+        chunk by chunk, constant term first, each stripped of trailing
+        zeros. The stream is the one that drawing each coefficient by
+        `rng.randrange(m)` would take."""
+        if max_degree < 0:
+            raise DomainError("max_degree must be >= 0")
+        size = max_degree + 1
+        flat = self.base.draw(rng, count * size)
+        chunks = (flat[i : i + size] for i in range(0, count * size, size))
+        return tuple([c if c[-1] else _strip(list(c)) for c in chunks])
+
     def sample(self, rng, max_degree=3):
-        m = self.base.modulus
-        return PolyElement(
-            self, _strip([rng.randrange(m) for _ in range(max_degree + 1)])
-        )
+        return PolyElement(self, self.draw(rng, 1, max_degree)[0])
 
     def add(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return b
         m = self.base.modulus
         if len(a) < len(b):
             a, b = b, a
@@ -317,6 +354,10 @@ class PolyRing:
         return _strip(out)
 
     def sub(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return self.neg(b)
         m = self.base.modulus
         out = list(a) + [0] * (len(b) - len(a))
         for idx, c in enumerate(b):

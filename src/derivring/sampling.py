@@ -1,9 +1,19 @@
 """Seeded random generation of ring elements, matrices, and witness
 noise. Every sampler takes an explicit random.Random, so a seed pins the
 whole stream; the campaign layer derives per-instance seeds from it.
+
+Each matrix takes all its payloads from one `ring.draw`, which draws
+them exactly as one `rng.randrange(m)` call per coefficient would (see
+`derivring.rings`), in the entry order the samplers have always used:
+row by row, only (i, j) with j >= i for a symmetric matrix, and c_0 ..
+c_{n-1} for an x0 commutant. So a seed gives the same instances as a
+per-entry loop, and no entry becomes a ring element.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from operator import itemgetter
 
 from .errors import DomainError
 from .matrices import Matrix, SymmetricMatrix
@@ -23,19 +33,22 @@ def random_element(ring, rng, max_degree=3):
 
 
 def random_matrix(ring, n, rng, max_degree=3):
-    return Matrix(
-        ring, n, tuple(ring.sample(rng, max_degree).payload for _ in range(n * n))
-    )
+    return Matrix(ring, n, ring.draw(rng, n * n, max_degree))
 
 
 def random_symmetric(ring, n, rng, max_degree=3):
-    ent = [ring.zero.payload] * (n * n)
-    for i in range(n):
-        for j in range(i, n):
-            v = ring.sample(rng, max_degree).payload
-            ent[i * n + j] = v
-            ent[j * n + i] = v
-    return SymmetricMatrix(ring, n, tuple(ent))
+    """Entries drawn for (i, j) with j >= i, row by row, and mirrored."""
+    upper = ring.draw(rng, n * (n + 1) // 2, max_degree)
+    return SymmetricMatrix(ring, n, _mirror(n)(upper))
+
+
+@cache
+def _mirror(n):
+    """The map from the n(n+1)/2 entries (i, j), j >= i, of a symmetric
+    matrix, row by row, to its n*n row-major entries, built once per n."""
+    # (i, j) with i <= j sits after the i earlier rows of n, n-1, ... entries
+    start = [i * n - i * (i - 1) // 2 - i for i in range(n)]
+    return _gather([start[min(i, j)] + max(i, j) for i in range(n) for j in range(n)])
 
 
 def random_pairs(ring, n, rng, count, max_degree=3):
@@ -51,7 +64,7 @@ def random_pairs(ring, n, rng, count, max_degree=3):
 
 def random_central(ring, n, rng, max_degree=3):
     """A random scalar matrix z*I."""
-    return Matrix.scalar(ring.sample(rng, max_degree), n)
+    return _upper_toeplitz(ring, n, ring.draw(rng, 1, max_degree))
 
 
 def random_x0_commutant(ring, n, rng, max_degree=3):
@@ -61,7 +74,27 @@ def random_x0_commutant(ring, n, rng, max_degree=3):
     ambiguity allowed for the c witness."""
     if n < 2:
         raise DomainError("the shift probe needs n >= 2")
-    c = [ring.sample(rng, max_degree).payload for _ in range(n)]
+    return _upper_toeplitz(ring, n, ring.draw(rng, n, max_degree))
+
+
+def _upper_toeplitz(ring, n, c):
+    """The matrix with c[j - i] at (i, j) for j >= i, and zero below the
+    diagonal and wherever c has no entry: c = (z,) gives z*I."""
     zero = ring.zero.payload
-    ent = (c[j - i] if j >= i else zero for i in range(n) for j in range(n))
-    return Matrix(ring, n, tuple(ent))
+    return Matrix(ring, n, _toeplitz(n)(c + (zero,) * (n + 1 - len(c))))
+
+
+@cache
+def _toeplitz(n):
+    """The map from (c_0, ..., c_{n-1}, 0) to the row-major entries of the
+    upper-triangular Toeplitz matrix of c, built once per n: (i, j) takes
+    c_{j-i} for j >= i and the trailing zero below the diagonal."""
+    return _gather([j - i if j >= i else n for i in range(n) for j in range(n)])
+
+
+def _gather(indices):
+    """The map from a tuple to the tuple of its entries at `indices` (an
+    itemgetter of one index would return the bare entry)."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)

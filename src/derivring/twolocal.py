@@ -26,6 +26,7 @@ __all__ = [
     "verify_theorem1",
     "check_cross_corner",
     "check_offdiag_formula",
+    "offdiag_sides",
     "check_diag_difference",
     "gen_witness_family",
 ]
@@ -227,9 +228,9 @@ def check_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
     return a_ij.entry(r, c) == a_ik.entry(r, c)
 
 
-def check_offdiag_formula(family, i, j):
-    """The off-diagonal expansion for the oracle Delta that `family`
-    witnesses: Delta(e_{i,j}) equals
+def offdiag_sides(family, i, j):
+    """Both sides of the off-diagonal expansion for the oracle Delta
+    that `family` witnesses: Delta(e_{i,j}), and
 
         S e_{i,j} - e_{i,j} S + a(i,j)^{i,i} e_{i,j} - e_{i,j} a(i,j)^{j,j}
 
@@ -241,8 +242,13 @@ def check_offdiag_formula(family, i, j):
     s = _swapped_corners(family, (ring.zero.payload,) * n)
     unit = matrix_unit(ring, n, i, j)
     a = family.offdiag[(i, j)]
-    lhs = family.oracle(unit)
     rhs = s * unit - unit * s + unit * a.entry(i, i) - unit * a.entry(j, j)
+    return family.oracle(unit), rhs
+
+
+def check_offdiag_formula(family, i, j):
+    """Delta(e_{i,j}) equals its off-diagonal expansion (`offdiag_sides`)."""
+    lhs, rhs = offdiag_sides(family, i, j)
     return lhs == rhs
 
 

@@ -34,6 +34,7 @@ from derivring import (
 )
 from derivring.sampling import random_matrix, random_pairs, random_symmetric
 from derivring.serialize import payload_to_obj
+from derivring.twolocal import offdiag_sides
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
@@ -321,11 +322,11 @@ PLANTED = [
     ),
     (
         plant_lemma_cross, {"cross-corner", "cross-corner-mirror"},
-        "3294050c7fd343af44532876efbd3273d0379c1da2b9e739c85bf8e44b52e133",
+        "55d7343330ce99e58d8f284ce554ffcca7bda022653509ea660fb9c8f5bb67b0",
     ),
     (
         plant_lemma_offdiag, {"offdiag-expansion"},
-        "9d3297fc5cd4a51159f5ea44580225555c6cb5c2b208733d476d8ec762dfe087",
+        "9a7b334d70538acf303eec98e4a1825827dfcca3298c0630e89e9a2829438d1a",
     ),
     (
         plant_lemma_diagdiff, {"diag-difference"},
@@ -385,3 +386,33 @@ class TestPlantedDefects:
             assert replayed == [
                 (rec["kind"], rec["probe"], rec["lhs"], rec["rhs"]) for rec in records
             ]
+
+
+class TestFailureRecordSides:
+    """A lemma record carries both values its check compared, as the
+    replayed instance computes them: two witness entries, or Delta(e_{i,j})
+    and its expansion."""
+
+    def test_lemma_cross_records_the_compared_entries(self, monkeypatch):
+        config = plant_lemma_cross(monkeypatch)
+        report = run_campaign(config)
+        assert report.failures
+        for rec in report.failures:
+            _, family = campaign._witness_instance(config, random.Random(rec["seed"]))
+            a = family.offdiag
+            # the planted probe is i=1 j=2 k=3
+            if rec["kind"] == "cross-corner":
+                sides = a[(1, 2)].entry(3, 1), a[(1, 3)].entry(3, 1)
+            else:
+                sides = a[(1, 2)].entry(2, 3), a[(3, 2)].entry(2, 3)
+            assert (rec["lhs"], rec["rhs"]) == tuple(map(payload_to_obj, sides))
+
+    def test_lemma_offdiag_records_the_expansion(self, monkeypatch):
+        config = plant_lemma_offdiag(monkeypatch)
+        report = run_campaign(config)
+        assert report.failures
+        for rec in report.failures:
+            _, family = campaign._witness_instance(config, random.Random(rec["seed"]))
+            lhs, rhs = offdiag_sides(family, 2, 1)
+            assert lhs == family.oracle(matrix_unit(config.ring, config.n, 2, 1))
+            assert (rec["lhs"], rec["rhs"]) == (payload_to_obj(lhs), payload_to_obj(rhs))

@@ -220,6 +220,94 @@ class TestTupleOps:
         assert P9.sub_all((three_t,), (three_t,)) == ((),)
         assert P9.neg_all((three_t, ())) == (six_t, ())
 
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    @pytest.mark.parametrize("p", [(), (1,), (0, 3), (2, 0, 4)])
+    def test_zero_polynomial_operand(self, ring, p):
+        m = ring.base.modulus
+        assert ring.add(p, ()) == ring.add((), p) == ring.sub(p, ()) == p
+        assert ring.sub((), p) == tuple((-c) % m for c in p)
+
+
+def randrange_reference(ring, rng, count, max_degree):
+    """What `ring.draw` must return: one rng.randrange(m) per coefficient,
+    constant term first, each polynomial stripped of trailing zeros."""
+    if isinstance(ring, Zmod):
+        return tuple(rng.randrange(ring.modulus) for _ in range(count))
+    m = ring.base.modulus
+    out = []
+    for _ in range(count):
+        coeffs = [rng.randrange(m) for _ in range(max_degree + 1)]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out.append(tuple(coeffs))
+    return tuple(out)
+
+
+def draws_agree(draw, ring, max_degree, seeds=range(50), count=40):
+    """`draw(rng, count, max_degree)` equals the reference on every seed
+    and leaves the generator where the reference leaves it."""
+    for seed in seeds:
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = draw(got_rng, count, max_degree)
+        if got != randrange_reference(ring, ref_rng, count, max_degree):
+            return False
+        if got_rng.getrandbits(64) != ref_rng.getrandbits(64):
+            return False
+    return True
+
+
+def biased_draw(self, rng, count, max_degree=0):
+    """A planted `Zmod.draw` that reduces getrandbits(k) mod m instead of
+    rejecting: one value per residue, and biased residues."""
+    m = self.modulus
+    return tuple(rng.getrandbits(m.bit_length()) % m for _ in range(count))
+
+
+# residues drawn with almost no rejection (2**61 - 1) and with a lot
+# (10**61 + 3 rejects about 22% of its 203-bit values)
+DRAW_ZMODS = [Zmod(m) for m in (3, 5, 9, 2**61 - 1, 10**61 + 3)]
+DRAW_CASES = [(ring, 0) for ring in DRAW_ZMODS] + [
+    (ring, d) for ring in (P5, P9) for d in range(6)
+]
+
+
+class TestDraw:
+    """`ring.draw` is one batch of exactly the draws that one
+    rng.randrange(m) per coefficient takes."""
+
+    @pytest.mark.parametrize("ring,max_degree", DRAW_CASES, ids=str)
+    def test_draw_matches_per_entry_randrange(self, ring, max_degree):
+        assert draws_agree(ring.draw, ring, max_degree)
+
+    @pytest.mark.parametrize("ring,max_degree", DRAW_CASES, ids=str)
+    def test_sample_is_one_draw(self, ring, max_degree):
+        got_rng, ref_rng = random.Random(7), random.Random(7)
+        for _ in range(20):
+            (want,) = randrange_reference(ring, ref_rng, 1, max_degree)
+            assert ring.sample(got_rng, max_degree) == ring.wrap(want)
+        assert got_rng.getrandbits(64) == ref_rng.getrandbits(64)
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(DomainError):
+            P5.draw(random.Random(0), 2, -1)
+
+    def test_empty_draw_takes_nothing(self):
+        for ring in (Z5, P5):
+            rng = random.Random(3)
+            assert ring.draw(rng, 0) == ()
+            assert rng.getrandbits(64) == random.Random(3).getrandbits(64)
+
+    # 2**61 - 1 rejects one value in 2**61, so there the biased kernel
+    # agrees with rejection on any feasible number of seeds
+    @pytest.mark.parametrize(
+        "ring,max_degree",
+        [(r, d) for r, d in DRAW_CASES if r != Zmod(2**61 - 1)],
+        ids=str,
+    )
+    def test_biased_kernel_is_caught(self, monkeypatch, ring, max_degree):
+        monkeypatch.setattr(Zmod, "draw", biased_draw)
+        assert not draws_agree(ring.draw, ring, max_degree)
+
 
 class TestHalf:
     def test_half_z5(self):
