@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .checks import Violation
 from .derivations import (
@@ -79,18 +79,11 @@ class CampaignConfig:
     samples: int = 20  # per-instance samples for the theorem suites
 
     def to_obj(self):
-        return {
-            "suite": self.suite,
-            "ring": ring_to_obj(self.ring),
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "noise": self.noise.value,
-            "max_degree": self.max_degree,
-            "delta": self.delta,
-            "max_len": self.max_len,
-            "samples": self.samples,
-        }
+        # keys in field order, which the text report's header keeps
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["ring"] = ring_to_obj(self.ring)
+        obj["noise"] = self.noise.value
+        return obj
 
 
 @dataclass

@@ -1,5 +1,4 @@
-"""Canonical JSON for rings, values, matrices, witness families, and
-campaign reports.
+"""Canonical JSON for rings, values, matrices, and campaign reports.
 
 Emission sorts keys and omits whitespace, so equal objects serialize to
 equal bytes; parsing rejects anything non-canonical (residues out of
@@ -10,11 +9,9 @@ from __future__ import annotations
 
 import json
 
-from .errors import DomainError, ParseError
-from .jordan import JordanWitnessFamily
+from .errors import ParseError
 from .matrices import Matrix
 from .rings import PolyRing, RingElement, Zmod
-from .twolocal import WitnessFamily
 
 __all__ = [
     "dumps_canonical",
@@ -27,10 +24,6 @@ __all__ = [
     "matrix_from_obj",
     "matrix_to_json",
     "matrix_from_json",
-    "family_to_obj",
-    "family_from_obj",
-    "jordan_family_to_obj",
-    "jordan_family_from_obj",
 ]
 
 
@@ -129,13 +122,13 @@ def _rows_obj(mat):
     ]
 
 
-def _rows_from_obj(ring, n, rows, what="matrix"):
+def _rows_from_obj(ring, n, rows):
     if not isinstance(rows, list) or len(rows) != n:
-        raise ParseError(f"{what} needs {n} rows")
+        raise ParseError(f"matrix needs {n} rows")
     entries = []
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
-            raise ParseError(f"{what} rows must each hold {n} values")
+            raise ParseError(f"matrix rows must each hold {n} values")
         entries.extend(_payload_from_obj(ring, v) for v in row)
     return Matrix(ring, n, tuple(entries))
 
@@ -163,86 +156,6 @@ def matrix_to_json(mat):
 
 def matrix_from_json(text):
     return matrix_from_obj(loads_strict(text))
-
-
-def family_to_obj(family):
-    witnesses = [
-        {"i": i, "j": j, "rows": _rows_obj(family.offdiag[(i, j)])}
-        for (i, j) in sorted(family.offdiag)
-    ]
-    return {
-        "kind": "witness-family",
-        "ring": ring_to_obj(family.ring),
-        "n": family.n,
-        "witnesses": witnesses,
-        "c": _rows_obj(family.c),
-    }
-
-
-def family_from_obj(obj, oracle):
-    """The witness family of `oracle` that `obj` spells: ParseError if
-    `obj` is malformed or its ring or n is not the oracle's, ContractError
-    if its witnesses do not witness the oracle."""
-    keys = ("ring", "n", "witnesses", "c")
-    offdiag = _witnesses_from_obj(obj, oracle, "witness family", keys, ("i", "j"))
-    c = _rows_from_obj(oracle.ring, oracle.n, obj["c"], what="witness c")
-    return _family(WitnessFamily, oracle, offdiag, c)
-
-
-def _witnesses_from_obj(obj, oracle, what, keys, indices):
-    """The witnesses of a family object for `oracle`, whose records sit in
-    the list obj[keys[2]], keyed by `indices`: integers in 1..n, each key
-    once."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{what} must be an object")
-    for key in keys:
-        if key not in obj:
-            raise ParseError(f'missing "{key}" key')
-    ring, n = oracle.ring, oracle.n
-    if ring_from_obj(obj["ring"]) != ring:
-        raise ParseError(f"{what} ring does not match the oracle's {ring}")
-    if type(obj["n"]) is not int or obj["n"] != n:  # bool is not int
-        raise ParseError(f'"n" must be the oracle\'s n = {n}')
-    records = obj[keys[2]]
-    if not isinstance(records, list):
-        raise ParseError(f'"{keys[2]}" must be a list, got {type(records).__name__}')
-    witnesses = {}
-    for rec in records:
-        if not isinstance(rec, dict) or not {*indices, "rows"} <= set(rec):
-            raise ParseError(f"each witness needs {', '.join(indices)} and rows")
-        key = tuple(rec[k] for k in indices)
-        if not all(type(v) is int and 1 <= v <= n for v in key):  # bool is not int
-            raise ParseError(f"witness indices must be integers in 1..{n}")
-        key = key if len(key) > 1 else key[0]
-        if key in witnesses:
-            raise ParseError(f"duplicate witness {key}")
-        witnesses[key] = _rows_from_obj(ring, n, rec["rows"], what=f"witness {key}")
-    return witnesses
-
-
-def _family(cls, *args):
-    try:
-        return cls(*args)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def jordan_family_to_obj(family):
-    diag = [
-        {"i": i, "rows": _rows_obj(family.diag[i])} for i in sorted(family.diag)
-    ]
-    return {
-        "kind": "jordan-witness-family",
-        "ring": ring_to_obj(family.ring),
-        "n": family.n,
-        "diag": diag,
-    }
-
-
-def jordan_family_from_obj(obj, oracle):
-    keys = ("ring", "n", "diag")
-    diag = _witnesses_from_obj(obj, oracle, "jordan witness family", keys, ("i",))
-    return _family(JordanWitnessFamily, oracle, diag)
 
 
 def payload_to_obj(value):

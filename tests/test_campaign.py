@@ -2,6 +2,7 @@
 violation path through an oracle that agrees on every probe but is not a
 derivation anywhere else."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -170,6 +171,15 @@ class TestReport:
         text = Report(config, 5, (failure,)).to_text()
         assert "failures=1" in text
         assert "instance=3" in text
+
+    def test_config_is_written_once_in_field_order(self):
+        report = Report(CampaignConfig(suite="theorem1", ring=Z5, trials=1, seed=7), 1)
+        assert report.to_text().splitlines()[0] == (
+            "suite=theorem1 ring=Z_5 n=2 trials=1 seed=7 noise=none"
+            " max_degree=3 delta=zero max_len=6 samples=20"
+        )
+        names = {field.name for field in dataclasses.fields(CampaignConfig)}
+        assert set(json.loads(report.to_json())["config"]) == names
 
 
 class TestViolationsAreData:
@@ -358,12 +368,15 @@ PLANTED = [
     ),
 ]
 
+# ids from the plant's name, so a deliberate digest change renames no test
+_PLANT_IDS = [plant.__name__ for plant, _, _ in PLANTED]
+
 
 class TestPlantedDefects:
     """Sensitivity matrix: each suite reports a planted defect with exit 1,
     the expected kinds, and exactly these report bytes."""
 
-    @pytest.mark.parametrize("plant,kinds,digest", PLANTED)
+    @pytest.mark.parametrize("plant,kinds,digest", PLANTED, ids=_PLANT_IDS)
     def test_defect_is_reported(self, monkeypatch, plant, kinds, digest):
         config = plant(monkeypatch)
         report = run_campaign(config)
@@ -372,7 +385,7 @@ class TestPlantedDefects:
         assert {rec["instance"] for rec in report.failures} == set(range(config.trials))
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("plant", [plant for plant, _, _ in PLANTED])
+    @pytest.mark.parametrize("plant", [p for p, _, _ in PLANTED], ids=_PLANT_IDS)
     def test_record_seed_replays_its_instance(self, monkeypatch, plant):
         config = plant(monkeypatch)
         report = run_campaign(config)
