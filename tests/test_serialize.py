@@ -121,6 +121,37 @@ class TestMatrixCodec:
 
 
 class TestParsersAreTotal:
+    @pytest.mark.parametrize("bad", [7, None, "ab", {"i": 1}])
+    def test_non_list_rows(self, bad):
+        obj = matrix_to_obj(Matrix.identity(Z5, 2))
+        obj["rows"] = bad
+        with pytest.raises(ParseError, match="matrix needs 2 rows"):
+            matrix_from_obj(obj)
+        obj["rows"] = [[1, 0], bad]
+        with pytest.raises(ParseError, match="rows must each hold 2 values"):
+            matrix_from_obj(obj)
+
+    @pytest.mark.parametrize("bad", [[1], {"k": 1}, "1", 1.0, True, 0, -2])
+    def test_bad_n(self, bad):
+        obj = matrix_to_obj(Matrix.identity(Z5, 2))
+        obj["n"] = bad
+        with pytest.raises(ParseError, match='"n" must be a positive integer'):
+            matrix_from_obj(obj)
+
+    @pytest.mark.parametrize("bad", [7, None, "ab", [1]])
+    def test_non_object_ring_descriptor(self, bad):
+        with pytest.raises(ParseError, match="ring descriptor must be an object"):
+            ring_from_obj(bad)
+        with pytest.raises(ParseError, match="ring descriptor must be an object"):
+            matrix_from_obj({"n": 1, "ring": bad, "rows": [[0]]})
+
+    @pytest.mark.parametrize("bad", [0, 1, 4, -3, True, 5.0, "5"])
+    def test_bad_modulus(self, bad):
+        with pytest.raises(InvalidRing):
+            ring_from_obj({"ring": "zmod", "m": bad})
+        with pytest.raises(InvalidRing):
+            ring_from_obj({"ring": "poly", "base": {"ring": "zmod", "m": bad}})
+
     def test_deep_nesting(self):
         with pytest.raises(ParseError):
             loads_strict("[" * 100_000 + "]" * 100_000)
@@ -201,7 +232,7 @@ class TestParsersFuzz:
             pass
 
     @pytest.mark.parametrize("ring", [Z5, PolyRing(Z9)], ids=str)
-    @given(obj=_JSON)
+    @given(obj=st.one_of(st.integers(), _JSON))
     def test_value_from_obj(self, ring, obj):
         try:
             value_from_obj(ring, obj)
