@@ -39,12 +39,20 @@ leading term can vanish mod a composite m: 3t * 3t = 0 in Z_9[t]).
 Coefficients are residues in [0, m), so a coefficient of an n-term dot
 product of polynomials with at most la and lb coefficients is at most
 n * min(la, lb) * (m - 1)**2; `_slot_bits` makes each slot that wide,
-so no slot carries into the next. A single product is the case n = 1.
+so no slot carries into the next. When that bound is below 256 (only
+possible for m <= 15) each slot is one byte: a polynomial packs with
+one `int.from_bytes` and a result unpacks with one `to_bytes`, one
+`bytes.translate` through a table of v % m and one `rstrip`. Wider
+slots are packed and unpacked one shift per coefficient. A single
+product is the case n = 1, except that a zero operand gives zero and a
+monomial operand c t^k gives the other operand shifted by k and scaled
+by c, with no packing at all.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 from itertools import islice, repeat
 
 from .errors import DomainError, InvalidRing
@@ -153,12 +161,25 @@ def _strip(coeffs):
 def _slot_bits(n, la, lb, m):
     """Slot width for an n-term dot product of polynomials with at most
     la and lb coefficients: the bit length of the largest coefficient
-    it can reach, n * min(la, lb) * (m - 1)**2."""
-    return (n * min(la, lb) * (m - 1) ** 2).bit_length()
+    it can reach, n * min(la, lb) * (m - 1)**2. A width of at most 8
+    bits (a bound below 256, so m <= 15) is packed in byte slots. An
+    all-zero side (la or lb = 0) counts as one coefficient, so that the
+    other side's coefficients still fit their slots."""
+    return (n * max(min(la, lb), 1) * (m - 1) ** 2).bit_length()
+
+
+@cache
+def _residues(m):
+    """The 256-byte table of v % m, built on first use for each m."""
+    return bytes([v % m for v in range(256)])
 
 
 def _pack(coeffs, bits):
-    """Kronecker substitution: the polynomial evaluated at t = 2**bits."""
+    """Kronecker substitution: the polynomial evaluated at t = 2**bits,
+    or at t = 256 when bits <= 8, one byte per coefficient. `mul` packs
+    neither a zero nor a monomial operand; `matmul` packs every entry."""
+    if bits <= 8:
+        return int.from_bytes(bytes(coeffs), "little")
     packed = 0
     for c in reversed(coeffs):
         packed = packed << bits | c
@@ -167,7 +188,12 @@ def _pack(coeffs, bits):
 
 def _unpack(packed, bits, m):
     """The canonical payload of a packed sum of products: slot k is
-    coefficient k, reduced mod m; trailing zeros are stripped."""
+    coefficient k, reduced mod m; trailing zeros are stripped. Byte
+    slots (bits <= 8) take one `to_bytes`, one `translate` through the
+    table of v % m and one `rstrip`; wider slots one shift per slot."""
+    if bits <= 8:
+        raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+        return tuple(raw.translate(_residues(m)).rstrip(b"\0"))
     mask = (1 << bits) - 1
     coeffs = []
     while packed:
@@ -369,8 +395,21 @@ class PolyRing:
         return tuple([-c % m for c in a])
 
     def mul(self, a, b):
-        """Kronecker substitution at n = 1."""
+        """Zero if either side is zero; a monomial c t^k times p is p
+        shifted by k and scaled by c, with no packing; any other product
+        is Kronecker substitution at n = 1."""
+        if not a or not b:
+            return ()
+        if b.count(0) == len(b) - 1:
+            a, b = b, a
         m = self.base.modulus
+        k = len(a) - 1
+        if a.count(0) == k:
+            # c t^k with c = a[k]; c p can lose its leading term mod m
+            c = a[k]
+            if c == 1:
+                return (0,) * k + b
+            return _strip([0] * k + [c * x % m for x in b])
         bits = _slot_bits(1, len(a), len(b), m)
         return _unpack(_pack(a, bits) * _pack(b, bits), bits, m)
 
@@ -475,8 +514,7 @@ class BaseDerivation:
         if not scale:
             return ring.zero.payload
         m = ring.base.modulus
-        d = _strip([(k * a[k]) % m for k in range(1, len(a))])
-        return d if scale == ring.one.payload else ring.mul(scale, d)
+        return ring.mul(scale, _strip([(k * a[k]) % m for k in range(1, len(a))]))
 
     def __repr__(self):
         scale = self.ring.format_payload(self.scale)

@@ -316,6 +316,34 @@ class TestPayloadKernel:
         a = worst_case(ring, n, 20)
         assert a * a != literal_product(a, a)
 
+    @pytest.mark.parametrize(
+        "n,degree,bits",
+        [(1, 14, 8), (1, 15, 9), (3, 3, 8), (4, 3, 9)],
+        ids=["scalar-240", "scalar-256", "n3-192", "n4-256"],
+    )
+    def test_byte_slot_cut_off(self, n, degree, bits):
+        # worst-case Z_5[t] operands, every coefficient 4, whose slot bound
+        # n * (degree + 1) * 16 is below 256 (byte slots) or reaches 256
+        # (one shift per slot); each product against the schoolbook
+        from derivring import rings
+
+        assert rings._slot_bits(n, degree + 1, degree + 1, 5) == bits
+        a = worst_case(P5, n, degree)
+        if n == 1:
+            x = a.entry(1, 1)
+            assert P5.mul(x.payload, x.payload) == schoolbook(x, x).payload
+        else:
+            assert a * a == literal_product(a, a)
+
+    @pytest.mark.parametrize("ring", [P5, P9, PolyRing(BIG)], ids=str)
+    def test_all_zero_operand_of_the_dense_kernel(self, ring):
+        # ring.matmul itself, which Matrix.__mul__ calls only on operands
+        # with more than n nonzero entries: an all-zero side has no
+        # coefficients, and the other side still has to fit its slots
+        m = modulus(ring)
+        zero, full = ((),) * 4, ((m - 1, m - 1),) * 4
+        assert ring.matmul(2, zero, full) == ring.matmul(2, full, zero) == zero
+
 
 class TestUnits:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -228,6 +228,63 @@ class TestTupleOps:
         assert ring.sub((), p) == tuple((-c) % m for c in p)
 
 
+def is_canonical_poly(payload, m):
+    return (
+        type(payload) is tuple
+        and all(0 <= c < m for c in payload)
+        and (not payload or payload[-1] != 0)
+    )
+
+
+class TestMonomialProducts:
+    """A zero or monomial operand c t^k is multiplied without packing; the
+    result is the schoolbook product, canonical even where c p loses its
+    leading term mod a composite m."""
+
+    OTHERS = [(), (1,), (0, 3), (3, 6), (2, 0, 4), (1, 3, 6, 3), (4,) * 6]
+
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    @pytest.mark.parametrize("k", [None, 0, 1, 2], ids=["zero", "c", "ct", "ct2"])
+    def test_matches_schoolbook_on_either_side(self, ring, k):
+        m = ring.base.modulus
+        others = [ring.element(p).payload for p in self.OTHERS]
+        monomials = [()] if k is None else [(0,) * k + (c,) for c in range(1, m)]
+        for mono in monomials:
+            for p in others + monomials:
+                for x, y in ((mono, p), (p, mono)):
+                    got = ring.mul(x, y)
+                    assert got == ref_poly_mul(x, y, m), (x, y)
+                    assert is_canonical_poly(got, m), (x, y)
+
+    @pytest.mark.parametrize(
+        "x,y", [((3,), (0, 3)), ((0, 3), (0, 0, 3)), ((3,), (3, 6)), ((0, 6), (3,))]
+    )
+    def test_products_that_vanish_mod_9(self, x, y):
+        # 3 * 3t = 9t and 3t * 3t^2 = 9t^3: zero, not (0,) or (0, 0, 0)
+        assert P9.mul(x, y) == P9.mul(y, x) == ()
+
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    def test_scale_all_by_half(self, ring):
+        m, half = ring.base.modulus, ring.half.payload
+        others = tuple(ring.element(p).payload for p in self.OTHERS)
+        halves = ring.scale_all(half, others)
+        assert halves == tuple(ref_poly_mul(half, p, m) for p in others)
+        assert all(is_canonical_poly(h, m) for h in halves)
+        assert ring.add_all(halves, halves) == others
+
+    def test_no_packing(self, monkeypatch):
+        from derivring import rings
+
+        def refuse(*args):
+            raise AssertionError("a monomial product was packed")
+
+        monkeypatch.setattr(rings, "_pack", refuse)
+        assert P9.mul((0, 2), (1, 1)) == (0, 2, 2)
+        assert P9.mul((1, 3, 6, 3), (3,)) == (3,)
+        assert P9.mul((), (1, 2)) == P9.mul((1, 2), ()) == ()
+        assert P5.scale_all(P5.half.payload, ((2, 4),)) == ((1, 2),)
+
+
 def randrange_reference(ring, rng, count, max_degree):
     """What `ring.draw` must return: one rng.randrange(m) per coefficient,
     constant term first, each polynomial stripped of trailing zeros."""
