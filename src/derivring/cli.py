@@ -3,8 +3,9 @@ deterministic JSON or text reports.
 
 Exit codes: 0 when every checked property held, 1 when a property was
 violated (the report lists where), 2 on configuration or contract
-errors. Wall time goes to stderr; the report itself is byte-stable for a
-fixed configuration.
+errors and when the report cannot be written (an unwritable `--out`, or
+a standard output that its reader closed early). Wall time goes to
+stderr; the report itself is byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -105,14 +106,18 @@ def main(argv=None):
         print(f"derivring: error: {exc}", file=sys.stderr)
         return 2
     payload = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        try:
+    try:
+        if args.out:
             Path(args.out).write_text(payload + "\n")
-        except OSError as exc:
-            print(f"derivring: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(payload)
+        else:
+            print(payload, flush=True)
+    except OSError as exc:
+        if not args.out:
+            # stdout is gone (say, a reader that closed its pipe early):
+            # point it at devnull so that the flush at exit cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"derivring: error: {exc}", file=sys.stderr)
+        return 2
     print(f"# wall time: {report.wall_ms:.1f} ms", file=sys.stderr)
     return report.exit_code
 

@@ -16,12 +16,16 @@ whole tuples. Only `entry` builds a ring element.
 The product ab picks its path from the operands' support. If b has at
 most n nonzero entries, each nonzero b_kj adds column k of a, times
 b_kj, to column j of ab; otherwise, if a has at most n, each nonzero
-a_ik adds a_ik times row k of b to row i of ab; otherwise both payload
-tuples go to the dense kernel `ring.matmul`. The cut-off is n because there n
-nonzeros times n entries per line make n*n entry steps, as many as the
-dense kernel's n*n dot products (each summed in one C-level call). The
-probes e_{i,j}, e_{i,i}, the shift x0 and the Jordan units lie at or
-below it, a general matrix above it. A nonzero equal to one adds its
+a_ik adds a_ik times row k of b to row i of ab; otherwise both operands
+go to the dense kernel `ring.matmul`, as payload tuples on Z_m and as
+the matrices themselves on Z_m[t]. There the Kronecker kernel keeps
+each matrix's packed entries for each slot width in its `_packings`
+slot, set on its first dense product (never in __init__) and used only
+while `entries` is the tuple it packed (see `derivring.rings`). The
+cut-off is n because there n nonzeros times n entries per line make n*n
+entry steps, as many as the dense kernel's n*n dot products (each
+summed in one C-level call). The probes e_{i,j}, e_{i,i}, the shift x0
+and the Jordan units lie at or below it, a general matrix above it. A nonzero equal to one adds its
 line without a multiplication, which covers every probe.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
@@ -42,7 +46,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .errors import DomainError
-from .rings import RingElement, same_ring
+from .rings import PolyRing, RingElement, same_ring
 
 __all__ = [
     "Matrix",
@@ -61,7 +65,9 @@ __all__ = [
 class Matrix:
     """Immutable square matrix whose entries all share one ring."""
 
-    __slots__ = ("ring", "n", "entries")
+    # `_packings` is PolyRing.matmul's memo of the packed entries; it is
+    # set on a matrix's first dense Z_m[t] product, never in __init__
+    __slots__ = ("ring", "n", "entries", "_packings")
     # a^T = parity * a for every instance of the class; 0 claims nothing
     parity = 0
 
@@ -159,6 +165,9 @@ class Matrix:
             return Matrix(ring, n, _sparse_product(ring, n, b, a, left=False))
         if a.count(zero) >= min_zeros:
             return Matrix(ring, n, _sparse_product(ring, n, a, b, left=True))
+        if isinstance(ring, PolyRing):
+            # the Kronecker kernel keeps each operand's packings on it
+            return Matrix(ring, n, ring.matmul(n, self, other))
         return Matrix(ring, n, ring.matmul(n, a, b))
 
     def __rmul__(self, other):

@@ -47,6 +47,16 @@ slots are packed and unpacked one shift per coefficient. A single
 product is the case n = 1, except that a zero operand gives zero and a
 monomial operand c t^k gives the other operand shifted by k and scaled
 by c, with no packing at all.
+
+`PolyRing.matmul` takes each operand as a `Matrix` (what
+`Matrix.__mul__` hands it) or a bare payload tuple. A matrix keeps, in
+its `_packings` slot, its longest entry length and its packed entries
+for each slot width it has been multiplied at, so a matrix multiplied
+again and again (a generator in each commutator, a word across its
+splits) is packed once per width. The memo is set on the first dense
+product, never in the constructor, and serves only while `entries` is
+the tuple it packed; a bare tuple is packed on every call. Z_m keeps
+its tuple-only `matmul`: a residue needs no packing.
 """
 
 from __future__ import annotations
@@ -200,6 +210,32 @@ def _unpack(packed, bits, m):
         coeffs.append((packed & mask) % m)
         packed >>= bits
     return _strip(coeffs)
+
+
+def _packings(x):
+    """The memo of a `PolyRing.matmul` operand: its entries, their longest
+    length and a dict from slot width to the packed entries. A Matrix
+    holds it in its `_packings` slot, set on its first dense product and
+    valid while `entries` is the tuple it was made from (`entries` is a
+    writable slot, so a reassigned matrix gets a new memo); a bare
+    payload tuple gets a fresh one."""
+    if isinstance(x, tuple):
+        return x, max(map(len, x)), {}
+    entries = x.entries
+    memo = getattr(x, "_packings", None)
+    if memo is None or memo[0] is not entries:
+        memo = x._packings = (entries, max(map(len, entries)), {})
+    return memo
+
+
+def _packed(memo, bits):
+    """The entries of `memo` packed at slot width `bits`, packed on the
+    first request for that width."""
+    entries, _, widths = memo
+    packed = widths.get(bits)
+    if packed is None:
+        packed = widths[bits] = [_pack(p, bits) for p in entries]
+    return packed
 
 
 class Zmod:
@@ -429,11 +465,14 @@ class PolyRing:
     def matmul(self, n, a, b):
         """The payloads of the n x n product a b by Kronecker substitution:
         one packed int per entry, dot products summed as ints, each
-        result unpacked once."""
+        result unpacked once. Each operand is a `Matrix`, packed at most
+        once per slot width while its entries stay the same tuple (see
+        `_packings`), or a bare row-major payload tuple, packed on every
+        call."""
         m = self.base.modulus
-        bits = _slot_bits(n, max(map(len, a)), max(map(len, b)), m)
-        ka = [_pack(p, bits) for p in a]
-        kb = [_pack(p, bits) for p in b]
+        pa, pb = _packings(a), _packings(b)
+        bits = _slot_bits(n, pa[1], pb[1], m)
+        ka, kb = _packed(pa, bits), _packed(pb, bits)
         rows = [ka[i : i + n] for i in range(0, n * n, n)]
         cols = [kb[j::n] for j in range(n)]
         return tuple(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -337,3 +338,24 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["instances"] == 1
+
+    def test_closed_stdout_is_config_error(self):
+        # `derivring verify ... | head -c 1`: the reader is gone before the
+        # report is written. Exit 1 would read as a violated property.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "derivring.cli", "verify", "theorem1",
+                 "--ring", "zmod:5", "--trials", "1", "--seed", "7"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("derivring: error:")
+        assert "Traceback" not in result.stderr

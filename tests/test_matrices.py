@@ -711,3 +711,77 @@ class TestPolynomialEntries:
         b = Matrix.identity(P5, 2)
         assert a * b == a
         assert (a * a).entry(1, 1) == t * t
+
+
+def full_entries(ring, n, rng, length):
+    """A matrix whose n*n entries each have exactly `length` coefficients,
+    the top one nonzero, so every product with it takes the dense kernel
+    and its longest entry length is `length`."""
+    m = modulus(ring)
+    rows = [
+        [[rng.randrange(m) for _ in range(length - 1)] + [rng.randrange(1, m)]
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    return Matrix.from_rows(ring, rows)
+
+
+class TestPackingMemo:
+    """A matrix keeps its Kronecker packing for each slot width on itself
+    after its first dense Z_m[t] product (`rings._packings`)."""
+
+    @pytest.mark.parametrize(
+        "ring,degree,degrees",
+        [(P5, 15, (3, 7, 15)), (PolyRing(BIG), 5, (0, 2, 5))],
+        ids=str,
+    )
+    def test_one_matrix_at_several_widths(self, ring, degree, degrees):
+        # worst-case operands reach each slot bound exactly, so a packing
+        # reused at the wrong width would carry into the next slot
+        from derivring import rings
+
+        m = modulus(ring)
+        a = worst_case(ring, 2, degree)
+        widths = [rings._slot_bits(2, degree + 1, d + 1, m) for d in degrees]
+        assert len(set(widths)) == len(widths)
+        if ring is P5:
+            assert widths == [8, 9, 10]
+        for d in degrees:
+            b = worst_case(ring, 2, d)
+            first = (a * b, b * a)
+            assert first == (literal_product(a, b), literal_product(b, a))
+            assert (a * b, b * a) == first
+        assert sorted(a._packings[2]) == sorted(widths)
+
+    def test_fixed_operand_is_packed_once_per_width(self, monkeypatch):
+        from derivring import rings
+
+        calls = [0]
+        pack = rings._pack
+
+        def counted(coeffs, bits):
+            calls[0] += 1
+            return pack(coeffs, bits)
+
+        monkeypatch.setattr(rings, "_pack", counted)
+        n, k, rng = 3, 5, random.Random(8)
+        fixed = full_entries(P5, n, rng, 6)
+        widths = set()
+        # fresh operands of 2 and 6 coefficients: byte and 9-bit slots
+        for length in (2, 6):
+            widths.add(rings._slot_bits(n, 6, length, 5))
+            for _ in range(k):
+                fresh = full_entries(P5, n, rng, length)
+                assert fixed * fresh == literal_product(fixed, fresh)
+        assert widths == {7, 9}
+        assert calls[0] == n * n * (len(widths) + 2 * k)
+
+    def test_reassigned_entries_are_packed_again(self):
+        # `entries` is a writable slot: a packing kept for the old tuple
+        # must not serve the new one, even at the same slot width
+        rng = random.Random(9)
+        a, b = full_entries(P9, 3, rng, 3), full_entries(P9, 3, rng, 3)
+        assert a * b == literal_product(a, b)
+        a.entries = full_entries(P9, 3, rng, 3).entries
+        assert a * b == literal_product(a, b)
+        assert b * a == literal_product(b, a)
