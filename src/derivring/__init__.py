@@ -7,7 +7,6 @@ equality, never approximately.
 from .campaign import SUITES, CampaignConfig, Report, run_campaign
 from .checks import CheckReport, Violation
 from .derivations import (
-    ExtensionResult,
     InnerDerivation,
     entrywise,
     extend_m2,
@@ -68,7 +67,6 @@ __all__ = [
     "ContractError",
     "DerivringError",
     "DomainError",
-    "ExtensionResult",
     "InnerDerivation",
     "InvalidRing",
     "JordanPairDerivation",

@@ -41,6 +41,7 @@ from .jordan import (
 from .matrices import Matrix, commutator, matrix_unit
 from .rings import BaseDerivation, PolyRing, Zmod
 from .sampling import (
+    random_central,
     random_element,
     random_matrix,
     random_pairs,
@@ -267,8 +268,8 @@ def _lemma_diagdiff(config):
         b = hidden
         c = hidden
         if config.noise is not NoiseSpec.NONE:
-            b = b + Matrix.scalar(random_element(ring, irng, degree), n)
-            c = c + Matrix.scalar(random_element(ring, irng, degree), n)
+            b = b + random_central(ring, n, irng, degree)
+            c = c + random_central(ring, n, irng, degree)
         if config.noise is NoiseSpec.X0_COMMUTANT_SHIFT_ON_C:
             b = b + random_x0_commutant(ring, n, irng, degree)
             c = c + random_x0_commutant(ring, n, irng, degree)

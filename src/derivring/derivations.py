@@ -6,17 +6,16 @@ share one closed form), and the two-generator propagation check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .checks import CheckReport, Violation
 from .errors import DomainError
 from .matrices import Matrix, commutator
-from .rings import BaseDerivation, same_ring
+from .rings import same_ring
 
 __all__ = [
     "InnerDerivation",
-    "ExtensionResult",
     "leibniz_check",
     "entrywise",
     "extend_m2",
@@ -96,10 +95,11 @@ def extend_m2(delta):
     return extend_tower(delta, 2)
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    """A base derivation lifted to M_n(R) by repeated 2x2 doubling up to
-    M_{2^depth}(R) and compression with e = e_{1,1} + ... + e_{n,n}.
+def extend_tower(delta, n):
+    """Lift `delta` to M_n(R), n >= 2, through the smallest power-of-two
+    tower that covers n: repeated 2x2 doubling up to M_{2^k}(R), k the
+    bit length of n - 1, then compression with e = e_{1,1} + ... +
+    e_{n,n}.
 
     It is evaluated entry by entry through the closed form
     X_ij -> delta(X_ij) + (popcount(j-1) - popcount(i-1)) X_ij: each
@@ -107,26 +107,9 @@ class ExtensionResult:
     block, so the level splitting on bit k adds bit_k(j-1) - bit_k(i-1),
     and padding and compression leave the top-left n x n block alone.
     """
-
-    delta: BaseDerivation
-    n: int
-    depth: int
-    _apply: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        weight = [k.bit_count() for k in range(self.n)]
-        object.__setattr__(self, "_apply", _lift(self.delta, self.n, weight))
-
-    def __call__(self, mat):
-        return self._apply(mat)
-
-
-def extend_tower(delta, n):
-    """Lift `delta` to M_n(R), n >= 2, through the smallest power-of-two
-    tower that covers n."""
     if n < 2:
         raise DomainError("the tower extension needs n >= 2")
-    return ExtensionResult(delta, n, (n - 1).bit_length())
+    return _lift(delta, n, [k.bit_count() for k in range(n)])
 
 
 def two_generator_check(x, y, d, max_len):

@@ -88,15 +88,16 @@ def pairs_to_commutator(pd):
 def check_diag_zero(pd):
     """True iff every diagonal entry of sum [a_k, b_k] over the pairs of
     `pd` vanishes. Entry (i,i) is the sum over k and j of a_k[i,j] b_k[j,i]
-    - b_k[i,j] a_k[j,i], in the ring's scalar ops; for symmetric pairs
-    each term vanishes when the scalar product commutes."""
+    - b_k[i,j] a_k[j,i]. The pairs are SymmetricMatrix values, so that is
+    a_k[i,j] b_k[i,j] - b_k[i,j] a_k[i,j], read from the entries without
+    a transpose and computed in the ring's scalar ops: each term vanishes
+    when the scalar product commutes."""
     ring, n = pd.ring, pd.n
     add, sub, mul = ring.add, ring.sub, ring.mul
     diagonal = [ring.zero.payload] * n
     for a, b in pd.pairs:
-        terms = zip(a.entries, b.transpose().entries, b.entries, a.transpose().entries)
-        for k, (x, y, u, v) in enumerate(terms):
-            diagonal[k // n] = add(diagonal[k // n], sub(mul(x, y), mul(u, v)))
+        for k, (x, y) in enumerate(zip(a.entries, b.entries)):
+            diagonal[k // n] = add(diagonal[k // n], sub(mul(x, y), mul(y, x)))
     # zero payloads are the only falsy ones
     return not any(diagonal)
 

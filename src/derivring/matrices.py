@@ -16,17 +16,17 @@ whole tuples. Only `entry` builds a ring element.
 The product ab picks its path from the operands' support. If b has at
 most n nonzero entries, each nonzero b_kj adds column k of a, times
 b_kj, to column j of ab; otherwise, if a has at most n, each nonzero
-a_ik adds a_ik times row k of b to row i of ab; otherwise both operands
-go to the dense kernel `ring.matmul`, as payload tuples on Z_m and as
-the matrices themselves on Z_m[t]. There the Kronecker kernel keeps
-each matrix's packed entries for each slot width in its `_packings`
-slot, set on its first dense product (never in __init__) and used only
-while `entries` is the tuple it packed (see `derivring.rings`). The
-cut-off is n because there n nonzeros times n entries per line make n*n
-entry steps, as many as the dense kernel's n*n dot products (each
-summed in one C-level call). The probes e_{i,j}, e_{i,i}, the shift x0
-and the Jordan units lie at or below it, a general matrix above it. A nonzero equal to one adds its
-line without a multiplication, which covers every probe.
+a_ik adds a_ik times row k of b to row i of ab; otherwise both matrices
+go to the dense kernel `ring.matmul(a, b)`. On Z_m[t] the Kronecker
+kernel keeps each matrix's packed entries for each slot width in its
+`_packings` slot, set on its first dense product (never in __init__)
+and used only while `entries` is the tuple it packed (see
+`derivring.rings`). The cut-off is n because there n nonzeros times n
+entries per line make n*n entry steps, as many as the dense kernel's
+n*n dot products (each summed in one C-level call). The probes e_{i,j},
+e_{i,i}, the shift x0 and the Jordan units lie at or below it, a
+general matrix above it. A nonzero equal to one adds its line without a
+multiplication, which covers every probe.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -46,7 +46,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .errors import DomainError
-from .rings import PolyRing, RingElement, same_ring
+from .rings import RingElement, same_ring
 
 __all__ = [
     "Matrix",
@@ -165,10 +165,7 @@ class Matrix:
             return Matrix(ring, n, _sparse_product(ring, n, b, a, left=False))
         if a.count(zero) >= min_zeros:
             return Matrix(ring, n, _sparse_product(ring, n, a, b, left=True))
-        if isinstance(ring, PolyRing):
-            # the Kronecker kernel keeps each operand's packings on it
-            return Matrix(ring, n, ring.matmul(n, self, other))
-        return Matrix(ring, n, ring.matmul(n, a, b))
+        return Matrix(ring, n, ring.matmul(self, other))
 
     def __rmul__(self, other):
         if isinstance(other, RingElement):
@@ -214,14 +211,19 @@ class Matrix:
         return f"M{n}({self.ring})[{rows}]"
 
 
+def _gather(indices):
+    """The map from a tuple to the tuple of its entries at `indices` (an
+    itemgetter of one index would return the bare entry)."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
 @cache
 def _transposer(n):
     """The map from the row-major entries of an n x n matrix to those of
-    its transpose, built once per n. At n = 1 transposing changes nothing
-    (and an itemgetter of one index would return the bare entry)."""
-    if n == 1:
-        return tuple
-    return itemgetter(*(j * n + i for i in range(n) for j in range(n)))
+    its transpose, built once per n."""
+    return _gather([j * n + i for i in range(n) for j in range(n)])
 
 
 def _sparse_product(ring, n, s, d, left):

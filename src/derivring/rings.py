@@ -8,16 +8,16 @@ so equality of values is equality of payloads and nothing ever rounds.
 The ring owns the arithmetic, written once on payloads: the scalar ops
 `add`, `sub`, `neg` and `mul`, their whole-tuple forms `add_all`,
 `sub_all`, `neg_all` and `scale_all` (entrywise over equal-length
-payload tuples), and the dense n x n product `matmul` over row-major
-payload tuples. Matrices store bare payloads and hand whole entry tuples
-to the tuple ops: Z_m runs each as one comprehension over ints, Z_m[t]
-maps its scalar op. A matrix product goes to `matmul` only when both
-operands have more than n nonzero entries; a sparser operand is
-multiplied by its support with `add` and `mul` (see
-`derivring.matrices`). A `RingElement` pairs a payload with its ring
-only where the scalar API hands one out (`ring.element`, `ring.sample`,
-`Matrix.entry`), and its operators call the same ring ops behind one
-ring-mismatch check.
+payload tuples), and the dense product `matmul(a, b)` of two n x n
+matrices, which returns the row-major payloads of ab. Matrices store
+bare payloads and hand whole entry tuples to the tuple ops: Z_m runs
+each as one comprehension over ints, Z_m[t] maps its scalar op. A
+matrix product goes to `matmul` only when both operands have more than
+n nonzero entries; a sparser operand is multiplied by its support with
+`add` and `mul` (see `derivring.matrices`). A `RingElement` pairs a
+payload with its ring only where the scalar API hands one out
+(`ring.element`, `ring.sample`, `Matrix.entry`), and its operators call
+the same ring ops behind one ring-mismatch check.
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -48,15 +48,13 @@ product is the case n = 1, except that a zero operand gives zero and a
 monomial operand c t^k gives the other operand shifted by k and scaled
 by c, with no packing at all.
 
-`PolyRing.matmul` takes each operand as a `Matrix` (what
-`Matrix.__mul__` hands it) or a bare payload tuple. A matrix keeps, in
-its `_packings` slot, its longest entry length and its packed entries
-for each slot width it has been multiplied at, so a matrix multiplied
-again and again (a generator in each commutator, a word across its
-splits) is packed once per width. The memo is set on the first dense
-product, never in the constructor, and serves only while `entries` is
-the tuple it packed; a bare tuple is packed on every call. Z_m keeps
-its tuple-only `matmul`: a residue needs no packing.
+A matrix keeps, in its `_packings` slot, its longest entry length and
+its packed entries for each slot width `PolyRing.matmul` has multiplied
+it at, so a matrix multiplied again and again (a generator in each
+commutator, a word across its splits) is packed once per width. The
+memo is set on the first dense product, never in the constructor, and
+serves only while `entries` is the tuple it packed. `Zmod.matmul` reads
+the entries alone: a residue needs no packing.
 """
 
 from __future__ import annotations
@@ -214,13 +212,10 @@ def _unpack(packed, bits, m):
 
 def _packings(x):
     """The memo of a `PolyRing.matmul` operand: its entries, their longest
-    length and a dict from slot width to the packed entries. A Matrix
+    length and a dict from slot width to the packed entries. The matrix
     holds it in its `_packings` slot, set on its first dense product and
     valid while `entries` is the tuple it was made from (`entries` is a
-    writable slot, so a reassigned matrix gets a new memo); a bare
-    payload tuple gets a fresh one."""
-    if isinstance(x, tuple):
-        return x, max(map(len, x)), {}
+    writable slot, so a reassigned matrix gets a new memo)."""
     entries = x.entries
     memo = getattr(x, "_packings", None)
     if memo is None or memo[0] is not entries:
@@ -320,12 +315,12 @@ class Zmod:
         m = self.modulus
         return tuple([s * x % m for x in a])
 
-    def matmul(self, n, a, b):
-        """The payloads of the n x n product a b: each dot product is
-        summed in plain ints and reduced mod m once."""
-        m = self.modulus
-        rows = [a[i : i + n] for i in range(0, n * n, n)]
-        cols = [b[j::n] for j in range(n)]
+    def matmul(self, a, b):
+        """The payloads of the product of the n x n matrices a and b: each
+        dot product is summed in plain ints and reduced mod m once."""
+        m, n, ea, eb = self.modulus, a.n, a.entries, b.entries
+        rows = [ea[i : i + n] for i in range(0, n * n, n)]
+        cols = [eb[j::n] for j in range(n)]
         return tuple([sum(map(operator.mul, r, c)) % m for r in rows for c in cols])
 
     def __eq__(self, other):
@@ -462,14 +457,13 @@ class PolyRing:
         mul = self.mul
         return tuple([mul(s, x) for x in a])
 
-    def matmul(self, n, a, b):
-        """The payloads of the n x n product a b by Kronecker substitution:
-        one packed int per entry, dot products summed as ints, each
-        result unpacked once. Each operand is a `Matrix`, packed at most
-        once per slot width while its entries stay the same tuple (see
-        `_packings`), or a bare row-major payload tuple, packed on every
-        call."""
-        m = self.base.modulus
+    def matmul(self, a, b):
+        """The payloads of the product of the n x n matrices a and b by
+        Kronecker substitution: one packed int per entry, dot products
+        summed as ints, each result unpacked once. Each operand is packed
+        at most once per slot width while its entries stay the same tuple
+        (see `_packings`)."""
+        m, n = self.base.modulus, a.n
         pa, pb = _packings(a), _packings(b)
         bits = _slot_bits(n, pa[1], pb[1], m)
         ka, kb = _packed(pa, bits), _packed(pb, bits)

@@ -13,10 +13,9 @@ per-entry loop, and no entry becomes a ring element.
 from __future__ import annotations
 
 from functools import cache
-from operator import itemgetter
 
 from .errors import DomainError
-from .matrices import Matrix, SymmetricMatrix
+from .matrices import Matrix, SymmetricMatrix, _gather
 
 __all__ = [
     "random_element",
@@ -90,11 +89,3 @@ def _toeplitz(n):
     upper-triangular Toeplitz matrix of c, built once per n: (i, j) takes
     c_{j-i} for j >= i and the trailing zero below the diagonal."""
     return _gather([j - i if j >= i else n for i in range(n) for j in range(n)])
-
-
-def _gather(indices):
-    """The map from a tuple to the tuple of its entries at `indices` (an
-    itemgetter of one index would return the bare entry)."""
-    if len(indices) == 1:
-        return itemgetter(slice(indices[0], indices[0] + 1))
-    return itemgetter(*indices)

@@ -172,13 +172,6 @@ class TestEntrywise:
 
 
 class TestExtendTower:
-    def test_depth(self):
-        delta = BaseDerivation.formal(P5)
-        assert extend_tower(delta, 2).depth == 1
-        assert extend_tower(delta, 3).depth == 2
-        assert extend_tower(delta, 4).depth == 2
-        assert extend_tower(delta, 5).depth == 3
-
     def test_needs_n_at_least_two(self):
         with pytest.raises(DomainError):
             extend_tower(BaseDerivation.formal(P5), 1)

@@ -247,7 +247,7 @@ class TestPayloadKernel:
         a = random_entries(ring, n, random.Random(3), 4, 0.0)
         unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
 
-        def dense(self, n, a, b):
+        def dense(self, a, b):
             raise RuntimeError("dense kernel")
 
         monkeypatch.setattr(type(ring), "matmul", dense)
@@ -335,14 +335,16 @@ class TestPayloadKernel:
         else:
             assert a * a == literal_product(a, a)
 
-    @pytest.mark.parametrize("ring", [P5, P9, PolyRing(BIG)], ids=str)
+    @pytest.mark.parametrize("ring", [Z5, Z9, P5, P9, PolyRing(BIG)], ids=str)
     def test_all_zero_operand_of_the_dense_kernel(self, ring):
         # ring.matmul itself, which Matrix.__mul__ calls only on operands
-        # with more than n nonzero entries: an all-zero side has no
-        # coefficients, and the other side still has to fit its slots
+        # with more than n nonzero entries, takes the two matrices on both
+        # rings; over Z_m[t] an all-zero side has no coefficients, and the
+        # other side still has to fit its slots
         m = modulus(ring)
-        zero, full = ((),) * 4, ((m - 1, m - 1),) * 4
-        assert ring.matmul(2, zero, full) == ring.matmul(2, full, zero) == zero
+        value = m - 1 if isinstance(ring, Zmod) else [m - 1, m - 1]
+        zero, full = Matrix.zero(ring, 2), Matrix.from_rows(ring, [[value] * 2] * 2)
+        assert ring.matmul(zero, full) == ring.matmul(full, zero) == zero.entries
 
 
 class TestUnits:
