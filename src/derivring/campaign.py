@@ -1,20 +1,23 @@
 """Seeded verification campaigns behind the CLI: suite dispatch,
 per-instance seed derivation, and deterministic reports.
 
-A suite is a function of the config. It does its suite-level setup and
-config checks first (n, samples and max_len against the suite's
-minimum; a noise mode, delta, samples or max_len the suite never reads
-is refused; extend resolves delta and builds the tower), so a bad config
-fails even with zero trials, and returns `check(irng)`: one instance,
-drawn from `irng`, yielding a `Violation` per identity that broke.
-`run_campaign` alone loops over instances and turns violations into
-failure records.
+`SETTINGS` names, per suite, the optional settings it reads and the
+least value of each. `run_campaign` checks a config against that table
+once, before any instance: a noise mode, delta, samples or max_len that
+the suite does not read is refused unless it is at its default, and so
+is an n, samples or max_len below the suite's minimum. So a bad config
+fails even with zero trials. `SUITES[suite](config)` is then setup
+alone (extend resolves delta and builds the tower) and returns
+`check(irng)`: one instance, drawn from `irng`, yielding a `Violation`
+per identity that broke. `run_campaign` alone loops over instances and
+turns violations into failure records.
 
 The PRNG is Python's Mersenne Twister (random.Random); per-instance
 seeds are drawn from the campaign seed, so a config fully determines the
 report, and a record's `seed` replays its instance alone as
-`check(random.Random(seed))`. Wall time is measured but kept out of the
-serialized report: identical configs must produce identical bytes.
+`SUITES[suite](config)(random.Random(seed))`; the table check draws
+nothing. Wall time is measured but kept out of the serialized report:
+identical configs must produce identical bytes.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .twolocal import (
     verify_theorem1,
 )
 
-__all__ = ["SUITES", "CampaignConfig", "Report", "run_campaign"]
+__all__ = ["SUITES", "SETTINGS", "CampaignConfig", "Report", "run_campaign"]
 
 DELTAS = ("zero", "d/dt", "t*d/dt")
 
@@ -73,11 +76,11 @@ class CampaignConfig:
     n: int = 2
     trials: int = 100
     seed: int = 0
-    noise: NoiseSpec = NoiseSpec.NONE  # theorem1 and the lemma suites only
+    noise: NoiseSpec = NoiseSpec.NONE
     max_degree: int = 3
-    delta: str = "zero"  # extend suite only
-    max_len: int = 6  # two-generator suite only
-    samples: int = 20  # per-instance samples for the theorem suites
+    delta: str = "zero"
+    max_len: int = 6
+    samples: int = 20
 
     def to_obj(self):
         # keys in field order, which the text report's header keeps
@@ -130,8 +133,9 @@ class Report:
 
 
 def run_campaign(config):
-    """Run one suite: its setup and config checks, then `config.trials`
-    instances, each drawn from its own seed."""
+    """Run one suite: the config checks, including those of `SETTINGS`,
+    then the suite's setup, then `config.trials` instances, each drawn
+    from its own seed."""
     if config.suite not in SUITES:
         raise DomainError(
             f"unknown suite {config.suite!r}; choose one of {tuple(SUITES)}"
@@ -143,6 +147,13 @@ def run_campaign(config):
     if isinstance(config.ring, Zmod):
         # Z_m samples are residues, which have no degree to cap
         _reject_unused(config, "max_degree", owner=config.ring)
+    reads = SETTINGS[config.suite]
+    _reject_unused(config, *(field for field in _OPTIONAL if field not in reads))
+    for field, minimum in reads.items():
+        # checked here, not inside an instance, so that zero trials
+        # cannot pass a config that every instance would refuse
+        if minimum is not None and getattr(config, field) < minimum:
+            raise DomainError(f"{config.suite} needs {field} >= {minimum}")
     start = time.perf_counter()
     check = SUITES[config.suite](config)
     rng = random.Random(config.seed)
@@ -174,13 +185,6 @@ def _witness_instance(config, irng):
     return hidden, family
 
 
-def _require(config, field, minimum):
-    """Reject a config that the suite's checks would only refuse inside an
-    instance, so that zero trials cannot pass it vacuously."""
-    if getattr(config, field) < minimum:
-        raise DomainError(f"{config.suite} needs {field} >= {minimum}")
-
-
 def _reject_unused(config, *fields, owner=None):
     """Reject a setting that the suite (or `owner`) never reads, so that
     a report cannot name a noise mode, delta, sample count, word length
@@ -195,9 +199,6 @@ def _reject_unused(config, *fields, owner=None):
 
 
 def _theorem1(config):
-    _reject_unused(config, "delta", "max_len")
-    _require(config, "n", 2)
-    _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -214,8 +215,6 @@ def _theorem1(config):
 
 
 def _lemma_cross(config):
-    _reject_unused(config, "delta", "samples", "max_len")
-    _require(config, "n", 2)
     n = config.n
 
     def check(irng):
@@ -243,9 +242,6 @@ def _lemma_cross(config):
 
 
 def _lemma_offdiag(config):
-    _reject_unused(config, "delta", "samples", "max_len")
-    _require(config, "n", 2)
-
     def check(irng):
         _, family = _witness_instance(config, irng)
         for (i, j) in sorted(family.offdiag):
@@ -257,8 +253,6 @@ def _lemma_offdiag(config):
 
 
 def _lemma_diagdiff(config):
-    _reject_unused(config, "delta", "samples", "max_len")
-    _require(config, "n", 2)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -293,7 +287,6 @@ def _resolve_delta(config):
 
 
 def _extend(config):
-    _reject_unused(config, "noise", "samples", "max_len")
     ring, n, degree = config.ring, config.n, config.max_degree
     delta = _resolve_delta(config)
     ext = extend_tower(delta, n)
@@ -313,9 +306,6 @@ def _extend(config):
 
 
 def _two_generator(config):
-    _reject_unused(config, "noise", "delta", "samples")
-    _require(config, "n", 1)
-    _require(config, "max_len", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -326,8 +316,6 @@ def _two_generator(config):
 
 
 def _jordan_diag(config):
-    _reject_unused(config, "noise", "delta", "samples", "max_len")
-    _require(config, "n", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -348,9 +336,6 @@ def _jordan_diag(config):
 
 
 def _jordan_theorem(config):
-    _reject_unused(config, "noise", "delta", "max_len")
-    _require(config, "n", 2)
-    _require(config, "samples", 1)
     ring, n, degree = config.ring, config.n, config.max_degree
 
     def check(irng):
@@ -376,4 +361,20 @@ SUITES = {
     "two-generator": _two_generator,
     "jordan-diag": _jordan_diag,
     "jordan-theorem": _jordan_theorem,
+}
+
+# the settings a suite may leave unread, which must then keep their default
+_OPTIONAL = ("noise", "delta", "samples", "max_len")
+
+# suite name -> {setting it reads: least value, or None for no minimum};
+# n is read by every suite, and extend's n >= 2 is checked by extend_tower
+SETTINGS = {
+    "theorem1": {"noise": None, "n": 2, "samples": 1},
+    "lemma-cross": {"noise": None, "n": 2},
+    "lemma-offdiag": {"noise": None, "n": 2},
+    "lemma-diagdiff": {"noise": None, "n": 2},
+    "extend": {"delta": None},
+    "two-generator": {"n": 1, "max_len": 1},
+    "jordan-diag": {"n": 1},
+    "jordan-theorem": {"n": 2, "samples": 1},
 }

@@ -38,6 +38,7 @@ def parse_ring(text):
 _INT_FLAGS = (
     ("--n", "matrix dimension"),
     ("--trials", "instances to run"),
+    ("--seed", "campaign seed"),
     ("--max-degree", "degree cap for sampled polynomials (Z_m[t] rings only)"),
     ("--max-len", "word length for the two-generator suite"),
     ("--samples", "per-instance samples (theorem suites)"),
@@ -58,12 +59,6 @@ def build_parser():
         default = getattr(CampaignConfig, flag[2:].replace("-", "_"))
         verify.add_argument(flag, type=int, default=default, help=text)
     verify.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="campaign seed; falls back to $DERIVRING_SEED, then 0",
-    )
-    verify.add_argument(
         "--noise",
         choices=[spec.value for spec in NoiseSpec],
         default=CampaignConfig.noise.value,
@@ -82,19 +77,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        seed = args.seed
-        if seed is None:
-            raw = os.environ.get("DERIVRING_SEED", "0")
-            try:
-                seed = int(raw)
-            except ValueError:
-                raise DomainError(f"DERIVRING_SEED must be an integer, got {raw!r}")
         config = CampaignConfig(
             suite=args.suite,
             ring=parse_ring(args.ring),
             n=args.n,
             trials=args.trials,
-            seed=seed,
+            seed=args.seed,
             noise=NoiseSpec(args.noise),
             max_degree=args.max_degree,
             delta=args.delta,

@@ -11,8 +11,7 @@ from itertools import product
 
 from .checks import CheckReport, Violation
 from .errors import DomainError
-from .matrices import Matrix, commutator
-from .rings import same_ring
+from .matrices import Matrix, commutator, require_shape
 
 __all__ = [
     "InnerDerivation",
@@ -67,9 +66,7 @@ def _lift(delta, n, weight):
     d, add, mul = delta.on_payload, ring.add, ring.mul
 
     def apply(mat):
-        if mat.n != n:
-            raise DomainError(f"expected a {n}x{n} matrix, got {mat.n}x{mat.n}")
-        same_ring(delta, mat)
+        require_shape(mat, ring, n)
         pairs = zip(mat.entries, shifts)
         return Matrix(
             ring, n, tuple([add(d(x), mul(x, s)) if s else d(x) for x, s in pairs])

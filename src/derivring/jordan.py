@@ -22,6 +22,7 @@ from .matrices import (
     commutator,
     jordan_mul,
     matrix_unit,
+    require_shape,
     symmetric_part,
 )
 from .sampling import random_symmetric
@@ -49,8 +50,8 @@ class JordanPairDerivation:
     def __init__(self, ring, n, pairs=()):
         pairs = tuple((SymmetricMatrix.of(a), SymmetricMatrix.of(b)) for a, b in pairs)
         for a, b in pairs:
-            if a.n != n or b.n != n or a.ring != ring or b.ring != ring:
-                raise DomainError("pair entries must be n x n matrices over the ring")
+            require_shape(a, ring, n)
+            require_shape(b, ring, n)
         self.ring = ring
         self.n = n
         self.pairs = pairs
@@ -64,8 +65,7 @@ class JordanPairDerivation:
         whose SymmetricMatrix constructor checks the result. Any other x
         takes the literal formula, whose value still equals the
         commutator action of the reduced generator."""
-        if x.n != self.n or x.ring != self.ring:
-            raise DomainError(f"expected a {self.n}x{self.n} matrix over {self.ring}")
+        require_shape(x, self.ring, self.n)
         typed = isinstance(x, SymmetricMatrix)
         outer = operator.mul if typed else jordan_mul
         acc = Matrix.zero(self.ring, self.n)

@@ -3,15 +3,18 @@ commutators, the Jordan product a.b = (ab + ba)/2, the symmetric
 subspace H_n(R) and the skew matrices.
 
 Public row/column indices run from 1 to match the e_{i,j} notation;
-storage is 0-based row-major. The ring belongs to the matrix: `entries`
-holds bare canonical payloads (ints for Z_m, coefficient tuples for
-Z_m[t]), and the ring owns the arithmetic on them (see
-`derivring.rings`). `+`, `-`, negation and scaling hand whole entry
-tuples to the ring's tuple ops (`add_all`, `sub_all`, `neg_all`,
-`scale_all`), and equality compares payload tuples. One transpose order
-per n, built once, serves `transpose`, `is_symmetric` (a^T == a),
-`is_skew` (a^T == -a) and `p + sign p^T`; both predicates compare the
-whole tuples. Only `entry` builds a ring element.
+storage is 0-based row-major. Each builder checks its dimension (n >= 1)
+and its indices through one rule each, and `require_shape` is the one
+check that a map's argument is an n x n matrix over the map's ring. The
+ring belongs to the matrix: `entries` holds bare canonical payloads
+(ints for Z_m, coefficient tuples for Z_m[t]), and the ring owns the
+arithmetic on them (see `derivring.rings`). `+`, `-`, negation and
+scaling hand whole entry tuples to the ring's tuple ops (`add_all`,
+`sub_all`, `neg_all`, `scale_all`), and equality compares payload
+tuples. One transpose order per n, built once, serves `transpose`,
+`is_symmetric` (a^T == a), `is_skew` (a^T == -a) and `p + sign p^T`;
+both predicates compare the whole tuples. Only `entry` builds a ring
+element.
 
 The product ab picks its path from the operands' support. If b has at
 most n nonzero entries, each nonzero b_kj adds column k of a, times
@@ -52,6 +55,7 @@ __all__ = [
     "Matrix",
     "SymmetricMatrix",
     "SkewMatrix",
+    "require_shape",
     "matrix_unit",
     "jordan_unit",
     "probe_x0",
@@ -82,9 +86,7 @@ class Matrix:
     @classmethod
     def from_rows(cls, ring, rows):
         rows = [list(r) for r in rows]
-        n = len(rows)
-        if n < 1:
-            raise DomainError("matrix dimension must be >= 1")
+        n = _require_dimension(len(rows))
         entries = []
         for row in rows:
             if len(row) != n:
@@ -94,8 +96,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, ring, n):
-        if n < 1:
-            raise DomainError("matrix dimension must be >= 1")
+        _require_dimension(n)
         return cls(ring, n, (ring.zero.payload,) * (n * n))
 
     @classmethod
@@ -105,13 +106,8 @@ class Matrix:
     @classmethod
     def scalar(cls, z, n):
         """z * I: the central matrix with z on the diagonal."""
-        if n < 1:
-            raise DomainError("matrix dimension must be >= 1")
-        ring = z.ring
-        ent = [ring.zero.payload] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = z.payload
-        return cls(ring, n, tuple(ent))
+        cells = (((i, i), z.payload) for i in range(1, n + 1))
+        return cls(z.ring, n, tuple(_placed(z.ring, n, cells)))
 
     @classmethod
     def of(cls, mat):
@@ -123,10 +119,7 @@ class Matrix:
 
     def entry(self, i, j):
         """The (i, j) entry as a ring element, 1-based."""
-        n = self.n
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise DomainError(f"index ({i},{j}) out of range for n={n}")
-        return self.ring.wrap(self.entries[(i - 1) * n + (j - 1)])
+        return self.ring.wrap(self.entries[_index(self.n, i, j)])
 
     def _require_compatible(self, other):
         if self.n != other.n or (
@@ -211,6 +204,39 @@ class Matrix:
         return f"M{n}({self.ring})[{rows}]"
 
 
+def _require_dimension(n):
+    """`n`, if it is a matrix dimension (n >= 1); DomainError otherwise."""
+    if n < 1:
+        raise DomainError("matrix dimension must be >= 1")
+    return n
+
+
+def _index(n, i, j):
+    """The row-major position of the 1-based (i, j) in an n x n matrix;
+    DomainError if (i, j) lies outside it."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise DomainError(f"index ({i},{j}) out of range for n={n}")
+    return (i - 1) * n + (j - 1)
+
+
+def _placed(ring, n, cells=()):
+    """The row-major entries, as a list, of the n x n matrix over `ring`
+    with each payload of `cells`, pairs ((i, j), payload), at its (i, j)
+    and zero elsewhere."""
+    out = [ring.zero.payload] * (_require_dimension(n) * n)
+    for (i, j), payload in cells:
+        out[_index(n, i, j)] = payload
+    return out
+
+
+def require_shape(x, ring, n):
+    """DomainError unless `x` is an n x n matrix over `ring`."""
+    if x.n != n or (x.ring is not ring and x.ring != ring):
+        raise DomainError(
+            f"expected a {n}x{n} matrix over {ring}, got {x.n}x{x.n} over {x.ring}"
+        )
+
+
 def _gather(indices):
     """The map from a tuple to the tuple of its entries at `indices` (an
     itemgetter of one index would return the bare entry)."""
@@ -239,7 +265,7 @@ def _sparse_product(ring, n, s, d, left):
     span, step = (n, 1) if left else (1, n)
     end = n * step
     one, add, mul = ring.one.payload, ring.add, ring.mul
-    out = [ring.zero.payload] * (n * n)
+    out = _placed(ring, n)
     filled = [False] * n
     for idx in compress(range(n * n), s):
         x = s[idx]
@@ -292,35 +318,23 @@ class SkewMatrix(Matrix):
 
 def matrix_unit(ring, n, i, j):
     """e_{i,j}: 1 at (i, j) and 0 elsewhere."""
-    if n < 1:
-        raise DomainError("matrix dimension must be >= 1")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError(f"unit index ({i},{j}) out of range for n={n}")
-    ent = [ring.zero.payload] * (n * n)
-    ent[(i - 1) * n + (j - 1)] = ring.one.payload
-    return Matrix(ring, n, tuple(ent))
+    return Matrix(ring, n, tuple(_placed(ring, n, [((i, j), ring.one.payload)])))
 
 
 def jordan_unit(ring, n, i, j):
     """The symmetric unit e_{i,j} + e_{j,i}, defined for i != j."""
     if i == j:
         raise DomainError("jordan_unit needs i != j; diagonal probes are e_{i,i}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError(f"unit index ({i},{j}) out of range for n={n}")
-    ent = [ring.zero.payload] * (n * n)
-    ent[(i - 1) * n + (j - 1)] = ring.one.payload
-    ent[(j - 1) * n + (i - 1)] = ring.one.payload
-    return SymmetricMatrix(ring, n, tuple(ent))
+    cells = [((i, j), ring.one.payload), ((j, i), ring.one.payload)]
+    return SymmetricMatrix(ring, n, tuple(_placed(ring, n, cells)))
 
 
 def probe_x0(ring, n):
     """The superdiagonal shift e_{1,2} + e_{2,3} + ... + e_{n-1,n}."""
     if n < 2:
         raise DomainError("the shift probe needs n >= 2")
-    ent = [ring.zero.payload] * (n * n)
-    for k in range(n - 1):
-        ent[k * n + k + 1] = ring.one.payload
-    return Matrix(ring, n, tuple(ent))
+    cells = (((k, k + 1), ring.one.payload) for k in range(1, n))
+    return Matrix(ring, n, tuple(_placed(ring, n, cells)))
 
 
 def commutator(a, b):
@@ -354,12 +368,8 @@ def _plus_transpose(p, sign, scale=None):
 
 def corner(a, i, j):
     """e_{i,i} a e_{j,j}: the matrix keeping only the (i, j) entry of a."""
-    n = a.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError(f"corner index ({i},{j}) out of range for n={n}")
-    ent = [a.ring.zero.payload] * (n * n)
-    ent[(i - 1) * n + (j - 1)] = a.entries[(i - 1) * n + (j - 1)]
-    return Matrix(a.ring, n, tuple(ent))
+    cells = [((i, j), a.entries[_index(a.n, i, j)])]
+    return Matrix(a.ring, a.n, tuple(_placed(a.ring, a.n, cells)))
 
 
 def jordan_mul(a, b):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DomainError
-from .matrices import Matrix, SymmetricMatrix, _gather
+from .matrices import Matrix, SymmetricMatrix, _gather, _require_dimension
 
 __all__ = [
     "random_element",
@@ -32,11 +32,13 @@ def random_element(ring, rng, max_degree=3):
 
 
 def random_matrix(ring, n, rng, max_degree=3):
+    _require_dimension(n)
     return Matrix(ring, n, ring.draw(rng, n * n, max_degree))
 
 
 def random_symmetric(ring, n, rng, max_degree=3):
     """Entries drawn for (i, j) with j >= i, row by row, and mirrored."""
+    _require_dimension(n)
     upper = ring.draw(rng, n * (n + 1) // 2, max_degree)
     return SymmetricMatrix(ring, n, _mirror(n)(upper))
 
@@ -52,6 +54,7 @@ def _mirror(n):
 
 def random_pairs(ring, n, rng, count, max_degree=3):
     """`count` pairs of random symmetric matrices."""
+    _require_dimension(n)
     return tuple(
         (
             random_symmetric(ring, n, rng, max_degree),
@@ -79,6 +82,7 @@ def random_x0_commutant(ring, n, rng, max_degree=3):
 def _upper_toeplitz(ring, n, c):
     """The matrix with c[j - i] at (i, j) for j >= i, and zero below the
     diagonal and wherever c has no entry: c = (z,) gives z*I."""
+    _require_dimension(n)
     zero = ring.zero.payload
     return Matrix(ring, n, _toeplitz(n)(c + (zero,) * (n + 1 - len(c))))
 

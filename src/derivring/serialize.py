@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .matrices import Matrix
 from .rings import PolyRing, RingElement, Zmod
 
@@ -83,36 +83,25 @@ def value_from_obj(ring, obj):
 
 
 def _payload_from_obj(ring, obj):
-    """The canonical payload that `obj` spells; ParseError unless `obj`
-    is already canonical."""
-    if isinstance(ring, Zmod):
-        if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ParseError(
-                f"Z_{ring.modulus} values are integers, got {type(obj).__name__}"
-            )
-        if not 0 <= obj < ring.modulus:
-            raise ParseError(
-                f"non-canonical residue {obj} for Z_{ring.modulus}: "
-                f"must lie in [0, {ring.modulus})"
-            )
-        return obj
-    if not isinstance(obj, list):
+    """The canonical payload that `obj` spells: `ring.element` reads it,
+    and ParseError unless `obj` already spells what it reads."""
+    poly = isinstance(ring, PolyRing)
+    if poly and not isinstance(obj, list):
         raise ParseError(
             f"polynomial values are coefficient arrays, got {type(obj).__name__}"
         )
-    m = ring.base.modulus
-    for c in obj:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise ParseError(
-                f"polynomial coefficients are integers, got {type(c).__name__}"
-            )
-        if not 0 <= c < m:
-            raise ParseError(
-                f"non-canonical coefficient {c}: must lie in [0, {m})"
-            )
-    if obj and obj[-1] == 0:
+    try:
+        payload = ring.element(obj).payload
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+    if payload == (tuple(obj) if poly else obj):
+        return payload
+    if poly and obj[-1] == 0:
         raise ParseError("non-canonical polynomial: trailing zero coefficient")
-    return tuple(obj)
+    m = ring.base.modulus if poly else ring.modulus
+    raise ParseError(
+        f"non-canonical value for {ring}: each integer must lie in [0, {m})"
+    )
 
 
 def _rows_obj(mat):

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from .checks import CheckReport, Violation
 from .derivations import InnerDerivation
 from .errors import ContractError, DomainError
-from .matrices import Matrix, commutator, matrix_unit, probe_x0
+from .matrices import Matrix, commutator, matrix_unit, probe_x0, require_shape
 from .sampling import random_central, random_x0_commutant
 
 __all__ = [
@@ -64,10 +64,7 @@ class TwoLocalOracle:
         return self._n
 
     def __call__(self, x):
-        if x.n != self._n or x.ring != self._ring:
-            raise DomainError(
-                f"oracle expects {self._n}x{self._n} matrices over {self._ring}"
-            )
+        require_shape(x, self._ring, self._n)
         return self._evaluate(x)
 
 
@@ -89,8 +86,7 @@ class _ValidatedFamily:
 
     def _check_witnesses(self, mats):
         for mat in mats:
-            if mat.n != self.n or mat.ring != self.ring:
-                raise DomainError("witnesses must be n x n matrices over the ring")
+            require_shape(mat, self.ring, self.n)
 
     @property
     def oracle(self):

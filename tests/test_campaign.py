@@ -87,6 +87,10 @@ class TestRunCampaign:
         with pytest.raises(DomainError):
             run_campaign(CampaignConfig(suite="theorem1", ring=Z5, trials=-1))
 
+    def test_every_suite_has_one_settings_row(self):
+        # run_campaign checks each config against its suite's row
+        assert list(campaign.SETTINGS) == list(campaign.SUITES)
+
     def test_zero_trials(self):
         report = run_campaign(CampaignConfig(suite="theorem1", ring=Z5, trials=0))
         assert report.instances == 0 and report.ok and report.exit_code == 0

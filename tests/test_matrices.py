@@ -9,14 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from derivring import (
+    BaseDerivation,
     DomainError,
+    InnerDerivation,
+    JordanPairDerivation,
     Matrix,
     PolyRing,
     SkewMatrix,
     SymmetricMatrix,
+    TwoLocalOracle,
+    WitnessFamily,
     Zmod,
     commutator,
     corner,
+    entrywise,
     jordan_mul,
     jordan_unit,
     matrix_unit,
@@ -378,6 +384,73 @@ class TestUnits:
             matrix_unit(Z5, 2, 0, 1)
         with pytest.raises(DomainError):
             matrix_unit(Z5, 2, 1, 3)
+
+
+ZERO3 = Matrix.zero(Z5, 3)
+ORACLE3 = TwoLocalOracle(Z5, 3, InnerDerivation(ZERO3))
+
+
+class TestInputRules:
+    """The dimension, index and shape rules of `matrices`, each written
+    once, refuse bad input at every builder and every map that uses
+    them."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: Matrix.zero(Z5, n),
+            lambda n: Matrix.scalar(Z5.one, n),
+            lambda n: matrix_unit(Z5, n, 1, 1),
+        ],
+        ids=["zero", "scalar", "unit"],
+    )
+    def test_dimension_below_one(self, build, n):
+        with pytest.raises(DomainError):
+            build(n)
+
+    # (-1, 2) would reach a valid storage slot through a negative offset
+    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, 2)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda i, j: Matrix.identity(Z5, 2).entry(i, j),
+            lambda i, j: matrix_unit(Z5, 2, i, j),
+            lambda i, j: jordan_unit(Z5, 2, i, j),
+            lambda i, j: corner(Matrix.identity(Z5, 2), i, j),
+        ],
+        ids=["entry", "unit", "jordan-unit", "corner"],
+    )
+    def test_index_outside_the_matrix(self, build, i, j):
+        with pytest.raises(DomainError):
+            build(i, j)
+
+    @pytest.mark.parametrize(
+        "other", [Matrix.identity(Z5, 2), Matrix.identity(Z9, 3)], ids=["n", "ring"]
+    )
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            ORACLE3,
+            lambda x: WitnessFamily(
+                ORACLE3,
+                {
+                    (i, j): x if (i, j) == (1, 2) else ZERO3
+                    for i in range(1, 4)
+                    for j in range(1, 4)
+                    if i != j
+                },
+            ),
+            lambda x: JordanPairDerivation(Z5, 3, [(x, x)]),
+            JordanPairDerivation(Z5, 3),
+            entrywise(BaseDerivation.zero(Z5), 3),
+        ],
+        ids=["oracle", "witness", "jordan-pair", "jordan-argument", "lift"],
+    )
+    def test_map_refuses_another_shape(self, apply, other):
+        # every map here expects 3 x 3 matrices over Z_5
+        with pytest.raises(DomainError):
+            apply(other)
 
 
 class TestArithmetic:

@@ -7,9 +7,11 @@ import random
 import pytest
 
 from derivring import Matrix, PolyRing, SymmetricMatrix, Zmod
+from derivring.errors import DomainError
 from derivring.sampling import (
     random_central,
     random_matrix,
+    random_pairs,
     random_symmetric,
     random_x0_commutant,
 )
@@ -112,3 +114,24 @@ def test_entry_order_is_caught(ring):
     assert same_stream(column_symmetric, ref_symmetric, ring, 2, 3)
     assert not same_stream(column_symmetric, ref_symmetric, ring, 3, 3)
     assert not same_stream(column_symmetric, random_symmetric, ring, 3, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "sample",
+    [
+        random_matrix,
+        random_symmetric,
+        lambda ring, n, rng: random_pairs(ring, n, rng, 1),
+        # no pair is drawn, so only the dimension rule can refuse n
+        lambda ring, n, rng: random_pairs(ring, n, rng, 0),
+        random_central,
+        random_x0_commutant,
+    ],
+    ids=["matrix", "symmetric", "pairs", "no-pairs", "central", "x0-commutant"],
+)
+def test_sampler_refuses_a_dimension_below_one(sample, n):
+    # a matrix of n <= 0 has no entries to draw; each sampler refuses it
+    # by the one dimension rule instead of building a malformed matrix
+    with pytest.raises(DomainError):
+        sample(Z5, n, random.Random(0))
