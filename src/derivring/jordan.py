@@ -19,6 +19,7 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     _plus_transpose,
+    _require_dimension,
     commutator,
     jordan_mul,
     matrix_unit,
@@ -48,6 +49,7 @@ class JordanPairDerivation:
     __slots__ = ("ring", "n", "pairs")
 
     def __init__(self, ring, n, pairs=()):
+        _require_dimension(n)
         pairs = tuple((SymmetricMatrix.of(a), SymmetricMatrix.of(b)) for a, b in pairs)
         for a, b in pairs:
             require_shape(a, ring, n)

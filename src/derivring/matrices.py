@@ -25,11 +25,14 @@ kernel keeps each matrix's packed entries for each slot width in its
 `_packings` slot, set on its first dense product (never in __init__)
 and used only while `entries` is the tuple it packed (see
 `derivring.rings`). The cut-off is n because there n nonzeros times n
-entries per line make n*n entry steps, as many as the dense kernel's
-n*n dot products (each summed in one C-level call). The probes e_{i,j},
-e_{i,i}, the shift x0 and the Jordan units lie at or below it, a
-general matrix above it. A nonzero equal to one adds its line without a
-multiplication, which covers every probe.
+entries per line make n*n entry steps, against the dense kernel's n*n
+dot products of n terms each. Measured over Z_9 with the same checks on
+both paths, e_{1,2} a and x0 a take 3.8-5.8 us sparse and 6.3-6.4 us
+dense at n = 4, and 5.6-10.7 us against 23-24 us at n = 8; the paths
+tie at n = 3 and the dense kernel leads by at most 0.6 us at n = 2. The
+probes e_{i,j}, e_{i,i}, the shift x0 and the Jordan units lie at or
+below the cut-off, a general matrix above it. A nonzero equal to one
+adds its line without a multiplication, which covers every probe.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check

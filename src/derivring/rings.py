@@ -29,11 +29,16 @@ coefficients from one base draw and strips each chunk. So a seed gives
 the values that one `randrange` per coefficient gives, and the tests
 pin that against a literal per-coefficient reference.
 
-On Z_m a dot product is summed in plain ints and reduced mod m once. On
-Z_m[t], products use Kronecker substitution (Harvey, "Faster polynomial
+Both rings take their dense products from one kernel over ints,
+`_dot_products(n)`, built once per n on first use: Python source
+generated from n alone, which unpacks the second operand into n*n locals
+once and each row of the first into n locals, and returns the n*n raw
+dot products as straight-line sums, with no call per entry. On Z_m the
+entries are the ints, and each sum is reduced mod m once. On Z_m[t],
+products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
 polynomial is packed into one int with a `bits`-wide slot per
-coefficient, the dot product is summed as ints, and each result is
+coefficient, the kernel sums the packed ints, and each result is
 unpacked once, every slot reduced mod m and trailing zeros stripped (a
 leading term can vanish mod a composite m: 3t * 3t = 0 in Z_9[t]).
 Coefficients are residues in [0, m), so a coefficient of an n-term dot
@@ -59,7 +64,6 @@ the entries alone: a residue needs no packing.
 
 from __future__ import annotations
 
-import operator
 from functools import cache
 from itertools import islice, repeat
 
@@ -233,6 +237,35 @@ def _packed(memo, bits):
     return packed
 
 
+@cache
+def _dot_products(n):
+    """The dense kernel of both rings, built once per n: the map from the
+    row-major entries of two n x n matrices over the ints (tuples or
+    lists) to the list of their n*n raw dot products, row-major, so that
+    item i*n + j is row i of the first times column j of the second. The
+    source is generated from n alone and is O(n^2): the second operand
+    is unpacked into n*n locals once, then each row of the first is
+    unpacked into n locals and appends one straight-line tuple of its n
+    dot products."""
+    row = ", ".join([f"x{k}" for k in range(n)])
+    second = ", ".join([f"b{k}" for k in range(n * n)])
+    dots = ", ".join(
+        [" + ".join([f"x{k} * b{k * n + j}" for k in range(n)]) for j in range(n)]
+    )
+    source = (
+        "def dot_products(a, b):\n"
+        f"    {second}, = b\n"
+        "    out = []\n"
+        "    it = iter(a)\n"
+        f"    for {row}, in zip({', '.join(['it'] * n)}):\n"
+        f"        out += ({dots},)\n"
+        "    return out\n"
+    )
+    namespace = {}
+    exec(compile(source, f"<dot products, n={n}>", "exec"), namespace)
+    return namespace["dot_products"]
+
+
 class Zmod:
     """The ring Z_m with m odd and >= 3, so that 2 has an inverse.
     Payloads are the residues 0..m-1."""
@@ -316,12 +349,11 @@ class Zmod:
         return tuple([s * x % m for x in a])
 
     def matmul(self, a, b):
-        """The payloads of the product of the n x n matrices a and b: each
-        dot product is summed in plain ints and reduced mod m once."""
-        m, n, ea, eb = self.modulus, a.n, a.entries, b.entries
-        rows = [ea[i : i + n] for i in range(0, n * n, n)]
-        cols = [eb[j::n] for j in range(n)]
-        return tuple([sum(map(operator.mul, r, c)) % m for r in rows for c in cols])
+        """The payloads of the product of the n x n matrices a and b: the
+        n*n dot products of `_dot_products(n)`, summed in plain ints,
+        each reduced mod m once."""
+        m = self.modulus
+        return tuple([s % m for s in _dot_products(a.n)(a.entries, b.entries)])
 
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.modulus == self.modulus
@@ -459,19 +491,16 @@ class PolyRing:
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b by
-        Kronecker substitution: one packed int per entry, dot products
-        summed as ints, each result unpacked once. Each operand is packed
-        at most once per slot width while its entries stay the same tuple
-        (see `_packings`)."""
+        Kronecker substitution: one packed int per entry, the n*n dot
+        products of `_dot_products(n)` summed as ints over the packed
+        entries, each result unpacked once. Each operand is packed at most
+        once per slot width while its entries stay the same tuple (see
+        `_packings`)."""
         m, n = self.base.modulus, a.n
         pa, pb = _packings(a), _packings(b)
         bits = _slot_bits(n, pa[1], pb[1], m)
         ka, kb = _packed(pa, bits), _packed(pb, bits)
-        rows = [ka[i : i + n] for i in range(0, n * n, n)]
-        cols = [kb[j::n] for j in range(n)]
-        return tuple(
-            [_unpack(sum(map(operator.mul, r, c)), bits, m) for r in rows for c in cols]
-        )
+        return tuple([_unpack(s, bits, m) for s in _dot_products(n)(ka, kb)])
 
     def format_payload(self, payload):
         if not payload:

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from .checks import CheckReport, Violation
 from .derivations import InnerDerivation
 from .errors import ContractError, DomainError
-from .matrices import Matrix, commutator, matrix_unit, probe_x0, require_shape
+from .matrices import Matrix, _index, commutator, matrix_unit, probe_x0, require_shape
 from .sampling import random_central, random_x0_commutant
 
 __all__ = [
@@ -219,8 +219,8 @@ def check_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
         if k == i:
             raise DomainError("the cross-corner identity needs k != i")
         r, c = k, i
-    if not all(1 <= x <= n for x in (i, j, k)):
-        raise DomainError(f"cross-corner indices ({i},{j},{k}) out of range for n={n}")
+    # `entry` checks (r, c) by the same rule; with (i, j) that covers i, j, k
+    _index(n, i, j)
     return a_ij.entry(r, c) == a_ik.entry(r, c)
 
 

@@ -156,6 +156,12 @@ class TestPairAction:
             assert isinstance(out, SymmetricMatrix)
             assert out.is_symmetric()
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_dimension_below_one(self, n):
+        # with no pairs, nothing else would check n
+        with pytest.raises(DomainError, match="matrix dimension must be >= 1"):
+            JordanPairDerivation(Z5, n, ())
+
     def test_rejects_asymmetric_pairs(self):
         e12 = matrix_unit(Z5, 2, 1, 2)
         with pytest.raises(DomainError):

@@ -3,6 +3,8 @@ symmetry predicates and the checked symmetric/skew types, and the shift
 probe."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,7 @@ from derivring import (
     matrix_unit,
     probe_x0,
 )
+from derivring import rings
 from derivring.sampling import random_matrix, random_symmetric
 from test_jordan import literal_commutator, literal_jordan_mul, random_skew
 
@@ -351,6 +354,73 @@ class TestPayloadKernel:
         value = m - 1 if isinstance(ring, Zmod) else [m - 1, m - 1]
         zero, full = Matrix.zero(ring, 2), Matrix.from_rows(ring, [[value] * 2] * 2)
         assert ring.matmul(zero, full) == ring.matmul(full, zero) == zero.entries
+
+
+
+def int_dot_products(n, a, b):
+    """Reference: the literal triple loop over two row-major int
+    sequences, no reduction."""
+    return [
+        sum(a[i * n + k] * b[k * n + j] for k in range(n))
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+class TestDotProductKernel:
+    """`rings._dot_products(n)`, the one dense kernel of `Zmod.matmul` and
+    `PolyRing.matmul`, against the literal triple loop."""
+
+    RINGS = [Z9, Zmod(1000003), P5]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matmul_matches_triple_loop(self, ring, n):
+        # ring.matmul itself, so that no operand is routed to the sparse path
+        rng = random.Random(n)
+        operands = [
+            random_entries(ring, n, rng, 3, 0.0),
+            random_entries(ring, n, rng, 3, 0.5),
+            worst_case(ring, n, 3),
+            Matrix.zero(ring, n),
+        ]
+        for a in operands:
+            for b in operands:
+                assert ring.matmul(a, b) == literal_product(a, b).entries
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_tuples_and_packed_lists_agree(self, n):
+        # Zmod.matmul passes entry tuples, PolyRing.matmul the packed lists
+        rng = random.Random(100 + n)
+        a, b = (random_entries(P5, n, rng, 3, 0.2) for _ in range(2))
+        pa, pb = rings._packings(a), rings._packings(b)
+        bits = rings._slot_bits(n, pa[1], pb[1], 5)
+        ka, kb = rings._packed(pa, bits), rings._packed(pb, bits)
+        assert type(ka) is list and type(kb) is list
+        kernel = rings._dot_products(n)
+        want = int_dot_products(n, ka, kb)
+        assert kernel(ka, kb) == kernel(tuple(ka), tuple(kb)) == want
+        x, y = (random_entries(Z9, n, rng, 0, 0.2).entries for _ in range(2))
+        assert kernel(x, y) == kernel(list(x), list(y)) == int_dot_products(n, x, y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_built_once_per_n(self, n):
+        assert rings._dot_products(n) is rings._dot_products(n)
+        assert rings._dot_products(n) is not rings._dot_products(n + 1)
+
+    def test_built_on_first_use_not_at_import(self):
+        probe = (
+            "from derivring import Matrix, Zmod, rings\n"
+            "built = rings._dot_products.cache_info().currsize\n"
+            "a = Matrix.from_rows(Zmod(5), [[1, 2], [3, 4]])\n"
+            "assert (a * a).entries == (2, 0, 0, 2)\n"
+            "print(built, rings._dot_products.cache_info().currsize)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "1"]
 
 
 class TestUnits:

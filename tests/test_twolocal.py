@@ -354,7 +354,7 @@ class TestCrossCorner:
     @pytest.mark.parametrize("i,j,k", [(1, 4, 2), (4, 1, 2), (1, 2, 4), (0, 2, 3)])
     def test_indices_out_of_range(self, i, j, k, mirror):
         a = Matrix.zero(Z5, 3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"out of range for n=3"):
             check_cross_corner(a, a, i, j, k, mirror)
 
     def test_ring_mismatch(self):
