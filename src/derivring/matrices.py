@@ -12,9 +12,11 @@ arithmetic on them (see `derivring.rings`). `+`, `-`, negation and
 scaling hand whole entry tuples to the ring's tuple ops (`add_all`,
 `sub_all`, `neg_all`, `scale_all`), and equality compares payload
 tuples. One transpose order per n, built once, serves `transpose`,
-`is_symmetric` (a^T == a), `is_skew` (a^T == -a) and `p + sign p^T`;
-both predicates compare the whole tuples. Only `entry` builds a ring
-element.
+`is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both predicates
+compare the whole tuples. `p + sign p^T`, scaled or not, is the ring's
+`plus_transpose`, which computes each entry on and above the diagonal
+once and mirrors it below (on Z_m one generated kernel per n and sign).
+Only `entry` builds a ring element.
 
 The product ab picks its path from the operands' support. If b has at
 most n nonzero entries, each nonzero b_kj adds column k of a, times
@@ -360,12 +362,10 @@ def symmetric_part(p):
 
 def _plus_transpose(p, sign, scale=None):
     """p + sign p^T, each entry times `scale` if given, as the matrix type
-    of parity `sign`, whose constructor checks the property."""
-    ring, n, ent = p.ring, p.n, p.entries
-    mirror = _transposer(n)(ent)
-    out = ring.add_all(ent, mirror) if sign > 0 else ring.sub_all(ent, mirror)
-    if scale is not None:
-        out = ring.scale_all(scale, out)
+    of parity `sign`. The ring builds the entries mirrored, and the
+    type's constructor still checks the property."""
+    ring, n = p.ring, p.n
+    out = ring.plus_transpose(n, p.entries, sign, scale)
     return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, out)
 
 

@@ -8,16 +8,22 @@ so equality of values is equality of payloads and nothing ever rounds.
 The ring owns the arithmetic, written once on payloads: the scalar ops
 `add`, `sub`, `neg` and `mul`, their whole-tuple forms `add_all`,
 `sub_all`, `neg_all` and `scale_all` (entrywise over equal-length
-payload tuples), and the dense product `matmul(a, b)` of two n x n
-matrices, which returns the row-major payloads of ab. Matrices store
-bare payloads and hand whole entry tuples to the tuple ops: Z_m runs
-each as one comprehension over ints, Z_m[t] maps its scalar op. A
-matrix product goes to `matmul` only when both operands have more than
-n nonzero entries; a sparser operand is multiplied by its support with
-`add` and `mul` (see `derivring.matrices`). A `RingElement` pairs a
-payload with its ring only where the scalar API hands one out
-(`ring.element`, `ring.sample`, `Matrix.entry`), and its operators call
-the same ring ops behind one ring-mismatch check.
+payload tuples), the dense product `matmul(a, b)` of two n x n matrices,
+which returns the row-major payloads of ab, and the symmetrisation
+`plus_transpose(n, entries, sign, scale)`, which returns those of
+(p + sign p^T) * scale. Matrices store bare payloads and hand whole entry
+tuples to the tuple ops: Z_m runs each as one comprehension over ints,
+Z_m[t] maps its scalar op. `plus_transpose` computes each entry on and
+above the diagonal once and mirrors it below, negated when sign is -1:
+on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
+alone on first use, on Z_m[t] as a loop over the scalar ops (faster
+than transposing, adding and scaling whole tuples). A matrix product
+goes to `matmul` only when both operands have more than n nonzero
+entries; a sparser operand is multiplied by its support with `add` and
+`mul` (see `derivring.matrices`). A `RingElement` pairs a payload with
+its ring only where the scalar API hands one out (`ring.element`,
+`ring.sample`, `Matrix.entry`), and its operators call the same ring
+ops behind one ring-mismatch check.
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -30,11 +36,12 @@ the values that one `randrange` per coefficient gives, and the tests
 pin that against a literal per-coefficient reference.
 
 Both rings take their dense products from one kernel over ints,
-`_dot_products(n)`, built once per n on first use: Python source
-generated from n alone, which unpacks the second operand into n*n locals
-once and each row of the first into n locals, and returns the n*n raw
-dot products as straight-line sums, with no call per entry. On Z_m the
-entries are the ints, and each sum is reduced mod m once. On Z_m[t],
+`_dot_products(n, reduced)`, built once per (n, reduced) on first use:
+Python source generated from n and `reduced` alone, which unpacks the
+second operand into n*n locals once and each row of the first into n
+locals, and returns the n*n dot products as straight-line sums, with no
+call per entry. On Z_m the entries are the ints, and the reduced kernel
+ends each sum in % m, so the kernel returns the residues. On Z_m[t],
 products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
 polynomial is packed into one int with a `bits`-wide slot per
@@ -238,32 +245,72 @@ def _packed(memo, bits):
 
 
 @cache
-def _dot_products(n):
-    """The dense kernel of both rings, built once per n: the map from the
-    row-major entries of two n x n matrices over the ints (tuples or
-    lists) to the list of their n*n raw dot products, row-major, so that
-    item i*n + j is row i of the first times column j of the second. The
-    source is generated from n alone and is O(n^2): the second operand
-    is unpacked into n*n locals once, then each row of the first is
-    unpacked into n locals and appends one straight-line tuple of its n
-    dot products."""
+def _dot_products(n, reduced=False):
+    """The dense kernel of both rings, built once per (n, reduced): the
+    map from the row-major entries of two n x n matrices over the ints
+    (tuples or lists) to their n*n dot products, row-major, so that item
+    i*n + j is row i of the first times column j of the second. The
+    source is generated from n and `reduced` alone and is O(n^2): the
+    second operand is unpacked into n*n locals once, then each row of
+    the first is unpacked into n locals and appends one straight-line
+    tuple of its n dot products. Raw (`PolyRing.matmul`'s packed ints),
+    the kernel returns a list of the plain sums; reduced (`Zmod.matmul`),
+    it takes the modulus m as a third argument, ends each sum in % m and
+    returns a tuple of residues."""
     row = ", ".join([f"x{k}" for k in range(n)])
     second = ", ".join([f"b{k}" for k in range(n * n)])
-    dots = ", ".join(
-        [" + ".join([f"x{k} * b{k * n + j}" for k in range(n)]) for j in range(n)]
-    )
+    sums = [" + ".join([f"x{k} * b{k * n + j}" for k in range(n)]) for j in range(n)]
+    if reduced:
+        sums = [f"({s}) % m" for s in sums]
     source = (
-        "def dot_products(a, b):\n"
+        f"def dot_products(a, b{', m' if reduced else ''}):\n"
         f"    {second}, = b\n"
         "    out = []\n"
         "    it = iter(a)\n"
         f"    for {row}, in zip({', '.join(['it'] * n)}):\n"
-        f"        out += ({dots},)\n"
-        "    return out\n"
+        f"        out += ({', '.join(sums)},)\n"
+        f"    return {'tuple(out)' if reduced else 'out'}\n"
     )
     namespace = {}
     exec(compile(source, f"<dot products, n={n}>", "exec"), namespace)
     return namespace["dot_products"]
+
+
+@cache
+def _mirrored(n, sign):
+    """The Z_m symmetrisation kernel, built once per (n, sign): the map
+    from the row-major residues p of an n x n matrix, a scale s and the
+    modulus m to the residues of (p + sign p^T) s. The source is
+    generated from n and sign alone: it unpacks p into n*n locals and
+    sums each pair above the diagonal once, (p_ij + sign p_ji) s mod m
+    for i < j; each lower entry copies its upper entry, negated mod m
+    when sign is -1, and a diagonal entry is 2 p_ii s mod m, or 0 when
+    sign is -1. No pair is summed twice."""
+    op = "+" if sign > 0 else "-"
+    lines = []
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i < j:
+                u = f"u{i * n + j}"
+                lines.append(f"    {u} = (p{i * n + j} {op} p{j * n + i}) * s % m\n")
+                out.append(u)
+            elif i > j:
+                u = f"u{j * n + i}"
+                out.append(u if sign > 0 else f"-{u} % m")
+            else:
+                out.append(f"p{i * n + i} * d % m" if sign > 0 else "0")
+    if sign > 0:
+        lines.insert(0, "    d = 2 * s\n")
+    source = (
+        "def mirrored(p, s, m):\n"
+        f"    {', '.join([f'p{k}' for k in range(n * n)])}, = p\n"
+        f"{''.join(lines)}"
+        f"    return ({', '.join(out)},)\n"
+    )
+    namespace = {}
+    exec(compile(source, f"<mirrored, n={n}, sign={sign}>", "exec"), namespace)
+    return namespace["mirrored"]
 
 
 class Zmod:
@@ -350,10 +397,16 @@ class Zmod:
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b: the
-        n*n dot products of `_dot_products(n)`, summed in plain ints,
-        each reduced mod m once."""
-        m = self.modulus
-        return tuple([s % m for s in _dot_products(a.n)(a.entries, b.entries)])
+        n*n dot products of the reduced `_dot_products(n, True)`, summed
+        in plain ints and each reduced mod m once inside the kernel."""
+        return _dot_products(a.n, True)(a.entries, b.entries, self.modulus)
+
+    def plus_transpose(self, n, entries, sign, scale=None):
+        """The payloads of (p + sign p^T) * scale for the row-major
+        payloads `entries` of an n x n matrix p, sign 1 or -1 (no scaling
+        if `scale` is None): each pair above the diagonal is summed once
+        and mirrored below (see `_mirrored`)."""
+        return _mirrored(n, sign)(entries, 1 if scale is None else scale, self.modulus)
 
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.modulus == self.modulus
@@ -488,6 +541,24 @@ class PolyRing:
     def scale_all(self, s, a):
         mul = self.mul
         return tuple([mul(s, x) for x in a])
+
+    def plus_transpose(self, n, entries, sign, scale=None):
+        """The payloads of (p + sign p^T) * scale, as on Z_m: each pair
+        above the diagonal is combined (and scaled) once and mirrored
+        below, negated when sign is -1. A diagonal entry is p_ii + p_ii
+        (scaled), or zero when sign is -1."""
+        combine = self.add if sign > 0 else self.sub
+        mul, neg = self.mul, self.neg
+        skew = sign < 0
+        out = [()] * (n * n)
+        for i in range(n):
+            for j in range(i + 1 if skew else i, n):
+                u = combine(entries[i * n + j], entries[j * n + i])
+                if scale is not None:
+                    u = mul(scale, u)
+                out[i * n + j] = u
+                out[j * n + i] = neg(u) if skew else u
+        return tuple(out)
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b by

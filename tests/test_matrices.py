@@ -29,8 +29,9 @@ from derivring import (
     jordan_unit,
     matrix_unit,
     probe_x0,
+    symmetric_part,
 )
-from derivring import rings
+from derivring import matrices, rings
 from derivring.sampling import random_matrix, random_symmetric
 from test_jordan import literal_commutator, literal_jordan_mul, random_skew
 
@@ -368,10 +369,12 @@ def int_dot_products(n, a, b):
 
 
 class TestDotProductKernel:
-    """`rings._dot_products(n)`, the one dense kernel of `Zmod.matmul` and
-    `PolyRing.matmul`, against the literal triple loop."""
+    """`rings._dot_products(n, reduced)`, the one dense kernel generator of
+    `Zmod.matmul` (reduced) and `PolyRing.matmul` (raw), against the
+    literal triple loop."""
 
-    RINGS = [Z9, Zmod(1000003), P5]
+    RINGS = [Zmod(3), Z9, Zmod(1000003), P5]
+    MODULI = [3, 9, 1000003]
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 10))
@@ -403,24 +406,148 @@ class TestDotProductKernel:
         x, y = (random_entries(Z9, n, rng, 0, 0.2).entries for _ in range(2))
         assert kernel(x, y) == kernel(list(x), list(y)) == int_dot_products(n, x, y)
 
+    @pytest.mark.parametrize("m", MODULI)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_reduced_kernel_gives_the_residues(self, m, n):
+        # each sum ends in % m inside the kernel; all-(m-1) operands make
+        # every sum n(m-1)^2, the largest the kernel can meet
+        rng = random.Random(m + n)
+        ring = Zmod(m)
+        full = worst_case(ring, n, 0).entries
+        operands = [full, random_entries(ring, n, rng, 0, 0.0).entries]
+        kernel = rings._dot_products(n, True)
+        for a in operands:
+            for b in operands:
+                want = tuple([s % m for s in int_dot_products(n, a, b)])
+                got = kernel(a, b, m)
+                assert type(got) is tuple and got == want
+                assert ring.matmul(Matrix(ring, n, a), Matrix(ring, n, b)) == want
+        assert kernel(full, full, m) == ((n * (m - 1) ** 2) % m,) * (n * n)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_built_once_per_n(self, n):
         assert rings._dot_products(n) is rings._dot_products(n)
         assert rings._dot_products(n) is not rings._dot_products(n + 1)
+        assert rings._dot_products(n, True) is rings._dot_products(n, True)
+        assert rings._dot_products(n, True) is not rings._dot_products(n)
+
+    def test_built_on_first_use_not_at_import(self):
+        # one Z_5 product builds exactly the reduced kernel at n = 2: a
+        # later lookup of (2, True) is a cache hit and builds nothing
+        probe = (
+            "from derivring import Matrix, Zmod, rings\n"
+            "info = rings._dot_products.cache_info\n"
+            "built = info().currsize\n"
+            "a = Matrix.from_rows(Zmod(5), [[1, 2], [3, 4]])\n"
+            "assert (a * a).entries == (2, 0, 0, 2)\n"
+            "after, hits = info().currsize, info().hits\n"
+            "rings._dot_products(2, True)\n"
+            "print(built, after, info().currsize, info().hits - hits)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "1", "1", "1"]
+
+
+def literal_plus_transpose(p, sign, scale):
+    """Reference: p + sign p^T through the whole-matrix ops, times the
+    scale element if one is given."""
+    out = p + p.transpose() if sign > 0 else p - p.transpose()
+    return out if scale is None else out * scale
+
+
+class TestMirroredKernel:
+    """`ring.plus_transpose(n, entries, sign, scale)`, which builds
+    (p + sign p^T) * scale mirrored from its upper triangle (on Z_m
+    through the generated `rings._mirrored(n, sign)`), against the
+    literal formula; and `_plus_transpose`, which still returns through
+    the checked constructor."""
+
+    RINGS = [Zmod(3), Z9, Zmod(1000003), P5]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_ring_op_matches_literal(self, ring, n):
+        # all-(m-1) entries make every p_ij + p_ji pass m
+        rng = random.Random(n)
+        half = ring.half
+        scales = [None, half, half * half]
+        operands = [
+            random_entries(ring, n, rng, 3, 0.0),
+            random_entries(ring, n, rng, 3, 0.5),
+            worst_case(ring, n, 3),
+            Matrix.zero(ring, n),
+        ]
+        for p in operands:
+            for sign in (1, -1):
+                for scale in scales:
+                    payload = None if scale is None else scale.payload
+                    got = ring.plus_transpose(n, p.entries, sign, payload)
+                    assert type(got) is tuple
+                    assert got == literal_plus_transpose(p, sign, scale).entries
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_result_types_are_unchanged(self, ring, n):
+        p = random_entries(ring, n, random.Random(n), 3, 0.0)
+        half = ring.half.payload
+        for scale in (None, half):
+            assert type(matrices._plus_transpose(p, 1, scale)) is SymmetricMatrix
+            assert type(matrices._plus_transpose(p, -1, scale)) is SkewMatrix
+        assert type(symmetric_part(p)) is SymmetricMatrix
+        a = SymmetricMatrix.of(mirrored(p, 1))
+        s = SkewMatrix.of(mirrored(p, -1))
+        assert type(jordan_mul(a, a)) is SymmetricMatrix
+        assert type(jordan_mul(a, s)) is SkewMatrix
+        assert type(commutator(a, a)) is SkewMatrix
+        assert type(commutator(a, s)) is SymmetricMatrix
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_built_once_per_n_and_sign(self, n):
+        for sign in (1, -1):
+            assert rings._mirrored(n, sign) is rings._mirrored(n, sign)
+            assert rings._mirrored(n, sign) is not rings._mirrored(n + 1, sign)
+        assert rings._mirrored(n, 1) is not rings._mirrored(n, -1)
 
     def test_built_on_first_use_not_at_import(self):
         probe = (
-            "from derivring import Matrix, Zmod, rings\n"
-            "built = rings._dot_products.cache_info().currsize\n"
-            "a = Matrix.from_rows(Zmod(5), [[1, 2], [3, 4]])\n"
-            "assert (a * a).entries == (2, 0, 0, 2)\n"
-            "print(built, rings._dot_products.cache_info().currsize)\n"
+            "import derivring\n"
+            "from derivring import SymmetricMatrix, Zmod, jordan_mul, rings\n"
+            "built = rings._mirrored.cache_info().currsize\n"
+            "a = SymmetricMatrix(Zmod(5), 2, (1, 2, 2, 4))\n"
+            "assert jordan_mul(a, a).entries == (0, 0, 0, 0)\n"
+            "print(built, rings._mirrored.cache_info().currsize)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["0", "1"]
+
+    @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_constructor_still_checks_the_ring_op(self, monkeypatch, ring, n):
+        # a ring op that returns one entry off its mirror is refused by
+        # the SymmetricMatrix/SkewMatrix constructor
+        real = type(ring).plus_transpose
+
+        def broken(self, n, entries, sign, scale=None):
+            out = list(real(self, n, entries, sign, scale))
+            out[n] = self.add(out[n], self.one.payload)  # entry (2, 1)
+            return tuple(out)
+
+        rng = random.Random(n)
+        a = SymmetricMatrix.of(mirrored(random_entries(ring, n, rng, 3, 0.0), 1))
+        b = SymmetricMatrix.of(mirrored(random_entries(ring, n, rng, 3, 0.0), 1))
+        monkeypatch.setattr(type(ring), "plus_transpose", broken)
+        with pytest.raises(DomainError, match="not symmetric"):
+            jordan_mul(a, b)
+        with pytest.raises(DomainError, match="not skew-symmetric"):
+            commutator(a, b)
+        with pytest.raises(DomainError, match="not symmetric"):
+            symmetric_part(a * b)
 
 
 class TestUnits:
