@@ -15,25 +15,43 @@ tuples. One transpose order per n, built once, serves `transpose`,
 `is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both predicates
 compare the whole tuples. `p + sign p^T`, scaled or not, is the ring's
 `plus_transpose`, which computes each entry on and above the diagonal
-once and mirrors it below (on Z_m one generated kernel per n and sign).
+once and mirrors it below (on Z_m one generated kernel per n for each
+sign).
 Only `entry` builds a ring element.
 
-The product ab picks its path from the operands' support. If b has at
-most n nonzero entries, each nonzero b_kj adds column k of a, times
-b_kj, to column j of ab; otherwise, if a has at most n, each nonzero
-a_ik adds a_ik times row k of b to row i of ab; otherwise both matrices
-go to the dense kernel `ring.matmul(a, b)`. On Z_m[t] the Kronecker
-kernel keeps each matrix's packed entries for each slot width in its
-`_packings` slot, set on its first dense product (never in __init__)
-and used only while `entries` is the tuple it packed (see
-`derivring.rings`). The cut-off is n because there n nonzeros times n
-entries per line make n*n entry steps, against the dense kernel's n*n
-dot products of n terms each. Measured over Z_9 with the same checks on
-both paths, e_{1,2} a and x0 a take 3.8-5.8 us sparse and 6.3-6.4 us
-dense at n = 4, and 5.6-10.7 us against 23-24 us at n = 8; the paths
-tie at n = 3 and the dense kernel leads by at most 0.6 us at n = 2. The
-probes e_{i,j}, e_{i,i}, the shift x0 and the Jordan units lie at or
-below the cut-off, a general matrix above it. A nonzero equal to one
+The product ab picks its path by ring and n, then by the operands'
+support. Each ring owns `sparse_from`, the least n at which its sparse
+path pays: 4 on Z_m, 1 on Z_m[t]. Below it, both matrices go straight
+to the dense kernel `ring.matmul(a, b)`, with no scan for zeros. From
+it on, if b has at most n nonzero entries, each nonzero b_kj adds
+column k of a, times b_kj, to column j of ab; otherwise, if a has at
+most n, each nonzero a_ik adds a_ik times row k of b to row i of ab;
+otherwise the dense kernel runs. The support cut-off is n because there
+n nonzeros times n entries per line make n*n entry steps, against the
+dense kernel's n*n dot products of n terms each; but a sparse step is
+a Python loop step with one `ring.mul` and one `ring.add` call, and a
+dense one a term of a generated straight-line sum. Measured over Z_9
+for a dense a (us, sparse path / kernel, whole `a * b`, the least of
+60 interleaved repeats of 1,000 calls, CPython 3.11 on a 2-vCPU
+x86-64 host):
+
+    n   b = e_{1,2}    b = x0         b with two non-one entries
+    2   1.77 / 1.20    1.81 / 1.22    2.74 / 1.18
+    3   1.92 / 1.64    2.26 / 1.74    3.26 / 1.76
+    4   1.98 / 2.48    2.66 / 2.50    3.61 / 2.79
+    5   2.30 / 4.06    3.04 / 3.47    3.67 / 3.60
+    8   3.02 / 11.13   4.84 / 11.04   5.42 / 11.20
+
+So on Z_m the kernel wins every product at n <= 3; at n = 4 the
+sparse path wins the units e_{i,j} and ties x0, and from n = 5 it wins
+or ties every product. On Z_m[t] a dense product packs and unpacks
+every entry, so the sparse path pays at every n. The Kronecker kernel
+of Z_m[t] keeps each
+matrix's packed entries for each slot width in its `_packings` slot,
+set on its first dense product (never in __init__) and used only while
+`entries` is the tuple it packed (see `derivring.rings`). The probes
+e_{i,j}, e_{i,i}, the shift x0 and the Jordan units lie at or below
+the support cut-off, a general matrix above it. A nonzero equal to one
 adds its line without a multiplication, which covers every probe.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
@@ -127,6 +145,9 @@ class Matrix:
         return self.ring.wrap(self.entries[_index(self.n, i, j)])
 
     def _require_compatible(self, other):
+        """DomainError unless `other` has this matrix's n and ring. The
+        arithmetic operators test the same condition inline, a call
+        fewer per product, and call this only to raise."""
         if self.n != other.n or (
             self.ring is not other.ring and self.ring != other.ring
         ):
@@ -138,31 +159,38 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._require_compatible(other)
-        return Matrix(self.ring, self.n, self.ring.add_all(self.entries, other.entries))
+        ring, n = self.ring, self.n
+        if n != other.n or (ring is not other.ring and ring != other.ring):
+            self._require_compatible(other)
+        return Matrix(ring, n, ring.add_all(self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._require_compatible(other)
-        return Matrix(self.ring, self.n, self.ring.sub_all(self.entries, other.entries))
+        ring, n = self.ring, self.n
+        if n != other.n or (ring is not other.ring and ring != other.ring):
+            self._require_compatible(other)
+        return Matrix(ring, n, ring.sub_all(self.entries, other.entries))
 
     def __neg__(self):
         return Matrix(self.ring, self.n, self.ring.neg_all(self.entries))
 
     def __mul__(self, other):
-        if isinstance(other, RingElement):
-            return self._scaled(other)
         if not isinstance(other, Matrix):
+            if isinstance(other, RingElement):
+                return self._scaled(other)
             return NotImplemented
-        self._require_compatible(other)
-        ring, n, a, b = self.ring, self.n, self.entries, other.entries
-        min_zeros = n * n - n  # so at most n nonzero entries
-        zero = ring.zero.payload
-        if b.count(zero) >= min_zeros:
-            return Matrix(ring, n, _sparse_product(ring, n, b, a, left=False))
-        if a.count(zero) >= min_zeros:
-            return Matrix(ring, n, _sparse_product(ring, n, a, b, left=True))
+        ring, n = self.ring, self.n
+        if n != other.n or (ring is not other.ring and ring != other.ring):
+            self._require_compatible(other)
+        if n >= ring.sparse_from:
+            a, b = self.entries, other.entries
+            min_zeros = n * n - n  # so at most n nonzero entries
+            zero = ring.zero.payload
+            if b.count(zero) >= min_zeros:
+                return Matrix(ring, n, _sparse_product(ring, n, b, a, left=False))
+            if a.count(zero) >= min_zeros:
+                return Matrix(ring, n, _sparse_product(ring, n, a, b, left=True))
         return Matrix(ring, n, ring.matmul(self, other))
 
     def __rmul__(self, other):
@@ -382,4 +410,7 @@ def jordan_mul(a, b):
     sign = a.parity * b.parity
     if not sign:
         return (a * b + b * a) * a.ring.half
-    return _plus_transpose(a * b, sign, a.ring.half.payload)
+    p = a * b
+    ring, n = p.ring, p.n
+    out = ring.plus_transpose(n, p.entries, sign, ring.half.payload)
+    return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, out)

@@ -124,10 +124,10 @@ def random_entries(ring, n, rng, degree, zero_share):
 
 def nonzero_payload(ring, rng):
     """A random nonzero canonical payload with up to five coefficients
-    (any residue on Z_m). Half the draws take multiples of 3, which on
-    Z_9 and Z_9[t] are zero divisors: 3t * 3t = 0."""
+    (any residue on Z_m). For m > 3, half the draws take multiples of 3,
+    which on Z_9 and Z_9[t] are zero divisors: 3t * 3t = 0."""
     m = modulus(ring)
-    step = rng.choice((1, 3))
+    step = rng.choice((1, 3)) if m > 3 else 1
     while True:
         if isinstance(ring, Zmod):
             value = rng.randrange(0, m, step)
@@ -357,6 +357,113 @@ class TestPayloadKernel:
         assert ring.matmul(zero, full) == ring.matmul(full, zero) == zero.entries
 
 
+def skew_witness(ring, n, c):
+    """c at (1, 2) and -c at (2, 1), zero elsewhere: the n = 2 skew
+    witness [[0, c], [-c, 0]], padded with zeros for n > 2."""
+    ent = [ring.zero.payload] * (n * n)
+    ent[1], ent[n] = c, ring.neg(c)
+    return Matrix(ring, n, tuple(ent))
+
+
+class TestProductPath:
+    """Each ring owns `sparse_from`, the least n at which an operand with
+    at most n nonzero entries takes `_sparse_product`; below it every
+    product goes to `ring.matmul`. Counted by wrapping `_sparse_product`."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = matrices._sparse_product
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(matrices, "_sparse_product", counting)
+        return calls
+
+    @staticmethod
+    def sparse_operands(ring, n, rng):
+        """Probes and other operands with at most n nonzero entries."""
+        idx = range(1, n + 1)
+        out = [matrix_unit(ring, n, i, j) for i in idx for j in idx]
+        out += [Matrix.zero(ring, n), Matrix.identity(ring, n)]
+        out += [with_support(ring, n, rng, min(2, n), 0.0) for _ in range(3)]
+        if n > 1:
+            out += [probe_x0(ring, n), jordan_unit(ring, n, 1, 2)]
+            out.append(skew_witness(ring, n, nonzero_payload(ring, rng)))
+        return out
+
+    @pytest.mark.parametrize("ring", [Zmod(3), Z9, BIG], ids=str)
+    def test_zmod_below_the_cut_off_never_takes_the_sparse_path(
+        self, monkeypatch, ring
+    ):
+        calls = self.counted(monkeypatch)
+        assert ring.sparse_from > 1
+        for n in range(1, ring.sparse_from):
+            rng = random.Random(n)
+            dense = random_entries(ring, n, rng, 0, 0.0)
+            sparse = self.sparse_operands(ring, n, rng)
+            for x in sparse:
+                for y in [dense] + sparse:
+                    assert x * y == literal_product(x, y)
+                    assert y * x == literal_product(y, x)
+        assert calls == []
+
+    @pytest.mark.parametrize("ring", [Zmod(3), Z9, BIG], ids=str)
+    def test_zmod_from_the_cut_off_probes_take_the_sparse_path(
+        self, monkeypatch, ring
+    ):
+        calls = self.counted(monkeypatch)
+        for n in range(ring.sparse_from, ring.sparse_from + 3):
+            rng = random.Random(n)
+            dense = random_entries(ring, n, rng, 0, 0.0)
+            for probe in (matrix_unit(ring, n, 1, 2), probe_x0(ring, n)):
+                before = len(calls)
+                assert dense * probe == literal_product(dense, probe)
+                assert probe * dense == literal_product(probe, dense)
+                assert calls[before:] == [n, n]
+            before = len(calls)
+            dense * dense
+            assert len(calls) == before
+
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_poly_operands_with_at_most_n_nonzeros_take_the_sparse_path(
+        self, monkeypatch, ring, n
+    ):
+        assert ring.sparse_from == 1
+        calls = self.counted(monkeypatch)
+        rng = random.Random(n)
+        dense = random_entries(ring, n, rng, 3, 0.0)
+        for count in range(n + 1):
+            sparse = with_support(ring, n, rng, count, 0.5)
+            for x, y in ((dense, sparse), (sparse, dense)):
+                before = len(calls)
+                assert x * y == literal_product(x, y)
+                assert len(calls) == before + 1
+        if n > 1:
+            before = len(calls)
+            dense * dense
+            assert len(calls) == before
+
+    @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
+    def test_non_one_sparse_operands_match_literal_product(self, ring):
+        # n runs from 1 to two past the Z_m cut-off, so both paths see
+        # the skew witness and two random non-one entries on every ring
+        for n in range(1, Zmod.sparse_from + 3):
+            rng = random.Random(10 * n)
+            dense = random_entries(ring, n, rng, 3, 0.0)
+            sparse = [with_support(ring, n, rng, min(2, n * n), 0.0) for _ in range(4)]
+            if n > 1:
+                sparse += [
+                    skew_witness(ring, n, nonzero_payload(ring, rng)) for _ in range(4)
+                ]
+            for x in sparse:
+                for y in [dense] + sparse:
+                    assert x * y == literal_product(x, y)
+                    assert y * x == literal_product(y, x)
+
 
 def int_dot_products(n, a, b):
     """Reference: the literal triple loop over two row-major int
@@ -369,9 +476,10 @@ def int_dot_products(n, a, b):
 
 
 class TestDotProductKernel:
-    """`rings._dot_products(n, reduced)`, the one dense kernel generator of
-    `Zmod.matmul` (reduced) and `PolyRing.matmul` (raw), against the
-    literal triple loop."""
+    """`rings._dot_kernel(n, reduced)`, the one dense kernel generator,
+    served once per n as `_residue_products(n)` (reduced, `Zmod.matmul`)
+    and `_dot_products(n)` (raw, `PolyRing.matmul`), against the literal
+    triple loop."""
 
     RINGS = [Zmod(3), Z9, Zmod(1000003), P5]
     MODULI = [3, 9, 1000003]
@@ -415,7 +523,7 @@ class TestDotProductKernel:
         ring = Zmod(m)
         full = worst_case(ring, n, 0).entries
         operands = [full, random_entries(ring, n, rng, 0, 0.0).entries]
-        kernel = rings._dot_products(n, True)
+        kernel = rings._residue_products(n)
         for a in operands:
             for b in operands:
                 want = tuple([s % m for s in int_dot_products(n, a, b)])
@@ -426,29 +534,30 @@ class TestDotProductKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_built_once_per_n(self, n):
-        assert rings._dot_products(n) is rings._dot_products(n)
-        assert rings._dot_products(n) is not rings._dot_products(n + 1)
-        assert rings._dot_products(n, True) is rings._dot_products(n, True)
-        assert rings._dot_products(n, True) is not rings._dot_products(n)
+        for kernel in (rings._dot_products, rings._residue_products):
+            assert kernel(n) is kernel(n)
+            assert kernel(n) is not kernel(n + 1)
+        assert rings._residue_products(n) is not rings._dot_products(n)
 
     def test_built_on_first_use_not_at_import(self):
-        # one Z_5 product builds exactly the reduced kernel at n = 2: a
-        # later lookup of (2, True) is a cache hit and builds nothing
+        # one Z_5 product builds exactly the reduced kernel at n = 2 and
+        # no raw one: a later lookup of 2 is a cache hit and builds nothing
         probe = (
             "from derivring import Matrix, Zmod, rings\n"
-            "info = rings._dot_products.cache_info\n"
-            "built = info().currsize\n"
+            "raw = rings._dot_products.cache_info\n"
+            "info = rings._residue_products.cache_info\n"
+            "built = raw().currsize, info().currsize\n"
             "a = Matrix.from_rows(Zmod(5), [[1, 2], [3, 4]])\n"
             "assert (a * a).entries == (2, 0, 0, 2)\n"
-            "after, hits = info().currsize, info().hits\n"
-            "rings._dot_products(2, True)\n"
-            "print(built, after, info().currsize, info().hits - hits)\n"
+            "after, hits = (raw().currsize, info().currsize), info().hits\n"
+            "rings._residue_products(2)\n"
+            "print(*built, *after, info().currsize, info().hits - hits)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "1", "1", "1"]
+        assert result.stdout.split() == ["0", "0", "0", "1", "1", "1"]
 
 
 def literal_plus_transpose(p, sign, scale):
@@ -461,7 +570,8 @@ def literal_plus_transpose(p, sign, scale):
 class TestMirroredKernel:
     """`ring.plus_transpose(n, entries, sign, scale)`, which builds
     (p + sign p^T) * scale mirrored from its upper triangle (on Z_m
-    through the generated `rings._mirrored(n, sign)`), against the
+    through the generated `rings._mirrored_sum(n)` and
+    `rings._mirrored_difference(n)`), against the
     literal formula; and `_plus_transpose`, which still returns through
     the checked constructor."""
 
@@ -506,25 +616,26 @@ class TestMirroredKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_built_once_per_n_and_sign(self, n):
-        for sign in (1, -1):
-            assert rings._mirrored(n, sign) is rings._mirrored(n, sign)
-            assert rings._mirrored(n, sign) is not rings._mirrored(n + 1, sign)
-        assert rings._mirrored(n, 1) is not rings._mirrored(n, -1)
+        for kernel in (rings._mirrored_sum, rings._mirrored_difference):
+            assert kernel(n) is kernel(n)
+            assert kernel(n) is not kernel(n + 1)
+        assert rings._mirrored_sum(n) is not rings._mirrored_difference(n)
 
     def test_built_on_first_use_not_at_import(self):
         probe = (
             "import derivring\n"
             "from derivring import SymmetricMatrix, Zmod, jordan_mul, rings\n"
-            "built = rings._mirrored.cache_info().currsize\n"
+            "caches = (rings._mirrored_sum, rings._mirrored_difference)\n"
+            "built = [c.cache_info().currsize for c in caches]\n"
             "a = SymmetricMatrix(Zmod(5), 2, (1, 2, 2, 4))\n"
             "assert jordan_mul(a, a).entries == (0, 0, 0, 0)\n"
-            "print(built, rings._mirrored.cache_info().currsize)\n"
+            "print(*built, *[c.cache_info().currsize for c in caches])\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "1"]
+        assert result.stdout.split() == ["0", "0", "1", "0"]
 
     @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -924,6 +1035,41 @@ class TestSymmetryShortcuts:
                     SkewMatrix(ring, n, broken.entries)
                 with pytest.raises(DomainError):
                     SkewMatrix.of(broken)
+
+    @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_typed_results_take_the_counted_constructor(self, monkeypatch, ring, n):
+        # each typed result is built by Matrix.__init__ and checked by
+        # is_symmetric or is_skew exactly once: the benchmark counts
+        # matrix_allocs and symmetry_checks on these three names
+        seen = {"__init__": [], "is_symmetric": [], "is_skew": []}
+        for name, calls in seen.items():
+            real = Matrix.__dict__[name]
+
+            def wrapped(self, *args, real=real, calls=calls):
+                calls.append(self)
+                return real(self, *args)
+
+            monkeypatch.setattr(Matrix, name, wrapped)
+        rng = random.Random(n)
+        p, q, r = (random_entries(ring, n, rng, 3, 0.0) for _ in range(3))
+        a, b = SymmetricMatrix.of(mirrored(p, 1)), SymmetricMatrix.of(mirrored(q, 1))
+        s = SkewMatrix.of(mirrored(r, -1))
+        for fn, args, kind in (
+            (jordan_mul, (a, b), SymmetricMatrix),
+            (jordan_mul, (a, s), SkewMatrix),
+            (commutator, (a, b), SkewMatrix),
+            (commutator, (a, s), SymmetricMatrix),
+            (symmetric_part, (p,), SymmetricMatrix),
+        ):
+            for calls in seen.values():
+                calls.clear()
+            out = fn(*args)
+            assert type(out) is kind
+            assert [x for x in seen["__init__"] if x is out] == [out]
+            check = "is_symmetric" if kind is SymmetricMatrix else "is_skew"
+            assert seen[check] == [out]
+            assert seen["is_skew" if check == "is_symmetric" else "is_symmetric"] == []
 
 
 class TestPredicates:
