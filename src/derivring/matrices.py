@@ -15,8 +15,7 @@ tuples. One transpose order per n, built once, serves `transpose`,
 `is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both predicates
 compare the whole tuples. `p + sign p^T`, scaled or not, is the ring's
 `plus_transpose`, which computes each entry on and above the diagonal
-once and mirrors it below (on Z_m one generated kernel per n for each
-sign).
+once and mirrors it below (on Z_m one generated kernel per n and sign).
 Only `entry` builds a ring element.
 
 The product ab picks its path by ring and n, then by the operands'
@@ -46,13 +45,13 @@ So on Z_m the kernel wins every product at n <= 3; at n = 4 the
 sparse path wins the units e_{i,j} and ties x0, and from n = 5 it wins
 or ties every product. On Z_m[t] a dense product packs and unpacks
 every entry, so the sparse path pays at every n. The Kronecker kernel
-of Z_m[t] keeps each
-matrix's packed entries for each slot width in its `_packings` slot,
-set on its first dense product (never in __init__) and used only while
-`entries` is the tuple it packed (see `derivring.rings`). The probes
-e_{i,j}, e_{i,i}, the shift x0 and the Jordan units lie at or below
-the support cut-off, a general matrix above it. A nonzero equal to one
-adds its line without a multiplication, which covers every probe.
+of Z_m[t] keeps each matrix's packed entries for each slot width in its
+`_packings` slot, set on its first dense product (never in __init__)
+and used only while `entries` is the tuple it packed (see
+`derivring.rings`). The probes e_{i,j}, e_{i,i}, the shift x0 and the
+Jordan units lie at or below the support cut-off, a general matrix
+above it. A nonzero equal to one adds its line without a
+multiplication, which covers every probe.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -145,9 +144,9 @@ class Matrix:
         return self.ring.wrap(self.entries[_index(self.n, i, j)])
 
     def _require_compatible(self, other):
-        """DomainError unless `other` has this matrix's n and ring. The
-        arithmetic operators test the same condition inline, a call
-        fewer per product, and call this only to raise."""
+        """DomainError unless `other` has this matrix's n and ring.
+        `__mul__`, the hot path, tests the same condition inline and
+        calls this only to raise."""
         if self.n != other.n or (
             self.ring is not other.ring and self.ring != other.ring
         ):
@@ -159,26 +158,22 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        ring, n = self.ring, self.n
-        if n != other.n or (ring is not other.ring and ring != other.ring):
-            self._require_compatible(other)
-        return Matrix(ring, n, ring.add_all(self.entries, other.entries))
+        self._require_compatible(other)
+        return Matrix(self.ring, self.n, self.ring.add_all(self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        ring, n = self.ring, self.n
-        if n != other.n or (ring is not other.ring and ring != other.ring):
-            self._require_compatible(other)
-        return Matrix(ring, n, ring.sub_all(self.entries, other.entries))
+        self._require_compatible(other)
+        return Matrix(self.ring, self.n, self.ring.sub_all(self.entries, other.entries))
 
     def __neg__(self):
         return Matrix(self.ring, self.n, self.ring.neg_all(self.entries))
 
     def __mul__(self, other):
+        if isinstance(other, RingElement):
+            return self._scaled(other)
         if not isinstance(other, Matrix):
-            if isinstance(other, RingElement):
-                return self._scaled(other)
             return NotImplemented
         ring, n = self.ring, self.n
         if n != other.n or (ring is not other.ring and ring != other.ring):
@@ -410,7 +405,4 @@ def jordan_mul(a, b):
     sign = a.parity * b.parity
     if not sign:
         return (a * b + b * a) * a.ring.half
-    p = a * b
-    ring, n = p.ring, p.n
-    out = ring.plus_transpose(n, p.entries, sign, ring.half.payload)
-    return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, out)
+    return _plus_transpose(a * b, sign, a.ring.half.payload)

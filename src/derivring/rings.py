@@ -15,16 +15,16 @@ which returns the row-major payloads of ab, and the symmetrisation
 tuples to the tuple ops: Z_m runs each as one comprehension over ints,
 Z_m[t] maps its scalar op. `plus_transpose` computes each entry on and
 above the diagonal once and mirrors it below, negated when sign is -1:
-on Z_m through `_mirrored_sum(n)` or `_mirrored_difference(n)`,
-kernels generated from n and sign alone on first use, on Z_m[t] as a
-loop over the scalar ops (faster than transposing, adding and scaling
-whole tuples). Each ring's `sparse_from` is the least n at which a
-matrix product multiplies an operand with at most n nonzero entries by
-its support, with `add` and `mul`; below it, and for operands with more
-nonzeros, the product goes to `matmul` (see `derivring.matrices`). A
-`RingElement` pairs a payload with its ring only where the scalar API
-hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
-operators call the same ring ops behind one ring-mismatch check.
+on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
+alone on first use, on Z_m[t] as a loop over the scalar ops (faster
+than transposing, adding and scaling whole tuples). Each ring's
+`sparse_from` is the least n at which a matrix product multiplies an
+operand with at most n nonzero entries by its support, with `add` and
+`mul`; below it, and for operands with more nonzeros, the product goes
+to `matmul` (see `derivring.matrices`). A `RingElement` pairs a
+payload with its ring only where the scalar API hands one out
+(`ring.element`, `ring.sample`, `Matrix.entry`), and its operators call
+the same ring ops behind one ring-mismatch check.
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -36,9 +36,8 @@ coefficients from one base draw and strips each chunk. So a seed gives
 the values that one `randrange` per coefficient gives, and the tests
 pin that against a literal per-coefficient reference.
 
-Both rings take their dense products from one kernel generator over
-ints, `_dot_kernel(n, reduced)`, served as `_residue_products(n)` on Z_m
-and `_dot_products(n)` on Z_m[t], each built once per n on first use:
+Both rings take their dense products from one kernel over ints,
+`_dot_products(n, reduced)`, built once per (n, reduced) on first use:
 Python source generated from n and `reduced` alone, which unpacks the
 second operand into n*n locals once and each row of the first into n
 locals, and returns the n*n dot products as straight-line sums, with no
@@ -246,18 +245,19 @@ def _packed(memo, bits):
     return packed
 
 
-def _dot_kernel(n, reduced):
-    """The dense kernel of both rings: the map from the row-major
-    entries of two n x n matrices over the ints (tuples or lists) to
-    their n*n dot products, row-major, so that item i*n + j is row i of
-    the first times column j of the second. The source is generated from
-    n and `reduced` alone and is O(n^2): the second operand is unpacked
-    into n*n locals once, then each row of the first is unpacked into n
-    locals and appends one straight-line tuple of its n dot products.
-    Raw (`PolyRing.matmul`'s packed ints), the kernel returns a list of
-    the plain sums; reduced (`Zmod.matmul`), it takes the modulus m as a
-    third argument, ends each sum in % m and returns a tuple of
-    residues."""
+@cache
+def _dot_products(n, reduced=False):
+    """The dense kernel of both rings, built once per (n, reduced): the
+    map from the row-major entries of two n x n matrices over the ints
+    (tuples or lists) to their n*n dot products, row-major, so that item
+    i*n + j is row i of the first times column j of the second. The
+    source is generated from n and `reduced` alone and is O(n^2): the
+    second operand is unpacked into n*n locals once, then each row of
+    the first is unpacked into n locals and appends one straight-line
+    tuple of its n dot products. Raw (`PolyRing.matmul`'s packed ints),
+    the kernel returns a list of the plain sums; reduced (`Zmod.matmul`),
+    it takes the modulus m as a third argument, ends each sum in % m and
+    returns a tuple of residues."""
     row = ", ".join([f"x{k}" for k in range(n)])
     second = ", ".join([f"b{k}" for k in range(n * n)])
     sums = [" + ".join([f"x{k} * b{k * n + j}" for k in range(n)]) for j in range(n)]
@@ -278,26 +278,15 @@ def _dot_kernel(n, reduced):
 
 
 @cache
-def _dot_products(n):
-    """The raw `_dot_kernel` of `PolyRing.matmul`, built once per n."""
-    return _dot_kernel(n, False)
-
-
-@cache
-def _residue_products(n):
-    """The reduced `_dot_kernel` of `Zmod.matmul`, built once per n."""
-    return _dot_kernel(n, True)
-
-
-def _mirror_kernel(n, sign):
-    """The Z_m symmetrisation kernel: the map from the row-major
-    residues p of an n x n matrix, a scale s and the modulus m to the
-    residues of (p + sign p^T) s. The source is generated from n and
-    sign alone: it unpacks p into n*n locals and sums each pair above
-    the diagonal once, (p_ij + sign p_ji) s mod m for i < j; each lower
-    entry copies its upper entry, negated mod m when sign is -1, and a
-    diagonal entry is 2 p_ii s mod m, or 0 when sign is -1. No pair is
-    summed twice."""
+def _mirrored(n, sign):
+    """The Z_m symmetrisation kernel, built once per (n, sign): the map
+    from the row-major residues p of an n x n matrix, a scale s and the
+    modulus m to the residues of (p + sign p^T) s. The source is
+    generated from n and sign alone: it unpacks p into n*n locals and
+    sums each pair above the diagonal once, (p_ij + sign p_ji) s mod m
+    for i < j; each lower entry copies its upper entry, negated mod m
+    when sign is -1, and a diagonal entry is 2 p_ii s mod m, or 0 when
+    sign is -1. No pair is summed twice."""
     op = "+" if sign > 0 else "-"
     lines = []
     out = []
@@ -325,18 +314,6 @@ def _mirror_kernel(n, sign):
     return namespace["mirrored"]
 
 
-@cache
-def _mirrored_sum(n):
-    """The `_mirror_kernel` of p + p^T, built once per n."""
-    return _mirror_kernel(n, 1)
-
-
-@cache
-def _mirrored_difference(n):
-    """The `_mirror_kernel` of p - p^T, built once per n."""
-    return _mirror_kernel(n, -1)
-
-
 class Zmod:
     """The ring Z_m with m odd and >= 3, so that 2 has an inverse.
     Payloads are the residues 0..m-1."""
@@ -344,11 +321,8 @@ class Zmod:
     __slots__ = ("modulus", "inv2", "zero", "one", "half")
     # the least n at which `Matrix.__mul__` sends an operand with at most
     # n nonzero entries to the sparse path; below it every product takes
-    # `matmul`. Over Z_9, dense a, us, sparse path / kernel (the whole
-    # table is in `derivring.matrices`):
-    #   n   a e_{1,2}      a x0           two non-one entries
-    #   3   1.92 / 1.64    2.26 / 1.74    3.26 / 1.76
-    #   4   1.98 / 2.48    2.66 / 2.50    3.61 / 2.79
+    # `matmul`, whose generated kernel measured faster there (the table
+    # is in the `derivring.matrices` docstring)
     sparse_from = 4
 
     def __init__(self, modulus):
@@ -429,17 +403,16 @@ class Zmod:
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b: the
-        n*n dot products of `_residue_products(n)`, summed in plain ints
-        and each reduced mod m once inside the kernel."""
-        return _residue_products(a.n)(a.entries, b.entries, self.modulus)
+        n*n dot products of the reduced `_dot_products(n, True)`, summed
+        in plain ints and each reduced mod m once inside the kernel."""
+        return _dot_products(a.n, True)(a.entries, b.entries, self.modulus)
 
     def plus_transpose(self, n, entries, sign, scale=None):
         """The payloads of (p + sign p^T) * scale for the row-major
         payloads `entries` of an n x n matrix p, sign 1 or -1 (no scaling
         if `scale` is None): each pair above the diagonal is summed once
-        and mirrored below (see `_mirror_kernel`)."""
-        kernel = _mirrored_sum(n) if sign > 0 else _mirrored_difference(n)
-        return kernel(entries, 1 if scale is None else scale, self.modulus)
+        and mirrored below (see `_mirrored`)."""
+        return _mirrored(n, sign)(entries, 1 if scale is None else scale, self.modulus)
 
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.modulus == self.modulus

@@ -476,10 +476,9 @@ def int_dot_products(n, a, b):
 
 
 class TestDotProductKernel:
-    """`rings._dot_kernel(n, reduced)`, the one dense kernel generator,
-    served once per n as `_residue_products(n)` (reduced, `Zmod.matmul`)
-    and `_dot_products(n)` (raw, `PolyRing.matmul`), against the literal
-    triple loop."""
+    """`rings._dot_products(n, reduced)`, the one dense kernel generator of
+    `Zmod.matmul` (reduced) and `PolyRing.matmul` (raw), against the
+    literal triple loop."""
 
     RINGS = [Zmod(3), Z9, Zmod(1000003), P5]
     MODULI = [3, 9, 1000003]
@@ -523,7 +522,7 @@ class TestDotProductKernel:
         ring = Zmod(m)
         full = worst_case(ring, n, 0).entries
         operands = [full, random_entries(ring, n, rng, 0, 0.0).entries]
-        kernel = rings._residue_products(n)
+        kernel = rings._dot_products(n, True)
         for a in operands:
             for b in operands:
                 want = tuple([s % m for s in int_dot_products(n, a, b)])
@@ -534,30 +533,29 @@ class TestDotProductKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_built_once_per_n(self, n):
-        for kernel in (rings._dot_products, rings._residue_products):
-            assert kernel(n) is kernel(n)
-            assert kernel(n) is not kernel(n + 1)
-        assert rings._residue_products(n) is not rings._dot_products(n)
+        assert rings._dot_products(n) is rings._dot_products(n)
+        assert rings._dot_products(n) is not rings._dot_products(n + 1)
+        assert rings._dot_products(n, True) is rings._dot_products(n, True)
+        assert rings._dot_products(n, True) is not rings._dot_products(n)
 
     def test_built_on_first_use_not_at_import(self):
-        # one Z_5 product builds exactly the reduced kernel at n = 2 and
-        # no raw one: a later lookup of 2 is a cache hit and builds nothing
+        # one Z_5 product builds exactly the reduced kernel at n = 2: a
+        # later lookup of (2, True) is a cache hit and builds nothing
         probe = (
             "from derivring import Matrix, Zmod, rings\n"
-            "raw = rings._dot_products.cache_info\n"
-            "info = rings._residue_products.cache_info\n"
-            "built = raw().currsize, info().currsize\n"
+            "info = rings._dot_products.cache_info\n"
+            "built = info().currsize\n"
             "a = Matrix.from_rows(Zmod(5), [[1, 2], [3, 4]])\n"
             "assert (a * a).entries == (2, 0, 0, 2)\n"
-            "after, hits = (raw().currsize, info().currsize), info().hits\n"
-            "rings._residue_products(2)\n"
-            "print(*built, *after, info().currsize, info().hits - hits)\n"
+            "after, hits = info().currsize, info().hits\n"
+            "rings._dot_products(2, True)\n"
+            "print(built, after, info().currsize, info().hits - hits)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "0", "0", "1", "1", "1"]
+        assert result.stdout.split() == ["0", "1", "1", "1"]
 
 
 def literal_plus_transpose(p, sign, scale):
@@ -570,8 +568,7 @@ def literal_plus_transpose(p, sign, scale):
 class TestMirroredKernel:
     """`ring.plus_transpose(n, entries, sign, scale)`, which builds
     (p + sign p^T) * scale mirrored from its upper triangle (on Z_m
-    through the generated `rings._mirrored_sum(n)` and
-    `rings._mirrored_difference(n)`), against the
+    through the generated `rings._mirrored(n, sign)`), against the
     literal formula; and `_plus_transpose`, which still returns through
     the checked constructor."""
 
@@ -616,26 +613,25 @@ class TestMirroredKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_built_once_per_n_and_sign(self, n):
-        for kernel in (rings._mirrored_sum, rings._mirrored_difference):
-            assert kernel(n) is kernel(n)
-            assert kernel(n) is not kernel(n + 1)
-        assert rings._mirrored_sum(n) is not rings._mirrored_difference(n)
+        for sign in (1, -1):
+            assert rings._mirrored(n, sign) is rings._mirrored(n, sign)
+            assert rings._mirrored(n, sign) is not rings._mirrored(n + 1, sign)
+        assert rings._mirrored(n, 1) is not rings._mirrored(n, -1)
 
     def test_built_on_first_use_not_at_import(self):
         probe = (
             "import derivring\n"
             "from derivring import SymmetricMatrix, Zmod, jordan_mul, rings\n"
-            "caches = (rings._mirrored_sum, rings._mirrored_difference)\n"
-            "built = [c.cache_info().currsize for c in caches]\n"
+            "built = rings._mirrored.cache_info().currsize\n"
             "a = SymmetricMatrix(Zmod(5), 2, (1, 2, 2, 4))\n"
             "assert jordan_mul(a, a).entries == (0, 0, 0, 0)\n"
-            "print(*built, *[c.cache_info().currsize for c in caches])\n"
+            "print(built, rings._mirrored.cache_info().currsize)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "0", "1", "0"]
+        assert result.stdout.split() == ["0", "1"]
 
     @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4])
