@@ -42,7 +42,7 @@ from .jordan import (
     verify_jordan_theorem,
 )
 from .matrices import Matrix, commutator, matrix_unit
-from .rings import BaseDerivation, PolyRing, Zmod
+from .rings import BaseDerivation, Zmod
 from .sampling import (
     random_central,
     random_element,
@@ -275,15 +275,12 @@ def _lemma_diagdiff(config):
 
 def _resolve_delta(config):
     ring = config.ring
+    if config.delta not in DELTAS:
+        raise DomainError(f"unknown delta {config.delta!r}; choose one of {DELTAS}")
     if config.delta == "zero":
         return BaseDerivation.zero(ring)
-    if config.delta == "d/dt":
-        return BaseDerivation.formal(ring)
-    if config.delta == "t*d/dt":
-        if not isinstance(ring, PolyRing):
-            raise DomainError(f"delta t*d/dt needs a polynomial ring, got {ring}")
-        return BaseDerivation.scaled(ring.t)
-    raise DomainError(f"unknown delta {config.delta!r}; choose one of {DELTAS}")
+    formal = BaseDerivation.formal(ring)  # refuses Z_m, for both nonzero deltas
+    return formal if config.delta == "d/dt" else BaseDerivation.scaled(ring.t)
 
 
 def _extend(config):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .campaign import SUITES, CampaignConfig, run_campaign
@@ -77,18 +78,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = CampaignConfig(
-            suite=args.suite,
-            ring=parse_ring(args.ring),
-            n=args.n,
-            trials=args.trials,
-            seed=args.seed,
-            noise=NoiseSpec(args.noise),
-            max_degree=args.max_degree,
-            delta=args.delta,
-            max_len=args.max_len,
-            samples=args.samples,
-        )
+        # one argument per CampaignConfig field, under the field's name
+        values = {f.name: getattr(args, f.name) for f in fields(CampaignConfig)}
+        values["ring"] = parse_ring(args.ring)
+        values["noise"] = NoiseSpec(args.noise)
+        config = CampaignConfig(**values)
         report = run_campaign(config)
     except DerivringError as exc:
         print(f"derivring: error: {exc}", file=sys.stderr)

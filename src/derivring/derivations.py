@@ -122,8 +122,8 @@ def two_generator_check(x, y, d, max_len):
     two splits disagree; a wrong map shows up as `inner-mismatch`."""
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    x._require_compatible(y)
-    x._require_compatible(d)
+    require_shape(y, x.ring, x.n)
+    require_shape(d, x.ring, x.n)
     words = {"x": x, "y": y}
     delta = {"x": commutator(d, x), "y": commutator(d, y)}
     checked = 2  # the generators hold by definition

@@ -118,7 +118,7 @@ def check_corner_consistency(d_ii, d_jj, i, j):
     Delta at both probes, as 2-locality provides."""
     if i == j:
         raise DomainError("corner consistency compares distinct indices")
-    d_ii._require_compatible(d_jj)
+    require_shape(d_jj, d_ii.ring, d_ii.n)
     diagonal = (d_ii.entry(i, i), d_ii.entry(j, j), d_jj.entry(j, j))
     if not all(z.is_zero() for z in diagonal):
         return False

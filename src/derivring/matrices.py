@@ -5,18 +5,18 @@ subspace H_n(R) and the skew matrices.
 Public row/column indices run from 1 to match the e_{i,j} notation;
 storage is 0-based row-major. Each builder checks its dimension (n >= 1)
 and its indices through one rule each, and `require_shape` is the one
-check that a map's argument is an n x n matrix over the map's ring. The
-ring belongs to the matrix: `entries` holds bare canonical payloads
-(ints for Z_m, coefficient tuples for Z_m[t]), and the ring owns the
-arithmetic on them (see `derivring.rings`). `+`, `-`, negation and
-scaling hand whole entry tuples to the ring's tuple ops (`add_all`,
-`sub_all`, `neg_all`, `scale_all`), and equality compares payload
-tuples. One transpose order per n, built once, serves `transpose`,
-`is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both predicates
-compare the whole tuples. `p + sign p^T`, scaled or not, is the ring's
-`plus_transpose`, which computes each entry on and above the diagonal
-once and mirrors it below (on Z_m one generated kernel per n and sign).
-Only `entry` builds a ring element.
+check that a map's argument, or a second operand, is an n x n matrix
+over the expected ring. The ring belongs to the matrix: `entries` holds
+bare canonical payloads (ints for Z_m, coefficient tuples for Z_m[t]),
+and the ring owns the arithmetic on them (see `derivring.rings`). `+`,
+`-`, negation and scaling hand whole entry tuples to the ring's tuple
+ops (`add_all`, `sub_all`, `neg_all`, `scale_all`), and equality
+compares payload tuples. One transpose order per n, built once, serves
+`transpose`, `is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both
+predicates compare the whole tuples. `p + sign p^T`, scaled or not, is
+the ring's `plus_transpose`, which computes each entry on and above the
+diagonal once and mirrors it below (on Z_m one generated kernel per n
+and sign). Only `entry` builds a ring element.
 
 The product ab picks its path by ring and n, then by the operands'
 support. Each ring owns `sparse_from`, the least n at which its sparse
@@ -28,30 +28,36 @@ most n, each nonzero a_ik adds a_ik times row k of b to row i of ab;
 otherwise the dense kernel runs. The support cut-off is n because there
 n nonzeros times n entries per line make n*n entry steps, against the
 dense kernel's n*n dot products of n terms each; but a sparse step is
-a Python loop step with one `ring.mul` and one `ring.add` call, and a
-dense one a term of a generated straight-line sum. Measured over Z_9
-for a dense a (us, sparse path / kernel, whole `a * b`, the least of
-60 interleaved repeats of 1,000 calls, CPython 3.11 on a 2-vCPU
-x86-64 host):
+a Python loop step that hands one whole line to the ring's tuple ops
+(`scale_all`, then `add_all` if its target line is already filled),
+and a dense one a term of a generated straight-line sum. Measured over
+Z_9 for a dense a (us, sparse path / kernel, whole `a * b`, the least
+of 6 runs of 60 interleaved repeats of 1,000 calls, CPython 3.11 on a
+2-vCPU x86-64 host; the two non-one entries are 2s at random places,
+at n = 5 both in one column):
 
     n   b = e_{1,2}    b = x0         b with two non-one entries
-    2   1.77 / 1.20    1.81 / 1.22    2.74 / 1.18
-    3   1.92 / 1.64    2.26 / 1.74    3.26 / 1.76
-    4   1.98 / 2.48    2.66 / 2.50    3.61 / 2.79
-    5   2.30 / 4.06    3.04 / 3.47    3.67 / 3.60
-    8   3.02 / 11.13   4.84 / 11.04   5.42 / 11.20
+    2   1.71 / 1.30    1.75 / 1.31    3.11 / 1.31
+    3   1.83 / 1.74    2.15 / 1.77    3.24 / 1.82
+    4   1.96 / 2.57    2.59 / 2.58    3.44 / 2.64
+    5   2.06 / 4.02    3.17 / 4.02    5.14 / 4.15
+    8   2.89 / 11.37   4.78 / 11.13   4.97 / 11.16
 
 So on Z_m the kernel wins every product at n <= 3; at n = 4 the
 sparse path wins the units e_{i,j} and ties x0, and from n = 5 it wins
-or ties every product. On Z_m[t] a dense product packs and unpacks
-every entry, so the sparse path pays at every n. The Kronecker kernel
+both probes. Non-one operands lose to the kernel at n = 4, and at
+n = 5 when two of them fill one line; at n = 8 the sparse path wins
+them too. On Z_m[t] a dense product packs and unpacks every entry, so
+the sparse path pays at every n when the nonzeros are one, as in the
+probes; a non-one nonzero costs one Kronecker product per entry of its
+line, and such an operand can lose to the kernel. The Kronecker kernel
 of Z_m[t] keeps each matrix's packed entries for each slot width in its
 `_packings` slot, set on its first dense product (never in __init__)
 and used only while `entries` is the tuple it packed (see
 `derivring.rings`). The probes e_{i,j}, e_{i,i}, the shift x0 and the
 Jordan units lie at or below the support cut-off, a general matrix
-above it. A nonzero equal to one adds its line without a
-multiplication, which covers every probe.
+above it. A nonzero equal to one adds its line without a `scale_all`,
+which covers every probe.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -143,28 +149,16 @@ class Matrix:
         """The (i, j) entry as a ring element, 1-based."""
         return self.ring.wrap(self.entries[_index(self.n, i, j)])
 
-    def _require_compatible(self, other):
-        """DomainError unless `other` has this matrix's n and ring.
-        `__mul__`, the hot path, tests the same condition inline and
-        calls this only to raise."""
-        if self.n != other.n or (
-            self.ring is not other.ring and self.ring != other.ring
-        ):
-            raise DomainError(
-                f"matrix mismatch: {self.n}x{self.n} over {self.ring} vs "
-                f"{other.n}x{other.n} over {other.ring}"
-            )
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._require_compatible(other)
+        require_shape(other, self.ring, self.n)
         return Matrix(self.ring, self.n, self.ring.add_all(self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._require_compatible(other)
+        require_shape(other, self.ring, self.n)
         return Matrix(self.ring, self.n, self.ring.sub_all(self.entries, other.entries))
 
     def __neg__(self):
@@ -176,8 +170,9 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         ring, n = self.ring, self.n
+        # `require_shape`'s test, inline on the hot path; it raises there
         if n != other.n or (ring is not other.ring and ring != other.ring):
-            self._require_compatible(other)
+            require_shape(other, ring, n)
         if n >= ring.sparse_from:
             a, b = self.entries, other.entries
             min_zeros = n * n - n  # so at most n nonzero entries
@@ -285,14 +280,14 @@ def _sparse_product(ring, n, s, d, left):
     has at most n nonzero entries (Gustavson, ACM TOMS 1978). On the
     left, a nonzero s_ik adds s_ik times row k of d to row i of the
     product; on the right, a nonzero s_kj adds column k of d times s_kj
-    to column j. A nonzero equal to one adds the line without a
-    multiplication, as one slice copy while line i is still empty. Zero
-    entries of d are skipped. Zero payloads (0 and ()) are the only
-    falsy ones."""
+    to column j. Each step takes line k of d as one slice, scales it with
+    `ring.scale_all` unless the nonzero is one, adds it to line i with
+    `ring.add_all` if that line is already filled, and stores the result
+    as one slice. Zero payloads (0 and ()) are the only falsy ones."""
     # a line starts every `span` entries and steps `step` along itself
     span, step = (n, 1) if left else (1, n)
     end = n * step
-    one, add, mul = ring.one.payload, ring.add, ring.mul
+    one = ring.one.payload
     out = _placed(ring, n)
     filled = [False] * n
     for idx in compress(range(n * n), s):
@@ -302,16 +297,12 @@ def _sparse_product(ring, n, s, d, left):
         else:
             k, i = divmod(idx, n)
         src, dst = k * span, i * span
-        if x == one and not filled[i]:
-            out[dst : dst + end : step] = d[src : src + end : step]
-        else:
-            for p in range(0, end, step):
-                y = d[src + p]
-                if y:
-                    if x != one:
-                        y = mul(x, y)
-                    o = dst + p
-                    out[o] = add(out[o], y) if out[o] else y
+        line = d[src : src + end : step]
+        if x != one:
+            line = ring.scale_all(x, line)
+        if filled[i]:
+            line = ring.add_all(out[dst : dst + end : step], line)
+        out[dst : dst + end : step] = line
         filled[i] = True
     return tuple(out)
 

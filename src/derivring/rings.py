@@ -19,12 +19,13 @@ on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
 alone on first use, on Z_m[t] as a loop over the scalar ops (faster
 than transposing, adding and scaling whole tuples). Each ring's
 `sparse_from` is the least n at which a matrix product multiplies an
-operand with at most n nonzero entries by its support, with `add` and
-`mul`; below it, and for operands with more nonzeros, the product goes
-to `matmul` (see `derivring.matrices`). A `RingElement` pairs a
-payload with its ring only where the scalar API hands one out
-(`ring.element`, `ring.sample`, `Matrix.entry`), and its operators call
-the same ring ops behind one ring-mismatch check.
+operand with at most n nonzero entries by its support, one line at a
+time through `scale_all` and `add_all`; below it, and for operands
+with more nonzeros, the product goes to `matmul` (see
+`derivring.matrices`). A `RingElement` pairs a payload with its ring
+only where the scalar API hands one out (`ring.element`, `ring.sample`,
+`Matrix.entry`), and its operators call the same ring ops behind one
+ring-mismatch check.
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -345,11 +346,16 @@ class Zmod:
         """Canonicalize an integer (or an element of this ring) into a value."""
         if isinstance(value, ZmodElement) and value.ring == self:
             return value
+        return ZmodElement(self, self._residue(value))
+
+    def _residue(self, value):
+        """`value` mod m, the one value rule of Z_m and of the coefficients
+        of Z_m[t]: DomainError unless `value` is an int and not a bool."""
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(
                 f"Z_{self.modulus} values are integers, got {type(value).__name__}"
             )
-        return ZmodElement(self, value % self.modulus)
+        return value % self.modulus
 
     def wrap(self, payload):
         """The element with the canonical `payload` (trusted)."""
@@ -451,25 +457,12 @@ class PolyRing:
         self.t = PolyElement(self, (0, 1))
 
     def element(self, value):
-        """Canonicalize an int (constant) or coefficient sequence into a value."""
+        """Canonicalize an int (constant) or coefficient sequence into a
+        value; each coefficient passes the base's `_residue`."""
         if isinstance(value, PolyElement) and value.ring == self:
             return value
-        m = self.base.modulus
-        if isinstance(value, bool):
-            raise DomainError(f"cannot coerce {type(value).__name__} into {self}")
-        if isinstance(value, int):
-            return PolyElement(self, _strip([value % m]))
-        if isinstance(value, (list, tuple)):
-            coeffs = []
-            for c in value:
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise DomainError(
-                        "polynomial coefficients are integers, "
-                        f"got {type(c).__name__}"
-                    )
-                coeffs.append(c % m)
-            return PolyElement(self, _strip(coeffs))
-        raise DomainError(f"cannot coerce {type(value).__name__} into {self}")
+        coeffs = value if isinstance(value, (list, tuple)) else [value]
+        return PolyElement(self, _strip(list(map(self.base._residue, coeffs))))
 
     def wrap(self, payload):
         """The element with the canonical `payload` (trusted)."""

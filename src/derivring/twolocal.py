@@ -209,7 +209,7 @@ def check_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
     The caller is responsible for passing witnesses of the same Delta;
     unrelated inputs simply yield False.
     """
-    a_ij._require_compatible(a_ik)
+    require_shape(a_ik, a_ij.ring, a_ij.n)
     n = a_ij.n
     if mirror:
         if k == j:

@@ -189,6 +189,37 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["instances"] == 0
 
+    def test_every_config_field_reaches_the_report(self, capsys):
+        # `main` builds the config from the fields of CampaignConfig: each
+        # setting, set through its flag to a value other than its default
+        # in a suite that reads it, comes back in the report's config
+        p9 = {"ring": "poly", "base": {"ring": "zmod", "m": 9}}
+        runs = [
+            (
+                ["theorem1", "--ring", "poly:zmod:9", "--n", "3", "--seed", "5",
+                 "--noise", "central", "--max-degree", "2", "--samples", "4"],
+                {"suite": "theorem1", "ring": p9, "n": 3, "seed": 5,
+                 "noise": "central", "max_degree": 2, "samples": 4},
+            ),
+            (
+                ["extend", "--ring", "poly:zmod:5", "--delta", "t*d/dt"],
+                {"suite": "extend", "delta": "t*d/dt"},
+            ),
+            (
+                ["two-generator", "--max-len", "3"],
+                {"suite": "two-generator", "max_len": 3},
+            ),
+        ]
+        seen = {"trials"}
+        for argv, expected in runs:
+            code, out, err = run_cli(capsys, ["verify", *argv, "--trials", "0"])
+            assert code == 0
+            config = json.loads(out)["config"]
+            assert config["trials"] == 0
+            assert {key: config[key] for key in expected} == expected
+            seen |= set(expected)
+        assert seen == {field.name for field in dataclasses.fields(CampaignConfig)}
+
     def test_zero_trials_vacuous_pass(self, capsys):
         code, out, err = run_cli(
             capsys, ["verify", "theorem1", "--ring", "zmod:5", "--trials", "0"]

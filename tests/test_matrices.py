@@ -2,6 +2,7 @@
 symmetry predicates and the checked symmetric/skew types, and the shift
 probe."""
 
+import operator
 import random
 import subprocess
 import sys
@@ -22,6 +23,8 @@ from derivring import (
     TwoLocalOracle,
     WitnessFamily,
     Zmod,
+    check_corner_consistency,
+    check_cross_corner,
     commutator,
     corner,
     entrywise,
@@ -30,8 +33,10 @@ from derivring import (
     matrix_unit,
     probe_x0,
     symmetric_part,
+    two_generator_check,
 )
 from derivring import matrices, rings
+from derivring.matrices import require_shape
 from derivring.sampling import random_matrix, random_symmetric
 from test_jordan import literal_commutator, literal_jordan_mul, random_skew
 
@@ -83,7 +88,7 @@ def is_canonical(ring, payload):
 def literal_product(a, b):
     """Reference: the per-entry triple loop Matrix.__mul__ ran before the
     payload kernel, one element per partial product."""
-    a._require_compatible(b)
+    require_shape(b, a.ring, a.n)
     n, ring = a.n, a.ring
     ea, eb = elements(a), elements(b)
     out = [ring.zero] * (n * n)
@@ -464,6 +469,24 @@ class TestProductPath:
                     assert x * y == literal_product(x, y)
                     assert y * x == literal_product(y, x)
 
+    @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lines_added_twice_and_scaled_lines(self, ring, n):
+        # e_11 + e_21 on the right and e_11 + e_12 on the left add two
+        # lines of the other operand into one, with a factor of one or z;
+        # z I scales every line. Each case fails if the sparse step drops
+        # its `add_all` or its `scale_all`, for a one or for a non-one.
+        z = ring.element(2) if isinstance(ring, Zmod) else ring.t + ring.element(2)
+        dense = random_entries(ring, n, random.Random(n), 3, 0.0)
+        operands = [Matrix.scalar(z, n)]
+        if n > 1:
+            for i, j in ((2, 1), (1, 2)):
+                pair = matrix_unit(ring, n, 1, 1) + matrix_unit(ring, n, i, j)
+                operands += [pair, pair * z]
+        for s in operands:
+            assert dense * s == literal_product(dense, s)
+            assert s * dense == literal_product(s, dense)
+
 
 def int_dot_products(n, a, b):
     """Reference: the literal triple loop over two row-major int
@@ -755,6 +778,31 @@ class TestInputRules:
         # every map here expects 3 x 3 matrices over Z_5
         with pytest.raises(DomainError):
             apply(other)
+
+    @pytest.mark.parametrize(
+        "other", [Matrix.identity(Z5, 3), Matrix.identity(Z9, 2)], ids=["n", "ring"]
+    )
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            operator.add,
+            operator.sub,
+            operator.mul,
+            lambda a, b: check_cross_corner(a, b, 1, 2, 2),
+            lambda a, b: check_corner_consistency(a, b, 1, 2),
+            lambda a, b: two_generator_check(a, b, a, 1),
+            lambda a, b: two_generator_check(a, a, b, 1),
+        ],
+        ids=[
+            "add", "sub", "mul", "cross-corner", "corner-consistency",
+            "two-generator-y", "two-generator-d",
+        ],
+    )
+    def test_operand_pairs_refuse_another_shape(self, apply, other):
+        # one operand rule, `require_shape`: the second matrix must have
+        # the first one's n and ring
+        with pytest.raises(DomainError, match="expected a 2x2 matrix over"):
+            apply(Matrix.identity(Z5, 2), other)
 
 
 class TestArithmetic:

@@ -15,7 +15,8 @@ from derivring import (
     PolyRing,
     Zmod,
 )
-from derivring.serialize import loads_strict
+from derivring.errors import ParseError
+from derivring.serialize import loads_strict, matrix_from_obj, ring_to_obj
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
@@ -95,14 +96,38 @@ class TestConstruction:
         with pytest.raises(error):
             descend(150)
 
+    # what `element` refuses, as a value and as a coefficient: bools,
+    # non-ints, nested lists and elements of another ring (Z_5 and Z_5[t]
+    # refuse each other's elements too)
+    NOT_VALUES = [True, False, 1.0, "1", None, [[1]], (1, [2]), Z9.one, P9.one]
+    REFUSALS = (
+        [(Z5, x) for x in NOT_VALUES + [[1], (1,), P5.one]]
+        + [(P5, x) for x in NOT_VALUES + [Z5.one, {"v": 1}]]
+        + [(P5, [x]) for x in NOT_VALUES + [Z5.one, P5.one]]
+        + [(P5, (1, x)) for x in NOT_VALUES]
+    )
+
+    @pytest.mark.parametrize("ring,value", REFUSALS, ids=repr)
+    def test_element_refusals(self, ring, value):
+        with pytest.raises(DomainError):
+            ring.element(value)
+        # the matrix parser turns each refusal into a ParseError alone
+        obj = {"n": 1, "ring": ring_to_obj(ring), "rows": [[value]]}
+        with pytest.raises(ParseError):
+            matrix_from_obj(obj)
+
     def test_canonical_residues(self):
         assert Z5.element(7).payload == 2
         assert Z5.element(-1).payload == 4
+        assert Zmod(5).element(Z5.element(3)) == Z5.element(3)
 
     def test_canonical_coefficients(self):
         assert P5.element([6, 1]).payload == (1, 1)
         assert P5.element([1, 0, 0]).payload == (1,)
         assert P5.element(0).payload == ()
+        assert P5.element(-1).payload == P5.element((4,)).payload == (4,)
+        assert P5.element([]) == P5.zero
+        assert PolyRing(Zmod(5)).element(P5.t) == P5.t
 
     @given(ring_with_elements(1))
     def test_canonicalization_idempotent(self, data):
