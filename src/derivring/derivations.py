@@ -2,6 +2,11 @@
 Leibniz verification, the lifts of base-ring derivations to M_n(R) (the
 entrywise lift, the 2x2 extension block and its doubling tower, which
 share one closed form), and the two-generator propagation check.
+
+A lift maps each entry a to delta(a) + s a, s a weight difference mod m,
+through one call of the closed form `BaseDerivation.on_payload(a, s)`:
+with delta(t) = c t^d, coefficient k is (s a_k + c (k-d+1) a_{k-d+1})
+mod m, one comprehension per entry and no ring product or sum.
 """
 
 from __future__ import annotations
@@ -60,17 +65,15 @@ def _lift(delta, n, weight):
     """The map X_ij -> delta(X_ij) + (weight[j] - weight[i]) X_ij on
     M_n(R): the entrywise lift of delta plus the inner derivation of
     -diag(weight), hence a derivation for any integer weights. Each
-    weight difference becomes a ring payload here, once."""
-    ring = delta.ring
-    shifts = tuple(ring.element(wj - wi).payload for wi in weight for wj in weight)
-    d, add, mul = delta.on_payload, ring.add, ring.mul
+    weight difference becomes an int mod m here, once, and each entry
+    is one call of the closed form `delta.on_payload(x, s)`."""
+    ring, m = delta.ring, delta.modulus
+    shifts = tuple((wj - wi) % m for wi in weight for wj in weight)
+    closed_form = delta.on_payload
 
     def apply(mat):
         require_shape(mat, ring, n)
-        pairs = zip(mat.entries, shifts)
-        return Matrix(
-            ring, n, tuple([add(d(x), mul(x, s)) if s else d(x) for x, s in pairs])
-        )
+        return Matrix(ring, n, tuple(map(closed_form, mat.entries, shifts)))
 
     return apply
 
@@ -99,7 +102,8 @@ def extend_tower(delta, n):
     e_{n,n}.
 
     It is evaluated entry by entry through the closed form
-    X_ij -> delta(X_ij) + (popcount(j-1) - popcount(i-1)) X_ij: each
+    X_ij -> delta(X_ij) + (popcount(j-1) - popcount(i-1)) X_ij (one
+    `delta.on_payload` call per entry, see `_lift`): each
     doubling level adds +X on its upper-right and -X on its lower-left
     block, so the level splitting on bit k adds bit_k(j-1) - bit_k(i-1),
     and padding and compression leave the top-left n x n block alone.

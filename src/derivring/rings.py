@@ -74,7 +74,7 @@ the entries alone: a residue needs no packing.
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 
 from .errors import DomainError, InvalidRing
 
@@ -603,6 +603,16 @@ class PolyRing:
         return f"Z_{self.base.modulus}[t]"
 
 
+def _derivative_terms(scale):
+    """The terms c t^j of delta(t) = `scale` that `on_payload` reads,
+    highest j first, as (j - 1, c * (1 - j), c): c t^j moves a's
+    coefficients up by j - 1, and position k takes the multiplier
+    c (k - j + 1), which starts at c (1 - j) and steps by c."""
+    return tuple(
+        (j - 1, c * (1 - j), c) for j, c in reversed(list(enumerate(scale))) if c
+    )
+
+
 class BaseDerivation:
     """A derivation of a base ring: p -> scale * dp/dt, with the payload
     `scale` = delta(t).
@@ -610,27 +620,41 @@ class BaseDerivation:
     A derivation of Z_m[t] is fixed by its value on the generator t, so
     every one is delta(t) * d/dt: `zero` has scale 0, `formal` scale 1
     and `scaled(f)` scale f. On Z_m every derivation is zero (additivity
-    plus delta(1) = 0 force it), so only the zero map can be built there.
+    plus delta(1) = 0 force it), so the constructor refuses any other
+    scale there. The scale passes the ring's value rule, `ring.element`.
+
+    The payload map is `on_payload(a, s)`, delta(a) + s a for an int s
+    mod m (s = 0 gives delta alone), evaluated as one closed form on the
+    coefficients: with delta(t) = c t^j, coefficient k of delta(a) + s a
+    is (s a_k + c (k - j + 1) a_{k-j+1}) mod m, trailing zeros stripped.
+    That is one comprehension per payload, and one more for each further
+    nonzero term of delta(t) (see `_derivative_terms`). On Z_m, where
+    delta = 0, the map is s a mod m.
     """
 
-    __slots__ = ("ring", "scale")
+    __slots__ = ("ring", "scale", "modulus", "_terms")
 
     def __init__(self, ring, scale):
+        scale = ring.element(scale).payload
+        if isinstance(ring, Zmod):
+            if scale:
+                raise DomainError(
+                    f"a nonzero derivation needs a polynomial ring; on {ring} "
+                    "only the zero derivation exists"
+                )
+            self.modulus, self._terms = ring.modulus, None
+        else:
+            self.modulus, self._terms = ring.base.modulus, _derivative_terms(scale)
         self.ring = ring
         self.scale = scale
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, ring.zero.payload)
+        return cls(ring, 0)
 
     @classmethod
     def formal(cls, ring):
-        if not isinstance(ring, PolyRing):
-            raise DomainError(
-                f"the formal derivative needs a polynomial ring; on {ring} "
-                "only the zero derivation exists"
-            )
-        return cls(ring, ring.one.payload)
+        return cls(ring, 1)
 
     @classmethod
     def scaled(cls, factor):
@@ -643,13 +667,36 @@ class BaseDerivation:
         same_ring(self, p)
         return p.__class__(self.ring, self.on_payload(p.payload))
 
-    def on_payload(self, a):
-        """The derivation on a canonical payload of its ring."""
-        ring, scale = self.ring, self.scale
-        if not scale:
-            return ring.zero.payload
-        m = ring.base.modulus
-        return ring.mul(scale, _strip([(k * a[k]) % m for k in range(1, len(a))]))
+    def on_payload(self, a, s=0):
+        """delta(a) + s a on a canonical payload `a` of the ring, for an
+        int s in [0, m): the closed form of the class docstring."""
+        terms, m = self._terms, self.modulus
+        if not terms:
+            if terms is None:
+                return s * a % m
+            if not s:
+                return ()
+            out = [s * x % m for x in a]
+        else:
+            shift, start, c = terms[0]
+            if not shift:
+                # delta(t) = c t: coefficient k is (s + c k) a_k
+                out = [x * i % m for x, i in zip(a, count(start + s, c))]
+            elif shift < 0:
+                lo = a[1:] + (0,)
+                out = [(s * x + y * i) % m for x, y, i in zip(a, lo, count(start, c))]
+            else:
+                pad = (0,) * shift
+                hi, lo = a + pad, pad + a
+                out = [(s * x + y * i) % m for x, y, i in zip(hi, lo, count(start, c))]
+            for low, start, c in terms[1:]:
+                # a lower power of t: a's coefficients aligned to len(out)
+                top = shift - low
+                lo = a[1:] + (0,) * top if low < 0 else (0,) * low + a + (0,) * top
+                out = [(o + y * i) % m for o, y, i in zip(out, lo, count(start, c))]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def __repr__(self):
         scale = self.ring.format_payload(self.scale)

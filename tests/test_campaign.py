@@ -11,6 +11,7 @@ import pytest
 
 import derivring.campaign as campaign
 import derivring.derivations as derivations
+import derivring.rings as rings
 from derivring import (
     CampaignConfig,
     DomainError,
@@ -280,6 +281,27 @@ def plant_extend_not_leibniz(monkeypatch):
     return _plant_tower(monkeypatch, lambda x: x)
 
 
+def plant_extend_multiplier(monkeypatch):
+    """An off-by-one derivative multiplier inside the closed form of the
+    lift: a_k t^k goes to (k + 1) a_k t^(k-1) delta(t), which is additive
+    but no derivation. The restriction check compares against the same
+    planted delta, so only `leibniz` fires.
+
+    Blind spot: dropping the s a term of the closed form leaves the
+    entrywise lift, which is still a derivation and still restricts to
+    delta on e_{1,1}, so this suite passes it; only `TestTowerClosedForm`
+    (tests/test_derivations.py) catches that defect."""
+    real = rings._derivative_terms
+
+    def planted(scale):
+        return tuple((shift, start + c, c) for shift, start, c in real(scale))
+
+    monkeypatch.setattr(rings, "_derivative_terms", planted)
+    return CampaignConfig(
+        suite="extend", ring=P5, n=3, trials=2, seed=18, delta="d/dt", max_degree=2
+    )
+
+
 def plant_two_generator(monkeypatch):
     # Delta(x) = [d, x] + x on the generators: additive, but no derivation
     real = derivations.commutator
@@ -353,6 +375,10 @@ PLANTED = [
     (
         plant_extend_not_leibniz, {"leibniz", "restriction"},
         "066ca6751929387ff9e8710de6e3cfed740b446cf463c1a136eb10e1126ce81b",
+    ),
+    (
+        plant_extend_multiplier, {"leibniz"},
+        "2187fd41223d5eef7043f4d2ea754db86bb2f3eda8ed5d69f57f6ad6d3496a24",
     ),
     (
         plant_two_generator, {"inner-mismatch"},

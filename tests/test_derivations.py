@@ -4,6 +4,8 @@ doubling tower, and the two-generator propagation check."""
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from derivring import (
     BaseDerivation,
@@ -26,6 +28,33 @@ from derivring.sampling import random_element, random_matrix
 Z5 = Zmod(5)
 P5 = PolyRing(Z5)
 P9 = PolyRing(Zmod(9))
+
+# delta(t) of each derivation, as a coefficient list with the constant first
+DELTA_T = {
+    "zero": [],
+    "d/dt": [1],
+    "t*d/dt": [0, 1],
+    "3t^2*d/dt": [0, 0, 3],
+    "(1+2t+3t^2)*d/dt": [1, 2, 3],
+}
+
+
+def schoolbook_delta(dt):
+    """The derivation with delta(t) = dt, as a reference built from
+    RingElement operations alone: delta(a) = sum_k k a_k t^(k-1) delta(t),
+    each term a product of ring elements."""
+    ring = dt.ring
+
+    def delta(a):
+        total = ring.zero
+        power = ring.one  # t^(k-1)
+        for k, coeff in enumerate(a.payload):
+            if k:
+                total = total + ring.element(k) * ring.element(coeff) * power * dt
+                power = power * ring.t
+        return total
+
+    return delta
 
 
 class TestInnerApply:
@@ -171,6 +200,38 @@ class TestEntrywise:
         assert leibniz_check(lift, samples).ok
 
 
+class TestClosedForm:
+    """`on_payload(a, s)`, the closed form of delta(a) + s a that every
+    lift runs per entry, against the schoolbook delta plus s a."""
+
+    @given(
+        st.sampled_from([P5, P9]),
+        st.sampled_from(list(DELTA_T)),
+        st.lists(st.integers(0, 8), max_size=7),
+        st.integers(-20, 20),
+    )
+    # leading terms that vanish mod 9: 3 * 3 t^2 from d/dt of 3 t^3, all of
+    # 3 t^2 d/dt (3t + 3t^3), and s = 3 times a top coefficient of 3
+    @example(P9, "d/dt", [1, 1, 1, 3], 0)
+    @example(P9, "3t^2*d/dt", [0, 3, 0, 3], 0)
+    @example(P9, "d/dt", [2, 3], 3)
+    @example(P9, "zero", [1, 3], 3)
+    @example(P9, "t*d/dt", [1, 3], -6)
+    def test_matches_schoolbook(self, ring, kind, coeffs, weight):
+        dt = ring.element(DELTA_T[kind])
+        delta = BaseDerivation.scaled(dt)
+        a = ring.element(coeffs)
+        expected = schoolbook_delta(dt)(a) + a * ring.element(weight)
+        s = weight % ring.base.modulus
+        assert ring.wrap(delta.on_payload(a.payload, s)) == expected
+        assert delta(a) == schoolbook_delta(dt)(a)
+
+    def test_zmod_is_multiplication_by_s(self):
+        d = BaseDerivation.zero(Z5)
+        assert [d.on_payload(a, 3) for a in range(5)] == [0, 3, 1, 4, 2]
+        assert d.on_payload(4) == 0
+
+
 class TestExtendTower:
     def test_needs_n_at_least_two(self):
         with pytest.raises(DomainError):
@@ -276,17 +337,14 @@ class TestTowerClosedForm:
     pins the tower's values."""
 
     @pytest.mark.parametrize("ring", [P5, P9])
-    @pytest.mark.parametrize("kind", ["zero", "d/dt", "t*d/dt"])
+    @pytest.mark.parametrize("kind", list(DELTA_T))
     def test_matches_recursive_doubling(self, ring, kind):
-        delta = {
-            "zero": BaseDerivation.zero(ring),
-            "d/dt": BaseDerivation.formal(ring),
-            "t*d/dt": BaseDerivation.scaled(ring.t),
-        }[kind]
+        dt = ring.element(DELTA_T[kind])
+        delta = BaseDerivation.scaled(dt)
         rng = random.Random(33)
         for n in range(2, 10):
             tower = extend_tower(delta, n)
-            reference = recursive_tower(delta, n)
+            reference = recursive_tower(schoolbook_delta(dt), n)
             for _ in range(5):
                 m = random_matrix(ring, n, rng)
                 assert tower(m) == reference(m), n

@@ -437,6 +437,25 @@ class TestBaseDerivation:
         with pytest.raises(DomainError):
             BaseDerivation.scaled(Z5.element(2))
 
+    def test_constructor_canonicalises_the_scale(self):
+        # a payload with a trailing zero is read through ring.element, not as
+        # the monomial 0 t that PolyRing.mul would take it for
+        d = BaseDerivation(P5, (1, 0))
+        assert d.scale == (1,)
+        assert d(P5.element([1, 2, 3])) == P5.element([2, 1])  # 2 + 6t = 2 + t
+        # an int scale is a constant polynomial
+        d = BaseDerivation(P5, 3)
+        assert d.scale == (3,)
+        assert d(P5.element([0, 0, 1])) == P5.element([0, 6])  # 3 * 2t
+        assert BaseDerivation(P5, 5)(P5.t) == P5.zero
+
+    def test_constructor_refuses_nonzero_scale_on_zmod(self):
+        with pytest.raises(DomainError):
+            BaseDerivation(Z5, 1)
+        with pytest.raises(DomainError):
+            BaseDerivation(Z5, P5.t)
+        assert BaseDerivation(Z5, 5)(Z5.element(3)) == Z5.zero
+
     def test_ring_mismatch(self):
         d = BaseDerivation.formal(P5)
         with pytest.raises(DomainError):
