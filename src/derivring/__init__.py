@@ -26,7 +26,6 @@ from .jordan import (
     JordanWitnessFamily,
     check_corner_consistency,
     check_diag_zero,
-    corner_compress,
     gen_jordan_instance,
     pairs_to_commutator,
     reconstruct_abar_jordan,
@@ -37,9 +36,7 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     commutator,
-    corner,
     jordan_mul,
-    jordan_unit,
     matrix_unit,
     probe_x0,
     symmetric_part,
@@ -91,15 +88,12 @@ __all__ = [
     "check_diag_zero",
     "check_offdiag_formula",
     "commutator",
-    "corner",
-    "corner_compress",
     "entrywise",
     "extend_m2",
     "extend_tower",
     "gen_jordan_instance",
     "gen_witness_family",
     "jordan_mul",
-    "jordan_unit",
     "leibniz_check",
     "matrix_unit",
     "pairs_to_commutator",

@@ -16,7 +16,7 @@ from itertools import product
 
 from .checks import CheckReport, Violation
 from .errors import DomainError
-from .matrices import Matrix, commutator, require_shape
+from .matrices import Matrix, _require_dimension, commutator, require_shape
 
 __all__ = [
     "InnerDerivation",
@@ -67,6 +67,7 @@ def _lift(delta, n, weight):
     -diag(weight), hence a derivation for any integer weights. Each
     weight difference becomes an int mod m here, once, and each entry
     is one call of the closed form `delta.on_payload(x, s)`."""
+    _require_dimension(n)
     ring, m = delta.ring, delta.modulus
     shifts = tuple((wj - wi) % m for wi in weight for wj in weight)
     closed_form = delta.on_payload

@@ -35,7 +35,6 @@ __all__ = [
     "pairs_to_commutator",
     "check_diag_zero",
     "check_corner_consistency",
-    "corner_compress",
     "reconstruct_abar_jordan",
     "verify_jordan_theorem",
     "gen_jordan_instance",
@@ -123,22 +122,6 @@ def check_corner_consistency(d_ii, d_jj, i, j):
     if not all(z.is_zero() for z in diagonal):
         return False
     return all(d_ii.entry(r, c) == d_jj.entry(r, c) for r, c in ((i, j), (j, i)))
-
-
-def corner_compress(oracle, i, j):
-    """The compression x -> e Delta(x) e with e = e_{i,i} + e_{j,j},
-    defined on corner-supported inputs x = e x e."""
-    if i == j:
-        raise DomainError("corner compression needs i != j")
-    ring, n = oracle.ring, oracle.n
-    e = matrix_unit(ring, n, i, i) + matrix_unit(ring, n, j, j)
-
-    def apply(x):
-        if e * x * e != x:
-            raise DomainError(f"input must be supported on the ({i},{j}) corner")
-        return e * oracle(x) * e
-
-    return apply
 
 
 class JordanWitnessFamily(_ValidatedFamily):

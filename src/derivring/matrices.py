@@ -1,4 +1,4 @@
-"""Dense n-by-n matrices over the exact rings: matrix units, corners,
+"""Dense n-by-n matrices over the exact rings: matrix units,
 commutators, the Jordan product a.b = (ab + ba)/2, the symmetric
 subspace H_n(R) and the skew matrices.
 
@@ -22,42 +22,39 @@ The product ab picks its path by ring and n, then by the operands'
 support. Each ring owns `sparse_from`, the least n at which its sparse
 path pays: 4 on Z_m, 1 on Z_m[t]. Below it, both matrices go straight
 to the dense kernel `ring.matmul(a, b)`, with no scan for zeros. From
-it on, if b has at most n nonzero entries, each nonzero b_kj adds
-column k of a, times b_kj, to column j of ab; otherwise, if a has at
-most n, each nonzero a_ik adds a_ik times row k of b to row i of ab;
-otherwise the dense kernel runs. The support cut-off is n because there
-n nonzeros times n entries per line make n*n entry steps, against the
+it on, a 0/1 operand, one with at most n nonzero entries that are all
+one, is multiplied by its support: if b is one, each nonzero b_kj adds
+column k of a to column j of ab; otherwise, if a is one, each nonzero
+a_ik adds row k of b to row i of ab; otherwise the dense kernel runs.
+(A non-one nonzero would cost a `scale_all` per line, and lost to the
+kernel at n = 4 on Z_m and at n = 3 on Z_m[t].) The test is one
+`count` of zeros per operand, and a second `count`, of ones, only when
+the first already qualifies. The support cut-off is n because there n
+nonzeros times n entries per line make n*n entry steps, against the
 dense kernel's n*n dot products of n terms each; but a sparse step is
-a Python loop step that hands one whole line to the ring's tuple ops
-(`scale_all`, then `add_all` if its target line is already filled),
-and a dense one a term of a generated straight-line sum. Measured over
-Z_9 for a dense a (us, sparse path / kernel, whole `a * b`, the least
-of 6 runs of 60 interleaved repeats of 1,000 calls, CPython 3.11 on a
-2-vCPU x86-64 host; the two non-one entries are 2s at random places,
-at n = 5 both in one column):
+a Python loop step that adds one whole line with the ring's `add_all`
+(or stores it, if its target line is still empty), and a dense one a
+term of a generated straight-line sum.
+Measured over Z_9 for a dense a (us, sparse path / kernel, whole
+`a * b`, the least of 6 runs of 60 interleaved repeats of 1,000 calls,
+CPython 3.11 on a 2-vCPU x86-64 host):
 
-    n   b = e_{1,2}    b = x0         b with two non-one entries
-    2   1.71 / 1.30    1.75 / 1.31    3.11 / 1.31
-    3   1.83 / 1.74    2.15 / 1.77    3.24 / 1.82
-    4   1.96 / 2.57    2.59 / 2.58    3.44 / 2.64
-    5   2.06 / 4.02    3.17 / 4.02    5.14 / 4.15
-    8   2.89 / 11.37   4.78 / 11.13   4.97 / 11.16
+    n   b = e_{1,2}    b = x0
+    2   1.71 / 1.30    1.75 / 1.31
+    3   1.83 / 1.74    2.15 / 1.77
+    4   1.96 / 2.57    2.59 / 2.58
+    5   2.06 / 4.02    3.17 / 4.02
+    8   2.89 / 11.37   4.78 / 11.13
 
 So on Z_m the kernel wins every product at n <= 3; at n = 4 the
 sparse path wins the units e_{i,j} and ties x0, and from n = 5 it wins
-both probes. Non-one operands lose to the kernel at n = 4, and at
-n = 5 when two of them fill one line; at n = 8 the sparse path wins
-them too. On Z_m[t] a dense product packs and unpacks every entry, so
-the sparse path pays at every n when the nonzeros are one, as in the
-probes; a non-one nonzero costs one Kronecker product per entry of its
-line, and such an operand can lose to the kernel. The Kronecker kernel
-of Z_m[t] keeps each matrix's packed entries for each slot width in its
+both probes. On Z_m[t] a dense product packs and unpacks every entry,
+so the sparse path pays at every n. The Kronecker kernel of Z_m[t]
+keeps each matrix's packed entries for each slot width in its
 `_packings` slot, set on its first dense product (never in __init__)
 and used only while `entries` is the tuple it packed (see
 `derivring.rings`). The probes e_{i,j}, e_{i,i}, the shift x0 and the
-Jordan units lie at or below the support cut-off, a general matrix
-above it. A nonzero equal to one adds its line without a `scale_all`,
-which covers every probe.
+Jordan units are 0/1 operands, a general matrix is not.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -85,10 +82,8 @@ __all__ = [
     "SkewMatrix",
     "require_shape",
     "matrix_unit",
-    "jordan_unit",
     "probe_x0",
     "commutator",
-    "corner",
     "jordan_mul",
     "symmetric_part",
 ]
@@ -175,11 +170,13 @@ class Matrix:
             require_shape(other, ring, n)
         if n >= ring.sparse_from:
             a, b = self.entries, other.entries
-            min_zeros = n * n - n  # so at most n nonzero entries
-            zero = ring.zero.payload
-            if b.count(zero) >= min_zeros:
+            size, zero, one = n * n, ring.zero.payload, ring.one.payload
+            # a 0/1 operand: at most n nonzero entries, each of them one
+            zeros = b.count(zero)
+            if zeros >= size - n and zeros + b.count(one) == size:
                 return Matrix(ring, n, _sparse_product(ring, n, b, a, left=False))
-            if a.count(zero) >= min_zeros:
+            zeros = a.count(zero)
+            if zeros >= size - n and zeros + a.count(one) == size:
                 return Matrix(ring, n, _sparse_product(ring, n, a, b, left=True))
         return Matrix(ring, n, ring.matmul(self, other))
 
@@ -277,29 +274,24 @@ def _transposer(n):
 
 def _sparse_product(ring, n, s, d, left):
     """The payloads of the n x n product s d (left=True) or d s, where s
-    has at most n nonzero entries (Gustavson, ACM TOMS 1978). On the
-    left, a nonzero s_ik adds s_ik times row k of d to row i of the
-    product; on the right, a nonzero s_kj adds column k of d times s_kj
-    to column j. Each step takes line k of d as one slice, scales it with
-    `ring.scale_all` unless the nonzero is one, adds it to line i with
+    has at most n nonzero entries, each of them one (Gustavson, ACM TOMS
+    1978). On the left, a nonzero s_ik adds row k of d to row i of the
+    product; on the right, a nonzero s_kj adds column k of d to column j.
+    Each step takes line k of d as one slice, adds it to line i with
     `ring.add_all` if that line is already filled, and stores the result
     as one slice. Zero payloads (0 and ()) are the only falsy ones."""
     # a line starts every `span` entries and steps `step` along itself
     span, step = (n, 1) if left else (1, n)
     end = n * step
-    one = ring.one.payload
     out = _placed(ring, n)
     filled = [False] * n
     for idx in compress(range(n * n), s):
-        x = s[idx]
         if left:
             i, k = divmod(idx, n)
         else:
             k, i = divmod(idx, n)
         src, dst = k * span, i * span
         line = d[src : src + end : step]
-        if x != one:
-            line = ring.scale_all(x, line)
         if filled[i]:
             line = ring.add_all(out[dst : dst + end : step], line)
         out[dst : dst + end : step] = line
@@ -340,14 +332,6 @@ def matrix_unit(ring, n, i, j):
     return Matrix(ring, n, tuple(_placed(ring, n, [((i, j), ring.one.payload)])))
 
 
-def jordan_unit(ring, n, i, j):
-    """The symmetric unit e_{i,j} + e_{j,i}, defined for i != j."""
-    if i == j:
-        raise DomainError("jordan_unit needs i != j; diagonal probes are e_{i,i}")
-    cells = [((i, j), ring.one.payload), ((j, i), ring.one.payload)]
-    return SymmetricMatrix(ring, n, tuple(_placed(ring, n, cells)))
-
-
 def probe_x0(ring, n):
     """The superdiagonal shift e_{1,2} + e_{2,3} + ... + e_{n-1,n}."""
     if n < 2:
@@ -381,12 +365,6 @@ def _plus_transpose(p, sign, scale=None):
     ring, n = p.ring, p.n
     out = ring.plus_transpose(n, p.entries, sign, scale)
     return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, out)
-
-
-def corner(a, i, j):
-    """e_{i,i} a e_{j,j}: the matrix keeping only the (i, j) entry of a."""
-    cells = [((i, j), a.entries[_index(a.n, i, j)])]
-    return Matrix(a.ring, a.n, tuple(_placed(a.ring, a.n, cells)))
 
 
 def jordan_mul(a, b):

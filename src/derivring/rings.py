@@ -18,10 +18,10 @@ above the diagonal once and mirrors it below, negated when sign is -1:
 on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
 alone on first use, on Z_m[t] as a loop over the scalar ops (faster
 than transposing, adding and scaling whole tuples). Each ring's
-`sparse_from` is the least n at which a matrix product multiplies an
-operand with at most n nonzero entries by its support, one line at a
-time through `scale_all` and `add_all`; below it, and for operands
-with more nonzeros, the product goes to `matmul` (see
+`sparse_from` is the least n at which a matrix product multiplies a
+0/1 operand (at most n nonzero entries, each of them one) by its
+support, one line at a time through `add_all`; below it, and for every
+other operand, the product goes to `matmul` (see
 `derivring.matrices`). A `RingElement` pairs a payload with its ring
 only where the scalar API hands one out (`ring.element`, `ring.sample`,
 `Matrix.entry`), and its operators call the same ring ops behind one
@@ -58,9 +58,7 @@ possible for m <= 15) each slot is one byte: a polynomial packs with
 one `int.from_bytes` and a result unpacks with one `to_bytes`, one
 `bytes.translate` through a table of v % m and one `rstrip`. Wider
 slots are packed and unpacked one shift per coefficient. A single
-product is the case n = 1, except that a zero operand gives zero and a
-monomial operand c t^k gives the other operand shifted by k and scaled
-by c, with no packing at all.
+product is the case n = 1, except that a zero operand gives zero.
 
 A matrix keeps, in its `_packings` slot, its longest entry length and
 its packed entries for each slot width `PolyRing.matmul` has multiplied
@@ -198,7 +196,7 @@ def _residues(m):
 def _pack(coeffs, bits):
     """Kronecker substitution: the polynomial evaluated at t = 2**bits,
     or at t = 256 when bits <= 8, one byte per coefficient. `mul` packs
-    neither a zero nor a monomial operand; `matmul` packs every entry."""
+    every nonzero operand, `matmul` every entry."""
     if bits <= 8:
         return int.from_bytes(bytes(coeffs), "little")
     packed = 0
@@ -320,10 +318,10 @@ class Zmod:
     Payloads are the residues 0..m-1."""
 
     __slots__ = ("modulus", "inv2", "zero", "one", "half")
-    # the least n at which `Matrix.__mul__` sends an operand with at most
-    # n nonzero entries to the sparse path; below it every product takes
-    # `matmul`, whose generated kernel measured faster there (the table
-    # is in the `derivring.matrices` docstring)
+    # the least n at which `Matrix.__mul__` sends a 0/1 operand (at most
+    # n nonzero entries, each of them one) to the sparse path; below it
+    # every product takes `matmul`, whose generated kernel measured
+    # faster there (the table is in the `derivring.matrices` docstring)
     sparse_from = 4
 
     def __init__(self, modulus):
@@ -441,8 +439,8 @@ class PolyRing:
     """
 
     __slots__ = ("base", "zero", "one", "half", "t")
-    # a dense product packs and unpacks every entry, so an operand with
-    # at most n nonzero entries takes the sparse path at every n
+    # a dense product packs and unpacks every entry, so a 0/1 operand
+    # takes the sparse path at every n
     sparse_from = 1
 
     def __init__(self, base):
@@ -513,21 +511,11 @@ class PolyRing:
         return tuple([-c % m for c in a])
 
     def mul(self, a, b):
-        """Zero if either side is zero; a monomial c t^k times p is p
-        shifted by k and scaled by c, with no packing; any other product
-        is Kronecker substitution at n = 1."""
+        """Zero if either side is zero; any other product is Kronecker
+        substitution at n = 1."""
         if not a or not b:
             return ()
-        if b.count(0) == len(b) - 1:
-            a, b = b, a
         m = self.base.modulus
-        k = len(a) - 1
-        if a.count(0) == k:
-            # c t^k with c = a[k]; c p can lose its leading term mod m
-            c = a[k]
-            if c == 1:
-                return (0,) * k + b
-            return _strip([0] * k + [c * x % m for x in b])
         bits = _slot_bits(1, len(a), len(b), m)
         return _unpack(_pack(a, bits) * _pack(b, bits), bits, m)
 

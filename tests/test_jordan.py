@@ -19,11 +19,8 @@ from derivring import (
     check_corner_consistency,
     check_diag_zero,
     commutator,
-    corner,
-    corner_compress,
     gen_jordan_instance,
     jordan_mul,
-    jordan_unit,
     matrix_unit,
     pairs_to_commutator,
     reconstruct_abar_jordan,
@@ -53,6 +50,17 @@ def random_skew(ring, n, rng, max_degree=3):
             ent[i * n + j] = v.payload
             ent[j * n + i] = (-v).payload
     return Matrix(ring, n, tuple(ent))
+
+
+def corner(a, i, j):
+    """Reference: e_{i,i} a e_{j,j}, the matrix keeping only the (i, j)
+    entry of a."""
+    return matrix_unit(a.ring, a.n, i, j) * a.entry(i, j)
+
+
+def jordan_unit(ring, n, i, j):
+    """Reference: the symmetric unit e_{i,j} + e_{j,i}, for i != j."""
+    return SymmetricMatrix.of(matrix_unit(ring, n, i, j) + matrix_unit(ring, n, j, i))
 
 
 def sym_unit(ring, n, i, j):
@@ -423,39 +431,6 @@ class TestCornerConsistency:
                     assert got is literal_corner_consistency(s, t, i, j)
                     outcomes.add(got)
         assert outcomes == {True, False}
-
-
-class TestCornerCompress:
-    def test_zero_oracle(self):
-        oracle = TwoLocalOracle(Z5, 3, lambda x: Matrix.zero(Z5, 3))
-        compress = corner_compress(oracle, 1, 2)
-        x = sym_unit(Z5, 3, 1, 2)
-        assert compress(x).is_zero()
-
-    def test_matches_compressed_generator(self):
-        rng = random.Random(73)
-        s = random_skew(Z9, 3, rng)
-        oracle = skew_oracle(s)
-        compress = corner_compress(oracle, 1, 2)
-        e = matrix_unit(Z9, 3, 1, 1) + matrix_unit(Z9, 3, 2, 2)
-        ese = e * s * e
-        for x in (sym_unit(Z9, 3, 1, 1), sym_unit(Z9, 3, 2, 2), sym_unit(Z9, 3, 1, 2)):
-            assert compress(x) == commutator(ese, x)
-
-    def test_compression_keeps_symmetry(self):
-        rng = random.Random(74)
-        s = random_skew(Z9, 3, rng)
-        compress = corner_compress(skew_oracle(s), 1, 3)
-        x = sym_unit(Z9, 3, 1, 3)
-        assert compress(x).is_symmetric()
-
-    def test_rejects_unsupported_input(self):
-        oracle = TwoLocalOracle(Z5, 3, lambda x: Matrix.zero(Z5, 3))
-        compress = corner_compress(oracle, 1, 2)
-        with pytest.raises(DomainError):
-            compress(sym_unit(Z5, 3, 3, 3))
-        with pytest.raises(DomainError):
-            corner_compress(oracle, 2, 2)
 
 
 class TestJordanFamily:

@@ -26,10 +26,8 @@ from derivring import (
     check_corner_consistency,
     check_cross_corner,
     commutator,
-    corner,
     entrywise,
     jordan_mul,
-    jordan_unit,
     matrix_unit,
     probe_x0,
     symmetric_part,
@@ -38,7 +36,13 @@ from derivring import (
 from derivring import matrices, rings
 from derivring.matrices import require_shape
 from derivring.sampling import random_matrix, random_symmetric
-from test_jordan import literal_commutator, literal_jordan_mul, random_skew
+from test_jordan import (
+    corner,
+    jordan_unit,
+    literal_commutator,
+    literal_jordan_mul,
+    random_skew,
+)
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
@@ -352,8 +356,8 @@ class TestPayloadKernel:
 
     @pytest.mark.parametrize("ring", [Z5, Z9, P5, P9, PolyRing(BIG)], ids=str)
     def test_all_zero_operand_of_the_dense_kernel(self, ring):
-        # ring.matmul itself, which Matrix.__mul__ calls only on operands
-        # with more than n nonzero entries, takes the two matrices on both
+        # ring.matmul itself, which Matrix.__mul__ calls only when neither
+        # operand is a 0/1 operand, takes the two matrices on both
         # rings; over Z_m[t] an all-zero side has no coefficients, and the
         # other side still has to fit its slots
         m = modulus(ring)
@@ -371,9 +375,10 @@ def skew_witness(ring, n, c):
 
 
 class TestProductPath:
-    """Each ring owns `sparse_from`, the least n at which an operand with
-    at most n nonzero entries takes `_sparse_product`; below it every
-    product goes to `ring.matmul`. Counted by wrapping `_sparse_product`."""
+    """Each ring owns `sparse_from`, the least n at which a 0/1 operand
+    (at most n nonzero entries, each of them one) takes `_sparse_product`;
+    below it, and for every other operand, the product goes to
+    `ring.matmul`. Counted by wrapping `_sparse_product`."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -434,15 +439,13 @@ class TestProductPath:
 
     @pytest.mark.parametrize("ring", [P5, P9], ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_poly_operands_with_at_most_n_nonzeros_take_the_sparse_path(
-        self, monkeypatch, ring, n
-    ):
+    def test_poly_zero_one_operands_take_the_sparse_path(self, monkeypatch, ring, n):
         assert ring.sparse_from == 1
         calls = self.counted(monkeypatch)
         rng = random.Random(n)
         dense = random_entries(ring, n, rng, 3, 0.0)
         for count in range(n + 1):
-            sparse = with_support(ring, n, rng, count, 0.5)
+            sparse = with_support(ring, n, rng, count, 1.0)
             for x, y in ((dense, sparse), (sparse, dense)):
                 before = len(calls)
                 assert x * y == literal_product(x, y)
@@ -452,10 +455,44 @@ class TestProductPath:
             dense * dense
             assert len(calls) == before
 
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("offset", range(3))
+    def test_operands_with_a_non_one_nonzero_take_the_kernel(
+        self, monkeypatch, ring, offset
+    ):
+        # from the cut-off on, one nonzero other than one sends an operand
+        # with at most n nonzero entries to ring.matmul, on either side
+        n = ring.sparse_from + offset
+        calls, kernel = self.counted(monkeypatch), []
+        real = type(ring).matmul
+
+        def counting(self, a, b):
+            kernel.append(n)
+            return real(self, a, b)
+
+        monkeypatch.setattr(type(ring), "matmul", counting)
+        rng = random.Random(30 + n)
+        dense = random_entries(ring, n, rng, 3, 0.0)
+        values = [ring.element(2).payload, ring.element(-1).payload]
+        if isinstance(ring, PolyRing):
+            values.append(ring.t.payload)
+        for count in range(1, n + 1):
+            for value in values:
+                ent = list(with_support(ring, n, rng, count, 1.0).entries)
+                ent[rng.choice([k for k, x in enumerate(ent) if x])] = value
+                s = Matrix(ring, n, tuple(ent))
+                for x, y in ((dense, s), (s, dense)):
+                    before = len(kernel)
+                    assert x * y == literal_product(x, y)
+                    assert len(kernel) == before + 1
+        assert calls == []
+
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
     def test_non_one_sparse_operands_match_literal_product(self, ring):
-        # n runs from 1 to two past the Z_m cut-off, so both paths see
-        # the skew witness and two random non-one entries on every ring
+        # operands with at most n nonzero entries, not all one, take the
+        # kernel; n runs from 1 to two past the Z_m cut-off, and each
+        # product of the skew witness and of two random non-one entries
+        # is checked against the literal product
         for n in range(1, Zmod.sparse_from + 3):
             rng = random.Random(10 * n)
             dense = random_entries(ring, n, rng, 3, 0.0)
@@ -473,9 +510,9 @@ class TestProductPath:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lines_added_twice_and_scaled_lines(self, ring, n):
         # e_11 + e_21 on the right and e_11 + e_12 on the left add two
-        # lines of the other operand into one, with a factor of one or z;
-        # z I scales every line. Each case fails if the sparse step drops
-        # its `add_all` or its `scale_all`, for a one or for a non-one.
+        # lines of the other operand into one, and fail if the sparse step
+        # drops its `add_all`; their multiples by z and z I have non-one
+        # nonzeros, take the kernel and check its values.
         z = ring.element(2) if isinstance(ring, Zmod) else ring.t + ring.element(2)
         dense = random_entries(ring, n, random.Random(n), 3, 0.0)
         operands = [Matrix.scalar(z, n)]
@@ -729,8 +766,9 @@ class TestInputRules:
             lambda n: Matrix.zero(Z5, n),
             lambda n: Matrix.scalar(Z5.one, n),
             lambda n: matrix_unit(Z5, n, 1, 1),
+            lambda n: entrywise(BaseDerivation.zero(Z5), n),
         ],
-        ids=["zero", "scalar", "unit"],
+        ids=["zero", "scalar", "unit", "entrywise"],
     )
     def test_dimension_below_one(self, build, n):
         with pytest.raises(DomainError):
@@ -743,10 +781,8 @@ class TestInputRules:
         [
             lambda i, j: Matrix.identity(Z5, 2).entry(i, j),
             lambda i, j: matrix_unit(Z5, 2, i, j),
-            lambda i, j: jordan_unit(Z5, 2, i, j),
-            lambda i, j: corner(Matrix.identity(Z5, 2), i, j),
         ],
-        ids=["entry", "unit", "jordan-unit", "corner"],
+        ids=["entry", "unit"],
     )
     def test_index_outside_the_matrix(self, build, i, j):
         with pytest.raises(DomainError):
@@ -956,14 +992,6 @@ class TestJordan:
             prod = jordan_mul(a, b)
             assert prod.is_symmetric()
             assert isinstance(prod, SymmetricMatrix)
-
-    def test_jordan_unit(self):
-        assert jordan_unit(Z5, 2, 1, 2) == Matrix.from_rows(Z5, [[0, 1], [1, 0]])
-        eb13 = jordan_unit(Z5, 3, 1, 3)
-        assert eb13.transpose() == eb13
-        assert jordan_unit(Z5, 3, 1, 2) == jordan_unit(Z5, 3, 2, 1)
-        with pytest.raises(DomainError):
-            jordan_unit(Z5, 3, 2, 2)
 
 
 def count_products(fn, *args):

@@ -19,7 +19,6 @@ from derivring import (
     check_diag_difference,
     check_offdiag_formula,
     commutator,
-    corner,
     gen_witness_family,
     matrix_unit,
     probe_x0,
@@ -27,6 +26,7 @@ from derivring import (
     verify_theorem1,
 )
 from derivring.sampling import random_element, random_matrix, random_x0_commutant
+from test_jordan import corner
 
 Z5 = Zmod(5)
 Z9 = Zmod(9)
