@@ -18,13 +18,18 @@ report, and a record's `seed` replays its instance alone as
 `SUITES[suite](config)(random.Random(seed))`; the table check draws
 nothing. Wall time is measured but kept out of the serialized report:
 identical configs must produce identical bytes.
+
+`CampaignConfig` and `Report` are namedtuple subclasses, for the import
+cost given in `derivring.checks`. The config's fields and defaults are
+written once, in `_DEFAULTS`; the CLI flags and `_reject_unused` read
+them through `CampaignConfig._fields` and `_field_defaults`.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .checks import Violation
 from .derivations import (
@@ -69,33 +74,38 @@ __all__ = ["SUITES", "SETTINGS", "CampaignConfig", "Report", "run_campaign"]
 DELTAS = ("zero", "d/dt", "t*d/dt")
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    suite: str
-    ring: object
-    n: int = 2
-    trials: int = 100
-    seed: int = 0
-    noise: NoiseSpec = NoiseSpec.NONE
-    max_degree: int = 3
-    delta: str = "zero"
-    max_len: int = 6
-    samples: int = 20
+# every CampaignConfig field after suite and ring, with its default
+_DEFAULTS = {
+    "n": 2,
+    "trials": 100,
+    "seed": 0,
+    "noise": NoiseSpec.NONE,
+    "max_degree": 3,
+    "delta": "zero",
+    "max_len": 6,
+    "samples": 20,
+}
+
+
+class CampaignConfig(
+    namedtuple(
+        "CampaignConfig", ("suite", "ring", *_DEFAULTS), defaults=_DEFAULTS.values()
+    )
+):
+    __slots__ = ()
 
     def to_obj(self):
         # keys in field order, which the text report's header keeps
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj = self._asdict()
         obj["ring"] = ring_to_obj(self.ring)
         obj["noise"] = self.noise.value
         return obj
 
 
-@dataclass
-class Report:
-    config: CampaignConfig
-    instances: int
-    failures: tuple = ()
-    wall_ms: float = 0.0
+class Report(
+    namedtuple("Report", "config instances failures wall_ms", defaults=((), 0.0))
+):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -190,7 +200,7 @@ def _reject_unused(config, *fields, owner=None):
     a report cannot name a noise mode, delta, sample count, word length
     or degree cap that had no effect."""
     for field in fields:
-        default = getattr(CampaignConfig, field)
+        default = CampaignConfig._field_defaults[field]
         if getattr(config, field) != default:
             shown = getattr(default, "value", default)
             raise DomainError(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .campaign import SUITES, CampaignConfig, run_campaign
@@ -56,18 +55,19 @@ def build_parser():
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--ring", default="zmod:5", help="zmod:M or poly:zmod:M")
+    defaults = CampaignConfig._field_defaults
     for flag, text in _INT_FLAGS:
-        default = getattr(CampaignConfig, flag[2:].replace("-", "_"))
+        default = defaults[flag[2:].replace("-", "_")]
         verify.add_argument(flag, type=int, default=default, help=text)
     verify.add_argument(
         "--noise",
         choices=[spec.value for spec in NoiseSpec],
-        default=CampaignConfig.noise.value,
+        default=defaults["noise"].value,
         help="witness ambiguity for the generated instances",
     )
     verify.add_argument(
         "--delta",
-        default=CampaignConfig.delta,
+        default=defaults["delta"],
         help="base derivation for the extend suite: zero, d/dt, or t*d/dt",
     )
     verify.add_argument("--format", choices=["json", "text"], default="json")
@@ -79,7 +79,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         # one argument per CampaignConfig field, under the field's name
-        values = {f.name: getattr(args, f.name) for f in fields(CampaignConfig)}
+        values = {name: getattr(args, name) for name in CampaignConfig._fields}
         values["ring"] = parse_ring(args.ring)
         values["noise"] = NoiseSpec(args.noise)
         config = CampaignConfig(**values)

@@ -11,7 +11,7 @@ mod m, one comprehension per entry and no ring product or sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .checks import CheckReport, Violation
@@ -28,11 +28,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InnerDerivation:
+class InnerDerivation(namedtuple("InnerDerivation", "generator")):
     """x -> [a, x] = a x - x a for a fixed generator a."""
 
-    generator: Matrix
+    __slots__ = ()
 
     def __call__(self, x):
         return commutator(self.generator, x)

@@ -16,8 +16,9 @@ tuples to the tuple ops: Z_m runs each as one comprehension over ints,
 Z_m[t] maps its scalar op. `plus_transpose` computes each entry on and
 above the diagonal once and mirrors it below, negated when sign is -1:
 on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
-alone on first use, on Z_m[t] as a loop over the scalar ops (faster
-than transposing, adding and scaling whole tuples). Each ring's
+alone on first use, on Z_m[t] as a loop over the scalar ops that scales
+each coefficient by the unit scale's one coefficient (faster than
+transposing, adding and scaling whole tuples). Each ring's
 `sparse_from` is the least n at which a matrix product multiplies a
 0/1 operand (at most n nonzero entries, each of them one) by its
 support, one line at a time through `add_all`; below it, and for every
@@ -536,16 +537,19 @@ class PolyRing:
         """The payloads of (p + sign p^T) * scale, as on Z_m: each pair
         above the diagonal is combined (and scaled) once and mirrored
         below, negated when sign is -1. A diagonal entry is p_ii + p_ii
-        (scaled), or zero when sign is -1."""
+        (scaled), or zero when sign is -1. `scale` is the payload of a
+        unit constant (1/2 or 1/4), so each coefficient is multiplied by
+        its one coefficient and no leading coefficient becomes zero."""
         combine = self.add if sign > 0 else self.sub
-        mul, neg = self.mul, self.neg
+        neg, m = self.neg, self.base.modulus
+        c = None if scale is None else scale[0]
         skew = sign < 0
         out = [()] * (n * n)
         for i in range(n):
             for j in range(i + 1 if skew else i, n):
                 u = combine(entries[i * n + j], entries[j * n + i])
-                if scale is not None:
-                    u = mul(scale, u)
+                if c is not None:
+                    u = tuple([x * c % m for x in u])
                 out[i * n + j] = u
                 out[j * n + i] = neg(u) if skew else u
         return tuple(out)

@@ -7,7 +7,7 @@ executable checks, and a seeded adversarial instance generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from types import MappingProxyType
 
@@ -150,11 +150,10 @@ class WitnessFamily(_ValidatedFamily):
             raise ContractError("c does not witness Delta at x0")
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(namedtuple("ReconstructionResult", "abar")):
     """The reassembled implementing element abar."""
 
-    abar: Matrix
+    __slots__ = ()
 
 
 def _swapped_corners(family, diagonal):

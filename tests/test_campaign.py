@@ -2,7 +2,6 @@
 violation path through an oracle that agrees on every probe but is not a
 derivation anywhere else."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -14,6 +13,7 @@ import derivring.derivations as derivations
 import derivring.rings as rings
 from derivring import (
     CampaignConfig,
+    CheckReport,
     DomainError,
     InnerDerivation,
     JordanPairDerivation,
@@ -25,6 +25,7 @@ from derivring import (
     Report,
     SymmetricMatrix,
     TwoLocalOracle,
+    Violation,
     WitnessFamily,
     Zmod,
     matrix_unit,
@@ -183,8 +184,72 @@ class TestReport:
             "suite=theorem1 ring=Z_5 n=2 trials=1 seed=7 noise=none"
             " max_degree=3 delta=zero max_len=6 samples=20"
         )
-        names = {field.name for field in dataclasses.fields(CampaignConfig)}
+        names = set(CampaignConfig._fields)
         assert set(json.loads(report.to_json())["config"]) == names
+
+
+class TestRecords:
+    """The record types keep what they had as frozen dataclasses: keyword
+    construction with defaults, read-only fields, equality and hashing by
+    value, and their methods."""
+
+    def test_config_keywords_fill_each_default(self):
+        config = CampaignConfig(suite="extend", ring=P5, delta="d/dt", n=3)
+        assert (config.suite, config.ring, config.n, config.delta) == (
+            "extend", P5, 3, "d/dt"
+        )
+        assert (
+            config.trials, config.seed, config.noise, config.max_degree,
+            config.max_len, config.samples,
+        ) == (100, 0, NoiseSpec.NONE, 3, 6, 20)
+        assert CampaignConfig("extend", P5, 3, delta="d/dt") == config
+
+    def test_config_needs_suite_and_ring(self):
+        with pytest.raises(TypeError):
+            CampaignConfig(suite="theorem1")
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (CampaignConfig("theorem1", Z5), "n"),
+            (Report(CampaignConfig("theorem1", Z5), 0), "failures"),
+            (Violation("action", "sample 0", 0, 1), "kind"),
+            (CheckReport(1), "violations"),
+            (InnerDerivation(matrix_unit(Z5, 2, 1, 2)), "generator"),
+            (ReconstructionResult(matrix_unit(Z5, 2, 1, 2)), "abar"),
+        ],
+    )
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_equal_configs_compare_and_hash_equal(self):
+        a = CampaignConfig("theorem1", PolyRing(Zmod(5)), n=3)
+        b = CampaignConfig(suite="theorem1", ring=P5, n=3)
+        assert a == b and hash(a) == hash(b)
+        assert a != CampaignConfig("theorem1", P5, n=4)
+        assert a != CampaignConfig("theorem1", P5, n=3, noise=NoiseSpec.CENTRAL_SHIFTS)
+
+    def test_to_obj_keys_in_field_order(self):
+        obj = CampaignConfig("theorem1", Z5, seed=4).to_obj()
+        assert list(obj) == list(CampaignConfig._fields)
+        assert obj["ring"] == {"ring": "zmod", "m": 5}
+        assert obj["noise"] == "none" and obj["seed"] == 4
+
+    def test_check_report_defaults_to_no_violations(self):
+        report = CheckReport(7)
+        assert report.checked == 7 and report.violations == ()
+        assert report.ok
+        failed = CheckReport(7, (Violation("action", "sample 0", 0, 1),))
+        assert not failed.ok and failed.violations[0].probe == "sample 0"
+
+    def test_inner_derivation_equality_follows_its_generator(self):
+        a = matrix_unit(Z5, 2, 1, 2)
+        same = InnerDerivation(Matrix.from_rows(Z5, [[0, 1], [0, 0]]))
+        assert InnerDerivation(a) == same and hash(InnerDerivation(a)) == hash(same)
+        assert InnerDerivation(a) != InnerDerivation(matrix_unit(Z5, 2, 2, 1))
 
 
 class TestViolationsAreData:

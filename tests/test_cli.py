@@ -1,10 +1,10 @@
 """The command-line front end: flags, exit codes, report determinism."""
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +23,11 @@ def run_cli(capsys, argv):
 class TestDefaults:
     def test_parser_defaults_are_campaign_defaults(self):
         args = build_parser().parse_args(["verify", "theorem1"])
-        for field in dataclasses.fields(CampaignConfig):
-            if field.name in ("suite", "ring"):
-                continue
-            parsed = getattr(args, field.name)
-            assert parsed == getattr(field.default, "value", field.default)
+        defaults = CampaignConfig._field_defaults
+        assert set(CampaignConfig._fields) - set(defaults) == {"suite", "ring"}
+        for name, default in defaults.items():
+            parsed = getattr(args, name)
+            assert parsed == getattr(default, "value", default)
 
 
 class TestParseRing:
@@ -218,7 +218,7 @@ class TestVerify:
             assert config["trials"] == 0
             assert {key: config[key] for key in expected} == expected
             seen |= set(expected)
-        assert seen == {field.name for field in dataclasses.fields(CampaignConfig)}
+        assert seen == set(CampaignConfig._fields)
 
     def test_zero_trials_vacuous_pass(self, capsys):
         code, out, err = run_cli(
@@ -360,6 +360,24 @@ class TestOutput:
         assert "max_degree=2" in header
         for key in CampaignConfig("extend", PolyRing(Zmod(5))).to_obj():
             assert f"{key}=" in header
+
+
+class TestColdImport:
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        # a short run pays the import before its first instance; building
+        # records with dataclasses (which imports inspect) cost about half
+        code = (
+            "import sys; sys.path.insert(0, 'src'); import derivring.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parent.parent,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestConsoleScript:

@@ -655,6 +655,25 @@ class TestMirroredKernel:
                     assert type(got) is tuple
                     assert got == literal_plus_transpose(p, sign, scale).entries
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_poly_scale_keeps_zero_divisor_leading_coefficients(self, n):
+        # over Z_9[t] every entry leads with 3 or 6, a zero divisor: the
+        # unit scale (1/2 or 1/4) keeps each leading coefficient nonzero,
+        # and p_ij + sign p_ji may cancel it (3 + 6, 3 - 3) before scaling
+        rng = random.Random(40 + n)
+        half = P9.half
+        for _ in range(20):
+            entries = tuple(
+                tuple(rng.randrange(9) for _ in range(rng.randrange(3)))
+                + (rng.choice((3, 6)),)
+                for _ in range(n * n)
+            )
+            p = Matrix(P9, n, entries)
+            for sign in (1, -1):
+                for scale in (half, half * half):
+                    got = P9.plus_transpose(n, entries, sign, scale.payload)
+                    assert got == literal_plus_transpose(p, sign, scale).entries
+
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_result_types_are_unchanged(self, ring, n):
