@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import random
+from functools import reduce
 from types import MappingProxyType
 
 from .checks import CheckReport, Violation
@@ -65,13 +66,19 @@ class JordanPairDerivation:
         and two matrix products, and the whole sum one symmetrisation,
         whose SymmetricMatrix constructor checks the result. Any other x
         takes the literal formula, whose value still equals the
-        commutator action of the reduced generator."""
+        commutator action of the reduced generator. The sum starts from
+        the first pair's term; an empty list maps x to the zero matrix of
+        x's type (SymmetricMatrix or Matrix)."""
         require_shape(x, self.ring, self.n)
         typed = isinstance(x, SymmetricMatrix)
+        if not self.pairs:
+            return (SymmetricMatrix if typed else Matrix).zero(self.ring, self.n)
         outer = operator.mul if typed else jordan_mul
-        acc = Matrix.zero(self.ring, self.n)
-        for a, b in self.pairs:
-            acc = acc + outer(a, jordan_mul(b, x)) - outer(b, jordan_mul(a, x))
+        terms = [
+            outer(a, jordan_mul(b, x)) - outer(b, jordan_mul(a, x))
+            for a, b in self.pairs
+        ]
+        acc = reduce(operator.add, terms)
         return symmetric_part(acc) if typed else acc
 
 
@@ -79,10 +86,12 @@ def pairs_to_commutator(pd):
     """The single skew generator with the same action: one quarter of the
     summed commutators sum [a_k, b_k]. The pairs are symmetric, so that
     sum is p - p^T with p = sum a_k b_k: one product per pair, and one
-    skew check, by the SkewMatrix constructor, on (p - p^T)/4."""
-    p = Matrix.zero(pd.ring, pd.n)
-    for a, b in pd.pairs:
-        p = p + a * b
+    skew check, by the SkewMatrix constructor, on (p - p^T)/4. The sum
+    starts from the first product; an empty list gives the zero
+    SkewMatrix."""
+    if not pd.pairs:
+        return SkewMatrix.zero(pd.ring, pd.n)
+    p = reduce(operator.add, [a * b for a, b in pd.pairs])
     return _plus_transpose(p, -1, (pd.ring.half * pd.ring.half).payload)
 
 

@@ -10,13 +10,15 @@ over the expected ring. The ring belongs to the matrix: `entries` holds
 bare canonical payloads (ints for Z_m, coefficient tuples for Z_m[t]),
 and the ring owns the arithmetic on them (see `derivring.rings`). `+`,
 `-`, negation and scaling hand whole entry tuples to the ring's tuple
-ops (`add_all`, `sub_all`, `neg_all`, `scale_all`), and equality
-compares payload tuples. One transpose order per n, built once, serves
-`transpose`, `is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both
-predicates compare the whole tuples. `p + sign p^T`, scaled or not, is
-the ring's `plus_transpose`, which computes each entry on and above the
-diagonal once and mirrors it below (on Z_m one generated kernel per n
-and sign). Only `entry` builds a ring element.
+ops (`add_all`, `sub_all`, `neg_all`, `scale_all`; on Z_m one
+straight-line kernel per length and op, on Z_m[t] the scalar op
+mapped), and equality compares payload tuples. One transpose order per
+n, built once, serves `transpose`, `is_symmetric` (a^T == a) and
+`is_skew` (a^T == -a); both predicates compare the whole tuples.
+`p + sign p^T`, scaled or not, is the ring's `plus_transpose`, which
+computes each entry on and above the diagonal once and mirrors it below
+(on Z_m one generated kernel per n and sign). Only `entry` builds a ring
+element.
 
 The product ab picks its path by ring and n, then by the operands'
 support. Each ring owns `sparse_from`, the least n at which its sparse

@@ -12,8 +12,12 @@ payload tuples), the dense product `matmul(a, b)` of two n x n matrices,
 which returns the row-major payloads of ab, and the symmetrisation
 `plus_transpose(n, entries, sign, scale)`, which returns those of
 (p + sign p^T) * scale. Matrices store bare payloads and hand whole entry
-tuples to the tuple ops: Z_m runs each as one comprehension over ints,
-Z_m[t] maps its scalar op. `plus_transpose` computes each entry on and
+tuples to the tuple ops. Z_m runs each through `_entrywise(size, op)`, a
+kernel generated from the length and the op alone on first use, which
+unpacks each operand into locals once and returns one tuple literal of
+the reduced entries. Z_m[t] maps its scalar op, except that
+`scale_all` by a constant scales each coefficient in one comprehension
+per entry. `plus_transpose` computes each entry on and
 above the diagonal once and mirrors it below, negated when sign is -1:
 on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
 alone on first use, on Z_m[t] as a loop over the scalar ops that scales
@@ -277,6 +281,38 @@ def _dot_products(n, reduced=False):
     return namespace["dot_products"]
 
 
+# op -> (parameters, operands, entry k): the Z_m tuple ops on residues
+_ENTRYWISE = {
+    "add": ("a, b, m", ("a", "b"), "(a{k} + b{k}) % m"),
+    "sub": ("a, b, m", ("a", "b"), "(a{k} - b{k}) % m"),
+    "neg": ("a, m", ("a",), "-a{k} % m"),
+    "scale": ("s, a, m", ("a",), "s * a{k} % m"),
+}
+
+
+@cache
+def _entrywise(size, op):
+    """The Z_m tuple-op kernel, built once per (size, op): for op "add"
+    or "sub" the map (a, b, m) to the residues of a_k + b_k or a_k - b_k,
+    for "neg" (a, m) to those of -a_k, for "scale" (s, a, m) to those of
+    s a_k, over operands (tuples or lists) of `size` residues each. The
+    source is generated from size and op alone: it unpacks each operand
+    into `size` locals once and returns one tuple literal of the reduced
+    entries, with no loop and no call per entry. Size 0 returns ()."""
+    params, operands, rule = _ENTRYWISE[op]
+    lines = [f"def {op}_all({params}):\n"]
+    if size:
+        for x in operands:
+            lines.append(f"    {', '.join([f'{x}{k}' for k in range(size)])}, = {x}\n")
+        out = ", ".join([rule.format(k=k) for k in range(size)])
+        lines.append(f"    return ({out},)\n")
+    else:
+        lines.append("    return ()\n")
+    namespace = {}
+    exec(compile("".join(lines), f"<{op}_all, size={size}>", "exec"), namespace)
+    return namespace[f"{op}_all"]
+
+
 @cache
 def _mirrored(n, sign):
     """The Z_m symmetrisation kernel, built once per (n, sign): the map
@@ -390,21 +426,19 @@ class Zmod:
     def mul(self, a, b):
         return a * b % self.modulus
 
+    # the tuple ops run the straight-line kernels of `_entrywise`; a and
+    # b have equal length, as `require_shape` guarantees for matrices
     def add_all(self, a, b):
-        m = self.modulus
-        return tuple([(x + y) % m for x, y in zip(a, b)])
+        return _entrywise(len(a), "add")(a, b, self.modulus)
 
     def sub_all(self, a, b):
-        m = self.modulus
-        return tuple([(x - y) % m for x, y in zip(a, b)])
+        return _entrywise(len(a), "sub")(a, b, self.modulus)
 
     def neg_all(self, a):
-        m = self.modulus
-        return tuple([-x % m for x in a])
+        return _entrywise(len(a), "neg")(a, self.modulus)
 
     def scale_all(self, s, a):
-        m = self.modulus
-        return tuple([s * x % m for x in a])
+        return _entrywise(len(a), "scale")(s, a, self.modulus)
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b: the
@@ -530,6 +564,13 @@ class PolyRing:
         return tuple(map(self.neg, a))
 
     def scale_all(self, s, a):
+        """s times each entry of a. A constant s = (c,) (such as 1/2)
+        scales each coefficient by c in one comprehension per entry, then
+        strips trailing zeros (3 * 3t = 0 in Z_9[t]); any other s takes
+        the Kronecker `mul`."""
+        if len(s) == 1:
+            c, m = s[0], self.base.modulus
+            return tuple([_strip([x * c % m for x in p]) for p in a])
         mul = self.mul
         return tuple([mul(s, x) for x in a])
 

@@ -226,6 +226,47 @@ class TestReduction:
             assert all(s.entry(i, i).is_zero() for i in range(1, 5))
 
 
+class TestPairListSum:
+    """Both pair-list sums start from the first pair's term; only an empty
+    list builds a zero matrix."""
+
+    @pytest.mark.parametrize("ring", [Z5, P5], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_list_gives_the_typed_zero(self, ring, n):
+        rng = random.Random(n)
+        pd = JordanPairDerivation(ring, n)
+        zero = Matrix.zero(ring, n)
+        for x, kind in (
+            (random_symmetric(ring, n, rng), SymmetricMatrix),
+            (random_matrix(ring, n, rng), Matrix),
+        ):
+            out = pd(x)
+            assert type(out) is kind and out == zero
+        s = pairs_to_commutator(pd)
+        assert type(s) is SkewMatrix and s == zero
+
+    @pytest.mark.parametrize("ring", [Z9, Zmod(1000003), P5], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_pairs_match_literal_without_a_zero_start(
+        self, monkeypatch, ring, n, count
+    ):
+        rng = random.Random(100 * n + count)
+        pd = JordanPairDerivation(ring, n, random_pairs(ring, n, rng, count))
+        xs = (random_symmetric(ring, n, rng), random_matrix(ring, n, rng))
+        want = [literal_pair_action(pd, x) for x in xs]
+        total = literal_commutator(*pd.pairs[0])
+        for a, b in pd.pairs[1:]:
+            total = total + literal_commutator(a, b)
+
+        def no_zero(cls, ring, n):
+            raise AssertionError("a non-empty pair list built a zero matrix")
+
+        monkeypatch.setattr(Matrix, "zero", classmethod(no_zero))
+        assert [pd(x) for x in xs] == want
+        assert pairs_to_commutator(pd) == total * (ring.half * ring.half)
+
+
 class TestLiteralReference:
     """The pair-list action and its reduction take one symmetrisation per
     sum; the literal formulas, two products per Jordan product or

@@ -2,6 +2,8 @@
 
 import operator
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from derivring import (
     Matrix,
     PolyRing,
     Zmod,
+    rings,
 )
 from derivring.errors import ParseError
 from derivring.serialize import loads_strict, matrix_from_obj, ring_to_obj
@@ -216,11 +219,30 @@ class TestArithmetic:
             Z5.element(1) + 1
 
 
-class TestTupleOps:
-    """Each whole-tuple op equals the map of its scalar op."""
+@st.composite
+def residue_operands(draw):
+    """An odd modulus m >= 3, two residue tuples of one length in 0..81,
+    and a scalar residue."""
+    m = draw(st.integers(1, 10**6).map(lambda h: 2 * h + 1))
+    size = draw(st.integers(0, 81))
+    residues = st.lists(st.integers(0, m - 1), min_size=size, max_size=size)
+    return m, tuple(draw(residues)), tuple(draw(residues)), draw(st.integers(0, m - 1))
 
-    @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
-    @pytest.mark.parametrize("size", [0, 1, 4, 9, 16])
+
+def assert_tuple_ops_map_scalar_ops(ring, a, b, scalars):
+    assert ring.add_all(a, b) == tuple(map(ring.add, a, b))
+    assert ring.sub_all(a, b) == tuple(map(ring.sub, a, b))
+    assert ring.neg_all(a) == tuple(map(ring.neg, a))
+    for s in scalars:
+        assert ring.scale_all(s, a) == tuple(ring.mul(s, x) for x in a)
+
+
+class TestTupleOps:
+    """Each whole-tuple op equals the map of its scalar op; on Z_m each
+    runs a straight-line kernel generated per (length, op)."""
+
+    @pytest.mark.parametrize("ring", [Z5, Z9, Zmod(3), Zmod(1000003), P5], ids=str)
+    @pytest.mark.parametrize("size", [0, 1, 4, 9, 16, 25, 64])
     def test_each_is_the_map_of_its_scalar_op(self, ring, size):
         rng = random.Random(size)
         # every third entry zero, so () appears in Z_5[t]
@@ -231,11 +253,43 @@ class TestTupleOps:
             )
             for _ in range(2)
         )
-        assert ring.add_all(a, b) == tuple(map(ring.add, a, b))
-        assert ring.sub_all(a, b) == tuple(map(ring.sub, a, b))
-        assert ring.neg_all(a) == tuple(map(ring.neg, a))
-        for s in (ring.zero.payload, ring.one.payload, ring.sample(rng, 3).payload):
-            assert ring.scale_all(s, a) == tuple(ring.mul(s, x) for x in a)
+        scalars = (ring.zero.payload, ring.one.payload, ring.sample(rng, 3).payload)
+        assert_tuple_ops_map_scalar_ops(ring, a, b, scalars)
+
+    @given(residue_operands())
+    def test_kernels_map_scalar_ops_for_any_odd_modulus(self, operands):
+        m, a, b, s = operands
+        assert_tuple_ops_map_scalar_ops(Zmod(m), a, b, (0, 1, m - 1, s))
+
+    @pytest.mark.parametrize("op", ["add", "sub", "neg", "scale"])
+    @pytest.mark.parametrize("size", [0, 1, 4, 64])
+    def test_kernel_built_once_per_length_and_op(self, op, size):
+        kernel = rings._entrywise(size, op)
+        assert rings._entrywise(size, op) is kernel
+        assert rings._entrywise(size + 1, op) is not kernel
+        others = {"add", "sub", "neg", "scale"} - {op}
+        assert all(rings._entrywise(size, o) is not kernel for o in others)
+
+    def test_ops_build_each_kernel_once_on_first_use(self):
+        # a fresh interpreter: importing builds nothing, the first add of
+        # each length builds one kernel, a second add builds none
+        probe = (
+            "from derivring import Zmod, rings\n"
+            "info = rings._entrywise.cache_info\n"
+            "built = info().currsize\n"
+            "z = Zmod(7)\n"
+            "assert z.add_all((3, 4), (5, 6)) == (1, 3)\n"
+            "assert z.add_all((1,), (6,)) == (0,)\n"
+            "after = info().currsize\n"
+            "assert z.add_all((1, 1), (1, 1)) == (2, 2)\n"
+            "assert z.neg_all((1, 1)) == (6, 6)\n"
+            "print(built, after, info().currsize)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "2", "3"]
 
     def test_leading_terms_vanish_mod_9(self):
         # 3t * 3t = 9t^2 = 0 and 3t + 6t = 9t = 0 over Z_9
@@ -287,6 +341,19 @@ class TestMonomialProducts:
     def test_products_that_vanish_mod_9(self, x, y):
         # 3 * 3t = 9t and 3t * 3t^2 = 9t^3: zero, not (0,) or (0, 0, 0)
         assert P9.mul(x, y) == P9.mul(y, x) == ()
+
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    def test_scale_all_by_a_constant_matches_mul(self, ring):
+        # constants take one comprehension per entry, any other scalar the
+        # Kronecker mul; (3,) is a zero divisor in Z_9[t]: 3 * 3t = 0
+        m = ring.base.modulus
+        entries = tuple(ring.element(p).payload for p in self.OTHERS)
+        entries += ring.draw(random.Random(m), 20, 4)
+        for s in [(), (1,), ring.half.payload, (3,), (2, 0, 1)]:
+            got = ring.scale_all(s, entries)
+            assert got == tuple(map(ring.mul, [s] * len(entries), entries)), s
+            assert all(is_canonical_poly(p, m) for p in got), s
+        assert P9.scale_all((3,), ((0, 3), (3, 6), (1, 3))) == ((), (), (3,))
 
     @pytest.mark.parametrize("ring", [P5, P9], ids=str)
     def test_scale_all_by_half(self, ring):
