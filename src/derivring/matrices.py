@@ -20,43 +20,43 @@ computes each entry on and above the diagonal once and mirrors it below
 (on Z_m one generated kernel per n and sign). Only `entry` builds a ring
 element.
 
-The product ab picks its path by ring and n, then by the operands'
-support. Each ring owns `sparse_from`, the least n at which its sparse
-path pays: 4 on Z_m, 1 on Z_m[t]. Below it, both matrices go straight
-to the dense kernel `ring.matmul(a, b)`, with no scan for zeros. From
-it on, a 0/1 operand, one with at most n nonzero entries that are all
-one, is multiplied by its support: if b is one, each nonzero b_kj adds
-column k of a to column j of ab; otherwise, if a is one, each nonzero
-a_ik adds row k of b to row i of ab; otherwise the dense kernel runs.
-(A non-one nonzero would cost a `scale_all` per line, and lost to the
-kernel at n = 4 on Z_m and at n = 3 on Z_m[t].) The test is one
-`count` of zeros per operand, and a second `count`, of ones, only when
-the first already qualifies. The support cut-off is n because there n
-nonzeros times n entries per line make n*n entry steps, against the
-dense kernel's n*n dot products of n terms each; but a sparse step is
-a Python loop step that adds one whole line with the ring's `add_all`
-(or stores it, if its target line is still empty), and a dense one a
-term of a generated straight-line sum.
-Measured over Z_9 for a dense a (us, sparse path / kernel, whole
-`a * b`, the least of 6 runs of 60 interleaved repeats of 1,000 calls,
-CPython 3.11 on a 2-vCPU x86-64 host):
+Every product ab of two matrices goes to the ring's dense kernel
+`ring.matmul(a, b)`, with no scan of its operands. The 0/1 rule lives
+in `commutator`, where the probes e_{i,j} and x0 meet the witnesses: a
+0/1 operand has at most n nonzero entries, each of them one. Each ring
+owns `sparse_from`, the least n at which a commutator takes line
+moves: 4 on Z_m, 1 on Z_m[t]. From it on, an untyped [a, b] whose b,
+or failing that a, is a 0/1 operand is built in one list (Gustavson,
+ACM TOMS 1978): each nonzero of that operand moves one line (row or
+column) of the other operand onto a line of ab, stored, or added with
+`add_all` if the line is already filled, and then one line of ba,
+subtracted with `sub_all`. That is at most 2n line steps, where
+ab - ba takes two dense products and a whole-matrix difference. The
+test is one `count` of zeros per operand, and one of ones only when
+the first qualifies. A non-one nonzero would cost a `scale_all` per
+line, which lost to the kernel in a product, so such an operand takes
+ab - ba like a general one. Measured for a dense a (us, line moves /
+kernel ab - ba, whole [a, p], the least of two runs of 20 interleaved
+repeats of 300 calls, entries of degree 3 on Z_5[t], CPython 3.11 on a
+2-vCPU x86-64 host):
 
-    n   b = e_{1,2}    b = x0
-    2   1.71 / 1.30    1.75 / 1.31
-    3   1.83 / 1.74    2.15 / 1.77
-    4   1.96 / 2.57    2.59 / 2.58
-    5   2.06 / 4.02    3.17 / 4.02
-    8   2.89 / 11.37   4.78 / 11.13
+         Z_9                          Z_5[t]
+    n    p = e_{1,2}   p = x0         p = e_{1,2}    p = x0
+    2    3.12 / 2.98   3.08 / 3.02    5.11 / 10.64   5.26 /  10.72
+    3    3.47 / 4.11   4.41 / 4.08    5.72 / 16.12   9.83 /  20.29
+    4    3.73 / 5.91   6.01 / 5.86    6.88 / 23.51  16.31 /  32.10
+    5    4.31 / 9.21   8.33 / 9.47    7.69 / 32.50  23.10 /  46.58
+    6    4.85 / 14.15  9.54 / 13.42   8.37 / 42.34  32.11 /  65.83
+    7    5.51 / 20.06 11.20 / 17.96   9.28 / 54.00  45.28 /  91.74
+    8    5.76 / 24.78 13.07 / 24.55  10.95 / 73.65  58.99 / 122.11
 
-So on Z_m the kernel wins every product at n <= 3; at n = 4 the
-sparse path wins the units e_{i,j} and ties x0, and from n = 5 it wins
-both probes. On Z_m[t] a dense product packs and unpacks every entry,
-so the sparse path pays at every n. The Kronecker kernel of Z_m[t]
-keeps each matrix's packed entries for each slot width in its
-`_packings` slot, set on its first dense product (never in __init__)
-and used only while `entries` is the tuple it packed (see
-`derivring.rings`). The probes e_{i,j}, e_{i,i}, the shift x0 and the
-Jordan units are 0/1 operands, a general matrix is not.
+So on Z_m the kernel wins both probes at n = 2; line moves win e_{1,2}
+from n = 3, tie x0 at n = 4 and win it from n = 5, and one cut-off
+serves both probes. On Z_m[t] a dense product packs and unpacks every
+entry, so line moves win at every n. The Kronecker kernel keeps each
+matrix's packed entries for each slot width in its `_packings` slot,
+set on its first dense product (never in __init__) and used only while
+`entries` is the tuple it packed (see `derivring.rings`).
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -170,16 +170,6 @@ class Matrix:
         # `require_shape`'s test, inline on the hot path; it raises there
         if n != other.n or (ring is not other.ring and ring != other.ring):
             require_shape(other, ring, n)
-        if n >= ring.sparse_from:
-            a, b = self.entries, other.entries
-            size, zero, one = n * n, ring.zero.payload, ring.one.payload
-            # a 0/1 operand: at most n nonzero entries, each of them one
-            zeros = b.count(zero)
-            if zeros >= size - n and zeros + b.count(one) == size:
-                return Matrix(ring, n, _sparse_product(ring, n, b, a, left=False))
-            zeros = a.count(zero)
-            if zeros >= size - n and zeros + a.count(one) == size:
-                return Matrix(ring, n, _sparse_product(ring, n, a, b, left=True))
         return Matrix(ring, n, ring.matmul(self, other))
 
     def __rmul__(self, other):
@@ -274,19 +264,22 @@ def _transposer(n):
     return _gather([j * n + i for i in range(n) for j in range(n)])
 
 
-def _sparse_product(ring, n, s, d, left):
-    """The payloads of the n x n product s d (left=True) or d s, where s
-    has at most n nonzero entries, each of them one (Gustavson, ACM TOMS
-    1978). On the left, a nonzero s_ik adds row k of d to row i of the
-    product; on the right, a nonzero s_kj adds column k of d to column j.
-    Each step takes line k of d as one slice, adds it to line i with
-    `ring.add_all` if that line is already filled, and stores the result
-    as one slice. Zero payloads (0 and ()) are the only falsy ones."""
+def _line_moves(ring, n, s, d, left, out=None):
+    """One line move per nonzero of s, a 0/1 operand (Gustavson, ACM
+    TOMS 1978): on the left a nonzero s_ik moves row k of d onto row i,
+    on the right a nonzero s_kj moves column k of d onto column j, as one
+    slice. Without `out` the moves build s d (left=True) or d s in a new
+    list, storing a line into an empty target and adding it (`add_all`)
+    to a filled one; with `out` they subtract each line from it
+    (`sub_all`), leaving out - s d or out - d s. Zero payloads (0 and ())
+    are the only falsy ones."""
     # a line starts every `span` entries and steps `step` along itself
     span, step = (n, 1) if left else (1, n)
     end = n * step
-    out = _placed(ring, n)
-    filled = [False] * n
+    if out is None:
+        out, filled, move = _placed(ring, n), [False] * n, ring.add_all
+    else:
+        filled, move = [True] * n, ring.sub_all
     for idx in compress(range(n * n), s):
         if left:
             i, k = divmod(idx, n)
@@ -295,10 +288,10 @@ def _sparse_product(ring, n, s, d, left):
         src, dst = k * span, i * span
         line = d[src : src + end : step]
         if filled[i]:
-            line = ring.add_all(out[dst : dst + end : step], line)
+            line = move(out[dst : dst + end : step], line)
         out[dst : dst + end : step] = line
         filled[i] = True
-    return tuple(out)
+    return out
 
 
 class SymmetricMatrix(Matrix):
@@ -345,11 +338,25 @@ def probe_x0(ring, n):
 def commutator(a, b):
     """[a, b] = ab - ba. For typed a and b, ba = sign (ab)^T with
     sign = a.parity * b.parity, so [a, b] = p - sign p^T with p = ab: one
-    product, and the result has parity -sign."""
+    product, and the result has parity -sign. From n = `ring.sparse_from`
+    on, if b, or failing that a, is a 0/1 operand, line moves build ab
+    and then subtract ba line by line. Every other pair takes ab - ba."""
     sign = a.parity * b.parity
-    if not sign:
-        return a * b - b * a
-    return _plus_transpose(a * b, -sign)
+    if sign:
+        return _plus_transpose(a * b, -sign)
+    ring, n = a.ring, a.n
+    require_shape(b, ring, n)
+    if n >= ring.sparse_from:
+        size, zero, one = n * n, ring.zero.payload, ring.one.payload
+        # ab is d s for s = b, and s d for s = a
+        pairs = ((b.entries, a.entries, False), (a.entries, b.entries, True))
+        for s, d, left in pairs:
+            zeros = s.count(zero)
+            if zeros >= size - n and zeros + s.count(one) == size:
+                out = _line_moves(ring, n, s, d, left)
+                _line_moves(ring, n, s, d, not left, out)
+                return Matrix(ring, n, tuple(out))
+    return a * b - b * a
 
 
 def symmetric_part(p):

@@ -22,15 +22,15 @@ above the diagonal once and mirrors it below, negated when sign is -1:
 on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
 alone on first use, on Z_m[t] as a loop over the scalar ops that scales
 each coefficient by the unit scale's one coefficient (faster than
-transposing, adding and scaling whole tuples). Each ring's
-`sparse_from` is the least n at which a matrix product multiplies a
-0/1 operand (at most n nonzero entries, each of them one) by its
-support, one line at a time through `add_all`; below it, and for every
-other operand, the product goes to `matmul` (see
-`derivring.matrices`). A `RingElement` pairs a payload with its ring
-only where the scalar API hands one out (`ring.element`, `ring.sample`,
-`Matrix.entry`), and its operators call the same ring ops behind one
-ring-mismatch check.
+transposing, adding and scaling whole tuples). Every matrix product
+goes to `matmul`. Each ring's `sparse_from` is the least n at which a
+commutator with a 0/1 operand (at most n nonzero entries, each of them
+one) is built by line moves, one line at a time through `add_all` and
+`sub_all`; below it, and for every other pair, the commutator is
+ab - ba (see `derivring.matrices`). A `RingElement` pairs a payload
+with its ring only where the scalar API hands one out (`ring.element`,
+`ring.sample`, `Matrix.entry`), and its operators call the same ring
+ops behind one ring-mismatch check.
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -355,10 +355,11 @@ class Zmod:
     Payloads are the residues 0..m-1."""
 
     __slots__ = ("modulus", "inv2", "zero", "one", "half")
-    # the least n at which `Matrix.__mul__` sends a 0/1 operand (at most
-    # n nonzero entries, each of them one) to the sparse path; below it
-    # every product takes `matmul`, whose generated kernel measured
-    # faster there (the table is in the `derivring.matrices` docstring)
+    # the least n at which `commutator` builds [a, b] with a 0/1 operand
+    # (at most n nonzero entries, each of them one) by line moves; below
+    # it [a, b] is ab - ba through `matmul`, whose generated kernel
+    # measured faster there (the table is in the `derivring.matrices`
+    # docstring)
     sparse_from = 4
 
     def __init__(self, modulus):
@@ -474,8 +475,8 @@ class PolyRing:
     """
 
     __slots__ = ("base", "zero", "one", "half", "t")
-    # a dense product packs and unpacks every entry, so a 0/1 operand
-    # takes the sparse path at every n
+    # a dense product packs and unpacks every entry, so a commutator
+    # with a 0/1 operand takes line moves at every n
     sparse_from = 1
 
     def __init__(self, base):

@@ -230,14 +230,15 @@ def offdiag_sides(family, i, j):
         S e_{i,j} - e_{i,j} S + a(i,j)^{i,i} e_{i,j} - e_{i,j} a(i,j)^{j,j}
 
     where S is the off-diagonal part of abar: its (k, l) entry is the
-    (k, l) entry of a(l, k), and its diagonal is zero."""
+    (k, l) entry of a(l, k), and its diagonal is zero. Since
+    [diag(d), e_{i,j}] = (d_i - d_j) e_{i,j}, the expansion is the one
+    commutator [S + diag(a(i,j)), e_{i,j}]."""
     if i == j:
         raise DomainError("the off-diagonal expansion needs i != j")
-    ring, n = family.ring, family.n
-    s = _swapped_corners(family, (ring.zero.payload,) * n)
-    unit = matrix_unit(ring, n, i, j)
+    n = family.n
+    unit = matrix_unit(family.ring, n, i, j)
     a = family.offdiag[(i, j)]
-    rhs = s * unit - unit * s + unit * a.entry(i, i) - unit * a.entry(j, j)
+    rhs = commutator(_swapped_corners(family, a.entries[:: n + 1]), unit)
     return family.oracle(unit), rhs
 
 

@@ -244,6 +244,7 @@ class TestPayloadKernel:
             prod = x * y
             assert prod == literal_product(x, y)
             assert all(is_canonical(prod.ring, p) for p in prod.entries)
+            assert commutator(x, y) == prod - literal_product(y, x)
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -261,19 +262,24 @@ class TestPayloadKernel:
                 assert all(is_canonical(ring, p) for p in prod.entries)
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
-    def test_sparse_operand_skips_the_dense_kernel(self, monkeypatch, ring):
+    def test_every_product_reaches_the_dense_kernel(self, monkeypatch, ring):
+        # probes too; only a commutator with a 0/1 operand (here at
+        # n = 4 >= sparse_from) is built without the kernel
         n = 4
         a = random_entries(ring, n, random.Random(3), 4, 0.0)
         unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
+        want = [literal_bracket(a, unit), literal_bracket(x0, a)]
 
         def dense(self, a, b):
             raise RuntimeError("dense kernel")
 
         monkeypatch.setattr(type(ring), "matmul", dense)
-        assert a * unit == literal_product(a, unit)
-        assert x0 * a == literal_product(x0, a)
+        for x, y in ((a, unit), (x0, a), (unit, x0), (a, a)):
+            with pytest.raises(RuntimeError, match="dense kernel"):
+                x * y
+        assert [commutator(a, unit), commutator(x0, a)] == want
         with pytest.raises(RuntimeError, match="dense kernel"):
-            a * a
+            commutator(a, a)
 
     @given(kernel_cases())
     def test_elementwise_ops_match_entry_ops(self, case):
@@ -356,10 +362,10 @@ class TestPayloadKernel:
 
     @pytest.mark.parametrize("ring", [Z5, Z9, P5, P9, PolyRing(BIG)], ids=str)
     def test_all_zero_operand_of_the_dense_kernel(self, ring):
-        # ring.matmul itself, which Matrix.__mul__ calls only when neither
-        # operand is a 0/1 operand, takes the two matrices on both
-        # rings; over Z_m[t] an all-zero side has no coefficients, and the
-        # other side still has to fit its slots
+        # ring.matmul itself, which every Matrix.__mul__ of two matrices
+        # calls, takes the two matrices on both rings; over Z_m[t] an
+        # all-zero side has no coefficients, and the other side still has
+        # to fit its slots
         m = modulus(ring)
         value = m - 1 if isinstance(ring, Zmod) else [m - 1, m - 1]
         zero, full = Matrix.zero(ring, 2), Matrix.from_rows(ring, [[value] * 2] * 2)
@@ -374,23 +380,55 @@ def skew_witness(ring, n, c):
     return Matrix(ring, n, tuple(ent))
 
 
+def literal_bracket(a, b):
+    """Reference: ab - ba from the per-entry triple loop."""
+    return literal_product(a, b) - literal_product(b, a)
+
+
 class TestProductPath:
-    """Each ring owns `sparse_from`, the least n at which a 0/1 operand
-    (at most n nonzero entries, each of them one) takes `_sparse_product`;
-    below it, and for every other operand, the product goes to
-    `ring.matmul`. Counted by wrapping `_sparse_product`."""
+    """Every `Matrix.__mul__` of two matrices reaches `ring.matmul`. The
+    0/1 rule lives in `commutator`: from `ring.sparse_from` on, an
+    untyped commutator with a 0/1 operand (at most n nonzero entries, each
+    of them one) on either side is built by `_line_moves`, two calls, and
+    reaches neither `Matrix.__mul__` nor `ring.matmul`. Below it, and for
+    every other pair, it takes ab - ba: two products, each through the
+    kernel. Counted by wrapping all three."""
 
     @staticmethod
-    def counted(monkeypatch):
-        calls = []
-        real = matrices._sparse_product
+    def counted(monkeypatch, ring):
+        """Three lists that grow by one per call of `_line_moves`, of
+        `Matrix.__mul__` on two matrices, and of `ring.matmul`."""
+        moves, products, kernel = [], [], []
+        real_moves, real_mul, real_matmul = (
+            matrices._line_moves, Matrix.__mul__, type(ring).matmul
+        )
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting_moves(*args, **kwargs):
+            moves.append(args[1])
+            return real_moves(*args, **kwargs)
 
-        monkeypatch.setattr(matrices, "_sparse_product", counting)
-        return calls
+        def counting_mul(self, other):
+            if isinstance(other, Matrix):
+                products.append(self.n)
+            return real_mul(self, other)
+
+        def counting_matmul(self, a, b):
+            kernel.append(a.n)
+            return real_matmul(self, a, b)
+
+        monkeypatch.setattr(matrices, "_line_moves", counting_moves)
+        monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+        monkeypatch.setattr(type(ring), "matmul", counting_matmul)
+        return moves, products, kernel
+
+    @staticmethod
+    def tally(lists):
+        return [len(calls) for calls in lists]
+
+    @staticmethod
+    def grown(lists, before):
+        """How many calls each list gained since `tally` gave `before`."""
+        return [len(calls) - b for calls, b in zip(lists, before)]
 
     @staticmethod
     def sparse_operands(ring, n, rng):
@@ -408,7 +446,7 @@ class TestProductPath:
     def test_zmod_below_the_cut_off_never_takes_the_sparse_path(
         self, monkeypatch, ring
     ):
-        calls = self.counted(monkeypatch)
+        counts = self.counted(monkeypatch, ring)
         assert ring.sparse_from > 1
         for n in range(1, ring.sparse_from):
             rng = random.Random(n)
@@ -416,61 +454,62 @@ class TestProductPath:
             sparse = self.sparse_operands(ring, n, rng)
             for x in sparse:
                 for y in [dense] + sparse:
-                    assert x * y == literal_product(x, y)
-                    assert y * x == literal_product(y, x)
-        assert calls == []
+                    for u, v in ((x, y), (y, x)):
+                        # a typed pair's commutator takes one product
+                        calls = 2 if u.parity * v.parity else 3
+                        before = self.tally(counts)
+                        assert u * v == literal_product(u, v)
+                        assert commutator(u, v) == literal_bracket(u, v)
+                        assert self.grown(counts, before) == [0, calls, calls]
+        assert counts[0] == []
 
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, BIG], ids=str)
-    def test_zmod_from_the_cut_off_probes_take_the_sparse_path(
+    def test_zmod_from_the_cut_off_probe_commutators_take_line_moves(
         self, monkeypatch, ring
     ):
-        calls = self.counted(monkeypatch)
+        moves, products, kernel = self.counted(monkeypatch, ring)
         for n in range(ring.sparse_from, ring.sparse_from + 3):
             rng = random.Random(n)
             dense = random_entries(ring, n, rng, 0, 0.0)
             for probe in (matrix_unit(ring, n, 1, 2), probe_x0(ring, n)):
-                before = len(calls)
-                assert dense * probe == literal_product(dense, probe)
-                assert probe * dense == literal_product(probe, dense)
-                assert calls[before:] == [n, n]
-            before = len(calls)
-            dense * dense
-            assert len(calls) == before
+                for x, y in ((dense, probe), (probe, dense)):
+                    before = len(moves)
+                    assert commutator(x, y) == literal_bracket(x, y)
+                    assert moves[before:] == [n, n]
+            assert products == kernel == []
+            for x, y in ((dense, probe), (probe, dense), (dense, dense)):
+                assert x * y == literal_product(x, y)
+            assert products == kernel == [n] * 3
+            del products[:], kernel[:]
 
     @pytest.mark.parametrize("ring", [P5, P9], ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_poly_zero_one_operands_take_the_sparse_path(self, monkeypatch, ring, n):
+    def test_poly_zero_one_commutators_take_line_moves(self, monkeypatch, ring, n):
         assert ring.sparse_from == 1
-        calls = self.counted(monkeypatch)
+        moves, products, kernel = self.counted(monkeypatch, ring)
         rng = random.Random(n)
         dense = random_entries(ring, n, rng, 3, 0.0)
         for count in range(n + 1):
             sparse = with_support(ring, n, rng, count, 1.0)
             for x, y in ((dense, sparse), (sparse, dense)):
-                before = len(calls)
+                before = len(moves)
+                assert commutator(x, y) == literal_bracket(x, y)
+                assert len(moves) == before + 2
+                assert products == kernel == []
                 assert x * y == literal_product(x, y)
-                assert len(calls) == before + 1
-        if n > 1:
-            before = len(calls)
-            dense * dense
-            assert len(calls) == before
+                assert products == kernel == [n]
+                del products[:], kernel[:]
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("offset", range(3))
     def test_operands_with_a_non_one_nonzero_take_the_kernel(
         self, monkeypatch, ring, offset
     ):
-        # from the cut-off on, one nonzero other than one sends an operand
-        # with at most n nonzero entries to ring.matmul, on either side
+        # from the cut-off on, one nonzero other than one makes an operand
+        # with at most n nonzero entries a general one: its product takes
+        # ring.matmul and its commutator ab - ba, on either side
         n = ring.sparse_from + offset
-        calls, kernel = self.counted(monkeypatch), []
-        real = type(ring).matmul
-
-        def counting(self, a, b):
-            kernel.append(n)
-            return real(self, a, b)
-
-        monkeypatch.setattr(type(ring), "matmul", counting)
+        counts = self.counted(monkeypatch, ring)
         rng = random.Random(30 + n)
         dense = random_entries(ring, n, rng, 3, 0.0)
         values = [ring.element(2).payload, ring.element(-1).payload]
@@ -482,10 +521,29 @@ class TestProductPath:
                 ent[rng.choice([k for k, x in enumerate(ent) if x])] = value
                 s = Matrix(ring, n, tuple(ent))
                 for x, y in ((dense, s), (s, dense)):
-                    before = len(kernel)
+                    before = self.tally(counts)
                     assert x * y == literal_product(x, y)
-                    assert len(kernel) == before + 1
-        assert calls == []
+                    assert commutator(x, y) == literal_bracket(x, y)
+                    assert self.grown(counts, before) == [0, 3, 3]
+        assert counts[0] == []
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("offset", range(3))
+    def test_more_than_n_ones_take_the_kernel(self, monkeypatch, ring, offset):
+        # n + 1 ones and no other nonzero: not a 0/1 operand, so the
+        # commutator takes ab - ba, whether or not both sides have ones
+        n = max(ring.sparse_from, 2) + offset
+        moves, products, kernel = self.counted(monkeypatch, ring)
+        rng = random.Random(40 + n)
+        dense = random_entries(ring, n, rng, 3, 0.0)
+        for _ in range(4):
+            s = with_support(ring, n, rng, n + 1, 1.0)
+            other = with_support(ring, n, rng, n + 1, 1.0)
+            for x, y in ((dense, s), (s, dense), (s, other)):
+                before = len(kernel)
+                assert commutator(x, y) == literal_bracket(x, y)
+                assert len(kernel) == before + 2
+        assert moves == []
 
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
     def test_non_one_sparse_operands_match_literal_product(self, ring):
@@ -509,9 +567,10 @@ class TestProductPath:
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lines_added_twice_and_scaled_lines(self, ring, n):
-        # e_11 + e_21 on the right and e_11 + e_12 on the left add two
-        # lines of the other operand into one, and fail if the sparse step
-        # drops its `add_all`; their multiples by z and z I have non-one
+        # e_11 + e_21 on the right and e_11 + e_12 on the left move two
+        # lines of the other operand onto one, in both passes of a
+        # commutator's line moves, and fail if the moves drop their
+        # `add_all` or `sub_all`; their multiples by z and z I have non-one
         # nonzeros, take the kernel and check its values.
         z = ring.element(2) if isinstance(ring, Zmod) else ring.t + ring.element(2)
         dense = random_entries(ring, n, random.Random(n), 3, 0.0)
@@ -523,6 +582,64 @@ class TestProductPath:
         for s in operands:
             assert dense * s == literal_product(dense, s)
             assert s * dense == literal_product(s, dense)
+            assert commutator(dense, s) == literal_bracket(dense, s)
+            assert commutator(s, dense) == literal_bracket(s, dense)
+
+
+def matmul_bracket(a, b):
+    """Reference: ab - ba from two `ring.matmul` calls, subtracted entry
+    by entry with the scalar `ring.sub`."""
+    ring = a.ring
+    ab, ba = ring.matmul(a, b), ring.matmul(b, a)
+    return Matrix(ring, a.n, tuple(map(ring.sub, ab, ba)))
+
+
+def zero_divisor_leads(ring, n, rng):
+    """An n x n matrix over Z_9[t] whose entries have leading coefficient
+    3 or 6, zero divisors: sums and differences of two of them can lose
+    their top terms."""
+    rows = [
+        [[rng.randrange(9) for _ in range(rng.randint(0, 3))] + [rng.choice((3, 6))]
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    return Matrix.from_rows(ring, rows)
+
+
+class TestZeroOneCommutator:
+    """`commutator` with a 0/1 operand, on either side or both, against
+    ab - ba built from `ring.matmul`, on each side of the cut-off."""
+
+    RINGS = [Zmod(3), Z9, Zmod(1000003), P5, P9]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_matmul_commutator(self, ring, n):
+        rng = random.Random(700 + n)
+        idx = range(1, n + 1)
+        zero_one = [matrix_unit(ring, n, i, j) for i in idx for j in idx]
+        if n > 1:
+            zero_one.append(probe_x0(ring, n))
+        zero_one += [
+            with_support(ring, n, rng, count, 1.0)
+            for count in range(n + 1)
+            for _ in range(3)
+        ]
+        general = [
+            random_entries(ring, n, rng, 3, 0.0),
+            random_entries(ring, n, rng, 3, 0.5),
+            worst_case(ring, n, 3),
+        ]
+        if ring is P9:
+            general.append(zero_divisor_leads(ring, n, rng))
+        pairs = [(d, s) for s in zero_one for d in general]
+        pairs += [(s, d) for d, s in pairs]
+        pairs += [(rng.choice(zero_one), rng.choice(zero_one)) for _ in range(40)]
+        for x, y in pairs:
+            out = commutator(x, y)
+            assert out == matmul_bracket(x, y)
+            assert type(out) is Matrix
+            assert all(is_canonical(ring, p) for p in out.entries)
 
 
 def int_dot_products(n, a, b):
@@ -546,7 +663,7 @@ class TestDotProductKernel:
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matmul_matches_triple_loop(self, ring, n):
-        # ring.matmul itself, so that no operand is routed to the sparse path
+        # ring.matmul itself, the kernel that every product reaches
         rng = random.Random(n)
         operands = [
             random_entries(ring, n, rng, 3, 0.0),

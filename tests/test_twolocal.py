@@ -26,6 +26,7 @@ from derivring import (
     verify_theorem1,
 )
 from derivring.sampling import random_element, random_matrix, random_x0_commutant
+from derivring.twolocal import offdiag_sides
 from test_jordan import corner
 
 Z5 = Zmod(5)
@@ -71,13 +72,19 @@ def literal_cross_corner(a_ij, a_ik, i, j, k, mirror=False):
     return p * a_ij * u == p * a_ik * u
 
 
-def literal_offdiag_formula(family, i, j):
-    """Reference: the off-diagonal expansion with S summed from corners."""
+def literal_offdiag_rhs(family, i, j):
+    """Reference: the off-diagonal expansion S e - e S + e a_ii - e a_jj
+    with e = e_{i,j}, a = a(i,j) and S summed from corners."""
     s = literal_corner_sum(family, diagonal=False)
     unit = matrix_unit(family.ring, family.n, i, j)
     a = family.offdiag[(i, j)]
-    rhs = s * unit - unit * s + unit * a.entry(i, i) - unit * a.entry(j, j)
-    return family.oracle(unit) == rhs
+    return s * unit - unit * s + unit * a.entry(i, i) - unit * a.entry(j, j)
+
+
+def literal_offdiag_formula(family, i, j):
+    """Reference: Delta(e_{i,j}) equals its literal off-diagonal expansion."""
+    unit = matrix_unit(family.ring, family.n, i, j)
+    return family.oracle(unit) == literal_offdiag_rhs(family, i, j)
 
 
 def perturbed(a, r, c, rng):
@@ -428,6 +435,45 @@ class TestOffdiagFormula:
                         assert got is literal_offdiag_formula(family, i, j)
                         outcomes.add(got)
         assert outcomes == {True, False}
+
+    @staticmethod
+    def scrambled_family(ring, n, rng):
+        """A centrally shifted family with every witness perturbed at one
+        random entry, so that S and each witness's diagonal differ from
+        those of the hidden element and from each other."""
+        _, family = gen_witness_family(
+            random_matrix(ring, n, rng), NoiseSpec.CENTRAL_SHIFTS,
+            seed=rng.getrandbits(32),
+        )
+        return tampered(family, {
+            key: perturbed(w, rng.randint(1, n), rng.randint(1, n), rng)
+            for key, w in family.offdiag.items()
+        })
+
+    @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
+    def test_sides_match_literal_expansion(self, ring, n):
+        rng = random.Random(470 + n)
+        for _ in range(2):
+            family = self.scrambled_family(ring, n, rng)
+            for (i, j) in sorted(family.offdiag):
+                lhs, rhs = offdiag_sides(family, i, j)
+                assert lhs == family.oracle(matrix_unit(ring, n, i, j))
+                assert rhs == literal_offdiag_rhs(family, i, j)
+
+    @pytest.mark.parametrize("ring,n", AGREEMENT_CASES)
+    def test_each_read_diagonal_entry_moves_the_expansion(self, ring, n):
+        # negative control: a shift of the (i,i) or (j,j) entry of a(i,j)
+        # moves the right-hand side by a multiple of e_{i,j}; a shift of
+        # any other diagonal entry of a(i,j) is not read
+        rng = random.Random(480 + n)
+        family = self.scrambled_family(ring, n, rng)
+        for (i, j), a in sorted(family.offdiag.items()):
+            _, rhs = offdiag_sides(family, i, j)
+            for k in range(1, n + 1):
+                shifted = tampered(family, {(i, j): perturbed(a, k, k, rng)})
+                _, moved = offdiag_sides(shifted, i, j)
+                assert moved == literal_offdiag_rhs(shifted, i, j)
+                assert (moved != rhs) is (k in (i, j))
 
 
 def literal_diag_difference(b, c, n):
