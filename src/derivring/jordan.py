@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import namedtuple
 from functools import reduce
 from types import MappingProxyType
 
@@ -28,7 +29,7 @@ from .matrices import (
     symmetric_part,
 )
 from .sampling import random_symmetric
-from .twolocal import ReconstructionResult, TwoLocalOracle, _ValidatedFamily
+from .twolocal import ReconstructionResult, TwoLocalOracle, _witnesses
 
 __all__ = [
     "JordanPairDerivation",
@@ -42,21 +43,21 @@ __all__ = [
 ]
 
 
-class JordanPairDerivation:
+class JordanPairDerivation(namedtuple("JordanPairDerivation", "ring n pairs")):
     """A finite list of symmetric pairs (a_k, b_k) acting through the
-    Jordan product: x -> sum(a_k.(b_k.x) - b_k.(a_k.x))."""
+    Jordan product: x -> sum(a_k.(b_k.x) - b_k.(a_k.x)). A record whose
+    pairs are SymmetricMatrix values, converted once when it is built, so
+    the typed action below may rely on their symmetry."""
 
-    __slots__ = ("ring", "n", "pairs")
+    __slots__ = ()
 
-    def __init__(self, ring, n, pairs=()):
+    def __new__(cls, ring, n, pairs=()):
         _require_dimension(n)
         pairs = tuple((SymmetricMatrix.of(a), SymmetricMatrix.of(b)) for a, b in pairs)
         for a, b in pairs:
             require_shape(a, ring, n)
             require_shape(b, ring, n)
-        self.ring = ring
-        self.n = n
-        self.pairs = pairs
+        return super().__new__(cls, ring, n, pairs)
 
     def __call__(self, x):
         """Apply the pair-list derivation. On a SymmetricMatrix x, with
@@ -133,30 +134,36 @@ def check_corner_consistency(d_ii, d_jj, i, j):
     return all(d_ii.entry(r, c) == d_jj.entry(r, c) for r, c in ((i, j), (j, i)))
 
 
-class JordanWitnessFamily(_ValidatedFamily):
+class JordanWitnessFamily(namedtuple("JordanWitnessFamily", "oracle diag")):
     """The reduced diagonal-probe witnesses of `oracle`: for each index i
     the matrix d(ii) = (1/4) sum [a_k, b_k] of a pair list witnessing
-    Delta at e_{i,i}. The constructor converts each d(ii) with
-    `SkewMatrix.of` once and keeps it, so every `diag` value is a
-    SkewMatrix; one that is not skew is a ContractError."""
+    Delta at e_{i,i}, held by i in a read-only mapping. `__new__`
+    converts each d(ii) with `SkewMatrix.of` once and keeps it, so every
+    `diag` value is a SkewMatrix; one that is not skew is a
+    ContractError. A record, and `__new__` ends in `validate()`, so a
+    family that exists witnesses its oracle."""
 
     __slots__ = ()
 
-    def __init__(self, oracle, diag):
-        super().__init__(oracle, diag, set(range(1, oracle.n + 1)), "d(ii) per index")
+    def __new__(cls, oracle, diag):
+        diag = _witnesses(oracle, diag, set(range(1, oracle.n + 1)), "d(ii) per index")
         typed = {}
-        for i in range(1, self.n + 1):
+        for i in range(1, oracle.n + 1):
             try:
-                typed[i] = SkewMatrix.of(self._witnesses[i])
+                typed[i] = SkewMatrix.of(diag[i])
             except DomainError:
                 raise ContractError(f"d({i}{i}) must be skew-symmetric") from None
-        self._witnesses = MappingProxyType(typed)
-        self.validate()
+        family = super().__new__(cls, oracle, MappingProxyType(typed))
+        family.validate()
+        return family
 
     @property
-    def diag(self):
-        """d(ii) by i, read-only."""
-        return self._witnesses
+    def ring(self):
+        return self.oracle.ring
+
+    @property
+    def n(self):
+        return self.oracle.n
 
     def validate(self):
         """Check each d(ii) against the oracle at e_{i,i}; raises

@@ -25,17 +25,18 @@ Every product ab of two matrices goes to the ring's dense kernel
 in `commutator`, where the probes e_{i,j} and x0 meet the witnesses: a
 0/1 operand has at most n nonzero entries, each of them one. Each ring
 owns `sparse_from`, the least n at which a commutator takes line
-moves: 4 on Z_m, 1 on Z_m[t]. From it on, an untyped [a, b] whose b,
-or failing that a, is a 0/1 operand is built in one list (Gustavson,
-ACM TOMS 1978): each nonzero of that operand moves one line (row or
-column) of the other operand onto a line of ab, stored, or added with
-`add_all` if the line is already filled, and then one line of ba,
-subtracted with `sub_all`. That is at most 2n line steps, where
-ab - ba takes two dense products and a whole-matrix difference. The
-test is one `count` of zeros per operand, and one of ones only when
-the first qualifies. A non-one nonzero would cost a `scale_all` per
-line, which lost to the kernel in a product, so such an operand takes
-ab - ba like a general one. Measured for a dense a (us, line moves /
+moves: 4 on Z_m, 1 on Z_m[t]. From it on, an untyped [a, b] whose
+right operand b is a 0/1 operand is built in one list (Gustavson, ACM
+TOMS 1978): each nonzero of b moves one column of a onto a column of
+ab, stored, or added with `add_all` if the column is already filled,
+and then, for ba, subtracts one row of a from a row of the result
+with `sub_all`. That is at most 2n line steps, where ab - ba takes two
+dense products and a whole-matrix difference. The test is one `count`
+of zeros in b, and one of ones only when the first qualifies. Every
+probe commutator that the suites build has its probe on the right, so
+a 0/1 a with a general b takes ab - ba. A non-one nonzero would cost a
+`scale_all` per line, which lost to the kernel in a product, so such
+an operand takes ab - ba like a general one. Measured for a dense a (us, line moves /
 kernel ab - ba, whole [a, p], the least of two runs of 20 interleaved
 repeats of 300 calls, entries of degree 3 on Z_5[t], CPython 3.11 on a
 2-vCPU x86-64 host):
@@ -339,23 +340,21 @@ def commutator(a, b):
     """[a, b] = ab - ba. For typed a and b, ba = sign (ab)^T with
     sign = a.parity * b.parity, so [a, b] = p - sign p^T with p = ab: one
     product, and the result has parity -sign. From n = `ring.sparse_from`
-    on, if b, or failing that a, is a 0/1 operand, line moves build ab
-    and then subtract ba line by line. Every other pair takes ab - ba."""
+    on, if b is a 0/1 operand, line moves build ab and then subtract ba
+    line by line. Every other pair takes ab - ba."""
     sign = a.parity * b.parity
     if sign:
         return _plus_transpose(a * b, -sign)
     ring, n = a.ring, a.n
     require_shape(b, ring, n)
     if n >= ring.sparse_from:
-        size, zero, one = n * n, ring.zero.payload, ring.one.payload
-        # ab is d s for s = b, and s d for s = a
-        pairs = ((b.entries, a.entries, False), (a.entries, b.entries, True))
-        for s, d, left in pairs:
-            zeros = s.count(zero)
-            if zeros >= size - n and zeros + s.count(one) == size:
-                out = _line_moves(ring, n, s, d, left)
-                _line_moves(ring, n, s, d, not left, out)
-                return Matrix(ring, n, tuple(out))
+        size, s = n * n, b.entries
+        zeros = s.count(ring.zero.payload)
+        if zeros >= size - n and zeros + s.count(ring.one.payload) == size:
+            # ab is a s, moved column by column; ba is s a, row by row
+            out = _line_moves(ring, n, s, a.entries, False)
+            _line_moves(ring, n, s, a.entries, True, out)
+            return Matrix(ring, n, tuple(out))
     return a * b - b * a
 
 

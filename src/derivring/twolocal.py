@@ -42,96 +42,65 @@ class NoiseSpec(Enum):
     X0_COMMUTANT_SHIFT_ON_C = "x0-commutant"
 
 
-class TwoLocalOracle:
-    """Total evaluation access to the map Delta under scrutiny. Its ring
-    and n are read-only: a witness family takes both from its oracle."""
+class TwoLocalOracle(namedtuple("TwoLocalOracle", "ring n evaluate")):
+    """Total evaluation access to the map Delta under scrutiny. A record,
+    so its ring and n cannot move: a witness family takes both from its
+    oracle."""
 
-    __slots__ = ("_ring", "_n", "_evaluate")
+    __slots__ = ()
 
-    def __init__(self, ring, n, evaluate):
+    def __new__(cls, ring, n, evaluate):
         if n < 2:
             raise DomainError("2-local analysis needs n >= 2")
-        self._ring = ring
-        self._n = n
-        self._evaluate = evaluate
-
-    @property
-    def ring(self):
-        return self._ring
-
-    @property
-    def n(self):
-        return self._n
+        return super().__new__(cls, ring, n, evaluate)
 
     def __call__(self, x):
-        require_shape(x, self._ring, self._n)
-        return self._evaluate(x)
+        require_shape(x, self.ring, self.n)
+        return self.evaluate(x)
 
 
-class _ValidatedFamily:
-    """What both witness families share: the oracle they witness, whose
-    ring and n they take, and one n x n witness over that ring per
-    expected key. Everything is held read-only, and each family's
-    constructor ends in its own `validate()`, so a family that exists
-    witnesses its oracle."""
-
-    __slots__ = ("_oracle", "_witnesses")
-
-    def __init__(self, oracle, witnesses, keys, per):
-        if set(witnesses) != keys:
-            raise DomainError(f"witness family needs exactly one {per} in 1..n")
-        self._oracle = oracle
-        self._witnesses = MappingProxyType(dict(witnesses))
-        self._check_witnesses(self._witnesses.values())
-
-    def _check_witnesses(self, mats):
-        for mat in mats:
-            require_shape(mat, self.ring, self.n)
-
-    @property
-    def oracle(self):
-        """The map Delta that every witness implements at its probe."""
-        return self._oracle
-
-    @property
-    def ring(self):
-        return self._oracle.ring
-
-    @property
-    def n(self):
-        return self._oracle.n
+def _witnesses(oracle, witnesses, keys, per):
+    """One n x n witness over the oracle's ring per expected key, copied
+    into a read-only mapping."""
+    if set(witnesses) != keys:
+        raise DomainError(f"witness family needs exactly one {per} in 1..n")
+    witnesses = MappingProxyType(dict(witnesses))
+    for mat in witnesses.values():
+        require_shape(mat, oracle.ring, oracle.n)
+    return witnesses
 
 
-class WitnessFamily(_ValidatedFamily):
+class WitnessFamily(namedtuple("WitnessFamily", "oracle offdiag c")):
     """Per-probe implementing elements of `oracle`: a(i,j) for every
     ordered pair of distinct indices (each witnessing the probe pair
-    e_{i,j}, x0) and c for the shift probe x0 itself.
+    e_{i,j}, x0), held by (i, j) in a read-only mapping, and c for the
+    shift probe x0 itself. A record, and `__new__` ends in `validate()`,
+    so a family that exists witnesses its oracle.
 
     c defaults to a(1,2): every off-diagonal witness also witnesses x0.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
-    def __init__(self, oracle, offdiag, c=None):
+    def __new__(cls, oracle, offdiag, c=None):
         n = oracle.n
         expected = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-        super().__init__(
-            oracle, offdiag, expected,
-            "a(i,j) per ordered pair of distinct indices",
+        offdiag = _witnesses(
+            oracle, offdiag, expected, "a(i,j) per ordered pair of distinct indices"
         )
-        self._c = c if c is not None else self.offdiag[(1, 2)]
-        self._check_witnesses([self._c])
-        self.validate()
+        c = offdiag[(1, 2)] if c is None else c
+        require_shape(c, oracle.ring, n)
+        family = super().__new__(cls, oracle, offdiag, c)
+        family.validate()
+        return family
 
     @property
-    def offdiag(self):
-        """a(i,j) by (i, j), read-only."""
-        return self._witnesses
+    def ring(self):
+        return self.oracle.ring
 
     @property
-    def c(self):
-        """The x0 witness c, read-only."""
-        return self._c
+    def n(self):
+        return self.oracle.n
 
     def validate(self):
         """Check every defining identity against the oracle; raises

@@ -175,6 +175,23 @@ class TestPairAction:
         with pytest.raises(DomainError):
             JordanPairDerivation(Z5, 2, [(e12, e12)])
 
+    def test_fields_are_read_only(self):
+        # the typed action relies on symmetric pairs: they must not move
+        rng = random.Random(63)
+        pairs = random_pairs(Z9, 3, rng, 2)
+        pd = JordanPairDerivation(Z9, 3, pairs)
+        x = random_symmetric(Z9, 3, rng)
+        before = pd(x)
+        e12 = matrix_unit(Z9, 3, 1, 2)
+        with pytest.raises(AttributeError):
+            pd.pairs = ((e12, e12),)
+        with pytest.raises(AttributeError):
+            pd.ring = Z5
+        with pytest.raises(AttributeError):
+            pd.n = 2
+        assert pd.pairs == pairs and (pd.ring, pd.n) == (Z9, 3)
+        assert pd(x) == before
+
 
 class TestReduction:
     def test_frozen_single_pair(self):
@@ -514,6 +531,9 @@ class TestJordanFamily:
             family.ring = Z9
         with pytest.raises(AttributeError):
             family.n = 5
+        for name in ("_witnesses", "_oracle"):
+            with pytest.raises(AttributeError):
+                setattr(family, name, {})
         assert family.diag[1] == s
         assert family.oracle is oracle and (family.ring, family.n) == (Z5, 2)
 

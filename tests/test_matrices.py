@@ -263,12 +263,12 @@ class TestPayloadKernel:
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     def test_every_product_reaches_the_dense_kernel(self, monkeypatch, ring):
-        # probes too; only a commutator with a 0/1 operand (here at
-        # n = 4 >= sparse_from) is built without the kernel
+        # probes too; only a commutator whose right operand is 0/1 (here
+        # at n = 4 >= sparse_from) is built without the kernel
         n = 4
         a = random_entries(ring, n, random.Random(3), 4, 0.0)
         unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
-        want = [literal_bracket(a, unit), literal_bracket(x0, a)]
+        want = [literal_bracket(a, unit), literal_bracket(a, x0)]
 
         def dense(self, a, b):
             raise RuntimeError("dense kernel")
@@ -277,9 +277,10 @@ class TestPayloadKernel:
         for x, y in ((a, unit), (x0, a), (unit, x0), (a, a)):
             with pytest.raises(RuntimeError, match="dense kernel"):
                 x * y
-        assert [commutator(a, unit), commutator(x0, a)] == want
-        with pytest.raises(RuntimeError, match="dense kernel"):
-            commutator(a, a)
+        assert [commutator(a, unit), commutator(a, x0)] == want
+        for x, y in ((unit, a), (x0, a), (a, a)):
+            with pytest.raises(RuntimeError, match="dense kernel"):
+                commutator(x, y)
 
     @given(kernel_cases())
     def test_elementwise_ops_match_entry_ops(self, case):
@@ -388,11 +389,12 @@ def literal_bracket(a, b):
 class TestProductPath:
     """Every `Matrix.__mul__` of two matrices reaches `ring.matmul`. The
     0/1 rule lives in `commutator`: from `ring.sparse_from` on, an
-    untyped commutator with a 0/1 operand (at most n nonzero entries, each
-    of them one) on either side is built by `_line_moves`, two calls, and
+    untyped commutator whose right operand is 0/1 (at most n nonzero
+    entries, each of them one) is built by `_line_moves`, two calls, and
     reaches neither `Matrix.__mul__` nor `ring.matmul`. Below it, and for
-    every other pair, it takes ab - ba: two products, each through the
-    kernel. Counted by wrapping all three."""
+    every other pair (a 0/1 left operand with a general right one too),
+    it takes ab - ba: two products, each through the kernel. Counted by
+    wrapping all three."""
 
     @staticmethod
     def counted(monkeypatch, ring):
@@ -472,11 +474,15 @@ class TestProductPath:
             rng = random.Random(n)
             dense = random_entries(ring, n, rng, 0, 0.0)
             for probe in (matrix_unit(ring, n, 1, 2), probe_x0(ring, n)):
-                for x, y in ((dense, probe), (probe, dense)):
-                    before = len(moves)
-                    assert commutator(x, y) == literal_bracket(x, y)
-                    assert moves[before:] == [n, n]
-            assert products == kernel == []
+                before = len(moves)
+                assert commutator(dense, probe) == literal_bracket(dense, probe)
+                assert moves[before:] == [n, n]
+                assert products == kernel == []
+                # the left operand is not scanned: [probe, a] is ab - ba
+                assert commutator(probe, dense) == literal_bracket(probe, dense)
+                assert moves[before:] == [n, n]
+                assert products == kernel == [n, n]
+                del products[:], kernel[:]
             for x, y in ((dense, probe), (probe, dense), (dense, dense)):
                 assert x * y == literal_product(x, y)
             assert products == kernel == [n] * 3
@@ -492,10 +498,13 @@ class TestProductPath:
         for count in range(n + 1):
             sparse = with_support(ring, n, rng, count, 1.0)
             for x, y in ((dense, sparse), (sparse, dense)):
+                # line moves only when the 0/1 operand is on the right
+                right = y is sparse
                 before = len(moves)
                 assert commutator(x, y) == literal_bracket(x, y)
-                assert len(moves) == before + 2
-                assert products == kernel == []
+                assert len(moves) == before + (2 if right else 0)
+                assert products == kernel == ([] if right else [n, n])
+                del products[:], kernel[:]
                 assert x * y == literal_product(x, y)
                 assert products == kernel == [n]
                 del products[:], kernel[:]

@@ -184,6 +184,9 @@ class TestWitnessFamily:
             family.ring = Z9
         with pytest.raises(AttributeError):
             family.n = 5
+        for name in ("_c", "_witnesses", "_oracle"):
+            with pytest.raises(AttributeError):
+                setattr(family, name, Matrix.zero(Z5, 2))
         assert family.offdiag[(1, 2)] == a and family.c == a
         assert family.oracle is oracle and (family.ring, family.n) == (Z5, 2)
 
@@ -196,6 +199,11 @@ class TestWitnessFamily:
             oracle.n = 3
         with pytest.raises(AttributeError):
             oracle.ring = Z9
+        with pytest.raises(AttributeError):
+            oracle.evaluate = lambda x: x
+        for name, value in (("_n", 3), ("_ring", Z9), ("_evaluate", lambda x: x)):
+            with pytest.raises(AttributeError):
+                setattr(oracle, name, value)
         assert (family.ring, family.n) == (Z5, 2)
         reconstruct_abar(family)
 
