@@ -23,23 +23,22 @@ element.
 Every product ab of two matrices goes to the ring's dense kernel
 `ring.matmul(a, b)`, with no scan of its operands. The 0/1 rule lives
 in `commutator`, where the probes e_{i,j} and x0 meet the witnesses: a
-0/1 operand has at most n nonzero entries, each of them one. Each ring
-owns `sparse_from`, the least n at which a commutator takes line
-moves: 4 on Z_m, 1 on Z_m[t]. From it on, an untyped [a, b] whose
-right operand b is a 0/1 operand is built in one list (Gustavson, ACM
-TOMS 1978): each nonzero of b moves one column of a onto a column of
-ab, stored, or added with `add_all` if the column is already filled,
-and then, for ba, subtracts one row of a from a row of the result
-with `sub_all`. That is at most 2n line steps, where ab - ba takes two
-dense products and a whole-matrix difference. The test is one `count`
-of zeros in b, and one of ones only when the first qualifies. Every
-probe commutator that the suites build has its probe on the right, so
-a 0/1 a with a general b takes ab - ba. A non-one nonzero would cost a
-`scale_all` per line, which lost to the kernel in a product, so such
-an operand takes ab - ba like a general one. Measured for a dense a (us, line moves /
-kernel ab - ba, whole [a, p], the least of two runs of 20 interleaved
-repeats of 300 calls, entries of degree 3 on Z_5[t], CPython 3.11 on a
-2-vCPU x86-64 host):
+0/1 operand has at most n nonzero entries, each of them one. On every
+ring and at every n, an untyped [a, b] whose right operand b is a 0/1
+operand is built in one list (Gustavson, ACM TOMS 1978): each nonzero
+of b moves one column of a onto a column of ab, stored, or added with
+`add_all` if the column is already filled, and then, for ba, subtracts
+one row of a from a row of the result with `sub_all`. That is at most
+2n line steps, where ab - ba takes two dense products and a
+whole-matrix difference. The test is one `count` of zeros in b, and
+one of ones only when the first qualifies. Every probe commutator that
+the suites build has its probe on the right, so a 0/1 a with a general
+b takes ab - ba. A non-one nonzero would cost a `scale_all` per line,
+which lost to the kernel in a product, so such an operand takes ab - ba
+like a general one. Measured for a dense a (us, line moves / kernel
+ab - ba, whole [a, p], the least of two runs of 20 interleaved repeats
+of 300 calls, entries of degree 3 on Z_5[t], CPython 3.11 on a 2-vCPU
+x86-64 host):
 
          Z_9                          Z_5[t]
     n    p = e_{1,2}   p = x0         p = e_{1,2}    p = x0
@@ -51,13 +50,16 @@ repeats of 300 calls, entries of degree 3 on Z_5[t], CPython 3.11 on a
     7    5.51 / 20.06 11.20 / 17.96   9.28 / 54.00  45.28 /  91.74
     8    5.76 / 24.78 13.07 / 24.55  10.95 / 73.65  58.99 / 122.11
 
-So on Z_m the kernel wins both probes at n = 2; line moves win e_{1,2}
-from n = 3, tie x0 at n = 4 and win it from n = 5, and one cut-off
-serves both probes. On Z_m[t] a dense product packs and unpacks every
-entry, so line moves win at every n. The Kronecker kernel keeps each
-matrix's packed entries for each slot width in its `_packings` slot,
-set on its first dense product (never in __init__) and used only while
-`entries` is the tuple it packed (see `derivring.rings`).
+On Z_m[t] a dense product packs and unpacks every entry, so line moves
+win at every n. On Z_m they win e_{1,2} from n = 3 and x0 from n = 5,
+and below that lose by at most 0.33 us a call. End to end that does
+not show (twolocal-grid, whose Z_m cells form them at n = 2, 3, read
+1,821.5 instances/s against 1,829.4 with a cut-off at n = 4; medians of
+8 alternating 10 s pairs), so one rule serves every ring and every n.
+The Kronecker kernel keeps each matrix's packed entries for each slot
+width in its `_packings` slot, set on its first dense product (never in
+__init__) and used only while `entries` is the tuple it packed (see
+`derivring.rings`).
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -339,22 +341,21 @@ def probe_x0(ring, n):
 def commutator(a, b):
     """[a, b] = ab - ba. For typed a and b, ba = sign (ab)^T with
     sign = a.parity * b.parity, so [a, b] = p - sign p^T with p = ab: one
-    product, and the result has parity -sign. From n = `ring.sparse_from`
-    on, if b is a 0/1 operand, line moves build ab and then subtract ba
-    line by line. Every other pair takes ab - ba."""
+    product, and the result has parity -sign. Otherwise, if b is a 0/1
+    operand, line moves build ab and then subtract ba line by line, on
+    every ring and at every n. Every other pair takes ab - ba."""
     sign = a.parity * b.parity
     if sign:
         return _plus_transpose(a * b, -sign)
     ring, n = a.ring, a.n
     require_shape(b, ring, n)
-    if n >= ring.sparse_from:
-        size, s = n * n, b.entries
-        zeros = s.count(ring.zero.payload)
-        if zeros >= size - n and zeros + s.count(ring.one.payload) == size:
-            # ab is a s, moved column by column; ba is s a, row by row
-            out = _line_moves(ring, n, s, a.entries, False)
-            _line_moves(ring, n, s, a.entries, True, out)
-            return Matrix(ring, n, tuple(out))
+    size, s = n * n, b.entries
+    zeros = s.count(ring.zero.payload)
+    if zeros >= size - n and zeros + s.count(ring.one.payload) == size:
+        # ab is a s, moved column by column; ba is s a, row by row
+        out = _line_moves(ring, n, s, a.entries, False)
+        _line_moves(ring, n, s, a.entries, True, out)
+        return Matrix(ring, n, tuple(out))
     return a * b - b * a
 
 

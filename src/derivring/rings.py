@@ -15,22 +15,19 @@ which returns the row-major payloads of ab, and the symmetrisation
 tuples to the tuple ops. Z_m runs each through `_entrywise(size, op)`, a
 kernel generated from the length and the op alone on first use, which
 unpacks each operand into locals once and returns one tuple literal of
-the reduced entries. Z_m[t] maps its scalar op, except that
-`scale_all` by a constant scales each coefficient in one comprehension
-per entry. `plus_transpose` computes each entry on and
-above the diagonal once and mirrors it below, negated when sign is -1:
-on Z_m through `_mirrored(n, sign)`, a kernel generated from n and sign
-alone on first use, on Z_m[t] as a loop over the scalar ops that scales
-each coefficient by the unit scale's one coefficient (faster than
-transposing, adding and scaling whole tuples). Every matrix product
-goes to `matmul`. Each ring's `sparse_from` is the least n at which a
-commutator with a 0/1 operand (at most n nonzero entries, each of them
-one) is built by line moves, one line at a time through `add_all` and
-`sub_all`; below it, and for every other pair, the commutator is
-ab - ba (see `derivring.matrices`). A `RingElement` pairs a payload
-with its ring only where the scalar API hands one out (`ring.element`,
-`ring.sample`, `Matrix.entry`), and its operators call the same ring
-ops behind one ring-mismatch check.
+the reduced entries. Z_m[t] maps its scalar op. `plus_transpose`
+computes each entry on and above the diagonal once and mirrors it below,
+negated when sign is -1: on Z_m through `_mirrored(n, sign)`, a kernel
+generated from n and sign alone on first use, on Z_m[t] as a loop over
+the scalar ops that scales each coefficient by the unit scale's one
+coefficient (faster than transposing, adding and scaling whole tuples).
+Every matrix product goes to `matmul`; on both rings and at every n, a
+commutator whose right operand is 0/1 is built instead by line moves
+through `add_all` and `sub_all` (see `derivring.matrices`). A
+`RingElement` pairs a payload with its ring only where the scalar API
+hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
+operators call the same ring ops behind one ring-mismatch check. A
+ring is read-only (see `_ReadOnly`).
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -350,17 +347,27 @@ def _mirrored(n, sign):
     return namespace["mirrored"]
 
 
-class Zmod:
+class _ReadOnly:
+    """Each slot of a ring is set once, by its constructor (or by copy
+    and pickle, into a new ring): a later write or delete raises
+    AttributeError, so no matrix can be moved to another ring."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class Zmod(_ReadOnly):
     """The ring Z_m with m odd and >= 3, so that 2 has an inverse.
     Payloads are the residues 0..m-1."""
 
     __slots__ = ("modulus", "inv2", "zero", "one", "half")
-    # the least n at which `commutator` builds [a, b] with a 0/1 operand
-    # (at most n nonzero entries, each of them one) by line moves; below
-    # it [a, b] is ab - ba through `matmul`, whose generated kernel
-    # measured faster there (the table is in the `derivring.matrices`
-    # docstring)
-    sparse_from = 4
 
     def __init__(self, modulus):
         if isinstance(modulus, bool) or not isinstance(modulus, int):
@@ -467,7 +474,7 @@ class Zmod:
         return f"Z_{self.modulus}"
 
 
-class PolyRing:
+class PolyRing(_ReadOnly):
     """Z_m[t]: polynomials over a Zmod base, any degree.
 
     Payloads are coefficient tuples, constant term first, trailing zeros
@@ -475,9 +482,6 @@ class PolyRing:
     """
 
     __slots__ = ("base", "zero", "one", "half", "t")
-    # a dense product packs and unpacks every entry, so a commutator
-    # with a 0/1 operand takes line moves at every n
-    sparse_from = 1
 
     def __init__(self, base):
         if not isinstance(base, Zmod):
@@ -565,13 +569,7 @@ class PolyRing:
         return tuple(map(self.neg, a))
 
     def scale_all(self, s, a):
-        """s times each entry of a. A constant s = (c,) (such as 1/2)
-        scales each coefficient by c in one comprehension per entry, then
-        strips trailing zeros (3 * 3t = 0 in Z_9[t]); any other s takes
-        the Kronecker `mul`."""
-        if len(s) == 1:
-            c, m = s[0], self.base.modulus
-            return tuple([_strip([x * c % m for x in p]) for p in a])
+        """s times each entry of a, each by the Kronecker `mul`."""
         mul = self.mul
         return tuple([mul(s, x) for x in a])
 

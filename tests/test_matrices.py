@@ -263,8 +263,8 @@ class TestPayloadKernel:
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     def test_every_product_reaches_the_dense_kernel(self, monkeypatch, ring):
-        # probes too; only a commutator whose right operand is 0/1 (here
-        # at n = 4 >= sparse_from) is built without the kernel
+        # probes too; only a commutator whose right operand is 0/1 is
+        # built without the kernel
         n = 4
         a = random_entries(ring, n, random.Random(3), 4, 0.0)
         unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
@@ -388,13 +388,12 @@ def literal_bracket(a, b):
 
 class TestProductPath:
     """Every `Matrix.__mul__` of two matrices reaches `ring.matmul`. The
-    0/1 rule lives in `commutator`: from `ring.sparse_from` on, an
+    0/1 rule lives in `commutator`: on every ring and at every n, an
     untyped commutator whose right operand is 0/1 (at most n nonzero
     entries, each of them one) is built by `_line_moves`, two calls, and
-    reaches neither `Matrix.__mul__` nor `ring.matmul`. Below it, and for
-    every other pair (a 0/1 left operand with a general right one too),
-    it takes ab - ba: two products, each through the kernel. Counted by
-    wrapping all three."""
+    reaches neither `Matrix.__mul__` nor `ring.matmul`. Every other pair
+    (a 0/1 left operand with a general right one too) takes ab - ba: two
+    products, each through the kernel. Counted by wrapping all three."""
 
     @staticmethod
     def counted(monkeypatch, ring):
@@ -433,47 +432,24 @@ class TestProductPath:
         return [len(calls) - b for calls, b in zip(lists, before)]
 
     @staticmethod
-    def sparse_operands(ring, n, rng):
-        """Probes and other operands with at most n nonzero entries."""
-        idx = range(1, n + 1)
-        out = [matrix_unit(ring, n, i, j) for i in idx for j in idx]
-        out += [Matrix.zero(ring, n), Matrix.identity(ring, n)]
-        out += [with_support(ring, n, rng, min(2, n), 0.0) for _ in range(3)]
-        if n > 1:
-            out += [probe_x0(ring, n), jordan_unit(ring, n, 1, 2)]
-            out.append(skew_witness(ring, n, nonzero_payload(ring, rng)))
-        return out
+    def general(ring, n, rng, degree):
+        """A random operand that is not 0/1 at any n, n = 1 too: its
+        (1, 1) entry is 2."""
+        ent = list(random_entries(ring, n, rng, degree, 0.0).entries)
+        ent[0] = ring.element(2).payload
+        return Matrix(ring, n, tuple(ent))
 
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, BIG], ids=str)
-    def test_zmod_below_the_cut_off_never_takes_the_sparse_path(
-        self, monkeypatch, ring
-    ):
-        counts = self.counted(monkeypatch, ring)
-        assert ring.sparse_from > 1
-        for n in range(1, ring.sparse_from):
-            rng = random.Random(n)
-            dense = random_entries(ring, n, rng, 0, 0.0)
-            sparse = self.sparse_operands(ring, n, rng)
-            for x in sparse:
-                for y in [dense] + sparse:
-                    for u, v in ((x, y), (y, x)):
-                        # a typed pair's commutator takes one product
-                        calls = 2 if u.parity * v.parity else 3
-                        before = self.tally(counts)
-                        assert u * v == literal_product(u, v)
-                        assert commutator(u, v) == literal_bracket(u, v)
-                        assert self.grown(counts, before) == [0, calls, calls]
-        assert counts[0] == []
-
-    @pytest.mark.parametrize("ring", [Zmod(3), Z9, BIG], ids=str)
-    def test_zmod_from_the_cut_off_probe_commutators_take_line_moves(
-        self, monkeypatch, ring
-    ):
+    def test_zmod_probe_commutators_take_line_moves(self, monkeypatch, ring):
         moves, products, kernel = self.counted(monkeypatch, ring)
-        for n in range(ring.sparse_from, ring.sparse_from + 3):
+        for n in range(1, 7):
             rng = random.Random(n)
-            dense = random_entries(ring, n, rng, 0, 0.0)
-            for probe in (matrix_unit(ring, n, 1, 2), probe_x0(ring, n)):
+            dense = self.general(ring, n, rng, 0)
+            # at n = 1 the one probe is e_{1,1}; x0 needs n >= 2
+            probes = [matrix_unit(ring, n, 1, min(2, n))]
+            if n > 1:
+                probes.append(probe_x0(ring, n))
+            for probe in probes:
                 before = len(moves)
                 assert commutator(dense, probe) == literal_bracket(dense, probe)
                 assert moves[before:] == [n, n]
@@ -491,7 +467,6 @@ class TestProductPath:
     @pytest.mark.parametrize("ring", [P5, P9], ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_poly_zero_one_commutators_take_line_moves(self, monkeypatch, ring, n):
-        assert ring.sparse_from == 1
         moves, products, kernel = self.counted(monkeypatch, ring)
         rng = random.Random(n)
         dense = random_entries(ring, n, rng, 3, 0.0)
@@ -510,17 +485,16 @@ class TestProductPath:
                 del products[:], kernel[:]
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
-    @pytest.mark.parametrize("offset", range(3))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_operands_with_a_non_one_nonzero_take_the_kernel(
-        self, monkeypatch, ring, offset
+        self, monkeypatch, ring, n
     ):
-        # from the cut-off on, one nonzero other than one makes an operand
-        # with at most n nonzero entries a general one: its product takes
-        # ring.matmul and its commutator ab - ba, on either side
-        n = ring.sparse_from + offset
+        # one nonzero other than one makes an operand with at most n
+        # nonzero entries a general one: its product takes ring.matmul
+        # and its commutator ab - ba, on either side
         counts = self.counted(monkeypatch, ring)
         rng = random.Random(30 + n)
-        dense = random_entries(ring, n, rng, 3, 0.0)
+        dense = self.general(ring, n, rng, 3)
         values = [ring.element(2).payload, ring.element(-1).payload]
         if isinstance(ring, PolyRing):
             values.append(ring.t.payload)
@@ -537,11 +511,10 @@ class TestProductPath:
         assert counts[0] == []
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
-    @pytest.mark.parametrize("offset", range(3))
-    def test_more_than_n_ones_take_the_kernel(self, monkeypatch, ring, offset):
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_more_than_n_ones_take_the_kernel(self, monkeypatch, ring, n):
         # n + 1 ones and no other nonzero: not a 0/1 operand, so the
         # commutator takes ab - ba, whether or not both sides have ones
-        n = max(ring.sparse_from, 2) + offset
         moves, products, kernel = self.counted(monkeypatch, ring)
         rng = random.Random(40 + n)
         dense = random_entries(ring, n, rng, 3, 0.0)
@@ -557,10 +530,10 @@ class TestProductPath:
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
     def test_non_one_sparse_operands_match_literal_product(self, ring):
         # operands with at most n nonzero entries, not all one, take the
-        # kernel; n runs from 1 to two past the Z_m cut-off, and each
-        # product of the skew witness and of two random non-one entries
-        # is checked against the literal product
-        for n in range(1, Zmod.sparse_from + 3):
+        # kernel; for n from 1 to 6 each product of the skew witness and
+        # of two random non-one entries is checked against the literal
+        # product
+        for n in range(1, 7):
             rng = random.Random(10 * n)
             dense = random_entries(ring, n, rng, 3, 0.0)
             sparse = [with_support(ring, n, rng, min(2, n * n), 0.0) for _ in range(4)]
@@ -617,7 +590,7 @@ def zero_divisor_leads(ring, n, rng):
 
 class TestZeroOneCommutator:
     """`commutator` with a 0/1 operand, on either side or both, against
-    ab - ba built from `ring.matmul`, on each side of the cut-off."""
+    ab - ba built from `ring.matmul`, at every n from 1 to 6."""
 
     RINGS = [Zmod(3), Z9, Zmod(1000003), P5, P9]
 

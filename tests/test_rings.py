@@ -1,6 +1,8 @@
 """Ring arithmetic: canonical forms, axioms, halving, base derivations."""
 
+import copy
 import operator
+import pickle
 import random
 import subprocess
 import sys
@@ -118,6 +120,41 @@ class TestConstruction:
         obj = {"n": 1, "ring": ring_to_obj(ring), "rows": [[value]]}
         with pytest.raises(ParseError):
             matrix_from_obj(obj)
+
+    SLOTS = [
+        (Zmod(9), "modulus", 5),
+        (Zmod(9), "inv2", 3),
+        (Zmod(9), "zero", Z5.zero),
+        (Zmod(9), "one", Z5.one),
+        (Zmod(9), "half", Z5.half),
+        (PolyRing(Z9), "base", Z5),
+        (PolyRing(Z9), "zero", P5.zero),
+        (PolyRing(Z9), "one", P5.one),
+        (PolyRing(Z9), "half", P5.half),
+        (PolyRing(Z9), "t", P5.t),
+    ]
+
+    @pytest.mark.parametrize("ring,name,value", SLOTS, ids=repr)
+    def test_rings_are_read_only(self, ring, name, value):
+        # a write would move every matrix over the ring to another one
+        x = Matrix.from_rows(ring, [[1, 2], [3, 4]])
+        before = getattr(ring, name)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(ring, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(ring, name)
+        assert getattr(ring, name) is before
+        assert x.ring == ring and x * x == Matrix.from_rows(ring, [[7, 10], [15, 22]])
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_read_only_rings_copy_and_pickle(self, ring):
+        for twin in (
+            copy.copy(ring),
+            copy.deepcopy(ring),
+            pickle.loads(pickle.dumps(ring)),
+        ):
+            assert twin == ring and str(twin) == str(ring)
+            assert (twin.zero, twin.one, twin.half) == (ring.zero, ring.one, ring.half)
 
     def test_canonical_residues(self):
         assert Z5.element(7).payload == 2
@@ -344,8 +381,8 @@ class TestMonomialProducts:
 
     @pytest.mark.parametrize("ring", [P5, P9], ids=str)
     def test_scale_all_by_a_constant_matches_mul(self, ring):
-        # constants take one comprehension per entry, any other scalar the
-        # Kronecker mul; (3,) is a zero divisor in Z_9[t]: 3 * 3t = 0
+        # every scalar, constant or not, takes the Kronecker mul; (3,) is
+        # a zero divisor in Z_9[t]: 3 * 3t = 0
         m = ring.base.modulus
         entries = tuple(ring.element(p).payload for p in self.OTHERS)
         entries += ring.draw(random.Random(m), 20, 4)
