@@ -1,9 +1,10 @@
-"""Jordan inner derivations on H_n(R): the pair-list action
-x -> sum(a_k.(b_k.x) - b_k.(a_k.x)), its reduction to one skew
-commutator generator, the diagonal and corner identities as executable
-checks, and the Jordan reconstruction of the implementing element.
-Witnesses are SkewMatrix values from the reduction onward, and the
-reconstruction's one skewness check is the corner consistency condition.
+"""Jordan inner derivations on H_n(R), the boundary of this layer: the
+pair-list action x -> sum(a_k.(b_k.x) - b_k.(a_k.x)), its reduction to
+one skew commutator generator, the diagonal and corner identities as
+executable checks, and the Jordan reconstruction of the implementing
+element. An input outside H_n(R) is a DomainError. Witnesses are
+SkewMatrix values from the reduction onward, and the reconstruction's
+one skewness check is the corner consistency condition.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from types import MappingProxyType
 from .checks import CheckReport, Violation
 from .errors import ContractError, DomainError
 from .matrices import (
-    Matrix,
     SkewMatrix,
     SymmetricMatrix,
     _plus_transpose,
@@ -44,10 +44,10 @@ __all__ = [
 
 
 class JordanPairDerivation(namedtuple("JordanPairDerivation", "ring n pairs")):
-    """A finite list of symmetric pairs (a_k, b_k) acting through the
-    Jordan product: x -> sum(a_k.(b_k.x) - b_k.(a_k.x)). A record whose
-    pairs are SymmetricMatrix values, converted once when it is built, so
-    the typed action below may rely on their symmetry."""
+    """A finite list of symmetric pairs (a_k, b_k) acting on H_n(R)
+    through the Jordan product: x -> sum(a_k.(b_k.x) - b_k.(a_k.x)). A
+    record whose pairs are SymmetricMatrix values, converted once when it
+    is built, so the action below may rely on their symmetry."""
 
     __slots__ = ()
 
@@ -60,27 +60,21 @@ class JordanPairDerivation(namedtuple("JordanPairDerivation", "ring n pairs")):
         return super().__new__(cls, ring, n, pairs)
 
     def __call__(self, x):
-        """Apply the pair-list derivation. On a SymmetricMatrix x, with
-        y_k = b_k.x and z_k = a_k.x, the value sum(a_k.y_k - b_k.z_k) is
-        the symmetric part of sum(a_k y_k - b_k z_k), because a_k, b_k,
-        y_k and z_k are all symmetric: each pair takes two Jordan products
-        and two matrix products, and the whole sum one symmetrisation,
-        whose SymmetricMatrix constructor checks the result. Any other x
-        takes the literal formula, whose value still equals the
-        commutator action of the reduced generator. The sum starts from
-        the first pair's term; an empty list maps x to the zero matrix of
-        x's type (SymmetricMatrix or Matrix)."""
+        """Apply the pair-list derivation to x in H_n(R) (a non-symmetric
+        x is a DomainError). With y_k = b_k.x and z_k = a_k.x, the value
+        sum(a_k.y_k - b_k.z_k) is the symmetric part of
+        sum(a_k y_k - b_k z_k), because a_k, b_k, y_k and z_k are all
+        symmetric: each pair takes two Jordan products and two matrix
+        products, and the whole sum one symmetrisation, whose
+        SymmetricMatrix constructor checks the result. The sum starts from
+        the first pair's term; an empty list gives the zero
+        SymmetricMatrix."""
         require_shape(x, self.ring, self.n)
-        typed = isinstance(x, SymmetricMatrix)
+        x = SymmetricMatrix.of(x)
         if not self.pairs:
-            return (SymmetricMatrix if typed else Matrix).zero(self.ring, self.n)
-        outer = operator.mul if typed else jordan_mul
-        terms = [
-            outer(a, jordan_mul(b, x)) - outer(b, jordan_mul(a, x))
-            for a, b in self.pairs
-        ]
-        acc = reduce(operator.add, terms)
-        return symmetric_part(acc) if typed else acc
+            return SymmetricMatrix.zero(self.ring, self.n)
+        terms = [a * jordan_mul(b, x) - b * jordan_mul(a, x) for a, b in self.pairs]
+        return symmetric_part(reduce(operator.add, terms))
 
 
 def pairs_to_commutator(pd):
@@ -197,9 +191,11 @@ def reconstruct_abar_jordan(family):
 
 
 def verify_jordan_theorem(family, samples):
-    """Check, exactly, for the oracle Delta that `family` witnesses:
-    Delta(x) = [abar, x] on every sample, symmetry of every value, and the
-    Jordan Leibniz rule D(x.y) = D(x).y + x.D(y) for D = [abar, .] on
+    """Check, exactly, for the oracle Delta that `family` witnesses, on
+    samples in H_n(R) (a non-symmetric sample is a DomainError): that
+    Delta(x) is in H_n(R) (`closure`, checked first, so it fires for any
+    oracle that leaves H_n(R)), that Delta(x) = [abar, x] (`action`), and
+    the Jordan Leibniz rule D(x.y) = D(x).y + x.D(y) for D = [abar, .] on
     consecutive samples: pair k is (sample k, sample k+1), and the last
     sample pairs with the first (a single sample pairs with itself). The
     rule reuses the values [abar, x] that the action check computed. Its
@@ -215,7 +211,7 @@ def verify_jordan_theorem(family, samples):
     sum, whatever abar is. Only a non-associative product, or a Jordan
     product computed wrongly, would break it; a wrong map shows up as
     `action` or `closure`."""
-    samples = list(samples)
+    samples = [SymmetricMatrix.of(x) for x in samples]
     if not samples:
         raise DomainError("verify_jordan_theorem needs at least one sample")
     oracle = family.oracle
@@ -223,13 +219,13 @@ def verify_jordan_theorem(family, samples):
     images = []
     for idx, x in enumerate(samples):
         lhs = oracle(x)
-        rhs = commutator(abar, x)
-        if lhs != rhs:
-            return CheckReport(idx, (Violation("action", f"sample {idx}", lhs, rhs),))
         if not lhs.is_symmetric():
             return CheckReport(
                 idx, (Violation("closure", f"sample {idx}", lhs, lhs.transpose()),)
             )
+        rhs = commutator(abar, x)
+        if lhs != rhs:
+            return CheckReport(idx, (Violation("action", f"sample {idx}", lhs, rhs),))
         images.append(rhs)
     count = len(samples)
     for idx, x in enumerate(samples):

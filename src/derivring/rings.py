@@ -26,8 +26,8 @@ commutator whose right operand is 0/1 is built instead by line moves
 through `add_all` and `sub_all` (see `derivring.matrices`). A
 `RingElement` pairs a payload with its ring only where the scalar API
 hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
-operators call the same ring ops behind one ring-mismatch check. A
-ring is read-only (see `_ReadOnly`).
+operators call the same ring ops behind one ring-mismatch check.
+Rings, elements and base derivations are read-only (see `_ReadOnly`).
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -98,7 +98,24 @@ def same_ring(a, b):
     return ring
 
 
-class RingElement:
+class _ReadOnly:
+    """Each slot of a ring, element or base derivation is set once, by its
+    constructor (or by copy and pickle, into a new object): a later write
+    or delete raises AttributeError, so no value can change under the
+    matrices and records that share it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class RingElement(_ReadOnly):
     """A canonical payload of a ring, paired with that ring; the ring
     carries the arithmetic."""
 
@@ -107,9 +124,11 @@ class RingElement:
     def __init__(self, ring, payload):
         # Trusted constructor: `payload` must already be canonical for
         # `ring`. Callers outside this module go through ring.element(),
-        # or ring.wrap() for a payload already known to be canonical.
-        self.ring = ring
-        self.payload = payload
+        # or ring.wrap() for a payload already known to be canonical. The
+        # slots are empty, so they skip the read-only `__setattr__` and its
+        # failed lookup (0.5 against 1.4 µs per element, timeit).
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "payload", payload)
 
     def is_zero(self):
         return not self.payload
@@ -345,22 +364,6 @@ def _mirrored(n, sign):
     namespace = {}
     exec(compile(source, f"<mirrored, n={n}, sign={sign}>", "exec"), namespace)
     return namespace["mirrored"]
-
-
-class _ReadOnly:
-    """Each slot of a ring is set once, by its constructor (or by copy
-    and pickle, into a new ring): a later write or delete raises
-    AttributeError, so no matrix can be moved to another ring."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
 class Zmod(_ReadOnly):
@@ -645,7 +648,7 @@ def _derivative_terms(scale):
     )
 
 
-class BaseDerivation:
+class BaseDerivation(_ReadOnly):
     """A derivation of a base ring: p -> scale * dp/dt, with the payload
     `scale` = delta(t).
 

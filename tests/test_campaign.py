@@ -401,10 +401,28 @@ def plant_jordan_oracle(monkeypatch):
     )
 
 
+def plant_jordan_closure(monkeypatch):
+    # x -> hidden(x) + x_{1,2} e_{1,2} agrees with the pair map on every
+    # e_{i,i}, so the witnesses validate, but leaves H_n(R) off the probes;
+    # `closure` is checked before `action`, so it is reported as such
+    real = campaign.gen_jordan_instance
+
+    def planted(hidden, seed, max_degree):
+        _, family = real(hidden, seed, max_degree)
+        ring, n = hidden.ring, hidden.n
+        e12 = matrix_unit(ring, n, 1, 2)
+        oracle = TwoLocalOracle(ring, n, lambda x: hidden(x) + e12 * x.entry(1, 2))
+        return oracle, JordanWitnessFamily(oracle, family.diag)
+
+    monkeypatch.setattr(campaign, "gen_jordan_instance", planted)
+    return CampaignConfig(
+        suite="jordan-theorem", ring=Z9, n=3, trials=2, seed=19, samples=2
+    )
+
+
 def plant_jordan_samples(monkeypatch):
-    # a "symmetric" sample that is not: [abar, x] still matches the pair
-    # action, but it is no longer symmetric. A SymmetricMatrix cannot hold
-    # it, so the sample is the plain Matrix that the sum gives
+    # a "symmetric" sample that is not: a plain Matrix outside H_n(R),
+    # which the Jordan layer refuses (see TestJordanBoundary)
     real = campaign.random_symmetric
 
     def planted(ring, n, rng, max_degree=3):
@@ -458,8 +476,8 @@ PLANTED = [
         "eb02794366e31a34b49aa6350cc7a491bd57dd491f1baf5164b564d8ff97d0db",
     ),
     (
-        plant_jordan_samples, {"closure"},
-        "6257cd2d1e9f628d81134cd203292724de0a1590874d3fa8e93ac1dba36e06ed",
+        plant_jordan_closure, {"closure"},
+        "b8ae3bd8cfe16dddaac90838f21517041f7054b4b39d1ff1dabfa25dd853a207",
     ),
 ]
 
@@ -494,6 +512,16 @@ class TestPlantedDefects:
             assert replayed == [
                 (rec["kind"], rec["probe"], rec["lhs"], rec["rhs"]) for rec in records
             ]
+
+
+class TestJordanBoundary:
+    """H_n(R) is the boundary of the Jordan layer: a sample outside it is
+    refused, not reported."""
+
+    def test_non_symmetric_samples_are_refused(self, monkeypatch):
+        config = plant_jordan_samples(monkeypatch)
+        with pytest.raises(DomainError, match="not symmetric"):
+            run_campaign(config)
 
 
 class TestFailureRecordSides:

@@ -37,6 +37,8 @@ Z5 = Zmod(5)
 Z9 = Zmod(9)
 P5 = PolyRing(Z5)
 P3 = PolyRing(Zmod(3))
+# leading coefficients 3 and 6 are zero divisors: 3t * 3t = 0
+P9 = PolyRing(Z9)
 AGREEMENT_CASES = [(ring, n) for ring in (Z9, P5) for n in (2, 3, 4, 5)]
 
 
@@ -125,6 +127,27 @@ def literal_pair_action(pd, x):
         total = total + literal_jordan_mul(a, literal_jordan_mul(b, x))
         total = total - literal_jordan_mul(b, literal_jordan_mul(a, x))
     return total
+
+
+def plain_matrix(ring, n, rng):
+    """A random plain Matrix, outside H_n(R) for n >= 2: if the draw is
+    symmetric, its (1, 2) entry is moved off the (2, 1) entry."""
+    x = random_matrix(ring, n, rng)
+    if n > 1 and x.is_symmetric():
+        x = x + matrix_unit(ring, n, 1, 2)
+    return x
+
+
+def assert_only_h_n(pd, x):
+    """The pair map takes a plain Matrix only in H_n(R): at n = 1 every
+    matrix is symmetric and comes back as a SymmetricMatrix, at n >= 2
+    `plain_matrix` is not symmetric and is refused."""
+    if pd.n == 1:
+        out = pd(x)
+        assert type(out) is SymmetricMatrix and out == literal_pair_action(pd, x)
+    else:
+        with pytest.raises(DomainError, match="not symmetric"):
+            pd(x)
 
 
 def nonzero_element(ring, rng):
@@ -221,18 +244,16 @@ class TestReduction:
             assert pd(x) == commutator(s, x)
 
     def test_action_equivalence_on_full_matrix_ring(self):
-        # the same pair formula applied to arbitrary matrices still equals
-        # the commutator action of the reduced generator
+        # the literal pair formula applied to arbitrary matrices still
+        # equals the commutator action of the reduced generator
         rng = random.Random(65)
-        from derivring.sampling import random_matrix
-
         for _ in range(200):
             pd = JordanPairDerivation(
                 Z9, 3, random_pairs(Z9, 3, rng, rng.randint(1, 3))
             )
             s = pairs_to_commutator(pd)
             x = random_matrix(Z9, 3, rng)
-            assert pd(x) == commutator(s, x)
+            assert literal_pair_action(pd, x) == commutator(s, x)
 
     def test_reduced_generator_is_skew_zero_diag(self):
         rng = random.Random(66)
@@ -247,22 +268,19 @@ class TestPairListSum:
     """Both pair-list sums start from the first pair's term; only an empty
     list builds a zero matrix."""
 
-    @pytest.mark.parametrize("ring", [Z5, P5], ids=str)
+    @pytest.mark.parametrize("ring", [Z5, P5, P9], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_empty_list_gives_the_typed_zero(self, ring, n):
         rng = random.Random(n)
         pd = JordanPairDerivation(ring, n)
         zero = Matrix.zero(ring, n)
-        for x, kind in (
-            (random_symmetric(ring, n, rng), SymmetricMatrix),
-            (random_matrix(ring, n, rng), Matrix),
-        ):
-            out = pd(x)
-            assert type(out) is kind and out == zero
+        out = pd(random_symmetric(ring, n, rng))
+        assert type(out) is SymmetricMatrix and out == zero
+        assert_only_h_n(pd, plain_matrix(ring, n, rng))
         s = pairs_to_commutator(pd)
         assert type(s) is SkewMatrix and s == zero
 
-    @pytest.mark.parametrize("ring", [Z9, Zmod(1000003), P5], ids=str)
+    @pytest.mark.parametrize("ring", [Z9, Zmod(1000003), P5, P9], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("count", [1, 3])
     def test_pairs_match_literal_without_a_zero_start(
@@ -270,8 +288,9 @@ class TestPairListSum:
     ):
         rng = random.Random(100 * n + count)
         pd = JordanPairDerivation(ring, n, random_pairs(ring, n, rng, count))
-        xs = (random_symmetric(ring, n, rng), random_matrix(ring, n, rng))
-        want = [literal_pair_action(pd, x) for x in xs]
+        x = random_symmetric(ring, n, rng)
+        want = literal_pair_action(pd, x)
+        assert_only_h_n(pd, plain_matrix(ring, n, rng))
         total = literal_commutator(*pd.pairs[0])
         for a, b in pd.pairs[1:]:
             total = total + literal_commutator(a, b)
@@ -280,7 +299,7 @@ class TestPairListSum:
             raise AssertionError("a non-empty pair list built a zero matrix")
 
         monkeypatch.setattr(Matrix, "zero", classmethod(no_zero))
-        assert [pd(x) for x in xs] == want
+        assert pd(x) == want
         assert pairs_to_commutator(pd) == total * (ring.half * ring.half)
 
 
@@ -289,21 +308,19 @@ class TestLiteralReference:
     sum; the literal formulas, two products per Jordan product or
     commutator, are the reference."""
 
-    @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
+    @pytest.mark.parametrize("ring", [Z5, Z9, P5, P9], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
     def test_action_matches_literal_jordan_products(self, ring, n, count):
         rng = random.Random(10 * n + count)
         pd = JordanPairDerivation(ring, n, random_pairs(ring, n, rng, count))
-        for x, kind in (
-            (random_symmetric(ring, n, rng), SymmetricMatrix),
-            (random_matrix(ring, n, rng), Matrix),
-        ):
-            out = pd(x)
-            assert out == literal_pair_action(pd, x)
-            assert type(out) is kind
+        x = random_symmetric(ring, n, rng)
+        out = pd(x)
+        assert out == literal_pair_action(pd, x)
+        assert type(out) is SymmetricMatrix
+        assert_only_h_n(pd, plain_matrix(ring, n, rng))
 
-    @pytest.mark.parametrize("ring", [Z5, Z9, P5], ids=str)
+    @pytest.mark.parametrize("ring", [Z5, Z9, P5, P9], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
     def test_reduction_matches_literal_commutators(self, ring, n, count):
@@ -740,6 +757,34 @@ class TestJordanTheorem:
         _, family = gen_jordan_instance(JordanPairDerivation(Z5, 2), seed=11)
         with pytest.raises(DomainError):
             verify_jordan_theorem(family, [])
+
+    def test_refuses_a_sample_outside_h_n(self):
+        rng = random.Random(88)
+        hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 2))
+        _, family = gen_jordan_instance(hidden, seed=14)
+        x = random_symmetric(Z9, 3, rng)
+        bent = x + matrix_unit(Z9, 3, 1, 2)
+        with pytest.raises(DomainError, match="not symmetric"):
+            verify_jordan_theorem(family, [x, bent])
+        # a symmetric plain Matrix is a sample of H_n(R)
+        assert verify_jordan_theorem(family, [Matrix(Z9, 3, x.entries)]).ok
+
+    def test_closure_sees_an_oracle_leaving_h_n(self):
+        # x -> [s, x] + x_{1,2} e_{1,2} agrees with [s, .] on every e_{i,i},
+        # so the family validates; off the probes its value is not
+        # symmetric, and `closure` is checked before `action`
+        s = random_skew(Z9, 3, random.Random(89))
+        e12 = matrix_unit(Z9, 3, 1, 2)
+        oracle = TwoLocalOracle(Z9, 3, lambda x: commutator(s, x) + e12 * x.entry(1, 2))
+        family = family_from_skew(s, oracle)
+        x = sym_unit(Z9, 3, 3, 3) + jordan_unit(Z9, 3, 2, 3)
+        y = jordan_unit(Z9, 3, 1, 2) * Z9.element(4)
+        report = verify_jordan_theorem(family, [x, y])
+        assert report.checked == 1
+        (v,) = report.violations
+        assert (v.kind, v.probe) == ("closure", "sample 1")
+        assert v.lhs == commutator(s, y) + e12 * Z9.element(4)
+        assert v.rhs == v.lhs.transpose()
 
 
 class TestJordanGenerator:

@@ -18,6 +18,7 @@ from derivring import (
     Matrix,
     PolyRing,
     Zmod,
+    matrix_unit,
     rings,
 )
 from derivring.errors import ParseError
@@ -155,6 +156,32 @@ class TestConstruction:
         ):
             assert twin == ring and str(twin) == str(ring)
             assert (twin.zero, twin.one, twin.half) == (ring.zero, ring.one, ring.half)
+        x = ring.sample(random.Random(6), 3)
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and type(twin) is type(x)
+
+    ELEMENTS = [
+        ("zero", "payload", 1),
+        ("zero", "ring", Z9),
+        ("half", "ring", Z5),
+        ("half", "payload", 0),
+        ("one", "payload", 2),
+    ]
+
+    @pytest.mark.parametrize("attr,name,value", ELEMENTS, ids=repr)
+    @pytest.mark.parametrize("ring", [Zmod(5), Zmod(9), PolyRing(Z5)], ids=str)
+    def test_elements_are_read_only(self, ring, attr, name, value):
+        # a ring's zero, one and half are shared by every matrix over it:
+        # a write to zero's payload turned Matrix.zero into a matrix of ones
+        z = getattr(ring, attr)
+        before = (z.ring, z.payload, repr(z))
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(z, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(z, name)
+        assert (z.ring, z.payload, repr(z)) == before
+        assert Matrix.zero(ring, 2).is_zero()
+        assert repr(matrix_unit(ring, 2, 1, 2)).endswith("[0 1; 0 0]")
 
     def test_canonical_residues(self):
         assert Z5.element(7).payload == 2
@@ -504,6 +531,33 @@ class TestHalf:
 
 
 class TestBaseDerivation:
+    @pytest.mark.parametrize(
+        "name,value", [("scale", (0, 1)), ("ring", P9), ("modulus", 9), ("_terms", ())]
+    )
+    def test_read_only(self, name, value):
+        # a new scale used to leave the map on its old terms: d(t^2) stayed
+        # 2t while the repr said (t) d/dt
+        d = BaseDerivation.formal(P5)
+        before = getattr(d, name)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(d, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(d, name)
+        assert getattr(d, name) == before
+        assert d(P5.element([0, 0, 1])) == P5.element([0, 2])
+        assert repr(d) == "BaseDerivation((1) d/dt on Z_5[t])"
+
+    def test_read_only_copy_and_pickle(self):
+        p = P5.element([1, 3, 1, 4])
+        for d in (
+            BaseDerivation.zero(Z5),
+            BaseDerivation.formal(P5),
+            BaseDerivation.scaled(P5.element([2, 0, 1])),
+        ):
+            x = p if d.ring == P5 else Z5.element(3)
+            for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert repr(twin) == repr(d) and twin(x) == d(x)
+
     def test_power_rule(self):
         d = BaseDerivation.formal(P5)
         p = P5.element([1, 3, 1])  # t^2 + 3t + 1
