@@ -17,45 +17,45 @@ n, built once, serves `transpose`, `is_symmetric` (a^T == a) and
 `is_skew` (a^T == -a); both predicates compare the whole tuples.
 `p + sign p^T`, scaled or not, is the ring's `plus_transpose`, which
 computes each entry on and above the diagonal once and mirrors it below
-(on Z_m one generated kernel per n and sign). Only `entry` builds a ring
-element.
+(one generated kernel per n and sign, run once per coefficient plane on
+Z_m[t]). Only `entry` builds a ring element.
 
 Every product ab of two matrices goes to the ring's dense kernel
-`ring.matmul(a, b)`, with no scan of its operands. The 0/1 rule lives
+`ring.matmul(a, b)`, with no scan of its operands. The probe rule lives
 in `commutator`, where the probes e_{i,j} and x0 meet the witnesses: a
-0/1 operand has at most n nonzero entries, each of them one. On every
-ring and at every n, an untyped [a, b] whose right operand b is a 0/1
-operand is built in one list (Gustavson, ACM TOMS 1978): each nonzero
-of b moves one column of a onto a column of ab, stored, or added with
-`add_all` if the column is already filled, and then, for ba, subtracts
-one row of a from a row of the result with `sub_all`. That is at most
-2n line steps, where ab - ba takes two dense products and a
-whole-matrix difference. The test is one `count` of zeros in b, and
-one of ones only when the first qualifies. Every probe commutator that
-the suites build has its probe on the right, so a 0/1 a with a general
-b takes ab - ba. A non-one nonzero would cost a `scale_all` per line,
-which lost to the kernel in a product, so such an operand takes ab - ba
-like a general one. Measured for a dense a (us, line moves / kernel
-ab - ba, whole [a, p], the least of two runs of 20 interleaved repeats
-of 300 calls, entries of degree 3 on Z_5[t], CPython 3.11 on a 2-vCPU
-x86-64 host):
+probe is a partial permutation, a 0/1 matrix with at most one 1 in each
+row and each column. If s has a one at (k, j), column j of a s is
+column k of a and row k of s a is row j of a. So on every ring and at
+every n an untyped [a, s] is two gathers of `a.entries + (zero,)`,
+every empty line reading the appended zero, and one `sub_all`, where
+ab - ba takes two dense products and a whole-matrix difference. The
+gathers are itemgetters built once per (n, support of s) by
+`_probe_gathers`. The test is one `count` of zeros in s, one of ones
+only when the first qualifies, and, for the support, the cached check
+that no two ones share a line. Every probe commutator that the suites
+build has its probe on the right, so a probe a with a general b takes
+ab - ba. A non-one nonzero or two ones in a line make a product add or
+scale lines, which a gather cannot, so such an operand takes ab - ba
+like a general one.
+Measured for a dense a (us, gathers / kernel ab - ba, whole [a, p], the
+least of 40 interleaved repeats of 300 calls, entries of degree 3 on
+Z_5[t], CPython 3.11 on a 2-vCPU x86-64 host):
 
          Z_9                          Z_5[t]
     n    p = e_{1,2}   p = x0         p = e_{1,2}    p = x0
-    2    3.12 / 2.98   3.08 / 3.02    5.11 / 10.64   5.26 /  10.72
-    3    3.47 / 4.11   4.41 / 4.08    5.72 / 16.12   9.83 /  20.29
-    4    3.73 / 5.91   6.01 / 5.86    6.88 / 23.51  16.31 /  32.10
-    5    4.31 / 9.21   8.33 / 9.47    7.69 / 32.50  23.10 /  46.58
-    6    4.85 / 14.15  9.54 / 13.42   8.37 / 42.34  32.11 /  65.83
-    7    5.51 / 20.06 11.20 / 17.96   9.28 / 54.00  45.28 /  91.74
-    8    5.76 / 24.78 13.07 / 24.55  10.95 / 73.65  58.99 / 122.11
+    2    1.62 /  3.11  1.68 /  3.20    3.39 / 10.56   3.44 /  10.57
+    3    2.05 /  4.28  2.07 /  4.28    4.51 / 15.78   6.99 /  19.10
+    4    2.72 /  6.21  2.77 /  6.35    6.37 / 23.69  12.57 /  32.19
+    5    3.36 /  8.71  3.27 /  8.09    7.65 / 32.24  19.95 /  49.09
+    6    4.71 / 13.16  4.46 / 12.54   10.03 / 45.07  25.60 /  61.25
+    7    5.12 / 15.89  4.93 / 15.55   11.14 / 52.85  36.23 /  86.68
+    8    7.16 / 23.33  5.98 / 21.42   13.08 / 66.84  46.75 / 111.91
 
-On Z_m[t] a dense product packs and unpacks every entry, so line moves
-win at every n. On Z_m they win e_{1,2} from n = 3 and x0 from n = 5,
-and below that lose by at most 0.33 us a call. End to end that does
-not show (twolocal-grid, whose Z_m cells form them at n = 2, 3, read
-1,821.5 instances/s against 1,829.4 with a cut-off at n = 4; medians of
-8 alternating 10 s pairs), so one rule serves every ring and every n.
+The gathers win at every n on both rings. They subtract all n*n
+entries, where the line moves they replaced moved one line per one of
+the probe. So in the same runs line moves stayed ahead on e_{1,2} from
+n = 6 on Z_9 and from n = 5 on Z_5[t] (5.16 and 9.49 us at n = 8), and
+behind on x0 at every n (11.37 and 53.03 us at n = 8).
 The Kronecker kernel keeps each matrix's packed entries for each slot
 width in its `_packings` slot, set on its first dense product (never in
 __init__) and used only while `entries` is the tuple it packed (see
@@ -234,7 +234,7 @@ def _index(n, i, j):
     return (i - 1) * n + (j - 1)
 
 
-def _placed(ring, n, cells=()):
+def _placed(ring, n, cells):
     """The row-major entries, as a list, of the n x n matrix over `ring`
     with each payload of `cells`, pairs ((i, j), payload), at its (i, j)
     and zero elsewhere."""
@@ -267,34 +267,27 @@ def _transposer(n):
     return _gather([j * n + i for i in range(n) for j in range(n)])
 
 
-def _line_moves(ring, n, s, d, left, out=None):
-    """One line move per nonzero of s, a 0/1 operand (Gustavson, ACM
-    TOMS 1978): on the left a nonzero s_ik moves row k of d onto row i,
-    on the right a nonzero s_kj moves column k of d onto column j, as one
-    slice. Without `out` the moves build s d (left=True) or d s in a new
-    list, storing a line into an empty target and adding it (`add_all`)
-    to a filled one; with `out` they subtract each line from it
-    (`sub_all`), leaving out - s d or out - d s. Zero payloads (0 and ())
-    are the only falsy ones."""
-    # a line starts every `span` entries and steps `step` along itself
-    span, step = (n, 1) if left else (1, n)
-    end = n * step
-    if out is None:
-        out, filled, move = _placed(ring, n), [False] * n, ring.add_all
-    else:
-        filled, move = [True] * n, ring.sub_all
-    for idx in compress(range(n * n), s):
-        if left:
-            i, k = divmod(idx, n)
-        else:
-            k, i = divmod(idx, n)
-        src, dst = k * span, i * span
-        line = d[src : src + end : step]
-        if filled[i]:
-            line = move(out[dst : dst + end : step], line)
-        out[dst : dst + end : step] = line
-        filled[i] = True
-    return out
+@cache
+def _probe_gathers(n, support):
+    """The two maps that give a s and s a from `a.entries + (zero,)`, for
+    the n x n 0/1 operand s whose ones sit at the row-major positions
+    `support`, built once per (n, support); None unless s is a partial
+    permutation (no two ones in one row or one column). A one at (k, j)
+    makes column j of a s column k of a, and row k of s a row j of a;
+    every other line of either product reads the appended zero, at
+    position n*n."""
+    size = n * n
+    ab, ba = [size] * size, [size] * size
+    rows, cols = set(), set()
+    for idx in support:
+        k, j = divmod(idx, n)
+        if k in rows or j in cols:
+            return None
+        rows.add(k)
+        cols.add(j)
+        ab[j::n] = range(k, size, n)
+        ba[k * n : k * n + n] = range(j * n, j * n + n)
+    return _gather(ab), _gather(ba)
 
 
 class SymmetricMatrix(Matrix):
@@ -341,9 +334,11 @@ def probe_x0(ring, n):
 def commutator(a, b):
     """[a, b] = ab - ba. For typed a and b, ba = sign (ab)^T with
     sign = a.parity * b.parity, so [a, b] = p - sign p^T with p = ab: one
-    product, and the result has parity -sign. Otherwise, if b is a 0/1
-    operand, line moves build ab and then subtract ba line by line, on
-    every ring and at every n. Every other pair takes ab - ba."""
+    product, and the result has parity -sign. Otherwise, if b is a partial
+    permutation (a probe: at most one 1 in each row and each column, 0
+    elsewhere), ab and ba are two gathers of a's entries (see
+    `_probe_gathers`) and one `sub_all`, on every ring and at every n.
+    Every other pair takes ab - ba."""
     sign = a.parity * b.parity
     if sign:
         return _plus_transpose(a * b, -sign)
@@ -352,10 +347,12 @@ def commutator(a, b):
     size, s = n * n, b.entries
     zeros = s.count(ring.zero.payload)
     if zeros >= size - n and zeros + s.count(ring.one.payload) == size:
-        # ab is a s, moved column by column; ba is s a, row by row
-        out = _line_moves(ring, n, s, a.entries, False)
-        _line_moves(ring, n, s, a.entries, True, out)
-        return Matrix(ring, n, tuple(out))
+        # the ones of b; zero payloads (0 and ()) are the only falsy ones
+        gathers = _probe_gathers(n, tuple(compress(range(size), s)))
+        if gathers is not None:
+            ab, ba = gathers
+            ext = a.entries + (ring.zero.payload,)
+            return Matrix(ring, n, ring.sub_all(ab(ext), ba(ext)))
     return a * b - b * a
 
 

@@ -17,13 +17,14 @@ kernel generated from the length and the op alone on first use, which
 unpacks each operand into locals once and returns one tuple literal of
 the reduced entries. Z_m[t] maps its scalar op. `plus_transpose`
 computes each entry on and above the diagonal once and mirrors it below,
-negated when sign is -1: on Z_m through `_mirrored(n, sign)`, a kernel
-generated from n and sign alone on first use, on Z_m[t] as a loop over
-the scalar ops that scales each coefficient by the unit scale's one
-coefficient (faster than transposing, adding and scaling whole tuples).
-Every matrix product goes to `matmul`; on both rings and at every n, a
-commutator whose right operand is 0/1 is built instead by line moves
-through `add_all` and `sub_all` (see `derivring.matrices`). A
+negated when sign is -1, through `_mirrored(n, sign)`, a kernel
+generated from n and sign alone on first use. Z_m runs it on the
+residues. On Z_m[t] the scale is a unit constant, so the map is
+Z_m-linear and keeps each power of t apart: Z_m[t] runs the same kernel
+once per coefficient plane and strips each result. Every matrix product
+goes to `matmul`; on both rings and at every n, a commutator whose right
+operand is a partial permutation is built instead from two gathers and
+one `sub_all` (see `derivring.matrices`). A
 `RingElement` pairs a payload with its ring only where the scalar API
 hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
 operators call the same ring ops behind one ring-mismatch check.
@@ -74,7 +75,7 @@ the entries alone: a residue needs no packing.
 from __future__ import annotations
 
 from functools import cache
-from itertools import count, islice, repeat
+from itertools import count, islice, repeat, zip_longest
 
 from .errors import DomainError, InvalidRing
 
@@ -331,14 +332,14 @@ def _entrywise(size, op):
 
 @cache
 def _mirrored(n, sign):
-    """The Z_m symmetrisation kernel, built once per (n, sign): the map
-    from the row-major residues p of an n x n matrix, a scale s and the
-    modulus m to the residues of (p + sign p^T) s. The source is
-    generated from n and sign alone: it unpacks p into n*n locals and
-    sums each pair above the diagonal once, (p_ij + sign p_ji) s mod m
-    for i < j; each lower entry copies its upper entry, negated mod m
-    when sign is -1, and a diagonal entry is 2 p_ii s mod m, or 0 when
-    sign is -1. No pair is summed twice."""
+    """The symmetrisation kernel of both rings, built once per (n, sign):
+    the map from the row-major residues p of an n x n matrix (on Z_m[t],
+    one coefficient plane), a scale s and the modulus m to the residues
+    of (p + sign p^T) s. The source is generated from n and sign alone:
+    it unpacks p into n*n locals and sums each pair above the diagonal
+    once, (p_ij + sign p_ji) s mod m for i < j; each lower entry copies
+    its upper entry, negated mod m when sign is -1, and a diagonal entry
+    is 2 p_ii s mod m, or 0 when sign is -1. No pair is summed twice."""
     op = "+" if sign > 0 else "-"
     lines = []
     out = []
@@ -577,25 +578,18 @@ class PolyRing(_ReadOnly):
         return tuple([mul(s, x) for x in a])
 
     def plus_transpose(self, n, entries, sign, scale=None):
-        """The payloads of (p + sign p^T) * scale, as on Z_m: each pair
-        above the diagonal is combined (and scaled) once and mirrored
-        below, negated when sign is -1. A diagonal entry is p_ii + p_ii
-        (scaled), or zero when sign is -1. `scale` is the payload of a
-        unit constant (1/2 or 1/4), so each coefficient is multiplied by
-        its one coefficient and no leading coefficient becomes zero."""
-        combine = self.add if sign > 0 else self.sub
-        neg, m = self.neg, self.base.modulus
-        c = None if scale is None else scale[0]
-        skew = sign < 0
-        out = [()] * (n * n)
-        for i in range(n):
-            for j in range(i + 1 if skew else i, n):
-                u = combine(entries[i * n + j], entries[j * n + i])
-                if c is not None:
-                    u = tuple([x * c % m for x in u])
-                out[i * n + j] = u
-                out[j * n + i] = neg(u) if skew else u
-        return tuple(out)
+        """The payloads of (p + sign p^T) * scale, through the Z_m kernel
+        `_mirrored(n, sign)`. `scale` is the payload of a unit constant
+        (1/2 or 1/4), so the map is Z_m-linear and keeps each power of t
+        apart: the entries are padded to one length, each coefficient
+        plane is symmetrised with the scale's one coefficient, and each
+        result is stripped (p_ij + sign p_ji can cancel a leading term)."""
+        mirrored, m = _mirrored(n, sign), self.base.modulus
+        c = 1 if scale is None else scale[0]
+        planes = [mirrored(q, c, m) for q in zip_longest(*entries, fillvalue=0)]
+        if not planes:
+            return entries  # every entry is zero
+        return tuple([u if u[-1] else _strip(list(u)) for u in zip(*planes)])
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b by

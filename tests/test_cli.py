@@ -1,5 +1,6 @@
 """The command-line front end: flags, exit codes, report determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -378,6 +379,40 @@ class TestColdImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_cli_builds_no_cached_kernel(self):
+        # every generated kernel and gather table is built on first use:
+        # each module-level `functools.cache` builder of the package,
+        # found by its `cache_info`, is still empty after the import
+        code = (
+            "import sys; sys.path.insert(0, 'src'); import derivring.cli\n"
+            "built = {}\n"
+            "for name, mod in list(sys.modules.items()):\n"
+            "    if name.startswith('derivring'):\n"
+            "        for attr, fn in vars(mod).items():\n"
+            "            if hasattr(fn, 'cache_info') and fn.__module__ == name:\n"
+            "                built[f'{name[10:]}.{attr}'] = fn.cache_info().currsize\n"
+            "print(sorted(built.items()))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parent.parent,
+        )
+        assert result.returncode == 0, result.stderr
+        built = dict(ast.literal_eval(result.stdout))
+        assert {
+            "matrices._probe_gathers",
+            "matrices._transposer",
+            "rings._dot_products",
+            "rings._entrywise",
+            "rings._mirrored",
+            "rings._residues",
+            "sampling._mirror",
+            "sampling._toeplitz",
+        } <= set(built)
+        assert not any(built.values()), built
 
 
 class TestConsoleScript:

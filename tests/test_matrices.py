@@ -2,6 +2,7 @@
 symmetry predicates and the checked symmetric/skew types, and the shift
 probe."""
 
+import itertools
 import operator
 import random
 import subprocess
@@ -263,8 +264,8 @@ class TestPayloadKernel:
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     def test_every_product_reaches_the_dense_kernel(self, monkeypatch, ring):
-        # probes too; only a commutator whose right operand is 0/1 is
-        # built without the kernel
+        # probes too; only a commutator whose right operand is a partial
+        # permutation is built without the kernel
         n = 4
         a = random_entries(ring, n, random.Random(3), 4, 0.0)
         unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
@@ -386,27 +387,46 @@ def literal_bracket(a, b):
     return literal_product(a, b) - literal_product(b, a)
 
 
+def partial_permutation(ring, n, pairs):
+    """The 0/1 matrix with a one at each 0-based (row, column) of `pairs`."""
+    ent = [ring.zero.payload] * (n * n)
+    for k, j in pairs:
+        ent[k * n + j] = ring.one.payload
+    return Matrix(ring, n, tuple(ent))
+
+
+def random_partial_permutation(ring, n, rng, count):
+    """A partial permutation with `count` ones, at random rows and columns."""
+    rows, cols = rng.sample(range(n), count), rng.sample(range(n), count)
+    return partial_permutation(ring, n, zip(rows, cols))
+
+
+def every_partial_permutation(ring, n):
+    """Every n x n partial permutation: the zero matrix, each e_{i,j}, ...,
+    each full permutation matrix."""
+    for count in range(n + 1):
+        for rows in itertools.combinations(range(n), count):
+            for cols in itertools.permutations(range(n), count):
+                yield partial_permutation(ring, n, zip(rows, cols))
+
+
 class TestProductPath:
     """Every `Matrix.__mul__` of two matrices reaches `ring.matmul`. The
-    0/1 rule lives in `commutator`: on every ring and at every n, an
-    untyped commutator whose right operand is 0/1 (at most n nonzero
-    entries, each of them one) is built by `_line_moves`, two calls, and
-    reaches neither `Matrix.__mul__` nor `ring.matmul`. Every other pair
-    (a 0/1 left operand with a general right one too) takes ab - ba: two
-    products, each through the kernel. Counted by wrapping all three."""
+    probe rule lives in `commutator`: on every ring and at every n, an
+    untyped commutator whose right operand is a partial permutation (at
+    most one 1 in each row and each column, 0 elsewhere) is two gathers
+    of the left operand's entries and one `sub_all`, and reaches neither
+    `Matrix.__mul__` nor `ring.matmul`. Every other pair (a probe on the
+    left, ones sharing a line, a non-one nonzero, more than n ones) takes
+    ab - ba: two products, each through the kernel. Counted by wrapping
+    both."""
 
     @staticmethod
     def counted(monkeypatch, ring):
-        """Three lists that grow by one per call of `_line_moves`, of
-        `Matrix.__mul__` on two matrices, and of `ring.matmul`."""
-        moves, products, kernel = [], [], []
-        real_moves, real_mul, real_matmul = (
-            matrices._line_moves, Matrix.__mul__, type(ring).matmul
-        )
-
-        def counting_moves(*args, **kwargs):
-            moves.append(args[1])
-            return real_moves(*args, **kwargs)
+        """Two lists that grow by one per call of `Matrix.__mul__` on two
+        matrices, and of `ring.matmul`."""
+        products, kernel = [], []
+        real_mul, real_matmul = Matrix.__mul__, type(ring).matmul
 
         def counting_mul(self, other):
             if isinstance(other, Matrix):
@@ -417,10 +437,9 @@ class TestProductPath:
             kernel.append(a.n)
             return real_matmul(self, a, b)
 
-        monkeypatch.setattr(matrices, "_line_moves", counting_moves)
         monkeypatch.setattr(Matrix, "__mul__", counting_mul)
         monkeypatch.setattr(type(ring), "matmul", counting_matmul)
-        return moves, products, kernel
+        return products, kernel
 
     @staticmethod
     def tally(lists):
@@ -439,50 +458,57 @@ class TestProductPath:
         ent[0] = ring.element(2).payload
         return Matrix(ring, n, tuple(ent))
 
-    @pytest.mark.parametrize("ring", [Zmod(3), Z9, BIG], ids=str)
-    def test_zmod_probe_commutators_take_line_moves(self, monkeypatch, ring):
-        moves, products, kernel = self.counted(monkeypatch, ring)
-        for n in range(1, 7):
-            rng = random.Random(n)
-            dense = self.general(ring, n, rng, 0)
-            # at n = 1 the one probe is e_{1,1}; x0 needs n >= 2
-            probes = [matrix_unit(ring, n, 1, min(2, n))]
-            if n > 1:
-                probes.append(probe_x0(ring, n))
-            for probe in probes:
-                before = len(moves)
-                assert commutator(dense, probe) == literal_bracket(dense, probe)
-                assert moves[before:] == [n, n]
-                assert products == kernel == []
-                # the left operand is not scanned: [probe, a] is ab - ba
-                assert commutator(probe, dense) == literal_bracket(probe, dense)
-                assert moves[before:] == [n, n]
-                assert products == kernel == [n, n]
-                del products[:], kernel[:]
-            for x, y in ((dense, probe), (probe, dense), (dense, dense)):
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_probe_commutators_take_two_gathers(self, monkeypatch, ring, n):
+        products, kernel = self.counted(monkeypatch, ring)
+        rng = random.Random(n)
+        dense = self.general(ring, n, rng, 3)
+        idx = range(1, n + 1)
+        probes = [matrix_unit(ring, n, i, j) for i in idx for j in idx]
+        if n > 1:
+            probes.append(probe_x0(ring, n))
+        probes.append(Matrix.zero(ring, n))
+        probes.append(random_partial_permutation(ring, n, rng, n))
+        probes += [
+            random_partial_permutation(ring, n, rng, rng.randint(1, n))
+            for _ in range(4)
+        ]
+        for probe in probes:
+            assert commutator(dense, probe) == literal_bracket(dense, probe)
+            assert products == kernel == []
+            # the left operand is not scanned: [probe, a] is ab - ba
+            assert commutator(probe, dense) == literal_bracket(probe, dense)
+            assert products == kernel == [n, n]
+            del products[:], kernel[:]
+            for x, y in ((dense, probe), (probe, dense)):
                 assert x * y == literal_product(x, y)
-            assert products == kernel == [n] * 3
+            assert products == kernel == [n, n]
             del products[:], kernel[:]
 
-    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_poly_zero_one_commutators_take_line_moves(self, monkeypatch, ring, n):
-        moves, products, kernel = self.counted(monkeypatch, ring)
-        rng = random.Random(n)
-        dense = random_entries(ring, n, rng, 3, 0.0)
+    def test_ones_sharing_a_line_take_the_kernel(self, monkeypatch, ring, n):
+        # e_11 + e_21 (two ones in a column) and e_11 + e_12 (in a row)
+        # are 0/1 with at most n ones but no partial permutation: ab - ba.
+        # A random 0/1 operand takes the kernel exactly when its ones meet.
+        counts = self.counted(monkeypatch, ring)
+        rng = random.Random(20 + n)
+        dense = self.general(ring, n, rng, 3)
+        operands = []
+        if n > 1:
+            for i, j in ((2, 1), (1, 2)):
+                pair = matrix_unit(ring, n, 1, 1) + matrix_unit(ring, n, i, j)
+                operands.append((pair, True))
         for count in range(n + 1):
-            sparse = with_support(ring, n, rng, count, 1.0)
-            for x, y in ((dense, sparse), (sparse, dense)):
-                # line moves only when the 0/1 operand is on the right
-                right = y is sparse
-                before = len(moves)
-                assert commutator(x, y) == literal_bracket(x, y)
-                assert len(moves) == before + (2 if right else 0)
-                assert products == kernel == ([] if right else [n, n])
-                del products[:], kernel[:]
-                assert x * y == literal_product(x, y)
-                assert products == kernel == [n]
-                del products[:], kernel[:]
+            s = with_support(ring, n, rng, count, 1.0)
+            ones = [divmod(k, n) for k, x in enumerate(s.entries) if x]
+            rows, cols = ({line[side] for line in ones} for side in (0, 1))
+            operands.append((s, len(rows) < count or len(cols) < count))
+        for s, shared in operands:
+            before = self.tally(counts)
+            assert commutator(dense, s) == literal_bracket(dense, s)
+            assert self.grown(counts, before) == ([2, 2] if shared else [0, 0])
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -500,22 +526,21 @@ class TestProductPath:
             values.append(ring.t.payload)
         for count in range(1, n + 1):
             for value in values:
-                ent = list(with_support(ring, n, rng, count, 1.0).entries)
+                ent = list(random_partial_permutation(ring, n, rng, count).entries)
                 ent[rng.choice([k for k, x in enumerate(ent) if x])] = value
                 s = Matrix(ring, n, tuple(ent))
                 for x, y in ((dense, s), (s, dense)):
                     before = self.tally(counts)
                     assert x * y == literal_product(x, y)
                     assert commutator(x, y) == literal_bracket(x, y)
-                    assert self.grown(counts, before) == [0, 3, 3]
-        assert counts[0] == []
+                    assert self.grown(counts, before) == [3, 3]
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(2, 7))
     def test_more_than_n_ones_take_the_kernel(self, monkeypatch, ring, n):
-        # n + 1 ones and no other nonzero: not a 0/1 operand, so the
-        # commutator takes ab - ba, whether or not both sides have ones
-        moves, products, kernel = self.counted(monkeypatch, ring)
+        # n + 1 ones and no other nonzero: not a partial permutation, so
+        # the commutator takes ab - ba, whether or not both sides have ones
+        products, kernel = self.counted(monkeypatch, ring)
         rng = random.Random(40 + n)
         dense = random_entries(ring, n, rng, 3, 0.0)
         for _ in range(4):
@@ -525,7 +550,6 @@ class TestProductPath:
                 before = len(kernel)
                 assert commutator(x, y) == literal_bracket(x, y)
                 assert len(kernel) == before + 2
-        assert moves == []
 
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
     def test_non_one_sparse_operands_match_literal_product(self, ring):
@@ -549,11 +573,11 @@ class TestProductPath:
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lines_added_twice_and_scaled_lines(self, ring, n):
-        # e_11 + e_21 on the right and e_11 + e_12 on the left move two
-        # lines of the other operand onto one, in both passes of a
-        # commutator's line moves, and fail if the moves drop their
-        # `add_all` or `sub_all`; their multiples by z and z I have non-one
-        # nonzeros, take the kernel and check its values.
+        # e_11 + e_21 and e_11 + e_12 have two ones in a column or a row,
+        # so each product adds two lines of the other operand into one; a
+        # probe rule that let them through as gathers would keep one of
+        # the two. Their multiples by z and z I have non-one nonzeros,
+        # take the kernel and check its values.
         z = ring.element(2) if isinstance(ring, Zmod) else ring.t + ring.element(2)
         dense = random_entries(ring, n, random.Random(n), 3, 0.0)
         operands = [Matrix.scalar(z, n)]
@@ -590,7 +614,8 @@ def zero_divisor_leads(ring, n, rng):
 
 class TestZeroOneCommutator:
     """`commutator` with a 0/1 operand, on either side or both, against
-    ab - ba built from `ring.matmul`, at every n from 1 to 6."""
+    ab - ba built from `ring.matmul`, at every n from 1 to 6; and with
+    a partial permutation on the right against the literal ab - ba."""
 
     RINGS = [Zmod(3), Z9, Zmod(1000003), P5, P9]
 
@@ -622,6 +647,31 @@ class TestZeroOneCommutator:
             assert out == matmul_bracket(x, y)
             assert type(out) is Matrix
             assert all(is_canonical(ring, p) for p in out.entries)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partial_permutations_match_literal_bracket(self, ring, n):
+        # every partial permutation at n <= 3, random ones of each size at
+        # n = 4..8, on the right of general operands (Z_9[t]: zero-divisor
+        # leading coefficients, which a difference can cancel)
+        rng = random.Random(800 + n)
+        if n <= 3:
+            probes = list(every_partial_permutation(ring, n))
+        else:
+            probes = [
+                random_partial_permutation(ring, n, rng, count)
+                for count in range(n + 1)
+                for _ in range(2)
+            ]
+        general = [random_entries(ring, n, rng, 3, 0.0), worst_case(ring, n, 3)]
+        if ring is P9:
+            general.append(zero_divisor_leads(ring, n, rng))
+        for a in general:
+            for probe in probes:
+                out = commutator(a, probe)
+                assert out == literal_bracket(a, probe)
+                assert type(out) is Matrix
+                assert all(is_canonical(ring, p) for p in out.entries)
 
 
 def int_dot_products(n, a, b):
@@ -724,19 +774,39 @@ def literal_plus_transpose(p, sign, scale):
     return out if scale is None else out * scale
 
 
+def cancelling_leads(ring, n, rng):
+    """An n x n matrix whose pairs above the diagonal cancel their leading
+    terms: p_ij leads with c t^k and p_ji with -c t^k (p_ij + p_ji drops
+    its top) or c t^k (p_ij - p_ji does), alternately, below which each
+    entry has random coefficients of its own length. c is 3 or 6 where m
+    is 9, zero divisors; on Z_m each entry is its lead alone."""
+    m, poly = modulus(ring), isinstance(ring, PolyRing)
+    ent = [ring.element(rng.randrange(m)).payload for _ in range(n * n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rng.choice((3, 6)) if m == 9 else rng.randrange(1, m)
+            k = rng.randrange(4) if poly else 0
+            for idx, lead in ((i * n + j, c), (j * n + i, -c if (i + j) % 2 else c)):
+                low = [rng.randrange(m) for _ in range(rng.randrange(k + 1))]
+                coeffs = low + [0] * (k - len(low)) + [lead]
+                ent[idx] = ring.element(coeffs if poly else lead).payload
+    return Matrix(ring, n, tuple(ent))
+
+
 class TestMirroredKernel:
     """`ring.plus_transpose(n, entries, sign, scale)`, which builds
-    (p + sign p^T) * scale mirrored from its upper triangle (on Z_m
-    through the generated `rings._mirrored(n, sign)`), against the
-    literal formula; and `_plus_transpose`, which still returns through
-    the checked constructor."""
+    (p + sign p^T) * scale mirrored from its upper triangle through the
+    generated `rings._mirrored(n, sign)` (on Z_m[t] once per coefficient
+    plane), against the literal formula; and `_plus_transpose`, which
+    still returns through the checked constructor."""
 
-    RINGS = [Zmod(3), Z9, Zmod(1000003), P5]
+    RINGS = [Zmod(3), Z9, Zmod(1000003), P5, P9]
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 10))
     def test_ring_op_matches_literal(self, ring, n):
-        # all-(m-1) entries make every p_ij + p_ji pass m
+        # all-(m-1) entries make every p_ij + p_ji pass m; random entries
+        # have unequal lengths, and `cancelling_leads` loses top terms
         rng = random.Random(n)
         half = ring.half
         scales = [None, half, half * half]
@@ -745,6 +815,8 @@ class TestMirroredKernel:
             random_entries(ring, n, rng, 3, 0.5),
             worst_case(ring, n, 3),
             Matrix.zero(ring, n),
+            cancelling_leads(ring, n, rng),
+            cancelling_leads(ring, n, rng),
         ]
         for p in operands:
             for sign in (1, -1):
