@@ -370,9 +370,6 @@ SUITES = {
     "jordan-theorem": _jordan_theorem,
 }
 
-# the settings a suite may leave unread, which must then keep their default
-_OPTIONAL = ("noise", "delta", "samples", "max_len")
-
 # suite name -> {setting it reads: least value, or None for no minimum};
 # n is read by every suite, and extend's n >= 2 is checked by extend_tower
 SETTINGS = {
@@ -385,3 +382,9 @@ SETTINGS = {
     "jordan-diag": {"n": 1},
     "jordan-theorem": {"n": 2, "samples": 1},
 }
+
+# the settings of SETTINGS but n, which a suite that leaves them unread
+# must keep at their default
+_OPTIONAL = tuple(
+    dict.fromkeys(k for reads in SETTINGS.values() for k in reads if k != "n")
+)

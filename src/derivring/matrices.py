@@ -4,21 +4,23 @@ subspace H_n(R) and the skew matrices.
 
 Public row/column indices run from 1 to match the e_{i,j} notation;
 storage is 0-based row-major. Each builder checks its dimension (n >= 1)
-and its indices through one rule each, and `require_shape` is the one
-check that a map's argument, or a second operand, is an n x n matrix
-over the expected ring. The ring belongs to the matrix: `entries` holds
-bare canonical payloads (ints for Z_m, coefficient tuples for Z_m[t]),
-and the ring owns the arithmetic on them (see `derivring.rings`). `+`,
-`-`, negation and scaling hand whole entry tuples to the ring's tuple
-ops (`add_all`, `sub_all`, `neg_all`, `scale_all`; on Z_m one
-straight-line kernel per length and op, on Z_m[t] the scalar op
-mapped), and equality compares payload tuples. One transpose order per
-n, built once, serves `transpose`, `is_symmetric` (a^T == a) and
-`is_skew` (a^T == -a); both predicates compare the whole tuples.
-`p + sign p^T`, scaled or not, is the ring's `plus_transpose`, which
-computes each entry on and above the diagonal once and mirrors it below
-(one generated kernel per n and sign, run once per coefficient plane on
-Z_m[t]). Only `entry` builds a ring element.
+and its indices through one rule each; z*I, the shift probe x0 and the
+sampled x0-commutants are all polynomials in x0, built by the one gather
+of `_upper_toeplitz`. `require_shape` is the one check that a map's
+argument, or a second operand, is an n x n matrix over the expected
+ring. The ring belongs to the matrix: `entries` holds bare canonical
+payloads (ints for Z_m, coefficient tuples for Z_m[t]), and the ring
+owns the arithmetic on them (see `derivring.rings`). `+`, `-`, negation
+and scaling hand whole entry tuples to the ring's tuple ops (`add_all`,
+`sub_all`, `neg_all`, `scale_all`; on Z_m one straight-line kernel per
+length and op, on Z_m[t] the scalar op mapped), and equality compares
+payload tuples. One transpose order per n, built once, serves
+`transpose`, `is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both
+predicates compare the whole tuples. `p + sign p^T`, scaled or not, is
+the ring's `plus_transpose`, which computes each entry on and above the
+diagonal once and mirrors it below (one generated kernel per n and sign,
+run once per coefficient plane on Z_m[t]). Only `entry` builds a ring
+element.
 
 Every product ab of two matrices goes to the ring's dense kernel
 `ring.matmul(a, b)`, with no scan of its operands. The probe rule lives
@@ -51,11 +53,7 @@ Z_5[t], CPython 3.11 on a 2-vCPU x86-64 host):
     7    5.12 / 15.89  4.93 / 15.55   11.14 / 52.85  36.23 /  86.68
     8    7.16 / 23.33  5.98 / 21.42   13.08 / 66.84  46.75 / 111.91
 
-The gathers win at every n on both rings. They subtract all n*n
-entries, where the line moves they replaced moved one line per one of
-the probe. So in the same runs line moves stayed ahead on e_{1,2} from
-n = 6 on Z_9 and from n = 5 on Z_5[t] (5.16 and 9.49 us at n = 8), and
-behind on x0 at every n (11.37 and 53.03 us at n = 8).
+The gathers win at every n on both rings.
 The Kronecker kernel keeps each matrix's packed entries for each slot
 width in its `_packings` slot, set on its first dense product (never in
 __init__) and used only while `entries` is the tuple it packed (see
@@ -134,8 +132,7 @@ class Matrix:
     @classmethod
     def scalar(cls, z, n):
         """z * I: the central matrix with z on the diagonal."""
-        cells = (((i, i), z.payload) for i in range(1, n + 1))
-        return cls(z.ring, n, tuple(_placed(z.ring, n, cells)))
+        return cls(z.ring, n, _upper_toeplitz(z.ring, n, (z.payload,)))
 
     @classmethod
     def of(cls, mat):
@@ -234,16 +231,6 @@ def _index(n, i, j):
     return (i - 1) * n + (j - 1)
 
 
-def _placed(ring, n, cells):
-    """The row-major entries, as a list, of the n x n matrix over `ring`
-    with each payload of `cells`, pairs ((i, j), payload), at its (i, j)
-    and zero elsewhere."""
-    out = [ring.zero.payload] * (_require_dimension(n) * n)
-    for (i, j), payload in cells:
-        out[_index(n, i, j)] = payload
-    return out
-
-
 def require_shape(x, ring, n):
     """DomainError unless `x` is an n x n matrix over `ring`."""
     if x.n != n or (x.ring is not ring and x.ring != ring):
@@ -265,6 +252,23 @@ def _transposer(n):
     """The map from the row-major entries of an n x n matrix to those of
     its transpose, built once per n."""
     return _gather([j * n + i for i in range(n) for j in range(n)])
+
+
+def _upper_toeplitz(ring, n, c):
+    """The one builder of R[x0], the centraliser of the shift probe x0:
+    the row-major entries of c_0 + c_1 x0 + ..., with c[j - i] at (i, j)
+    for j >= i and zero below the diagonal and wherever c has no entry.
+    c = (z,) gives z*I, c = (0, 1) gives x0, and the samplers draw c."""
+    zero = ring.zero.payload
+    return _toeplitz(_require_dimension(n))(c + (zero,) * (n + 1 - len(c)))
+
+
+@cache
+def _toeplitz(n):
+    """The map from (c_0, ..., c_{n-1}, 0) to the row-major entries of the
+    upper-triangular Toeplitz matrix of c, built once per n: (i, j) takes
+    c_{j-i} for j >= i and the trailing zero below the diagonal."""
+    return _gather([j - i if j >= i else n for i in range(n) for j in range(n)])
 
 
 @cache
@@ -320,15 +324,17 @@ class SkewMatrix(Matrix):
 
 def matrix_unit(ring, n, i, j):
     """e_{i,j}: 1 at (i, j) and 0 elsewhere."""
-    return Matrix(ring, n, tuple(_placed(ring, n, [((i, j), ring.one.payload)])))
+    out = [ring.zero.payload] * (_require_dimension(n) * n)
+    out[_index(n, i, j)] = ring.one.payload
+    return Matrix(ring, n, tuple(out))
 
 
 def probe_x0(ring, n):
     """The superdiagonal shift e_{1,2} + e_{2,3} + ... + e_{n-1,n}."""
     if n < 2:
         raise DomainError("the shift probe needs n >= 2")
-    cells = (((k, k + 1), ring.one.payload) for k in range(1, n))
-    return Matrix(ring, n, tuple(_placed(ring, n, cells)))
+    c = (ring.zero.payload, ring.one.payload)
+    return Matrix(ring, n, _upper_toeplitz(ring, n, c))
 
 
 def commutator(a, b):

@@ -12,23 +12,20 @@ payload tuples), the dense product `matmul(a, b)` of two n x n matrices,
 which returns the row-major payloads of ab, and the symmetrisation
 `plus_transpose(n, entries, sign, scale)`, which returns those of
 (p + sign p^T) * scale. Matrices store bare payloads and hand whole entry
-tuples to the tuple ops. Z_m runs each through `_entrywise(size, op)`, a
-kernel generated from the length and the op alone on first use, which
-unpacks each operand into locals once and returns one tuple literal of
-the reduced entries. Z_m[t] maps its scalar op. `plus_transpose`
-computes each entry on and above the diagonal once and mirrors it below,
-negated when sign is -1, through `_mirrored(n, sign)`, a kernel
-generated from n and sign alone on first use. Z_m runs it on the
-residues. On Z_m[t] the scale is a unit constant, so the map is
-Z_m-linear and keeps each power of t apart: Z_m[t] runs the same kernel
-once per coefficient plane and strips each result. Every matrix product
-goes to `matmul`; on both rings and at every n, a commutator whose right
-operand is a partial permutation is built instead from two gathers and
-one `sub_all` (see `derivring.matrices`). A
-`RingElement` pairs a payload with its ring only where the scalar API
-hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
-operators call the same ring ops behind one ring-mismatch check.
-Rings, elements and base derivations are read-only (see `_ReadOnly`).
+tuples to the tuple ops. Z_m runs each through `_entrywise(size, op)`;
+Z_m[t] maps its scalar op. `plus_transpose` computes each entry on and
+above the diagonal once and mirrors it below, negated when sign is -1,
+through `_mirrored(n, sign)`. Z_m runs it on the residues. On Z_m[t]
+the scale is a unit constant, so the map is Z_m-linear and keeps each
+power of t apart: Z_m[t] runs the same kernel once per coefficient
+plane and strips each result. Every matrix product goes to `matmul`; on
+both rings and at every n, a commutator whose right operand is a
+partial permutation is built instead from two gathers and one `sub_all`
+(see `derivring.matrices`). A `RingElement` pairs a payload with its
+ring only where the scalar API hands one out (`ring.element`,
+`ring.sample`, `Matrix.entry`), and its operators call the same ring ops
+behind one ring-mismatch check. Rings, elements and base derivations
+are read-only (see `_ReadOnly`).
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -40,28 +37,29 @@ coefficients from one base draw and strips each chunk. So a seed gives
 the values that one `randrange` per coefficient gives, and the tests
 pin that against a literal per-coefficient reference.
 
-Both rings take their dense products from one kernel over ints,
-`_dot_products(n, reduced)`, built once per (n, reduced) on first use:
-Python source generated from n and `reduced` alone, which unpacks the
-second operand into n*n locals once and each row of the first into n
-locals, and returns the n*n dot products as straight-line sums, with no
-call per entry. On Z_m the entries are the ints, and the reduced kernel
-ends each sum in % m, so the kernel returns the residues. On Z_m[t],
-products use Kronecker substitution (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", JSC 2009): each
-polynomial is packed into one int with a `bits`-wide slot per
-coefficient, the kernel sums the packed ints, and each result is
-unpacked once, every slot reduced mod m and trailing zeros stripped (a
-leading term can vanish mod a composite m: 3t * 3t = 0 in Z_9[t]).
-Coefficients are residues in [0, m), so a coefficient of an n-term dot
-product of polynomials with at most la and lb coefficients is at most
-n * min(la, lb) * (m - 1)**2; `_slot_bits` makes each slot that wide,
-so no slot carries into the next. When that bound is below 256 (only
-possible for m <= 15) each slot is one byte: a polynomial packs with
-one `int.from_bytes` and a result unpacks with one `to_bytes`, one
-`bytes.translate` through a table of v % m and one `rstrip`. Wider
-slots are packed and unpacked one shift per coefficient. A single
-product is the case n = 1, except that a zero operand gives zero.
+Every kernel is Python source generated from its cache key alone and
+compiled on first use. It unpacks each operand into locals once and
+computes each entry as one straight-line expression over them, with no
+call per entry. `_straight_line` writes `_entrywise(size, op)` and
+`_mirrored(n, sign)`, each returning one tuple literal; the dense
+product of both rings, `_dot_products(n, reduced)`, loops over the rows
+of its first operand, one tuple of n dot products per row. On Z_m the
+entries are the ints, and the reduced kernel ends each sum in % m, so it
+returns the residues. On Z_m[t], products use Kronecker substitution
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", JSC 2009): each polynomial is packed into one int with a
+`bits`-wide slot per coefficient, the kernel sums the packed ints, and
+each result is unpacked once, every slot reduced mod m and trailing
+zeros stripped (a leading term can vanish mod a composite m: 3t * 3t = 0
+in Z_9[t]). Coefficients are residues in [0, m), so a coefficient of an
+n-term dot product of polynomials with at most la and lb coefficients is
+at most n * min(la, lb) * (m - 1)**2; `_slot_bits` makes each slot that
+wide, so no slot carries into the next. When that bound is below 256
+(only possible for m <= 15) each slot is one byte: a polynomial packs
+with one `int.from_bytes` and a result unpacks with one `to_bytes`, one
+`bytes.translate` through a table of v % m and one `rstrip`. Wider slots
+are packed and unpacked one shift per coefficient. A single product is
+the case n = 1, except that a zero operand gives zero.
 
 A matrix keeps, in its `_packings` slot, its longest entry length and
 its packed entries for each slot width `PolyRing.matmul` has multiplied
@@ -266,19 +264,39 @@ def _packed(memo, bits):
     return packed
 
 
+def _compiled(name, label, source):
+    """The function `name` defined by the generated `source`, compiled
+    under the file name `<label>` that tracebacks and profiles show."""
+    namespace = {}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _straight_line(name, params, operands, size, outputs):
+    """The kernel `def name(params)` as straight-line code: each operand
+    named in `operands` is unpacked into `size` locals once (operand a
+    into a0, a1, ...; none at size 0), and one tuple literal of the
+    `outputs` expressions is returned."""
+    lines = [f"def {name}({params}):\n"]
+    if size:
+        for x in operands:
+            lines.append(f"    {', '.join([f'{x}{k}' for k in range(size)])}, = {x}\n")
+    # a comma after each output, so one output is a tuple and none is ()
+    lines.append(f"    return ({''.join([f'{e}, ' for e in outputs])})\n")
+    return _compiled(name, f"{name}, size={size}", "".join(lines))
+
+
 @cache
 def _dot_products(n, reduced=False):
     """The dense kernel of both rings, built once per (n, reduced): the
     map from the row-major entries of two n x n matrices over the ints
     (tuples or lists) to their n*n dot products, row-major, so that item
-    i*n + j is row i of the first times column j of the second. The
-    source is generated from n and `reduced` alone and is O(n^2): the
-    second operand is unpacked into n*n locals once, then each row of
-    the first is unpacked into n locals and appends one straight-line
-    tuple of its n dot products. Raw (`PolyRing.matmul`'s packed ints),
-    the kernel returns a list of the plain sums; reduced (`Zmod.matmul`),
-    it takes the modulus m as a third argument, ends each sum in % m and
-    returns a tuple of residues."""
+    i*n + j is row i of the first times column j of the second. Its
+    source is O(n^2): the second operand is unpacked into n*n locals
+    once, each row of the first into n locals. Raw (`PolyRing.matmul`'s
+    packed ints), the kernel returns a list of the plain sums; reduced
+    (`Zmod.matmul`), it takes the modulus m as a third argument, ends
+    each sum in % m and returns a tuple of residues."""
     row = ", ".join([f"x{k}" for k in range(n)])
     second = ", ".join([f"b{k}" for k in range(n * n)])
     sums = [" + ".join([f"x{k} * b{k * n + j}" for k in range(n)]) for j in range(n)]
@@ -293,9 +311,7 @@ def _dot_products(n, reduced=False):
         f"        out += ({', '.join(sums)},)\n"
         f"    return {'tuple(out)' if reduced else 'out'}\n"
     )
-    namespace = {}
-    exec(compile(source, f"<dot products, n={n}>", "exec"), namespace)
-    return namespace["dot_products"]
+    return _compiled("dot_products", f"dot products, n={n}", source)
 
 
 # op -> (parameters, operands, entry k): the Z_m tuple ops on residues
@@ -312,22 +328,12 @@ def _entrywise(size, op):
     """The Z_m tuple-op kernel, built once per (size, op): for op "add"
     or "sub" the map (a, b, m) to the residues of a_k + b_k or a_k - b_k,
     for "neg" (a, m) to those of -a_k, for "scale" (s, a, m) to those of
-    s a_k, over operands (tuples or lists) of `size` residues each. The
-    source is generated from size and op alone: it unpacks each operand
-    into `size` locals once and returns one tuple literal of the reduced
-    entries, with no loop and no call per entry. Size 0 returns ()."""
+    s a_k, over operands (tuples or lists) of `size` residues each. It
+    passes `_straight_line` the op's `_ENTRYWISE` rule at each k as the
+    outputs, so size 0 returns ()."""
     params, operands, rule = _ENTRYWISE[op]
-    lines = [f"def {op}_all({params}):\n"]
-    if size:
-        for x in operands:
-            lines.append(f"    {', '.join([f'{x}{k}' for k in range(size)])}, = {x}\n")
-        out = ", ".join([rule.format(k=k) for k in range(size)])
-        lines.append(f"    return ({out},)\n")
-    else:
-        lines.append("    return ()\n")
-    namespace = {}
-    exec(compile("".join(lines), f"<{op}_all, size={size}>", "exec"), namespace)
-    return namespace[f"{op}_all"]
+    outputs = [rule.format(k=k) for k in range(size)]
+    return _straight_line(f"{op}_all", params, operands, size, outputs)
 
 
 @cache
@@ -335,36 +341,29 @@ def _mirrored(n, sign):
     """The symmetrisation kernel of both rings, built once per (n, sign):
     the map from the row-major residues p of an n x n matrix (on Z_m[t],
     one coefficient plane), a scale s and the modulus m to the residues
-    of (p + sign p^T) s. The source is generated from n and sign alone:
-    it unpacks p into n*n locals and sums each pair above the diagonal
-    once, (p_ij + sign p_ji) s mod m for i < j; each lower entry copies
-    its upper entry, negated mod m when sign is -1, and a diagonal entry
-    is 2 p_ii s mod m, or 0 when sign is -1. No pair is summed twice."""
+    of (p + sign p^T) s. It passes `_straight_line` the n*n entries in
+    row-major order: for i < j, (u_ij := (p_ij + sign p_ji) s mod m),
+    bound where the order first reaches the pair; its mirror (j, i) comes
+    later and reads u_ij, negated mod m when sign is -1. A diagonal entry
+    is 2 p_ii s mod m, with (d := 2 s) in entry (0, 0), or 0 when sign is
+    -1. No pair is summed twice."""
     op = "+" if sign > 0 else "-"
-    lines = []
-    out = []
+    outputs = []
     for i in range(n):
         for j in range(n):
             if i < j:
-                u = f"u{i * n + j}"
-                lines.append(f"    {u} = (p{i * n + j} {op} p{j * n + i}) * s % m\n")
-                out.append(u)
+                ij, ji = i * n + j, j * n + i
+                outputs.append(f"(u{ij} := (p{ij} {op} p{ji}) * s % m)")
             elif i > j:
                 u = f"u{j * n + i}"
-                out.append(u if sign > 0 else f"-{u} % m")
+                outputs.append(u if sign > 0 else f"-{u} % m")
+            elif sign > 0:
+                d = "(d := 2 * s)" if i == 0 else "d"
+                outputs.append(f"p{i * n + i} * {d} % m")
             else:
-                out.append(f"p{i * n + i} * d % m" if sign > 0 else "0")
-    if sign > 0:
-        lines.insert(0, "    d = 2 * s\n")
-    source = (
-        "def mirrored(p, s, m):\n"
-        f"    {', '.join([f'p{k}' for k in range(n * n)])}, = p\n"
-        f"{''.join(lines)}"
-        f"    return ({', '.join(out)},)\n"
-    )
-    namespace = {}
-    exec(compile(source, f"<mirrored, n={n}, sign={sign}>", "exec"), namespace)
-    return namespace["mirrored"]
+                outputs.append("0")
+    name = "plus_transpose" if sign > 0 else "minus_transpose"
+    return _straight_line(name, "p, s, m", ("p",), n * n, outputs)
 
 
 class Zmod(_ReadOnly):

@@ -15,7 +15,13 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DomainError
-from .matrices import Matrix, SymmetricMatrix, _gather, _require_dimension
+from .matrices import (
+    Matrix,
+    SymmetricMatrix,
+    _gather,
+    _require_dimension,
+    _upper_toeplitz,
+)
 
 __all__ = [
     "random_element",
@@ -66,7 +72,7 @@ def random_pairs(ring, n, rng, count, max_degree=3):
 
 def random_central(ring, n, rng, max_degree=3):
     """A random scalar matrix z*I."""
-    return _upper_toeplitz(ring, n, ring.draw(rng, 1, max_degree))
+    return Matrix(ring, n, _upper_toeplitz(ring, n, ring.draw(rng, 1, max_degree)))
 
 
 def random_x0_commutant(ring, n, rng, max_degree=3):
@@ -76,20 +82,4 @@ def random_x0_commutant(ring, n, rng, max_degree=3):
     ambiguity allowed for the c witness."""
     if n < 2:
         raise DomainError("the shift probe needs n >= 2")
-    return _upper_toeplitz(ring, n, ring.draw(rng, n, max_degree))
-
-
-def _upper_toeplitz(ring, n, c):
-    """The matrix with c[j - i] at (i, j) for j >= i, and zero below the
-    diagonal and wherever c has no entry: c = (z,) gives z*I."""
-    _require_dimension(n)
-    zero = ring.zero.payload
-    return Matrix(ring, n, _toeplitz(n)(c + (zero,) * (n + 1 - len(c))))
-
-
-@cache
-def _toeplitz(n):
-    """The map from (c_0, ..., c_{n-1}, 0) to the row-major entries of the
-    upper-triangular Toeplitz matrix of c, built once per n: (i, j) takes
-    c_{j-i} for j >= i and the trailing zero below the diagonal."""
-    return _gather([j - i if j >= i else n for i in range(n) for j in range(n)])
+    return Matrix(ring, n, _upper_toeplitz(ring, n, ring.draw(rng, n, max_degree)))

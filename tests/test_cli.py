@@ -138,6 +138,8 @@ class TestVerify:
             ("lemma-diagdiff", ["--delta", "t*d/dt"], "delta", "zero"),
             ("two-generator", ["--delta", "d/dt"], "delta", "zero"),
             ("jordan-diag", ["--delta", "d/dt"], "delta", "zero"),
+            # the first unread setting, in the order SETTINGS names them
+            ("jordan-diag", ["--delta", "d/dt", "--samples", "5"], "samples", 20),
             ("jordan-theorem", ["--delta", "bogus"], "delta", "zero"),
             ("theorem1", ["--max-len", "3"], "max_len", 6),
             ("lemma-cross", ["--samples", "0"], "samples", 20),
@@ -404,13 +406,13 @@ class TestColdImport:
         built = dict(ast.literal_eval(result.stdout))
         assert {
             "matrices._probe_gathers",
+            "matrices._toeplitz",
             "matrices._transposer",
             "rings._dot_products",
             "rings._entrywise",
             "rings._mirrored",
             "rings._residues",
             "sampling._mirror",
-            "sampling._toeplitz",
         } <= set(built)
         assert not any(built.values()), built
 

@@ -1379,9 +1379,33 @@ class TestShiftProbe:
             power = power * x0
         assert power.is_zero()
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    def test_literal(self, ring, n):
+        # ones on the superdiagonal, zero elsewhere, written out entry by
+        # entry rather than through any builder of the package
+        rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+        assert probe_x0(ring, n) == Matrix.from_rows(ring, rows)
+
     def test_needs_n_at_least_two(self):
         with pytest.raises(DomainError):
             probe_x0(Z5, 1)
+
+
+class TestScalar:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    def test_literal(self, ring, n):
+        # z on the diagonal, zero elsewhere, written out entry by entry
+        z = ring.element(3)
+        rows = [[3 if i == j else 0 for j in range(n)] for i in range(n)]
+        assert Matrix.scalar(z, n) == Matrix.from_rows(ring, rows)
+        assert type(Matrix.scalar(z, n)) is Matrix
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_n_at_least_one(self, n):
+        with pytest.raises(DomainError):
+            Matrix.scalar(Z5.one, n)
 
 
 class TestPolynomialEntries:

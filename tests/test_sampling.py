@@ -49,7 +49,10 @@ def ref_symmetric(ring, n, rng, max_degree=3):
 
 
 def ref_central(ring, n, rng, max_degree=3):
-    return Matrix.scalar(ring.sample(rng, max_degree), n)
+    z = ring.sample(rng, max_degree).payload
+    zero = ring.zero.payload
+    ent = (z if i == j else zero for i in range(n) for j in range(n))
+    return Matrix(ring, n, tuple(ent))
 
 
 def ref_x0_commutant(ring, n, rng, max_degree=3):
