@@ -23,41 +23,47 @@ run once per coefficient plane on Z_m[t]). Only `entry` builds a ring
 element.
 
 Every product ab of two matrices goes to the ring's dense kernel
-`ring.matmul(a, b)`, with no scan of its operands. The probe rule lives
-in `commutator`, where the probes e_{i,j} and x0 meet the witnesses: a
-probe is a partial permutation, a 0/1 matrix with at most one 1 in each
-row and each column. If s has a one at (k, j), column j of a s is
-column k of a and row k of s a is row j of a. So on every ring and at
-every n an untyped [a, s] is two gathers of `a.entries + (zero,)`,
-every empty line reading the appended zero, and one `sub_all`, where
-ab - ba takes two dense products and a whole-matrix difference. The
-gathers are itemgetters built once per (n, support of s) by
-`_probe_gathers`. The test is one `count` of zeros in s, one of ones
-only when the first qualifies, and, for the support, the cached check
-that no two ones share a line. Every probe commutator that the suites
-build has its probe on the right, so a probe a with a general b takes
-ab - ba. A non-one nonzero or two ones in a line make a product add or
-scale lines, which a gather cannot, so such an operand takes ab - ba
-like a general one.
-Measured for a dense a (us, gathers / kernel ab - ba, whole [a, p], the
+`ring.matmul(a, b)`, with no scan of its operands, and no untyped
+commutator forms a product. The probe rule lives in `commutator`,
+where the probes e_{i,j} and x0 meet the witnesses: a probe is a
+partial permutation, a 0/1 matrix with at most one 1 in each row and
+each column. If s has a one at (k, j), column j of a s is column k of a
+and row k of s a is row j of a. So on every ring and at every n an
+untyped [a, s] is two gathers of `a.entries + (zero,)`, every empty
+line reading the appended zero, and one `sub_all`. The gathers are
+itemgetters built once per (n, support of s) by `_probe_gathers`. The
+test is one `count` of zeros in s, one of ones only when the first
+qualifies, and, for the support, the cached check that no two ones
+share a line. Every other untyped pair is one call of the ring's fused
+kernel `ring.commute(a, b)`, which returns the entries of ab - ba in
+one pass: no product, no `Matrix` between and no whole-matrix
+difference (see `derivring.rings`). Every probe commutator that the
+suites build has its probe on the right, so a probe a with a general b
+takes the fused kernel. A non-one nonzero or two ones in a line make a
+product add or scale lines, which a gather cannot, so such an operand
+takes the fused kernel like a general one.
+Measured for a dense a (us, gathers / fused kernel, whole [a, p], the
 least of 40 interleaved repeats of 300 calls, entries of degree 3 on
 Z_5[t], CPython 3.11 on a 2-vCPU x86-64 host):
 
          Z_9                          Z_5[t]
     n    p = e_{1,2}   p = x0         p = e_{1,2}    p = x0
-    2    1.62 /  3.11  1.68 /  3.20    3.39 / 10.56   3.44 /  10.57
-    3    2.05 /  4.28  2.07 /  4.28    4.51 / 15.78   6.99 /  19.10
-    4    2.72 /  6.21  2.77 /  6.35    6.37 / 23.69  12.57 /  32.19
-    5    3.36 /  8.71  3.27 /  8.09    7.65 / 32.24  19.95 /  49.09
-    6    4.71 / 13.16  4.46 / 12.54   10.03 / 45.07  25.60 /  61.25
-    7    5.12 / 15.89  4.93 / 15.55   11.14 / 52.85  36.23 /  86.68
-    8    7.16 / 23.33  5.98 / 21.42   13.08 / 66.84  46.75 / 111.91
+    2    1.76 /  1.29  1.78 /  1.30    3.62 /  5.56   3.53 /  5.34
+    3    2.23 /  2.18  2.19 /  2.05    4.87 /  8.99   7.45 /  9.27
+    4    2.72 /  3.50  2.84 /  3.63    6.53 / 13.33  12.35 / 13.90
+    5    3.74 /  6.42  3.07 /  5.18    7.06 / 16.93  19.57 / 20.45
+    6    4.52 /  9.09  4.39 /  8.62    9.62 / 25.52  27.75 / 29.18
+    7    5.62 / 13.54  5.60 / 13.91   12.42 / 36.17  38.94 / 40.40
+    8    7.40 / 20.54  6.83 / 19.48   14.73 / 70.08  51.77 / 65.13
 
-The gathers win at every n on both rings.
-The Kronecker kernel keeps each matrix's packed entries for each slot
-width in its `_packings` slot, set on its first dense product (never in
-__init__) and used only while `entries` is the tuple it packed (see
-`derivring.rings`).
+The fused kernel wins on Z_9 at n = 2 (by about 0.5 us) and is level
+with the gathers at n = 3; the gathers win on Z_9 from n = 4 and on
+Z_5[t] at every n. The probe rule keeps the gathers at every n, so
+that one rule serves every ring and every n.
+The Kronecker kernels keep each matrix's packed entries for each slot
+width in its `_packings` slot, set on its first product or fused
+commutator over Z_m[t] (never in __init__) and used only while
+`entries` is the tuple it packed (see `derivring.rings`).
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -95,8 +101,9 @@ __all__ = [
 class Matrix:
     """Immutable square matrix whose entries all share one ring."""
 
-    # `_packings` is PolyRing.matmul's memo of the packed entries; it is
-    # set on a matrix's first dense Z_m[t] product, never in __init__
+    # `_packings` is the memo of the packed entries that PolyRing.matmul
+    # and commute share; it is set on a matrix's first call of either,
+    # never in __init__
     __slots__ = ("ring", "n", "entries", "_packings")
     # a^T = parity * a for every instance of the class; 0 claims nothing
     parity = 0
@@ -344,7 +351,8 @@ def commutator(a, b):
     permutation (a probe: at most one 1 in each row and each column, 0
     elsewhere), ab and ba are two gathers of a's entries (see
     `_probe_gathers`) and one `sub_all`, on every ring and at every n.
-    Every other pair takes ab - ba."""
+    Every other pair is one call of the ring's fused kernel, which
+    returns the entries of ab - ba (`ring.commute`)."""
     sign = a.parity * b.parity
     if sign:
         return _plus_transpose(a * b, -sign)
@@ -359,7 +367,7 @@ def commutator(a, b):
             ab, ba = gathers
             ext = a.entries + (ring.zero.payload,)
             return Matrix(ring, n, ring.sub_all(ab(ext), ba(ext)))
-    return a * b - b * a
+    return Matrix(ring, n, ring.commute(a, b))
 
 
 def symmetric_part(p):

@@ -9,19 +9,22 @@ The ring owns the arithmetic, written once on payloads: the scalar ops
 `add`, `sub`, `neg` and `mul`, their whole-tuple forms `add_all`,
 `sub_all`, `neg_all` and `scale_all` (entrywise over equal-length
 payload tuples), the dense product `matmul(a, b)` of two n x n matrices,
-which returns the row-major payloads of ab, and the symmetrisation
-`plus_transpose(n, entries, sign, scale)`, which returns those of
-(p + sign p^T) * scale. Matrices store bare payloads and hand whole entry
-tuples to the tuple ops. Z_m runs each through `_entrywise(size, op)`;
-Z_m[t] maps its scalar op. `plus_transpose` computes each entry on and
-above the diagonal once and mirrors it below, negated when sign is -1,
-through `_mirrored(n, sign)`. Z_m runs it on the residues. On Z_m[t]
-the scale is a unit constant, so the map is Z_m-linear and keeps each
-power of t apart: Z_m[t] runs the same kernel once per coefficient
-plane and strips each result. Every matrix product goes to `matmul`; on
+which returns the row-major payloads of ab, the commutator
+`commute(a, b)`, which returns those of ab - ba from one kernel call,
+and the symmetrisation `plus_transpose(n, entries, sign, scale)`, which
+returns those of (p + sign p^T) * scale. Matrices store bare payloads
+and hand whole entry tuples to the tuple ops. Z_m runs each through
+`_entrywise(size, op)`; Z_m[t] maps its scalar op. `plus_transpose`
+computes each entry on and above the diagonal once and mirrors it
+below, negated when sign is -1, through `_mirrored(n, sign)`. Z_m runs
+it on the residues. On Z_m[t] the scale is a unit constant, so the map
+is Z_m-linear and keeps each power of t apart: Z_m[t] runs the same
+kernel once per coefficient plane and strips each result. Every matrix
+product goes to `matmul`. On
 both rings and at every n, a commutator whose right operand is a
-partial permutation is built instead from two gathers and one `sub_all`
-(see `derivring.matrices`). A `RingElement` pairs a payload with its
+partial permutation is built from two gathers and one `sub_all`, and
+every other untyped commutator is one `commute` (see
+`derivring.matrices`). A `RingElement` pairs a payload with its
 ring only where the scalar API hands one out (`ring.element`,
 `ring.sample`, `Matrix.entry`), and its operators call the same ring ops
 behind one ring-mismatch check. Rings, elements and base derivations
@@ -41,11 +44,14 @@ Every kernel is Python source generated from its cache key alone and
 compiled on first use. It unpacks each operand into locals once and
 computes each entry as one straight-line expression over them, with no
 call per entry. `_straight_line` writes `_entrywise(size, op)` and
-`_mirrored(n, sign)`, each returning one tuple literal; the dense
-product of both rings, `_dot_products(n, reduced)`, loops over the rows
-of its first operand, one tuple of n dot products per row. On Z_m the
-entries are the ints, and the reduced kernel ends each sum in % m, so it
-returns the residues. On Z_m[t], products use Kronecker substitution
+`_mirrored(n, sign)`, each returning one tuple literal. `_row_loop`
+writes the two matrix kernels of both rings, the dense product
+`_dot_products(n, reduced)` and the commutator `_commutators(n,
+reduced)`, which loop over the rows of their operands, one tuple of n
+sums per row: row i of a times each column of b, and for ab - ba that
+minus row i of b times each column of a. On Z_m the entries are the
+ints, and the reduced kernel ends each sum in % m, so it returns the
+residues. On Z_m[t], products use Kronecker substitution
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", JSC 2009): each polynomial is packed into one int with a
 `bits`-wide slot per coefficient, the kernel sums the packed ints, and
@@ -61,13 +67,23 @@ with one `int.from_bytes` and a result unpacks with one `to_bytes`, one
 are packed and unpacked one shift per coefficient. A single product is
 the case n = 1, except that a zero operand gives zero.
 
+The commutator kernel runs on the same packed ints, but a slot of ab -
+ba lies in [-B, B] for that bound B, and a negative slot would borrow
+from the next. So `PolyRing.commute` adds the bias K = m * ceil(B / m)
+to each result slot, laid out by `_pack` itself, so at the packing's
+real spacing (8 bits on byte slots, whatever the width). Each slot then
+lies in [0, K + B] and is packed at the width of K + B, at most that of
+2K; K = 0 mod m, so `_unpack` reduces every slot as it does for a
+product.
+
 A matrix keeps, in its `_packings` slot, its longest entry length and
-its packed entries for each slot width `PolyRing.matmul` has multiplied
-it at, so a matrix multiplied again and again (a generator in each
-commutator, a word across its splits) is packed once per width. The
-memo is set on the first dense product, never in the constructor, and
-serves only while `entries` is the tuple it packed. `Zmod.matmul` reads
-the entries alone: a residue needs no packing.
+its packed entries for each slot width `PolyRing.matmul` or `commute`
+has used it at, so a matrix multiplied again and again (a generator in
+each commutator, a word across its splits) is packed once per width.
+The memo is set on the first such kernel call, never in the
+constructor, and serves only while `entries` is the tuple it packed.
+`Zmod.matmul` and `Zmod.commute` read the entries alone: a residue
+needs no packing.
 """
 
 from __future__ import annotations
@@ -197,14 +213,21 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
-def _slot_bits(n, la, lb, m):
-    """Slot width for an n-term dot product of polynomials with at most
-    la and lb coefficients: the bit length of the largest coefficient
-    it can reach, n * min(la, lb) * (m - 1)**2. A width of at most 8
-    bits (a bound below 256, so m <= 15) is packed in byte slots. An
-    all-zero side (la or lb = 0) counts as one coefficient, so that the
-    other side's coefficients still fit their slots."""
-    return (n * max(min(la, lb), 1) * (m - 1) ** 2).bit_length()
+def _slot_bound(n, la, lb, m):
+    """The largest coefficient that an n-term dot product of polynomials
+    with at most la and lb coefficients can reach, n * min(la, lb) *
+    (m - 1)**2. An all-zero side (la or lb = 0) counts as one
+    coefficient, so that the other side's coefficients still fit their
+    slots."""
+    return n * max(min(la, lb), 1) * (m - 1) ** 2
+
+
+def _slot_bits(n, la, lb, m, bias=0):
+    """Slot width for such dot products with `bias` added to each slot:
+    the bit length of bias + `_slot_bound`, the largest value a slot can
+    hold. A width of at most 8 bits (a largest value below 256, so
+    m <= 15) is packed in byte slots."""
+    return (bias + _slot_bound(n, la, lb, m)).bit_length()
 
 
 @cache
@@ -216,7 +239,8 @@ def _residues(m):
 def _pack(coeffs, bits):
     """Kronecker substitution: the polynomial evaluated at t = 2**bits,
     or at t = 256 when bits <= 8, one byte per coefficient. `mul` packs
-    every nonzero operand, `matmul` every entry."""
+    every nonzero operand, `matmul` and `commute` every entry, and
+    `commute` its bias."""
     if bits <= 8:
         return int.from_bytes(bytes(coeffs), "little")
     packed = 0
@@ -242,11 +266,12 @@ def _unpack(packed, bits, m):
 
 
 def _packings(x):
-    """The memo of a `PolyRing.matmul` operand: its entries, their longest
-    length and a dict from slot width to the packed entries. The matrix
-    holds it in its `_packings` slot, set on its first dense product and
-    valid while `entries` is the tuple it was made from (`entries` is a
-    writable slot, so a reassigned matrix gets a new memo)."""
+    """The memo of a `PolyRing.matmul` or `commute` operand: its entries,
+    their longest length and a dict from slot width to the packed
+    entries. The matrix holds it in its `_packings` slot, set on its
+    first kernel call and valid while `entries` is the tuple it was made
+    from (`entries` is a writable slot, so a reassigned matrix gets a new
+    memo)."""
     entries = x.entries
     memo = getattr(x, "_packings", None)
     if memo is None or memo[0] is not entries:
@@ -286,32 +311,66 @@ def _straight_line(name, params, operands, size, outputs):
     return _compiled(name, f"{name}, size={size}", "".join(lines))
 
 
+# the locals that a row-loop kernel zips each operand's rows into
+_ROW_LOCALS = {"a": "x", "b": "y"}
+
+
+def _row_loop(name, n, reduced, whole, rows, sums):
+    """The kernel `def name(a, b)`, or `(a, b, m)` when reduced, in the
+    row-loop shape of both rings' matrix kernels, its source O(n^2):
+    each operand named in `whole` is unpacked into n*n locals once (b
+    into b0, b1, ...), and each pass of the loop zips the next row of
+    each operand in `rows` into n locals (a into x0, ..., x{n-1}, b into
+    y0, ...) and appends the n expressions `sums` of that row, each
+    ending in % m when reduced. Raw, the kernel returns the list of plain
+    sums; reduced, the tuple of residues."""
+    row = ", ".join([f"{_ROW_LOCALS[x]}{k}" for x in rows for k in range(n)])
+    rows_in = ", ".join([f"i{x}" for x in rows for _ in range(n)])
+    if reduced:
+        sums = [f"({s}) % m" for s in sums]
+    lines = [f"def {name}(a, b{', m' if reduced else ''}):\n"]
+    lines += [f"    {', '.join([f'{x}{k}' for k in range(n * n)])}, = {x}\n" for x in whole]
+    lines += [f"    i{x} = iter({x})\n" for x in rows]
+    lines += [
+        "    out = []\n",
+        f"    for {row}, in zip({rows_in}):\n",
+        f"        out += ({', '.join(sums)},)\n",
+        f"    return {'tuple(out)' if reduced else 'out'}\n",
+    ]
+    return _compiled(name, f"{name}, n={n}", "".join(lines))
+
+
 @cache
 def _dot_products(n, reduced=False):
     """The dense kernel of both rings, built once per (n, reduced): the
     map from the row-major entries of two n x n matrices over the ints
     (tuples or lists) to their n*n dot products, row-major, so that item
-    i*n + j is row i of the first times column j of the second. Its
-    source is O(n^2): the second operand is unpacked into n*n locals
-    once, each row of the first into n locals. Raw (`PolyRing.matmul`'s
+    i*n + j is row i of the first times column j of the second. Through
+    `_row_loop`, the second operand is unpacked into n*n locals once and
+    each row of the first zipped into n locals. Raw (`PolyRing.matmul`'s
     packed ints), the kernel returns a list of the plain sums; reduced
     (`Zmod.matmul`), it takes the modulus m as a third argument, ends
     each sum in % m and returns a tuple of residues."""
-    row = ", ".join([f"x{k}" for k in range(n)])
-    second = ", ".join([f"b{k}" for k in range(n * n)])
     sums = [" + ".join([f"x{k} * b{k * n + j}" for k in range(n)]) for j in range(n)]
-    if reduced:
-        sums = [f"({s}) % m" for s in sums]
-    source = (
-        f"def dot_products(a, b{', m' if reduced else ''}):\n"
-        f"    {second}, = b\n"
-        "    out = []\n"
-        "    it = iter(a)\n"
-        f"    for {row}, in zip({', '.join(['it'] * n)}):\n"
-        f"        out += ({', '.join(sums)},)\n"
-        f"    return {'tuple(out)' if reduced else 'out'}\n"
-    )
-    return _compiled("dot_products", f"dot products, n={n}", source)
+    return _row_loop("dot_products", n, reduced, ("b",), ("a",), sums)
+
+
+@cache
+def _commutators(n, reduced=False):
+    """The commutator kernel of both rings, built once per (n, reduced):
+    the map from the row-major entries of two n x n matrices a and b over
+    the ints to the n*n entries of ab - ba, row-major, in one pass. Item
+    i*n + j is the sum over k of x_k b_kj - y_k a_kj, where x and y are
+    row i of a and of b. Through `_row_loop`, both operands are unpacked
+    into n*n locals once and one row of each is zipped per pass. Raw
+    (`PolyRing.commute`'s packed ints), the sums can be negative; reduced
+    (`Zmod.commute`), each ends in % m and the kernel returns residues."""
+    sums = [
+        " + ".join([f"x{k} * b{k * n + j}" for k in range(n)])
+        + "".join([f" - y{k} * a{k * n + j}" for k in range(n)])
+        for j in range(n)
+    ]
+    return _row_loop("commute", n, reduced, ("a", "b"), ("a", "b"), sums)
 
 
 # op -> (parameters, operands, entry k): the Z_m tuple ops on residues
@@ -457,6 +516,12 @@ class Zmod(_ReadOnly):
         in plain ints and each reduced mod m once inside the kernel."""
         return _dot_products(a.n, True)(a.entries, b.entries, self.modulus)
 
+    def commute(self, a, b):
+        """The payloads of ab - ba for the n x n matrices a and b: the n*n
+        entries of the reduced `_commutators(n, True)`, summed in plain
+        ints and each reduced mod m once inside the kernel."""
+        return _commutators(a.n, True)(a.entries, b.entries, self.modulus)
+
     def plus_transpose(self, n, entries, sign, scale=None):
         """The payloads of (p + sign p^T) * scale for the row-major
         payloads `entries` of an n x n matrix p, sign 1 or -1 (no scaling
@@ -592,16 +657,38 @@ class PolyRing(_ReadOnly):
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b by
-        Kronecker substitution: one packed int per entry, the n*n dot
-        products of `_dot_products(n)` summed as ints over the packed
-        entries, each result unpacked once. Each operand is packed at most
-        once per slot width while its entries stay the same tuple (see
-        `_packings`)."""
+        Kronecker substitution: the n*n dot products of `_dot_products(n)`
+        summed as ints over the packed entries (see `_kronecker`)."""
+        return self._kronecker(_dot_products(a.n), a, b, False)
+
+    def commute(self, a, b):
+        """The payloads of ab - ba for the n x n matrices a and b: the
+        n*n entries of `_commutators(n)` over the packed entries, each
+        slot biased (see `_kronecker`)."""
+        return self._kronecker(_commutators(a.n), a, b, True)
+
+    def _kronecker(self, kernel, a, b, signed):
+        """The payloads of the n*n sums that the raw row-loop `kernel`
+        forms over one packed int per entry of a and b, each unpacked
+        once. Each operand is packed at most once per slot width while
+        its entries stay the same tuple (see `_packings`). The sums of a
+        signed kernel (ab - ba) take the bias K = m * ceil(B / m) in each
+        of their la + lb - 1 slots, packed by `_pack` (see the module
+        docstring)."""
         m, n = self.base.modulus, a.n
         pa, pb = _packings(a), _packings(b)
-        bits = _slot_bits(n, pa[1], pb[1], m)
+        la, lb = pa[1], pb[1]
+        bias = 0
+        if signed:
+            bound = _slot_bound(n, la, lb, m)
+            bias = bound + -bound % m
+        bits = _slot_bits(n, la, lb, m, bias)
         ka, kb = _packed(pa, bits), _packed(pb, bits)
-        return tuple([_unpack(s, bits, m) for s in _dot_products(n)(ka, kb)])
+        sums = kernel(ka, kb)
+        if bias:
+            offset = _pack((bias,) * (la + lb - 1), bits)
+            sums = [s + offset for s in sums]
+        return tuple([_unpack(s, bits, m) for s in sums])
 
     def format_payload(self, payload):
         if not payload:

@@ -408,6 +408,7 @@ class TestColdImport:
             "matrices._probe_gathers",
             "matrices._toeplitz",
             "matrices._transposer",
+            "rings._commutators",
             "rings._dot_products",
             "rings._entrywise",
             "rings._mirrored",

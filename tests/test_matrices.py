@@ -264,23 +264,32 @@ class TestPayloadKernel:
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     def test_every_product_reaches_the_dense_kernel(self, monkeypatch, ring):
-        # probes too; only a commutator whose right operand is a partial
-        # permutation is built without the kernel
+        # probes too; no commutator does: one whose right operand is a
+        # partial permutation is two gathers, any other one the fused
+        # kernel `ring.commute`
         n = 4
         a = random_entries(ring, n, random.Random(3), 4, 0.0)
         unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
+        general = ((unit, a), (x0, a), (a, a))
         want = [literal_bracket(a, unit), literal_bracket(a, x0)]
+        want_general = [literal_bracket(x, y) for x, y in general]
 
-        def dense(self, a, b):
-            raise RuntimeError("dense kernel")
+        def refused(kernel):
+            def run(self, a, b):
+                raise RuntimeError(kernel)
 
-        monkeypatch.setattr(type(ring), "matmul", dense)
+            return run
+
+        monkeypatch.setattr(type(ring), "matmul", refused("dense kernel"))
         for x, y in ((a, unit), (x0, a), (unit, x0), (a, a)):
             with pytest.raises(RuntimeError, match="dense kernel"):
                 x * y
         assert [commutator(a, unit), commutator(a, x0)] == want
-        for x, y in ((unit, a), (x0, a), (a, a)):
-            with pytest.raises(RuntimeError, match="dense kernel"):
+        assert [commutator(x, y) for x, y in general] == want_general
+        monkeypatch.setattr(type(ring), "commute", refused("fused kernel"))
+        assert [commutator(a, unit), commutator(a, x0)] == want
+        for x, y in general:
+            with pytest.raises(RuntimeError, match="fused kernel"):
                 commutator(x, y)
 
     @given(kernel_cases())
@@ -415,18 +424,19 @@ class TestProductPath:
     probe rule lives in `commutator`: on every ring and at every n, an
     untyped commutator whose right operand is a partial permutation (at
     most one 1 in each row and each column, 0 elsewhere) is two gathers
-    of the left operand's entries and one `sub_all`, and reaches neither
-    `Matrix.__mul__` nor `ring.matmul`. Every other pair (a probe on the
-    left, ones sharing a line, a non-one nonzero, more than n ones) takes
-    ab - ba: two products, each through the kernel. Counted by wrapping
-    both."""
+    of the left operand's entries and one `sub_all`, and reaches none of
+    `Matrix.__mul__`, `ring.matmul` and `ring.commute`. Every other pair
+    (a probe on the left, ones sharing a line, a non-one nonzero, more
+    than n ones) is exactly one call of the fused kernel `ring.commute`
+    and no product. Counted by wrapping all three."""
 
     @staticmethod
     def counted(monkeypatch, ring):
-        """Two lists that grow by one per call of `Matrix.__mul__` on two
-        matrices, and of `ring.matmul`."""
-        products, kernel = [], []
-        real_mul, real_matmul = Matrix.__mul__, type(ring).matmul
+        """Three lists that grow by one per call of `Matrix.__mul__` on two
+        matrices, of `ring.matmul` and of `ring.commute`."""
+        products, kernel, fused = [], [], []
+        real_mul = Matrix.__mul__
+        real_matmul, real_commute = type(ring).matmul, type(ring).commute
 
         def counting_mul(self, other):
             if isinstance(other, Matrix):
@@ -437,9 +447,14 @@ class TestProductPath:
             kernel.append(a.n)
             return real_matmul(self, a, b)
 
+        def counting_commute(self, a, b):
+            fused.append(a.n)
+            return real_commute(self, a, b)
+
         monkeypatch.setattr(Matrix, "__mul__", counting_mul)
         monkeypatch.setattr(type(ring), "matmul", counting_matmul)
-        return products, kernel
+        monkeypatch.setattr(type(ring), "commute", counting_commute)
+        return products, kernel, fused
 
     @staticmethod
     def tally(lists):
@@ -461,7 +476,7 @@ class TestProductPath:
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_probe_commutators_take_two_gathers(self, monkeypatch, ring, n):
-        products, kernel = self.counted(monkeypatch, ring)
+        products, kernel, fused = self.counted(monkeypatch, ring)
         rng = random.Random(n)
         dense = self.general(ring, n, rng, 3)
         idx = range(1, n + 1)
@@ -476,22 +491,22 @@ class TestProductPath:
         ]
         for probe in probes:
             assert commutator(dense, probe) == literal_bracket(dense, probe)
-            assert products == kernel == []
-            # the left operand is not scanned: [probe, a] is ab - ba
+            assert products == kernel == fused == []
+            # the left operand is not scanned: [probe, a] is one fused call
             assert commutator(probe, dense) == literal_bracket(probe, dense)
-            assert products == kernel == [n, n]
-            del products[:], kernel[:]
+            assert products == kernel == [] and fused == [n]
+            del fused[:]
             for x, y in ((dense, probe), (probe, dense)):
                 assert x * y == literal_product(x, y)
-            assert products == kernel == [n, n]
+            assert products == kernel == [n, n] and fused == []
             del products[:], kernel[:]
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_ones_sharing_a_line_take_the_kernel(self, monkeypatch, ring, n):
         # e_11 + e_21 (two ones in a column) and e_11 + e_12 (in a row)
-        # are 0/1 with at most n ones but no partial permutation: ab - ba.
-        # A random 0/1 operand takes the kernel exactly when its ones meet.
+        # are 0/1 with at most n ones but no partial permutation: one fused
+        # call. A random 0/1 operand takes it exactly when its ones meet.
         counts = self.counted(monkeypatch, ring)
         rng = random.Random(20 + n)
         dense = self.general(ring, n, rng, 3)
@@ -508,7 +523,7 @@ class TestProductPath:
         for s, shared in operands:
             before = self.tally(counts)
             assert commutator(dense, s) == literal_bracket(dense, s)
-            assert self.grown(counts, before) == ([2, 2] if shared else [0, 0])
+            assert self.grown(counts, before) == [0, 0, 1 if shared else 0]
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -517,7 +532,7 @@ class TestProductPath:
     ):
         # one nonzero other than one makes an operand with at most n
         # nonzero entries a general one: its product takes ring.matmul
-        # and its commutator ab - ba, on either side
+        # and its commutator the fused ring.commute, on either side
         counts = self.counted(monkeypatch, ring)
         rng = random.Random(30 + n)
         dense = self.general(ring, n, rng, 3)
@@ -533,23 +548,24 @@ class TestProductPath:
                     before = self.tally(counts)
                     assert x * y == literal_product(x, y)
                     assert commutator(x, y) == literal_bracket(x, y)
-                    assert self.grown(counts, before) == [3, 3]
+                    assert self.grown(counts, before) == [1, 1, 1]
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     @pytest.mark.parametrize("n", range(2, 7))
     def test_more_than_n_ones_take_the_kernel(self, monkeypatch, ring, n):
         # n + 1 ones and no other nonzero: not a partial permutation, so
-        # the commutator takes ab - ba, whether or not both sides have ones
-        products, kernel = self.counted(monkeypatch, ring)
+        # the commutator is one fused call, whether or not both sides have
+        # ones
+        counts = self.counted(monkeypatch, ring)
         rng = random.Random(40 + n)
         dense = random_entries(ring, n, rng, 3, 0.0)
         for _ in range(4):
             s = with_support(ring, n, rng, n + 1, 1.0)
             other = with_support(ring, n, rng, n + 1, 1.0)
             for x, y in ((dense, s), (s, dense), (s, other)):
-                before = len(kernel)
+                before = self.tally(counts)
                 assert commutator(x, y) == literal_bracket(x, y)
-                assert len(kernel) == before + 2
+                assert self.grown(counts, before) == [0, 0, 1]
 
     @pytest.mark.parametrize("ring", [Zmod(3), Z9, Zmod(1000003), P5], ids=str)
     def test_non_one_sparse_operands_match_literal_product(self, ring):
@@ -765,6 +781,103 @@ class TestDotProductKernel:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["0", "1", "1", "1"]
+
+
+def bound_pair(ring, n, degree):
+    """For n >= 2: a with row 1, and b with column 2, all (m-1)(1 + t +
+    ... + t^degree), zero elsewhere. Then (ab)_12 has the slot bound
+    B = n * (degree + 1) * (m-1)**2 in its middle slot and (ba)_12 =
+    b_12 a_22 = 0, so [a, b] reaches +B there and [b, a] reaches -B."""
+    m = modulus(ring)
+    full = m - 1 if isinstance(ring, Zmod) else [m - 1] * (degree + 1)
+    rows_a = [[full if i == 0 else 0 for _ in range(n)] for i in range(n)]
+    rows_b = [[full if j == 1 else 0 for j in range(n)] for _ in range(n)]
+    return Matrix.from_rows(ring, rows_a), Matrix.from_rows(ring, rows_b)
+
+
+def biased_width(ring, n, degree):
+    """The bias K = m * ceil(B / m) for the slot bound B, and the slot
+    width of `ring.commute`, on two operands of degree + 1 coefficients."""
+    m = modulus(ring)
+    bound = n * (degree + 1) * (m - 1) ** 2
+    bias = -(-bound // m) * m
+    return bias, rings._slot_bits(n, degree + 1, degree + 1, m, bias)
+
+
+class TestCommuteKernel:
+    """`ring.commute(a, b)`, the payloads of ab - ba from one call of the
+    generated `rings._commutators(n, reduced)` (reduced on Z_m, raw on
+    the packed ints of Z_m[t], whose slots carry the bias K), against the
+    literal bracket."""
+
+    RINGS = [Zmod(3), Z9, Zmod(1000003), P5, P9]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_commute_matches_literal_bracket(self, ring, n):
+        # all-zero operands on either side, zero-divisor leads on Z_9[t],
+        # and for n >= 2 a pair whose bracket reaches +B and -B
+        rng = random.Random(900 + n)
+        operands = [
+            random_entries(ring, n, rng, 3, 0.0),
+            random_entries(ring, n, rng, 6, 0.5),
+            worst_case(ring, n, 3),
+            Matrix.zero(ring, n),
+        ]
+        if ring is P9:
+            operands.append(zero_divisor_leads(ring, n, rng))
+        if n > 1:
+            operands += bound_pair(ring, n, 3)
+        for a in operands:
+            for b in operands:
+                out = ring.commute(a, b)
+                assert type(out) is tuple
+                assert out == literal_bracket(a, b).entries
+                assert all(is_canonical(ring, p) for p in out)
+
+    @pytest.mark.parametrize(
+        "ring,n,degree,bits",
+        [(PolyRing(Zmod(3)), 2, 3, 7), (PolyRing(Zmod(3)), 4, 6, 8),
+         (P5, 2, 3, 9), (P5, 1, 7, 9)],
+        ids=["Z3t-66", "Z3t-224", "Z5t-260", "Z5t-260-scalar"],
+    )
+    def test_byte_and_shift_slots(self, ring, n, degree, bits):
+        # 2K below 256 packs byte slots, whose bias sits 8 bits apart
+        # whatever the width; 2K from 256 up takes one shift per slot
+        bias, width = biased_width(ring, n, degree)
+        assert width == bits and (2 * bias < 256) == (bits <= 8)
+        operands = [worst_case(ring, n, degree), Matrix.zero(ring, n)]
+        if n > 1:
+            operands += bound_pair(ring, n, degree)
+        for a in operands:
+            for b in operands:
+                assert ring.commute(a, b) == literal_bracket(a, b).entries
+
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_narrower_slot_is_caught(self, monkeypatch, ring, n):
+        # negative control: one bit short of commute's width, the biased
+        # slot K + B of [a, b] carries into its neighbour. At n = 1 every
+        # bracket is zero, so nothing reaches the top of a slot.
+        exact = rings._slot_bits
+        a, b = bound_pair(ring, n, 20)
+        assert ring.commute(a, b) == literal_bracket(a, b).entries
+        monkeypatch.setattr(rings, "_slot_bits", lambda *args: exact(*args) - 1)
+        assert ring.commute(a, b) != literal_bracket(a, b).entries
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_raw_and_reduced_kernels(self, n):
+        # raw, the signed int sums of ab - ba as a list; reduced, their
+        # residues as a tuple
+        rng = random.Random(1000 + n)
+        a, b = (random_entries(Z9, n, rng, 0, 0.2).entries for _ in range(2))
+        want = [
+            x - y for x, y in zip(int_dot_products(n, a, b), int_dot_products(n, b, a))
+        ]
+        raw = rings._commutators(n)(a, b)
+        assert type(raw) is list and raw == want
+        reduced = rings._commutators(n, True)(a, b, 9)
+        assert reduced == tuple([x % 9 for x in want])
 
 
 def literal_plus_transpose(p, sign, scale):
