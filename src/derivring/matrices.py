@@ -16,11 +16,15 @@ and scaling hand whole entry tuples to the ring's tuple ops (`add_all`,
 length and op, on Z_m[t] the scalar op mapped), and equality compares
 payload tuples. One transpose order per n, built once, serves
 `transpose`, `is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both
-predicates compare the whole tuples. `p + sign p^T`, scaled or not, is
-the ring's `plus_transpose`, which computes each entry on and above the
-diagonal once and mirrors it below (one generated kernel per n and sign,
-run once per coefficient plane on Z_m[t]). Only `entry` builds a ring
-element.
+predicates compare the whole tuples. Two more gathers per n, built
+once, pass between a symmetric matrix and its n(n+1)/2 entries on and
+above the diagonal, row by row: `_upper` reads them and `_mirror`
+writes them back to all n*n positions. The symmetric sampler mirrors
+its draws, and the tabulated Jordan oracle uses both. `p + sign p^T`,
+scaled or not, is the ring's `plus_transpose`, which computes each
+entry on and above the diagonal once and mirrors it below (one
+generated kernel per n and sign, run once per coefficient plane on
+Z_m[t]). Only `entry` builds a ring element.
 
 Every product ab of two matrices goes to the ring's dense kernel
 `ring.matmul(a, b)`, with no scan of its operands, and no untyped
@@ -268,6 +272,23 @@ def _upper_toeplitz(ring, n, c):
     c = (z,) gives z*I, c = (0, 1) gives x0, and the samplers draw c."""
     zero = ring.zero.payload
     return _toeplitz(_require_dimension(n))(c + (zero,) * (n + 1 - len(c)))
+
+
+@cache
+def _mirror(n):
+    """The map from the n(n+1)/2 entries (i, j), j >= i, of a symmetric
+    matrix, row by row, to its n*n row-major entries, built once per n."""
+    # (i, j) with i <= j sits after the i earlier rows of n, n-1, ... entries
+    start = [i * n - i * (i - 1) // 2 - i for i in range(n)]
+    return _gather([start[min(i, j)] + max(i, j) for i in range(n) for j in range(n)])
+
+
+@cache
+def _upper(n):
+    """The map from the n*n row-major entries of a matrix to its n(n+1)/2
+    entries (i, j), j >= i, row by row, built once per n: the inverse of
+    `_mirror(n)` on a symmetric matrix."""
+    return _gather([i * n + j for i in range(n) for j in range(i, n)])
 
 
 @cache

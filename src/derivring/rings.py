@@ -11,12 +11,17 @@ The ring owns the arithmetic, written once on payloads: the scalar ops
 payload tuples), the dense product `matmul(a, b)` of two n x n matrices,
 which returns the row-major payloads of ab, the commutator
 `commute(a, b)`, which returns those of ab - ba from one kernel call,
-and the symmetrisation `plus_transpose(n, entries, sign, scale)`, which
-returns those of (p + sign p^T) * scale. Matrices store bare payloads
-and hand whole entry tuples to the tuple ops. Z_m runs each through
-`_entrywise(size, op)`; Z_m[t] maps its scalar op. `plus_transpose`
-computes each entry on and above the diagonal once and mirrors it
-below, negated when sign is -1, through `_mirrored(n, sign)`. Z_m runs
+the symmetrisation `plus_transpose(n, entries, sign, scale)`, which
+returns those of (p + sign p^T) * scale, and `matvec(rows, v)`, which
+returns those of M v for the rows of a matrix M and a payload tuple v,
+each row's dot product formed without a kernel: summed in plain ints on
+Z_m, and by Kronecker substitution (below) on Z_m[t]. The tabulated
+Jordan oracle makes one `matvec` per call (see `derivring.jordan`).
+Matrices store bare payloads and hand whole entry tuples to the tuple
+ops. Z_m runs each through `_entrywise(size, op)`; Z_m[t] maps its
+scalar op. `plus_transpose` computes each entry on and above the
+diagonal once and mirrors it below, negated when sign is -1, through
+`_mirrored(n, sign)`. Z_m runs
 it on the residues. On Z_m[t] the scale is a unit constant, so the map
 is Z_m-linear and keeps each power of t apart: Z_m[t] runs the same
 kernel once per coefficient plane and strips each result. Every matrix
@@ -89,7 +94,8 @@ needs no packing.
 from __future__ import annotations
 
 from functools import cache
-from itertools import count, islice, repeat, zip_longest
+from itertools import chain, count, islice, repeat, zip_longest
+from operator import mul
 
 from .errors import DomainError, InvalidRing
 
@@ -239,8 +245,8 @@ def _residues(m):
 def _pack(coeffs, bits):
     """Kronecker substitution: the polynomial evaluated at t = 2**bits,
     or at t = 256 when bits <= 8, one byte per coefficient. `mul` packs
-    every nonzero operand, `matmul` and `commute` every entry, and
-    `commute` its bias."""
+    every nonzero operand, `matmul` and `commute` every entry,
+    `commute` its bias, and `matvec` every entry of v and of each row."""
     if bits <= 8:
         return int.from_bytes(bytes(coeffs), "little")
     packed = 0
@@ -529,6 +535,13 @@ class Zmod(_ReadOnly):
         and mirrored below (see `_mirrored`)."""
         return _mirrored(n, sign)(entries, 1 if scale is None else scale, self.modulus)
 
+    def matvec(self, rows, v):
+        """The payloads of M v for the matrix M with the payload tuples
+        `rows` as its rows and the payload tuple v: each row's dot product
+        with v, summed in plain ints and reduced mod m once."""
+        m = self.modulus
+        return tuple([sum(map(mul, v, row)) % m for row in rows])
+
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.modulus == self.modulus
 
@@ -689,6 +702,21 @@ class PolyRing(_ReadOnly):
             offset = _pack((bias,) * (la + lb - 1), bits)
             sums = [s + offset for s in sums]
         return tuple([_unpack(s, bits, m) for s in sums])
+
+    def matvec(self, rows, v):
+        """The payloads of M v for the matrix M with the payload tuples
+        `rows` as its rows and the payload tuple v, by Kronecker
+        substitution: v and each row are packed at the slot width of a
+        len(v)-term dot product, each row's packed dot product with v is
+        one sum of int products, and each sum is unpacked once."""
+        m = self.base.modulus
+        lv, lr = max(map(len, v)), max(map(len, chain.from_iterable(rows)))
+        bits = _slot_bits(len(v), lv, lr, m)
+        pv = [_pack(c, bits) for c in v]
+        return tuple([
+            _unpack(sum(map(mul, pv, [_pack(c, bits) for c in row])), bits, m)
+            for row in rows
+        ])
 
     def format_payload(self, payload):
         if not payload:

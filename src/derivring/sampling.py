@@ -12,13 +12,11 @@ per-entry loop, and no entry becomes a ring element.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import DomainError
 from .matrices import (
     Matrix,
     SymmetricMatrix,
-    _gather,
+    _mirror,
     _require_dimension,
     _upper_toeplitz,
 )
@@ -43,19 +41,11 @@ def random_matrix(ring, n, rng, max_degree=3):
 
 
 def random_symmetric(ring, n, rng, max_degree=3):
-    """Entries drawn for (i, j) with j >= i, row by row, and mirrored."""
+    """Entries drawn for (i, j) with j >= i, row by row, and mirrored
+    (see `matrices._mirror`)."""
     _require_dimension(n)
     upper = ring.draw(rng, n * (n + 1) // 2, max_degree)
     return SymmetricMatrix(ring, n, _mirror(n)(upper))
-
-
-@cache
-def _mirror(n):
-    """The map from the n(n+1)/2 entries (i, j), j >= i, of a symmetric
-    matrix, row by row, to its n*n row-major entries, built once per n."""
-    # (i, j) with i <= j sits after the i earlier rows of n, n-1, ... entries
-    start = [i * n - i * (i - 1) // 2 - i for i in range(n)]
-    return _gather([start[min(i, j)] + max(i, j) for i in range(n) for j in range(n)])
 
 
 def random_pairs(ring, n, rng, count, max_degree=3):

@@ -14,6 +14,7 @@ import derivring.rings as rings
 from derivring import (
     CampaignConfig,
     CheckReport,
+    ContractError,
     DomainError,
     InnerDerivation,
     JordanPairDerivation,
@@ -521,6 +522,66 @@ class TestJordanBoundary:
     def test_non_symmetric_samples_are_refused(self, monkeypatch):
         config = plant_jordan_samples(monkeypatch)
         with pytest.raises(DomainError, match="not symmetric"):
+            run_campaign(config)
+
+
+def count_pair_list_calls(monkeypatch):
+    """Count each evaluation of a pair list, hidden or not; the returned
+    cell holds the count."""
+    real = JordanPairDerivation.__call__
+    calls = [0]
+
+    def counted(pd, x):
+        calls[0] += 1
+        return real(pd, x)
+
+    monkeypatch.setattr(JordanPairDerivation, "__call__", counted)
+    return calls
+
+
+def plant_dropped_pair_term(monkeypatch):
+    """A pair list that drops its last pair's term. Every d(ii) is reduced
+    from the whole re-expressed list, so validation at e_{i,i} sees it."""
+    real = JordanPairDerivation.__call__
+    monkeypatch.setattr(
+        JordanPairDerivation,
+        "__call__",
+        lambda pd, x: real(pd._replace(pairs=pd.pairs[:-1]), x),
+    )
+
+
+class TestTabulatedOracleRule:
+    """gen_jordan_instance tabulates the hidden pair list up to
+    jordan._TABULATED_UP_TO = 4: an instance evaluates the pair list once
+    per symmetric unit there, and once per oracle call (n validations and
+    the samples) above it."""
+
+    @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pair_list_calls_per_instance(self, monkeypatch, ring, n):
+        samples = 7
+        calls = count_pair_list_calls(monkeypatch)
+        config = CampaignConfig(
+            suite="jordan-theorem", ring=ring, n=n, trials=1, seed=5, samples=samples
+        )
+        assert run_campaign(config).exit_code == 0
+        assert calls[0] == (n * (n + 1) // 2 if n <= 4 else samples + n)
+
+    # the pair-list oracle raised these same errors before n <= 4 took
+    # the table
+    @pytest.mark.parametrize(
+        "n,seed,index", [(3, 0, 1), (3, 3, 2), (5, 0, 1)], ids=["n3", "n3-e22", "n5"]
+    )
+    def test_a_dropped_pair_term_fails_validation(self, monkeypatch, n, seed, index):
+        # n = 3 takes the table, n = 5 the pair list: a defect in the pair
+        # list reaches the oracle through either
+        plant_dropped_pair_term(monkeypatch)
+        config = CampaignConfig(
+            suite="jordan-theorem", ring=Z9, n=n, trials=3, seed=seed, samples=4
+        )
+        i = index
+        message = rf"^d\({i}{i}\) does not witness Delta at e\[{i},{i}\]$"
+        with pytest.raises(ContractError, match=message):
             run_campaign(config)
 
 

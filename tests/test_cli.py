@@ -405,15 +405,16 @@ class TestColdImport:
         assert result.returncode == 0, result.stderr
         built = dict(ast.literal_eval(result.stdout))
         assert {
+            "matrices._mirror",
             "matrices._probe_gathers",
             "matrices._toeplitz",
             "matrices._transposer",
+            "matrices._upper",
             "rings._commutators",
             "rings._dot_products",
             "rings._entrywise",
             "rings._mirrored",
             "rings._residues",
-            "sampling._mirror",
         } <= set(built)
         assert not any(built.values()), built
 

@@ -26,6 +26,7 @@ from derivring import (
     reconstruct_abar_jordan,
     verify_jordan_theorem,
 )
+from derivring.jordan import _tabulated
 from derivring.sampling import (
     random_element,
     random_matrix,
@@ -785,6 +786,75 @@ class TestJordanTheorem:
         assert (v.kind, v.probe) == ("closure", "sample 1")
         assert v.lhs == commutator(s, y) + e12 * Z9.element(4)
         assert v.rhs == v.lhs.transpose()
+
+
+def lead_symmetric(ring, n, rng):
+    """A random symmetric matrix. Over Z_m[t] each entry above the
+    diagonal has up to two random low coefficients and leading
+    coefficient 3 or 6, which over Z_9[t] are zero divisors: products of
+    such entries lose their top terms (3t * 3t = 0)."""
+    if isinstance(ring, Zmod):
+        return random_symmetric(ring, n, rng)
+    m = ring.base.modulus
+    upper = {
+        (i, j): [rng.randrange(m) for _ in range(rng.randint(0, 2))]
+        + [rng.choice((3, 6))]
+        for i in range(n)
+        for j in range(i, n)
+    }
+    rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    return SymmetricMatrix.of(Matrix.from_rows(ring, rows))
+
+
+TABLE_RINGS = [Z5, Z9, Zmod(1000003), P5, P9]
+
+
+class TestTabulatedOracle:
+    """`_tabulated(pd)`, the pair list evaluated by linearity from its
+    values on the symmetric units, called directly so that both sides of
+    gen_jordan_instance's cut-off are covered."""
+
+    @pytest.mark.parametrize("ring", TABLE_RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_table_matches_the_pair_list(self, ring, n):
+        rng = random.Random(90 + n)
+        pairs = [
+            (lead_symmetric(ring, n, rng), lead_symmetric(ring, n, rng))
+            for _ in range(rng.randint(1, 3))
+        ]
+        pd = JordanPairDerivation(ring, n, pairs)
+        table = _tabulated(pd)
+        samples = [lead_symmetric(ring, n, rng) for _ in range(4)]
+        samples += [SymmetricMatrix.zero(ring, n), sym_unit(ring, n, 1, n)]
+        for x in samples:
+            out = table(x)
+            assert type(out) is SymmetricMatrix
+            assert out == pd(x)
+
+    def test_zero_divisor_leads_cancel_in_the_images(self):
+        # every entry of a, b and x leads with 3 or 6, so each product of
+        # three of them loses its top term: no entry of the value reaches
+        # the length of such a product
+        rng = random.Random(96)
+        x, a, b = (lead_symmetric(P9, 3, rng) for _ in range(3))
+        pd = JordanPairDerivation(P9, 3, [(a, b)])
+
+        def longest(mat):
+            return max(map(len, mat.entries))
+
+        assert longest(pd(x)) < longest(a) + longest(b) + longest(x) - 2
+        assert _tabulated(pd)(x) == pd(x)
+
+    def test_tabulated_oracle_refuses_x_outside_h_n(self):
+        rng = random.Random(97)
+        hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 2))
+        oracle, _ = gen_jordan_instance(hidden, seed=15)
+        assert oracle.evaluate is not hidden  # n = 3 is tabulated
+        with pytest.raises(DomainError, match="not symmetric"):
+            oracle(plain_matrix(Z9, 3, rng))
+        # a symmetric plain Matrix is in H_n(R)
+        x = random_symmetric(Z9, 3, rng)
+        assert oracle(Matrix(Z9, 3, x.entries)) == hidden(x)
 
 
 class TestJordanGenerator:
