@@ -47,7 +47,7 @@ from .jordan import (
     verify_jordan_theorem,
 )
 from .matrices import Matrix, commutator, matrix_unit
-from .rings import BaseDerivation, Zmod
+from .rings import BaseDerivation, PolyRing, Zmod
 from .sampling import (
     random_central,
     random_element,
@@ -143,13 +143,20 @@ class Report(
 
 
 def run_campaign(config):
-    """Run one suite: the config checks, including those of `SETTINGS`,
-    then the suite's setup, then `config.trials` instances, each drawn
-    from its own seed."""
+    """Run one suite: the config checks (the ring's class and each
+    setting's type, then those of `SETTINGS`), then the suite's setup,
+    then `config.trials` instances, each drawn from its own seed."""
     if config.suite not in SUITES:
         raise DomainError(
             f"unknown suite {config.suite!r}; choose one of {tuple(SUITES)}"
         )
+    if not isinstance(config.ring, (Zmod, PolyRing)):
+        raise DomainError(f"ring must be a Zmod or a PolyRing, got {config.ring!r}")
+    for field, default in _DEFAULTS.items():
+        # the default's type exactly: an int setting refuses a bool
+        value, kind = getattr(config, field), type(default)
+        if type(value) is not kind:
+            raise DomainError(f"{field} must be of type {kind.__name__}, got {value!r}")
     if config.trials < 0:
         raise DomainError("trials must be >= 0")
     if config.max_degree < 0:

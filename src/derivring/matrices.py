@@ -10,74 +10,73 @@ of `_upper_toeplitz`. `require_shape` is the one check that a map's
 argument, or a second operand, is an n x n matrix over the expected
 ring. The ring belongs to the matrix: `entries` holds bare canonical
 payloads (ints for Z_m, coefficient tuples for Z_m[t]), and the ring
-owns the arithmetic on them (see `derivring.rings`). `+`, `-`, negation
-and scaling hand whole entry tuples to the ring's tuple ops (`add_all`,
-`sub_all`, `neg_all`, `scale_all`; on Z_m one straight-line kernel per
-length and op, on Z_m[t] the scalar op mapped), and equality compares
-payload tuples. One transpose order per n, built once, serves
+owns the arithmetic on them (see `derivring.rings`): `+`, `-`, negation
+and scaling hand whole entry tuples to its tuple ops, and equality
+compares payload tuples. One transpose order per n, built once, serves
 `transpose`, `is_symmetric` (a^T == a) and `is_skew` (a^T == -a); both
 predicates compare the whole tuples. Two more gathers per n, built
 once, pass between a symmetric matrix and its n(n+1)/2 entries on and
 above the diagonal, row by row: `_upper` reads them and `_mirror`
 writes them back to all n*n positions. The symmetric sampler mirrors
-its draws, and the tabulated Jordan oracle uses both. `p + sign p^T`,
-scaled or not, is the ring's `plus_transpose`, which computes each
-entry on and above the diagonal once and mirrors it below (one
-generated kernel per n and sign, run once per coefficient plane on
-Z_m[t]). Only `entry` builds a ring element.
+its draws, and the tabulated Jordan oracle uses both. The ring's
+`plus_transpose` builds (p + sign p^T) * scale mirrored from its upper
+triangle. Only `entry` builds a ring element.
 
 Every product ab of two matrices goes to the ring's dense kernel
-`ring.matmul(a, b)`, with no scan of its operands, and no untyped
-commutator forms a product. The probe rule lives in `commutator`,
-where the probes e_{i,j} and x0 meet the witnesses: a probe is a
-partial permutation, a 0/1 matrix with at most one 1 in each row and
-each column. If s has a one at (k, j), column j of a s is column k of a
-and row k of s a is row j of a. So on every ring and at every n an
-untyped [a, s] is two gathers of `a.entries + (zero,)`, every empty
-line reading the appended zero, and one `sub_all`. The gathers are
-itemgetters built once per (n, support of s) by `_probe_gathers`. The
-test is one `count` of zeros in s, one of ones only when the first
-qualifies, and, for the support, the cached check that no two ones
-share a line. Every other untyped pair is one call of the ring's fused
-kernel `ring.commute(a, b)`, which returns the entries of ab - ba in
-one pass: no product, no `Matrix` between and no whole-matrix
-difference (see `derivring.rings`). Every probe commutator that the
-suites build has its probe on the right, so a probe a with a general b
-takes the fused kernel. A non-one nonzero or two ones in a line make a
-product add or scale lines, which a gather cannot, so such an operand
-takes the fused kernel like a general one.
-Measured for a dense a (us, gathers / fused kernel, whole [a, p], the
-least of 40 interleaved repeats of 300 calls, entries of degree 3 on
-Z_5[t], CPython 3.11 on a 2-vCPU x86-64 host):
+`ring.matmul(a, b)`, with no scan of its operands. No commutator forms
+a product: `commutator` takes its rule from the shape of its right
+operand alone, typed or not. A probe (e_{i,j}, x0) is a partial
+permutation, a 0/1 matrix with at most one 1 in each row and each
+column. If s has a one at (k, j), column j of a s is column k of a and
+row k of s a is row j of a. So on every ring and at every n, [a, s] is
+two gathers of `a.entries + (zero,)`, every empty line reading the
+appended zero, and one `sub_all`. The gathers are itemgetters built
+once per (n, support of s) by `_probe_gathers`. The test is one
+`count` of zeros in s, one of ones only when the first qualifies, and,
+for the support, the cached check that no two ones share a line.
+Every other pair, a probe on the left (which no suite builds) or a
+non-one nonzero or two ones in a line (whose product adds or scales
+lines, which a gather cannot) included, is one call of the ring's fused
+kernel `ring.commute(a, b)`: the entries of ab - ba in one pass.
+Measured in us (the least of 40 interleaved repeats of 300 calls,
+entries of degree 3 on Z_5[t], CPython 3.11 on a 2-vCPU x86-64 host):
+[a, p] for a dense a by gathers / fused kernel, and [s, x] for a dense
+skew s and symmetric x by one product and `plus_transpose` / fused
+kernel and the SymmetricMatrix check:
 
-         Z_9                          Z_5[t]
-    n    p = e_{1,2}   p = x0         p = e_{1,2}    p = x0
-    2    1.76 /  1.29  1.78 /  1.30    3.62 /  5.56   3.53 /  5.34
-    3    2.23 /  2.18  2.19 /  2.05    4.87 /  8.99   7.45 /  9.27
-    4    2.72 /  3.50  2.84 /  3.63    6.53 / 13.33  12.35 / 13.90
-    5    3.74 /  6.42  3.07 /  5.18    7.06 / 16.93  19.57 / 20.45
-    6    4.52 /  9.09  4.39 /  8.62    9.62 / 25.52  27.75 / 29.18
-    7    5.62 / 13.54  5.60 / 13.91   12.42 / 36.17  38.94 / 40.40
-    8    7.40 / 20.54  6.83 / 19.48   14.73 / 70.08  51.77 / 65.13
+         Z_9                                 Z_5[t]
+    n    p = e_{1,2} p = x0      [s, x]      p = e_{1,2}  p = x0       [s, x]
+    2    1.76/1.29   1.78/1.30   2.02/1.42   3.62/5.56    3.53/5.34    8.10/7.75
+    3    2.23/2.18   2.19/2.05   2.62/2.13   4.87/8.99    7.45/9.27   13.89/14.08
+    4    2.72/3.50   2.84/3.63   3.62/3.67   6.53/13.33  12.35/13.90  26.51/25.64
+    5    3.74/6.42   3.07/5.18   5.18/5.97   7.06/16.93  19.57/20.45  39.91/41.39
+    6    4.52/9.09   4.39/8.62   7.04/8.53   9.62/25.52  27.75/29.18  58.35/62.37
+    7    5.62/13.54  5.60/13.91  9.16/12.39 12.42/36.17  38.94/40.40  77.06/88.31
+    8    7.40/20.54  6.83/19.48 12.32/16.96 14.73/70.08  51.77/65.13 112.57/120.55
 
-The fused kernel wins on Z_9 at n = 2 (by about 0.5 us) and is level
-with the gathers at n = 3; the gathers win on Z_9 from n = 4 and on
-Z_5[t] at every n. The probe rule keeps the gathers at every n, so
-that one rule serves every ring and every n.
-The Kronecker kernels keep each matrix's packed entries for each slot
-width in its `_packings` slot, set on its first product or fused
-commutator over Z_m[t] (never in __init__) and used only while
-`entries` is the tuple it packed (see `derivring.rings`).
+For a probe, the fused kernel wins on Z_9 at n = 2 (by about 0.5 us)
+and is level with the gathers at n = 3; the gathers win on Z_9 from
+n = 4 and on Z_5[t] at every n, so one probe rule serves every ring
+and every n. Typed pairs pay for the one shape rule where no workload
+looks: the fused kernel wins on Z_9 up to n = 3 (the benchmark forms
+typed brackets only there) and is level on Z_5[t] up to n = 5, but
+loses above (59.2 against 32.6 us at n = 12 on Z_9); jordan-theorem on
+Z_9 at n = 8 reads 5% slower (46.6 -> 49.2 ms, 10 trials). The
+Kronecker kernels keep each matrix's packed entries for each slot width
+in its `_packings` slot, set on its first product or fused commutator
+over Z_m[t] (never in __init__) and used only while `entries` is the
+tuple it packed.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
-their property in their one constructor. For typed a and b,
-ba = sign (ab)^T with sign = a.parity * b.parity, so with p = ab the
-commutator p - sign p^T and the Jordan product (p + sign p^T)/2 take one
-product, through `Matrix.__mul__`, where the literal formulas take two.
-The same rule makes a sum of Jordan products of symmetric matrices the
-symmetric part (q + q^T)/2 of the sum q of their plain products, so
-`symmetric_part` symmetrises a whole sum once.
+their property in their one constructor; `_TYPE_OF_PARITY` maps each
+parity to its type. For typed a and b, ba = sign (ab)^T with
+sign = a.parity * b.parity, so [a, b] has the type of parity -sign.
+That rule saves a product only in `jordan_mul` ((p + sign p^T)/2 with
+p = ab), `symmetric_part` and `jordan.pairs_to_commutator`: a sum of
+Jordan products of symmetric matrices is the symmetric part
+(q + q^T)/2 of the sum q of their plain products, so `symmetric_part`
+symmetrises a whole sum once.
 """
 
 from __future__ import annotations
@@ -350,6 +349,9 @@ class SkewMatrix(Matrix):
             raise DomainError("matrix is not skew-symmetric")
 
 
+_TYPE_OF_PARITY = {cls.parity: cls for cls in (Matrix, SymmetricMatrix, SkewMatrix)}
+
+
 def matrix_unit(ring, n, i, j):
     """e_{i,j}: 1 at (i, j) and 0 elsewhere."""
     out = [ring.zero.payload] * (_require_dimension(n) * n)
@@ -366,19 +368,16 @@ def probe_x0(ring, n):
 
 
 def commutator(a, b):
-    """[a, b] = ab - ba. For typed a and b, ba = sign (ab)^T with
-    sign = a.parity * b.parity, so [a, b] = p - sign p^T with p = ab: one
-    product, and the result has parity -sign. Otherwise, if b is a partial
+    """[a, b] = ab - ba, by the shape of b alone, typed or not: two
+    gathers of a's entries and one `sub_all` if b is a partial
     permutation (a probe: at most one 1 in each row and each column, 0
-    elsewhere), ab and ba are two gathers of a's entries (see
-    `_probe_gathers`) and one `sub_all`, on every ring and at every n.
-    Every other pair is one call of the ring's fused kernel, which
-    returns the entries of ab - ba (`ring.commute`)."""
-    sign = a.parity * b.parity
-    if sign:
-        return _plus_transpose(a * b, -sign)
+    elsewhere; see `_probe_gathers`), one fused `ring.commute` otherwise;
+    no product. The result has the checked type of parity
+    -a.parity * b.parity; the one-product parity rule serves only
+    `jordan_mul`, `symmetric_part` and `jordan.pairs_to_commutator`."""
     ring, n = a.ring, a.n
     require_shape(b, ring, n)
+    kind = _TYPE_OF_PARITY[-a.parity * b.parity]
     size, s = n * n, b.entries
     zeros = s.count(ring.zero.payload)
     if zeros >= size - n and zeros + s.count(ring.one.payload) == size:
@@ -387,25 +386,23 @@ def commutator(a, b):
         if gathers is not None:
             ab, ba = gathers
             ext = a.entries + (ring.zero.payload,)
-            return Matrix(ring, n, ring.sub_all(ab(ext), ba(ext)))
-    return Matrix(ring, n, ring.commute(a, b))
+            return kind(ring, n, ring.sub_all(ab(ext), ba(ext)))
+    return kind(ring, n, ring.commute(a, b))
 
 
 def symmetric_part(p):
-    """(p + p^T)/2, a SymmetricMatrix. For symmetric a and y,
-    ya = (ay)^T, so a sum of Jordan products sum(a_k.y_k - b_k.z_k) is
-    the symmetric part of sum(a_k y_k - b_k z_k): one symmetrisation for
-    the whole sum instead of one per product."""
+    """(p + p^T)/2, a SymmetricMatrix. For symmetric a_k, b_k, y_k and
+    z_k it is sum(a_k.y_k - b_k.z_k) when p = sum(a_k y_k - b_k z_k)
+    (ya = (ay)^T): one symmetrisation for the whole sum, not one per term."""
     return _plus_transpose(p, 1, p.ring.half.payload)
 
 
-def _plus_transpose(p, sign, scale=None):
-    """p + sign p^T, each entry times `scale` if given, as the matrix type
-    of parity `sign`. The ring builds the entries mirrored, and the
-    type's constructor still checks the property."""
+def _plus_transpose(p, sign, scale):
+    """(p + sign p^T) * scale, built mirrored by the ring, as the matrix
+    type of parity `sign`, whose constructor still checks the property."""
     ring, n = p.ring, p.n
     out = ring.plus_transpose(n, p.entries, sign, scale)
-    return (SymmetricMatrix if sign > 0 else SkewMatrix)(ring, n, out)
+    return _TYPE_OF_PARITY[sign](ring, n, out)
 
 
 def jordan_mul(a, b):

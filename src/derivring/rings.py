@@ -21,19 +21,16 @@ Matrices store bare payloads and hand whole entry tuples to the tuple
 ops. Z_m runs each through `_entrywise(size, op)`; Z_m[t] maps its
 scalar op. `plus_transpose` computes each entry on and above the
 diagonal once and mirrors it below, negated when sign is -1, through
-`_mirrored(n, sign)`. Z_m runs
-it on the residues. On Z_m[t] the scale is a unit constant, so the map
-is Z_m-linear and keeps each power of t apart: Z_m[t] runs the same
-kernel once per coefficient plane and strips each result. Every matrix
-product goes to `matmul`. On
-both rings and at every n, a commutator whose right operand is a
-partial permutation is built from two gathers and one `sub_all`, and
-every other untyped commutator is one `commute` (see
-`derivring.matrices`). A `RingElement` pairs a payload with its
-ring only where the scalar API hands one out (`ring.element`,
-`ring.sample`, `Matrix.entry`), and its operators call the same ring ops
-behind one ring-mismatch check. Rings, elements and base derivations
-are read-only (see `_ReadOnly`).
+`_mirrored(n, sign)`, on the residues on Z_m. On Z_m[t] the scale is a
+unit constant, so the map is Z_m-linear and keeps each power of t
+apart: Z_m[t] runs the same kernel once per coefficient plane and
+strips each result. Every matrix product goes to `matmul`, and every
+commutator to `commute` or, with a partial permutation on the right,
+to two gathers and one `sub_all` (see `derivring.matrices`). A
+`RingElement` pairs a payload with its ring only where the scalar API
+hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
+operators call the same ring ops behind one ring-mismatch check.
+Rings, elements and base derivations are read-only (see `_ReadOnly`).
 
 Random values come from one path, `draw(rng, count, max_degree)`, which
 returns a tuple of `count` payloads; `sample` is `draw` of one, wrapped.
@@ -528,12 +525,11 @@ class Zmod(_ReadOnly):
         ints and each reduced mod m once inside the kernel."""
         return _commutators(a.n, True)(a.entries, b.entries, self.modulus)
 
-    def plus_transpose(self, n, entries, sign, scale=None):
+    def plus_transpose(self, n, entries, sign, scale):
         """The payloads of (p + sign p^T) * scale for the row-major
-        payloads `entries` of an n x n matrix p, sign 1 or -1 (no scaling
-        if `scale` is None): each pair above the diagonal is summed once
-        and mirrored below (see `_mirrored`)."""
-        return _mirrored(n, sign)(entries, 1 if scale is None else scale, self.modulus)
+        payloads `entries` of an n x n matrix p, sign 1 or -1, summed
+        once per pair above the diagonal and mirrored (see `_mirrored`)."""
+        return _mirrored(n, sign)(entries, scale, self.modulus)
 
     def matvec(self, rows, v):
         """The payloads of M v for the matrix M with the payload tuples
@@ -654,15 +650,14 @@ class PolyRing(_ReadOnly):
         mul = self.mul
         return tuple([mul(s, x) for x in a])
 
-    def plus_transpose(self, n, entries, sign, scale=None):
+    def plus_transpose(self, n, entries, sign, scale):
         """The payloads of (p + sign p^T) * scale, through the Z_m kernel
         `_mirrored(n, sign)`. `scale` is the payload of a unit constant
         (1/2 or 1/4), so the map is Z_m-linear and keeps each power of t
         apart: the entries are padded to one length, each coefficient
         plane is symmetrised with the scale's one coefficient, and each
         result is stripped (p_ij + sign p_ji can cancel a leading term)."""
-        mirrored, m = _mirrored(n, sign), self.base.modulus
-        c = 1 if scale is None else scale[0]
+        mirrored, m, c = _mirrored(n, sign), self.base.modulus, scale[0]
         planes = [mirrored(q, c, m) for q in zip_longest(*entries, fillvalue=0)]
         if not planes:
             return entries  # every entry is zero

@@ -90,6 +90,32 @@ class TestRunCampaign:
         with pytest.raises(DomainError):
             run_campaign(CampaignConfig(suite="theorem1", ring=Z5, trials=-1))
 
+    @pytest.mark.parametrize(
+        "suite, field, value",
+        [
+            ("lemma-diagdiff", "noise", "x0-commutant"),
+            ("theorem1", "ring", 9),
+            ("theorem1", "ring", "zmod:9"),
+            ("theorem1", "n", 3.0),
+            ("theorem1", "n", True),
+            ("theorem1", "trials", "2"),
+            ("theorem1", "trials", False),
+            ("theorem1", "seed", 7.0),
+            ("extend", "max_degree", None),
+            ("extend", "max_degree", 2.0),
+            ("two-generator", "max_len", True),
+            ("theorem1", "samples", 2.5),
+        ],
+    )
+    def test_config_types_are_checked(self, suite, field, value):
+        # before any instance, so zero trials cannot pass a value that
+        # every instance would misread (a noise string never equals its
+        # NoiseSpec) or fail on; an int setting refuses a bool
+        config = CampaignConfig(suite=suite, ring=P5, trials=0)
+        config = config._replace(**{field: value})
+        with pytest.raises(DomainError, match=f"^{field} must be "):
+            run_campaign(config)
+
     def test_every_suite_has_one_settings_row(self):
         # run_campaign checks each config against its suite's row
         assert list(campaign.SETTINGS) == list(campaign.SUITES)

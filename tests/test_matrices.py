@@ -881,10 +881,9 @@ class TestCommuteKernel:
 
 
 def literal_plus_transpose(p, sign, scale):
-    """Reference: p + sign p^T through the whole-matrix ops, times the
-    scale element if one is given."""
+    """Reference: (p + sign p^T) * scale through the whole-matrix ops."""
     out = p + p.transpose() if sign > 0 else p - p.transpose()
-    return out if scale is None else out * scale
+    return out * scale
 
 
 def cancelling_leads(ring, n, rng):
@@ -910,8 +909,9 @@ class TestMirroredKernel:
     """`ring.plus_transpose(n, entries, sign, scale)`, which builds
     (p + sign p^T) * scale mirrored from its upper triangle through the
     generated `rings._mirrored(n, sign)` (on Z_m[t] once per coefficient
-    plane), against the literal formula; and `_plus_transpose`, which
-    still returns through the checked constructor."""
+    plane), against the literal formula, at the scales 1/2 and 1/4 that
+    its callers pass; and `_plus_transpose`, which still returns through
+    the checked constructor."""
 
     RINGS = [Zmod(3), Z9, Zmod(1000003), P5, P9]
 
@@ -922,7 +922,7 @@ class TestMirroredKernel:
         # have unequal lengths, and `cancelling_leads` loses top terms
         rng = random.Random(n)
         half = ring.half
-        scales = [None, half, half * half]
+        scales = [half, half * half]
         operands = [
             random_entries(ring, n, rng, 3, 0.0),
             random_entries(ring, n, rng, 3, 0.5),
@@ -934,8 +934,7 @@ class TestMirroredKernel:
         for p in operands:
             for sign in (1, -1):
                 for scale in scales:
-                    payload = None if scale is None else scale.payload
-                    got = ring.plus_transpose(n, p.entries, sign, payload)
+                    got = ring.plus_transpose(n, p.entries, sign, scale.payload)
                     assert type(got) is tuple
                     assert got == literal_plus_transpose(p, sign, scale).entries
 
@@ -962,8 +961,8 @@ class TestMirroredKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_result_types_are_unchanged(self, ring, n):
         p = random_entries(ring, n, random.Random(n), 3, 0.0)
-        half = ring.half.payload
-        for scale in (None, half):
+        half = ring.half
+        for scale in (half.payload, (half * half).payload):
             assert type(matrices._plus_transpose(p, 1, scale)) is SymmetricMatrix
             assert type(matrices._plus_transpose(p, -1, scale)) is SkewMatrix
         assert type(symmetric_part(p)) is SymmetricMatrix
@@ -1000,10 +999,11 @@ class TestMirroredKernel:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_constructor_still_checks_the_ring_op(self, monkeypatch, ring, n):
         # a ring op that returns one entry off its mirror is refused by
-        # the SymmetricMatrix/SkewMatrix constructor
+        # the SymmetricMatrix/SkewMatrix constructor (the commutator does
+        # not call it: see TestTypedBrackets)
         real = type(ring).plus_transpose
 
-        def broken(self, n, entries, sign, scale=None):
+        def broken(self, n, entries, sign, scale):
             out = list(real(self, n, entries, sign, scale))
             out[n] = self.add(out[n], self.one.payload)  # entry (2, 1)
             return tuple(out)
@@ -1014,8 +1014,6 @@ class TestMirroredKernel:
         monkeypatch.setattr(type(ring), "plus_transpose", broken)
         with pytest.raises(DomainError, match="not symmetric"):
             jordan_mul(a, b)
-        with pytest.raises(DomainError, match="not skew-symmetric"):
-            commutator(a, b)
         with pytest.raises(DomainError, match="not symmetric"):
             symmetric_part(a * b)
 
@@ -1314,10 +1312,10 @@ def count_products(fn, *args):
 
 
 class TestSymmetryShortcuts:
-    """commutator and jordan_mul of two typed arguments (SymmetricMatrix or
-    SkewMatrix) take one product by the parity rule ba = sign (ab)^T,
-    sign = a.parity * b.parity; the literal two-product formulas are the
-    reference."""
+    """jordan_mul of two typed arguments (SymmetricMatrix or SkewMatrix)
+    takes one product by the parity rule ba = sign (ab)^T,
+    sign = a.parity * b.parity, and commutator returns the type of parity
+    -sign; the literal two-product formulas are the reference."""
 
     @given(symmetry_cases())
     def test_jordan_mul_of_symmetric_matches_literal(self, case):
@@ -1338,18 +1336,15 @@ class TestSymmetryShortcuts:
     @given(symmetry_cases())
     def test_every_typed_pair_takes_one_product(self, case):
         a, b, s, t = case
-        # (x, y, type of [x, y], type of x.y)
+        # (x, y, type of x.y); the commutators of typed pairs take no
+        # product (TestTypedBrackets)
         table = (
-            (a, b, SkewMatrix, SymmetricMatrix),
-            (s, a, SymmetricMatrix, SkewMatrix),
-            (a, s, SymmetricMatrix, SkewMatrix),
-            (s, t, SkewMatrix, SymmetricMatrix),
+            (a, b, SymmetricMatrix),
+            (s, a, SkewMatrix),
+            (a, s, SkewMatrix),
+            (s, t, SymmetricMatrix),
         )
-        for x, y, bracket_type, jordan_type in table:
-            out, products = count_products(commutator, x, y)
-            assert out == literal_commutator(x, y)
-            assert type(out) is bracket_type
-            assert products == 1
+        for x, y, jordan_type in table:
             prod, products = count_products(jordan_mul, x, y)
             assert prod == literal_jordan_mul(x, y)
             assert type(prod) is jordan_type
@@ -1445,6 +1440,111 @@ class TestSymmetryShortcuts:
             check = "is_symmetric" if kind is SymmetricMatrix else "is_skew"
             assert seen[check] == [out]
             assert seen["is_skew" if check == "is_symmetric" else "is_symmetric"] == []
+
+
+def typed_operands(ring, n, rng):
+    """Symmetric and skew operands over `ring`: mirrored from dense and
+    sparse random entries and, on Z_9[t], from entries that lead with a
+    zero divisor (3 or 6), whose products and sums can lose their top
+    terms."""
+    bases = [random_entries(ring, n, rng, 3, 0.0), random_entries(ring, n, rng, 3, 0.5)]
+    if ring is P9:
+        bases.append(zero_divisor_leads(ring, n, rng))
+    return [
+        kind.of(mirrored(p, kind.parity))
+        for p in bases
+        for kind in (SymmetricMatrix, SkewMatrix)
+    ]
+
+
+def typed_probes(ring, n):
+    """The symmetric probes of the Jordan layer: each e_ii, and each
+    e_ij + e_ji for i < j, partial permutations of one or two ones."""
+    idx = range(1, n + 1)
+    probes = [SymmetricMatrix.of(matrix_unit(ring, n, i, i)) for i in idx]
+    probes += [
+        SymmetricMatrix.of(matrix_unit(ring, n, i, j) + matrix_unit(ring, n, j, i))
+        for i in idx
+        for j in idx
+        if i < j
+    ]
+    return probes
+
+
+class TestTypedBrackets:
+    """`commutator` of typed operands takes the rule of b's shape alone:
+    two gathers and one `sub_all` for a probe, one `ring.commute`
+    otherwise. The result is the literal ab - ba, as the type of parity
+    -a.parity * b.parity, and forms no product and no symmetrisation."""
+
+    RINGS = [Z9, P5, P9]
+
+    @staticmethod
+    def pairs(ring, n, rng):
+        ops = typed_operands(ring, n, rng)
+        pairs = [(x, y) for x in ops for y in ops]
+        for x in ops:
+            # y is constant, so the top terms of x(x + y) and (x + y)x cancel
+            y = mirrored(random_entries(ring, n, rng, 0, 0.0), x.parity)
+            pairs.append((x, type(x).of(x + y)))
+        pairs += [(x, probe) for x in ops for probe in typed_probes(ring, n)]
+        return pairs
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_match_literal_with_the_parity_type_and_no_product(
+        self, monkeypatch, ring, n
+    ):
+        pairs = self.pairs(ring, n, random.Random(900 + n))
+        want = [literal_bracket(x, y) for x, y in pairs]
+        calls = []
+        for owner, name in ((Matrix, "__mul__"), (type(ring), "plus_transpose")):
+            real = getattr(owner, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        types = {1: SymmetricMatrix, -1: SkewMatrix}
+        for (x, y), expected in zip(pairs, want):
+            out = commutator(x, y)
+            assert out == expected
+            assert type(out) is types[-x.parity * y.parity]
+            assert all(is_canonical(ring, p) for p in out.entries)
+        assert calls == []
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_constructor_checks_each_rule(self, monkeypatch, ring, n):
+        # a `commute` (general b) or a `sub_all` (probe b) that returns
+        # entry (2, 1) off its mirror is refused by the result's type
+        rng = random.Random(n)
+        a, s = typed_operands(ring, n, rng)[:2]
+        b = typed_operands(ring, n, rng)[0]
+        probes = typed_probes(ring, n)  # e_11 first, e_{n-1,n} + e_{n,n-1} last
+        cases = [
+            ("commute", a, b, "not skew-symmetric"),
+            ("commute", s, a, "not symmetric"),
+        ]
+        cases += [
+            ("sub_all", x, probe, refusal)
+            for probe in (probes[0], probes[-1])
+            for x, refusal in ((a, "not skew-symmetric"), (s, "not symmetric"))
+        ]
+        for name, x, y, refusal in cases:
+            real = getattr(type(ring), name)
+
+            def broken(self, *args, real=real):
+                out = list(real(self, *args))
+                out[n] = self.add(out[n], self.one.payload)
+                return tuple(out)
+
+            assert type(commutator(x, y)).parity == -x.parity * y.parity
+            with monkeypatch.context() as patch:
+                patch.setattr(type(ring), name, broken)
+                with pytest.raises(DomainError, match=refusal):
+                    commutator(x, y)
 
 
 class TestPredicates:
