@@ -245,6 +245,8 @@ def gen_witness_family(hidden, noise, seed, max_degree=3):
     polynomials in x0 commute with x0, so every noise mode yields a valid
     family by construction.
     """
+    if not isinstance(noise, NoiseSpec):
+        raise DomainError(f"noise must be a NoiseSpec, got {noise!r}")
     ring, n = hidden.ring, hidden.n
     rng = random.Random(seed)
     oracle = TwoLocalOracle(ring, n, InnerDerivation(hidden))

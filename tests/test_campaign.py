@@ -124,6 +124,13 @@ class TestRunCampaign:
         report = run_campaign(CampaignConfig(suite="theorem1", ring=Z5, trials=0))
         assert report.instances == 0 and report.ok and report.exit_code == 0
 
+    @pytest.mark.parametrize("ring, n", [(Z9, 4), (P5, 5)])
+    def test_extend_with_the_zero_delta(self, ring, n):
+        # the one delta that Z_m allows, and the zero tower over Z_m[t]
+        config = CampaignConfig(suite="extend", ring=ring, n=n, trials=2, delta="zero")
+        report = run_campaign(config)
+        assert report.instances == 2 and report.ok
+
     def test_repeat_runs_byte_identical(self):
         config = CampaignConfig(
             suite="jordan-theorem", ring=Z9, n=2, trials=3, seed=8, samples=4

@@ -124,7 +124,6 @@ class TestConstruction:
 
     SLOTS = [
         (Zmod(9), "modulus", 5),
-        (Zmod(9), "inv2", 3),
         (Zmod(9), "zero", Z5.zero),
         (Zmod(9), "one", Z5.one),
         (Zmod(9), "half", Z5.half),
@@ -282,6 +281,32 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             Z5.element(1) + 1
 
+    @pytest.mark.parametrize("other", [1, "1"], ids=repr)
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"]
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [Z5.one, P5.t, Matrix.identity(Z5, 2), Matrix.identity(P5, 2)],
+        ids=["Z_5", "Z_5[t]", "M_2(Z_5)", "M_2(Z_5[t])"],
+    )
+    def test_ints_and_strings_are_not_operands(self, value, op, other):
+        # each operator returns NotImplemented, on either side
+        with pytest.raises(TypeError):
+            op(value, other)
+        with pytest.raises(TypeError):
+            op(other, value)
+
+    def test_equal_elements_hash_equal(self):
+        # equal rings built apart: equal elements are one set member
+        pairs = [
+            (Zmod(9).element(4), Zmod(9).element(13)),
+            (PolyRing(Zmod(5)).element([1, 2]), PolyRing(Zmod(5)).element([6, 7, 0])),
+        ]
+        for a, b in pairs:
+            assert a.ring is not b.ring and a == b
+            assert hash(a) == hash(b) and len({a, b}) == 1
+
 
 @st.composite
 def residue_operands(draw):
@@ -355,6 +380,29 @@ class TestTupleOps:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["0", "2", "3"]
 
+    def test_poly_ops_reach_one_kernel_each(self):
+        # a fresh interpreter: add, sub and neg of Z_m[t] each run one
+        # `_entrywise` kernel on the zero-padded coefficients, built on
+        # the first call at that length and never again
+        probe = (
+            "from derivring import PolyRing, Zmod, rings\n"
+            "info = rings._entrywise.cache_info\n"
+            "ring = PolyRing(Zmod(9))\n"
+            "built = info().currsize\n"
+            "assert ring.add((1, 2), (3,)) == (4, 2)\n"
+            "first = info().currsize\n"
+            "assert ring.add((5, 8), (4, 1)) == ()\n"
+            "second = info().currsize\n"
+            "assert ring.sub((1,), (1, 3)) == (0, 6)\n"
+            "assert ring.neg((1, 0, 2)) == (8, 0, 7)\n"
+            "print(built, first, second, info().currsize)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "1", "1", "3"]
+
     def test_leading_terms_vanish_mod_9(self):
         # 3t * 3t = 9t^2 = 0 and 3t + 6t = 9t = 0 over Z_9
         three_t, six_t = (0, 3), (0, 6)
@@ -367,7 +415,7 @@ class TestTupleOps:
     @pytest.mark.parametrize("p", [(), (1,), (0, 3), (2, 0, 4)])
     def test_zero_polynomial_operand(self, ring, p):
         m = ring.base.modulus
-        assert ring.add(p, ()) == ring.add((), p) == ring.sub(p, ()) == p
+        assert ring.add(p, ()) is p and ring.add((), p) is p and ring.sub(p, ()) is p
         assert ring.sub((), p) == tuple((-c) % m for c in p)
 
 

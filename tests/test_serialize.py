@@ -25,6 +25,7 @@ from derivring.serialize import (
     matrix_from_obj,
     matrix_to_json,
     matrix_to_obj,
+    payload_to_obj,
     ring_from_obj,
     ring_to_obj,
     value_from_obj,
@@ -54,6 +55,24 @@ class TestRingCodec:
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             ring_from_obj({"ring": "quaternion"})
+
+    @pytest.mark.parametrize("obj, missing", [
+        ({"ring": "zmod"}, "zmod descriptor is missing \"m\""),
+        ({"ring": "poly"}, "poly descriptor is missing \"base\""),
+    ])
+    def test_descriptor_without_its_parameter(self, obj, missing):
+        with pytest.raises(ParseError, match=missing):
+            ring_from_obj(obj)
+
+    @pytest.mark.parametrize("value", [5, "zmod:5", None, Z5.one])
+    def test_non_ring_is_refused(self, value):
+        with pytest.raises(ParseError, match="unknown ring type"):
+            ring_to_obj(value)
+
+    def test_failure_payload_strings_pass_through(self):
+        # a violation side that is neither a matrix nor a ring value
+        assert payload_to_obj("a*b") == "a*b"
+        assert payload_to_obj(Z5.one) == 1 and payload_to_obj(P5.t) == [0, 1]
 
 
 class TestValueCodec:

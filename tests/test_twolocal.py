@@ -214,6 +214,14 @@ class TestWitnessFamily:
         offdiag[(1, 2)] = Matrix.zero(Z5, 2)
         assert family.offdiag[(1, 2)] == a
 
+    @pytest.mark.parametrize("noise", ["x0-commutant", "none", None, 1])
+    def test_noise_must_be_a_noise_spec(self, noise):
+        # a name or a value is not the spec, and must not be read as
+        # "shifted" because it is not NoiseSpec.NONE
+        hidden = random_matrix(Z9, 3, random.Random(41))
+        with pytest.raises(DomainError, match="noise must be a NoiseSpec"):
+            gen_witness_family(hidden, noise, seed=3)
+
 
 class TestReconstruction:
     def test_zero_witnesses(self):
