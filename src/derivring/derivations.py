@@ -123,7 +123,12 @@ def two_generator_check(x, y, d, max_len):
     propagated value starts from the inner map [d, .], and
     [d, u] v + u [d, v] = [d, uv] for every split because the matrix
     product is associative. Only a non-associative product would make
-    two splits disagree; a wrong map shows up as `inner-mismatch`."""
+    two splits disagree; a wrong map shows up as `inner-mismatch`. Each
+    split is one `ring.product_sum` of two unread products and each
+    target one `ring.commute`, so `inner-mismatch` also compares two
+    kernels: a product_sum that drops its second term gives every split
+    Delta(first letter) * rest, so the splits still agree and the
+    targets do not."""
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     require_shape(y, x.ring, x.n)

@@ -240,7 +240,13 @@ def verify_jordan_theorem(family, samples):
     D(x.y) = (D(xy) + D(yx))/2, is then the symmetric part of the same
     sum, whatever abar is. Only a non-associative product, or a Jordan
     product computed wrongly, would break it; a wrong map shows up as
-    `action` or `closure`."""
+    `action` or `closure`. The two sides take two kernels: the left one
+    `ring.commute`, the right one `ring.product_sum` of two unread
+    products, so a fault in either fires it. The pair list's
+    a.(b.x) - b.(a.x) is also one `ring.product_sum`, so a product_sum
+    that drops its second term is caught earlier still: the oracle no
+    longer agrees with the reduced witnesses, and the family's
+    validation raises ContractError."""
     samples = [SymmetricMatrix.of(x) for x in samples]
     if not samples:
         raise DomainError("verify_jordan_theorem needs at least one sample")

@@ -22,8 +22,13 @@ its draws, and the tabulated Jordan oracle uses both. The ring's
 `plus_transpose` builds (p + sign p^T) * scale mirrored from its upper
 triangle. Only `entry` builds a ring element.
 
-Every product ab of two matrices goes to the ring's dense kernel
-`ring.matmul(a, b)`, with no scan of its operands. No commutator forms
+`a * b` of two matrices checks their shapes and returns the product
+unread (`_Product`). It goes to the ring's dense kernel
+`ring.matmul(a, b)`, with no scan of its operands, on the first read of
+its entries, and its sum or difference with another unread product cd is
+one `ring.product_sum(a, b, c, d, sign)`, which multiplies neither
+alone: `dx * y + x * dy` is one kernel call and one unpack per entry.
+Every product still enters through `Matrix.__mul__`. No commutator forms
 a product: `commutator` takes its rule from the shape of its right
 operand alone, typed or not. A probe (e_{i,j}, x0) is a partial
 permutation, a 0/1 matrix with at most one 1 in each row and each
@@ -63,9 +68,9 @@ typed brackets only there) and is level on Z_5[t] up to n = 5, but
 loses above (59.2 against 32.6 us at n = 12 on Z_9); jordan-theorem on
 Z_9 at n = 8 reads 5% slower (46.6 -> 49.2 ms, 10 trials). The
 Kronecker kernels keep each matrix's packed entries for each slot width
-in its `_packings` slot, set on its first product or fused commutator
-over Z_m[t] (never in __init__) and used only while `entries` is the
-tuple it packed.
+in its `_packings` slot, set on its first kernel call over Z_m[t]
+(never in __init__) and used only while `entries` is the tuple it
+packed.
 
 Symmetry is a checked type, and checked only there: `SymmetricMatrix`
 (a^T = a, `parity` 1) and `SkewMatrix` (a^T = -a, `parity` -1) check
@@ -104,8 +109,8 @@ __all__ = [
 class Matrix:
     """Immutable square matrix whose entries all share one ring."""
 
-    # `_packings` is the memo of the packed entries that PolyRing.matmul
-    # and commute share; it is set on a matrix's first call of either,
+    # `_packings` is the memo of the packed entries that the PolyRing
+    # matrix kernels share; it is set on a matrix's first kernel call,
     # never in __init__
     __slots__ = ("ring", "n", "entries", "_packings")
     # a^T = parity * a for every instance of the class; 0 claims nothing
@@ -180,7 +185,7 @@ class Matrix:
         # `require_shape`'s test, inline on the hot path; it raises there
         if n != other.n or (ring is not other.ring and ring != other.ring):
             require_shape(other, ring, n)
-        return Matrix(ring, n, ring.matmul(self, other))
+        return _Product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, RingElement):
@@ -224,6 +229,51 @@ class Matrix:
             for i in range(n)
         )
         return f"M{n}({self.ring})[{rows}]"
+
+
+class _Product(Matrix):
+    """The product ab that `Matrix.__mul__` returns, unread: `entries`
+    multiplies through `ring.matmul(a, b)` on its first read and keeps
+    the payloads. Until then, its sum or difference with another unread
+    product cd is one `ring.product_sum(a, b, c, d, sign)`, and neither
+    product is multiplied alone; with anything else it reads itself and
+    takes the plain `+` or `-`. Copies and pickles are plain matrices."""
+
+    __slots__ = ("_operands", "_entries")
+
+    def __init__(self, a, b):
+        # a and b passed `Matrix.__mul__`'s shape check
+        self.ring = a.ring
+        self.n = a.n
+        self._operands = (a, b)
+        self._entries = None
+
+    @property
+    def entries(self):
+        entries = self._entries
+        if entries is None:
+            a, b = self._operands
+            entries = self._entries = self.ring.matmul(a, b)
+        return entries
+
+    def __add__(self, other):
+        if type(other) is _Product and self._entries is None and other._entries is None:
+            return self._product_sum(other, 1)
+        return Matrix.__add__(self, other)
+
+    def __sub__(self, other):
+        if type(other) is _Product and self._entries is None and other._entries is None:
+            return self._product_sum(other, -1)
+        return Matrix.__sub__(self, other)
+
+    def _product_sum(self, other, sign):
+        ring, n = self.ring, self.n
+        require_shape(other, ring, n)
+        (a, b), (c, d) = self._operands, other._operands
+        return Matrix(ring, n, ring.product_sum(a, b, c, d, sign))
+
+    def __reduce__(self):
+        return Matrix, (self.ring, self.n, self.entries)
 
 
 def _require_dimension(n):

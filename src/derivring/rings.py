@@ -8,8 +8,9 @@ so equality of values is equality of payloads and nothing ever rounds.
 The ring owns the arithmetic, written once on payloads: the scalar ops
 `add`, `sub`, `neg` and `mul`; their whole-tuple forms `add_all`,
 `sub_all`, `neg_all` and `scale_all` over equal-length payload tuples;
-and, each returning payloads, `matmul(a, b)` and `commute(a, b)` (of ab
-and of ab - ba for n x n matrices, row-major, one kernel call each),
+and, each returning payloads, `matmul(a, b)`, `commute(a, b)` and
+`product_sum(a, b, c, d, sign)` (of ab, of ab - ba and of ab + sign cd
+for n x n matrices, row-major, one kernel call each),
 `plus_transpose(n, entries, sign, scale)` (of (p + sign p^T) * scale)
 and `matvec(rows, v)` (of M v for the rows of M and a payload tuple v,
 with no kernel; the tabulated Jordan oracle makes one per call, see
@@ -19,8 +20,8 @@ residues, and Z_m[t] maps its scalar ops. Z_m[t] has exactly two kinds
 of arithmetic:
 - the Z_m kernels, coefficient by coefficient: `add`, `sub`, `neg`, and
   `plus_transpose` plane by plane;
-- Kronecker substitution (below): `mul`, `matmul`, `commute` and
-  `matvec`.
+- Kronecker substitution (below): `mul`, `matmul`, `commute`,
+  `product_sum` and `matvec`.
 A zero operand of `add` or `sub` gives the other back (negated, when it
 is the right operand of `sub`); any other sum or difference is one
 `_entrywise` call on the coefficient tuples, the shorter padded with
@@ -28,9 +29,11 @@ zeros, and `_strip` copies it only when its top coefficient cancelled.
 `plus_transpose` sums each pair above the diagonal once and mirrors it,
 through `_mirrored(n, sign)`. Its scale is a unit constant, so on
 Z_m[t] the map is Z_m-linear: it runs once per coefficient plane, and
-each result is stripped. Every matrix product goes to `matmul`, and
-every commutator to `commute` or, with a partial permutation on the
-right, to two gathers and one `sub_all` (see `derivring.matrices`). A
+each result is stripped. Every matrix product goes to `matmul` on its
+first read, and a sum or difference of two unread products to one
+`product_sum`; every commutator goes to `commute` or, with a partial
+permutation on the right, to two gathers and one `sub_all` (see
+`derivring.matrices`). A
 `RingElement` pairs a payload with its ring only where the scalar API
 hands one out (`ring.element`, `ring.sample`, `Matrix.entry`), and its
 operators call the same ring ops behind one ring-mismatch check.
@@ -56,8 +59,9 @@ and `neg` meet (`derivring verify extend --ring poly:zmod:5 --n 12
 --max-degree 40 --delta d/dt --trials 1 --seed 7` builds 7, about 3.3 ms
 of its 18.4 ms wall time, medians of 5 runs, CPython 3.11 on a 2-vCPU
 x86-64 host). `_row_loop` writes the two matrix kernels of both rings,
-`_dot_products(n, reduced)` and `_commutators(n, reduced)`, one tuple of
-n sums per row of their operands. On Z_m the entries are the ints, and
+`_dot_products(n, reduced)` and `_product_sums(n, sign, reduced)`, one
+tuple of n sums per row of their operands. On Z_m the entries are the
+ints, and
 the reduced kernel ends each sum in % m, so it returns the residues. On
 Z_m[t], products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
@@ -75,14 +79,20 @@ possible for m <= 15) each slot is one byte: a polynomial packs with one
 are packed and unpacked one shift per coefficient. A single product is
 the case n = 1, except that a zero operand gives zero.
 
-The commutator kernel runs on the same packed ints, but a slot of ab -
-ba lies in [-B, B] for that bound B, and a negative slot would borrow
-from the next. So `PolyRing.commute` adds the bias K = m * ceil(B / m)
-to each result slot, laid out by `_pack` itself, so at the packing's
-real spacing (8 bits on byte slots, whatever the width). Each slot then
-lies in [0, K + B] and is packed at the width of K + B, at most that of
-2K; K = 0 mod m, so `_unpack` reduces every slot as it does for a
-product. A matrix keeps its packed entries per slot width (see
+The fused kernel `product_sum` runs on the same packed ints, with la
+the longer entry length of a and c and lb that of b and d, so that B
+bounds the slots of ab and of cd alike. A slot of ab + cd is at most 2B,
+the bound of one 2n-term dot product: only the sum takes that width,
+and a product read alone keeps the width of its own B (at n = 2 and
+degree 3 on Z_5[t], B = 128 packs bytes and 2B = 256 does not). A slot
+of ab - cd lies in [-B, B], and a negative slot would borrow from the
+next. So a difference adds the bias K = m * ceil(B / m) to each result
+slot, laid out by `_pack` itself, so at the packing's real spacing (8
+bits on byte slots, whatever the width). Each slot then lies in
+[0, K + B] and is packed at the width of K + B, at most that of 2K;
+K = 0 mod m, so `_unpack` reduces every slot as it does for a product.
+`commute` is the difference on (a, b, b, a), packed at the lengths of a
+and b alone. A matrix keeps its packed entries per slot width (see
 `_packings`).
 """
 
@@ -245,8 +255,9 @@ def _residues(m):
 def _pack(coeffs, bits):
     """Kronecker substitution: the polynomial evaluated at t = 2**bits,
     or at t = 256 when bits <= 8, one byte per coefficient. `mul` packs
-    every nonzero operand, `matmul` and `commute` every entry,
-    `commute` its bias, and `matvec` every entry of v and of each row."""
+    every nonzero operand, `matmul`, `commute` and `product_sum` every
+    entry and a difference its bias, and `matvec` every entry of v and
+    of each row."""
     if bits <= 8:
         return int.from_bytes(bytes(coeffs), "little")
     packed = 0
@@ -272,12 +283,12 @@ def _unpack(packed, bits, m):
 
 
 def _packings(x):
-    """The memo of a `PolyRing.matmul` or `commute` operand: its entries,
+    """The memo of an operand of a `PolyRing` matrix kernel: its entries,
     their longest length and a dict from slot width to the packed
     entries. The matrix holds it in its `_packings` slot, set on its
     first kernel call and valid while `entries` is the tuple it was made
-    from (`entries` is a writable slot, so a reassigned matrix gets a new
-    memo)."""
+    from (a plain matrix's `entries` is a writable slot, so a reassigned
+    matrix gets a new memo)."""
     entries = x.entries
     memo = getattr(x, "_packings", None)
     if memo is None or memo[0] is not entries:
@@ -293,6 +304,28 @@ def _packed(memo, bits):
     if packed is None:
         packed = widths[bits] = [_pack(p, bits) for p in entries]
     return packed
+
+
+def _slots(n, sign, la, lb, m):
+    """The slot width and the packed bias of a `PolyRing` matrix kernel
+    over entries of at most la and lb coefficients: sign 0 for one
+    product, 1 for ab + cd and -1 for ab - cd. A product's slots hold at
+    most B = `_slot_bound(n, la, lb, m)` and those of ab + cd, a 2n-term
+    dot product, at most 2B. Those of ab - cd lie in [-B, B], so each of
+    their la + lb - 1 slots takes the bias K = m * ceil(B / m), packed by
+    `_pack` (see the module docstring); the bias of the others is 0."""
+    if sign >= 0:
+        return _slot_bits(2 * n if sign else n, la, lb, m), 0
+    bound = _slot_bound(n, la, lb, m)
+    bias = bound + -bound % m
+    bits = _slot_bits(n, la, lb, m, bias)
+    return bits, _pack((bias,) * (la + lb - 1), bits)
+
+
+def _unpacked(sums, bits, offset, m):
+    """The payloads of the packed `sums` of a matrix kernel, each with
+    the packed bias `offset` added and unpacked once."""
+    return tuple([_unpack(s + offset, bits, m) for s in sums])
 
 
 def _compiled(name, label, source):
@@ -318,23 +351,25 @@ def _straight_line(name, params, operands, size, outputs):
 
 
 # the locals that a row-loop kernel zips each operand's rows into
-_ROW_LOCALS = {"a": "x", "b": "y"}
+_ROW_LOCALS = {"a": "x", "c": "z"}
 
 
 def _row_loop(name, n, reduced, whole, rows, sums):
-    """The kernel `def name(a, b)`, or `(a, b, m)` when reduced, in the
+    """The kernel `def name(...)` over the operands named in `whole` and
+    `rows`, in alphabetical order, and then m when reduced, in the
     row-loop shape of both rings' matrix kernels, its source O(n^2):
     each operand named in `whole` is unpacked into n*n locals once (b
     into b0, b1, ...), and each pass of the loop zips the next row of
-    each operand in `rows` into n locals (a into x0, ..., x{n-1}, b into
-    y0, ...) and appends the n expressions `sums` of that row, each
+    each operand in `rows` into n locals (a into x0, ..., x{n-1}, c into
+    z0, ...) and appends the n expressions `sums` of that row, each
     ending in % m when reduced. Raw, the kernel returns the list of plain
     sums; reduced, the tuple of residues."""
     row = ", ".join([f"{_ROW_LOCALS[x]}{k}" for x in rows for k in range(n)])
     rows_in = ", ".join([f"i{x}" for x in rows for _ in range(n)])
+    params = ", ".join(sorted({*whole, *rows}) + (["m"] if reduced else []))
     if reduced:
         sums = [f"({s}) % m" for s in sums]
-    lines = [f"def {name}(a, b{', m' if reduced else ''}):\n"]
+    lines = [f"def {name}({params}):\n"]
     lines += [f"    {', '.join([f'{x}{k}' for k in range(n * n)])}, = {x}\n" for x in whole]
     lines += [f"    i{x} = iter({x})\n" for x in rows]
     lines += [
@@ -362,21 +397,24 @@ def _dot_products(n, reduced=False):
 
 
 @cache
-def _commutators(n, reduced=False):
-    """The commutator kernel of both rings, built once per (n, reduced):
-    the map from the row-major entries of two n x n matrices a and b over
-    the ints to the n*n entries of ab - ba, row-major, in one pass. Item
-    i*n + j is the sum over k of x_k b_kj - y_k a_kj, where x and y are
-    row i of a and of b. Through `_row_loop`, both operands are unpacked
-    into n*n locals once and one row of each is zipped per pass. Raw
-    (`PolyRing.commute`'s packed ints), the sums can be negative; reduced
-    (`Zmod.commute`), each ends in % m and the kernel returns residues."""
+def _product_sums(n, sign, reduced=False):
+    """The fused kernel of both rings, built once per (n, sign, reduced):
+    the map from the row-major entries of four n x n matrices a, b, c and
+    d over the ints to the n*n entries of ab + sign cd, sign 1 or -1,
+    row-major, in one pass. Item i*n + j is the sum over k of
+    x_k b_kj + sign z_k d_kj, where x and z are row i of a and of c.
+    Through `_row_loop`, b and d are unpacked into n*n locals once and
+    one row of a and of c is zipped per pass. Raw (`PolyRing`'s packed
+    ints), a difference can be negative; reduced (`Zmod`), each sum ends
+    in % m and the kernel returns residues. The commutator ab - ba is
+    the case (a, b, b, a) with sign -1."""
+    op = "+" if sign > 0 else "-"
     sums = [
         " + ".join([f"x{k} * b{k * n + j}" for k in range(n)])
-        + "".join([f" - y{k} * a{k * n + j}" for k in range(n)])
+        + "".join([f" {op} z{k} * d{k * n + j}" for k in range(n)])
         for j in range(n)
     ]
-    return _row_loop("commute", n, reduced, ("a", "b"), ("a", "b"), sums)
+    return _row_loop("product_sums", n, reduced, ("b", "d"), ("a", "c"), sums)
 
 
 # op -> (parameters, operands, entry k): the Z_m tuple ops on residues
@@ -522,10 +560,19 @@ class Zmod(_ReadOnly):
         return _dot_products(a.n, True)(a.entries, b.entries, self.modulus)
 
     def commute(self, a, b):
-        """The payloads of ab - ba for the n x n matrices a and b: the n*n
-        entries of the reduced `_commutators(n, True)`, summed in plain
-        ints and each reduced mod m once inside the kernel."""
-        return _commutators(a.n, True)(a.entries, b.entries, self.modulus)
+        """The payloads of ab - ba for the n x n matrices a and b: the
+        `_product_sums(n, -1, True)` kernel on (a, b, b, a), summed in
+        plain ints and each reduced mod m once inside the kernel."""
+        ea, eb = a.entries, b.entries
+        return _product_sums(a.n, -1, True)(ea, eb, eb, ea, self.modulus)
+
+    def product_sum(self, a, b, c, d, sign):
+        """The payloads of ab + sign cd for the n x n matrices a, b, c and
+        d, sign 1 or -1: the n*n entries of the reduced
+        `_product_sums(n, sign, True)`, summed in plain ints and each
+        reduced mod m once inside the kernel."""
+        kernel = _product_sums(a.n, sign, True)
+        return kernel(a.entries, b.entries, c.entries, d.entries, self.modulus)
 
     def plus_transpose(self, n, entries, sign, scale):
         """The payloads of (p + sign p^T) * scale for the row-major
@@ -667,37 +714,34 @@ class PolyRing(_ReadOnly):
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b by
         Kronecker substitution: the n*n dot products of `_dot_products(n)`
-        summed as ints over the packed entries (see `_kronecker`)."""
-        return self._kronecker(_dot_products(a.n), a, b, False)
+        summed as ints over the packed entries (see `_slots`)."""
+        m, n = self.base.modulus, a.n
+        pa, pb = _packings(a), _packings(b)
+        bits, offset = _slots(n, 0, pa[1], pb[1], m)
+        sums = _dot_products(n)(_packed(pa, bits), _packed(pb, bits))
+        return _unpacked(sums, bits, offset, m)
 
     def commute(self, a, b):
         """The payloads of ab - ba for the n x n matrices a and b: the
-        n*n entries of `_commutators(n)` over the packed entries, each
-        slot biased (see `_kronecker`)."""
-        return self._kronecker(_commutators(a.n), a, b, True)
-
-    def _kronecker(self, kernel, a, b, signed):
-        """The payloads of the n*n sums that the raw row-loop `kernel`
-        forms over one packed int per entry of a and b, each unpacked
-        once. Each operand is packed at most once per slot width while
-        its entries stay the same tuple (see `_packings`). The sums of a
-        signed kernel (ab - ba) take the bias K = m * ceil(B / m) in each
-        of their la + lb - 1 slots, packed by `_pack` (see the module
-        docstring)."""
+        n*n entries of `_product_sums(n, -1)` on (a, b, b, a), packed at
+        the width of the two operands alone, each slot biased (see
+        `_slots`)."""
         m, n = self.base.modulus, a.n
         pa, pb = _packings(a), _packings(b)
-        la, lb = pa[1], pb[1]
-        bias = 0
-        if signed:
-            bound = _slot_bound(n, la, lb, m)
-            bias = bound + -bound % m
-        bits = _slot_bits(n, la, lb, m, bias)
+        bits, offset = _slots(n, -1, pa[1], pb[1], m)
         ka, kb = _packed(pa, bits), _packed(pb, bits)
-        sums = kernel(ka, kb)
-        if bias:
-            offset = _pack((bias,) * (la + lb - 1), bits)
-            sums = [s + offset for s in sums]
-        return tuple([_unpack(s, bits, m) for s in sums])
+        return _unpacked(_product_sums(n, -1)(ka, kb, kb, ka), bits, offset, m)
+
+    def product_sum(self, a, b, c, d, sign):
+        """The payloads of ab + sign cd for the n x n matrices a, b, c and
+        d, sign 1 or -1: the n*n entries of `_product_sums(n, sign)` over
+        the packed entries, with la the longer entry length of a and c
+        and lb that of b and d (see `_slots`)."""
+        m, n = self.base.modulus, a.n
+        memos = pa, pb, pc, pd = _packings(a), _packings(b), _packings(c), _packings(d)
+        bits, offset = _slots(n, sign, max(pa[1], pc[1]), max(pb[1], pd[1]), m)
+        sums = _product_sums(n, sign)(*[_packed(memo, bits) for memo in memos])
+        return _unpacked(sums, bits, offset, m)
 
     def matvec(self, rows, v):
         """The payloads of M v for the matrix M with the payload tuples

@@ -410,6 +410,32 @@ def plant_two_generator(monkeypatch):
     )
 
 
+def plant_product_sum(monkeypatch):
+    # ab + sign cd that drops its cd term, on both rings: the two sides of
+    # each fused identity are now two kernels, so the campaigns see it
+    def dropped(self, a, b, c, d, sign):
+        return self.matmul(a, b)
+
+    for ring_type in (Zmod, PolyRing):
+        monkeypatch.setattr(ring_type, "product_sum", dropped)
+
+
+def plant_product_sum_extend(monkeypatch):
+    plant_product_sum(monkeypatch)
+    return CampaignConfig(
+        suite="extend", ring=P5, n=2, trials=2, seed=18, delta="d/dt", max_degree=2
+    )
+
+
+def plant_product_sum_two_generator(monkeypatch):
+    # each split drops its second term, so every split of a word gives
+    # Delta(first letter) * rest and they agree; the target does not
+    plant_product_sum(monkeypatch)
+    return CampaignConfig(
+        suite="two-generator", ring=P5, n=2, trials=2, seed=16, max_len=3
+    )
+
+
 def plant_jordan_diag(monkeypatch):
     real = campaign.pairs_to_commutator
     monkeypatch.setattr(campaign, "check_diag_zero", lambda pairs: False)
@@ -502,6 +528,14 @@ PLANTED = [
         "b12cafc4cf4c3f72938b6ad2568caf2e821e84ad7240afe12a1bd78f79a287ba",
     ),
     (
+        plant_product_sum_extend, {"leibniz"},
+        "d9d7ecf2b37580cac6ffe7687c0c02f7604e6a6382a156a19e5966ce95b513b5",
+    ),
+    (
+        plant_product_sum_two_generator, {"inner-mismatch"},
+        "8d06b94554af9a625b83f0c09ce64d7fa39a27e75022d7da9abc36355e9196bb",
+    ),
+    (
         plant_jordan_diag, {"diag-zero", "skew"},
         "e728b18bc11a9351b781901afde5d6754008a5483dcfb10a4f275654b4a4a562",
     ),
@@ -546,6 +580,23 @@ class TestPlantedDefects:
             assert replayed == [
                 (rec["kind"], rec["probe"], rec["lhs"], rec["rhs"]) for rec in records
             ]
+
+
+class TestDroppedProductSumTerm:
+    """A `ring.product_sum` that drops its cd term reaches the jordan
+    suites through the pair list, whose `a.(b.x) - b.(a.x)` is one fused
+    difference: the tabulated oracle then disagrees with the reduced
+    witnesses, and the family's validation refuses it before any sample
+    is checked."""
+
+    @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
+    def test_jordan_theorem_refuses_the_family(self, monkeypatch, ring):
+        plant_product_sum(monkeypatch)
+        config = CampaignConfig(
+            suite="jordan-theorem", ring=ring, n=3, trials=2, seed=18, samples=2
+        )
+        with pytest.raises(ContractError, match="does not witness"):
+            run_campaign(config)
 
 
 class TestJordanBoundary:

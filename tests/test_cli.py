@@ -410,10 +410,10 @@ class TestColdImport:
             "matrices._toeplitz",
             "matrices._transposer",
             "matrices._upper",
-            "rings._commutators",
             "rings._dot_products",
             "rings._entrywise",
             "rings._mirrored",
+            "rings._product_sums",
             "rings._residues",
         } <= set(built)
         assert not any(built.values()), built

@@ -2,11 +2,14 @@
 symmetry predicates and the checked symmetric/skew types, and the shift
 probe."""
 
+import copy
 import itertools
 import operator
+import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -264,9 +267,10 @@ class TestPayloadKernel:
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     def test_every_product_reaches_the_dense_kernel(self, monkeypatch, ring):
-        # probes too; no commutator does: one whose right operand is a
-        # partial permutation is two gathers, any other one the fused
-        # kernel `ring.commute`
+        # probes too, on the product's first read (`x * y` itself only
+        # checks the shapes); no commutator does: one whose right operand
+        # is a partial permutation is two gathers, any other one the
+        # fused kernel `ring.commute`
         n = 4
         a = random_entries(ring, n, random.Random(3), 4, 0.0)
         unit, x0 = matrix_unit(ring, n, 2, 3), probe_x0(ring, n)
@@ -282,8 +286,9 @@ class TestPayloadKernel:
 
         monkeypatch.setattr(type(ring), "matmul", refused("dense kernel"))
         for x, y in ((a, unit), (x0, a), (unit, x0), (a, a)):
+            prod = x * y
             with pytest.raises(RuntimeError, match="dense kernel"):
-                x * y
+                prod.entries
         assert [commutator(a, unit), commutator(a, x0)] == want
         assert [commutator(x, y) for x, y in general] == want_general
         monkeypatch.setattr(type(ring), "commute", refused("fused kernel"))
@@ -381,6 +386,156 @@ class TestPayloadKernel:
         value = m - 1 if isinstance(ring, Zmod) else [m - 1, m - 1]
         zero, full = Matrix.zero(ring, 2), Matrix.from_rows(ring, [[value] * 2] * 2)
         assert ring.matmul(zero, full) == ring.matmul(full, zero) == zero.entries
+
+
+def refuse(monkeypatch, ring, name):
+    """Make `ring`'s op `name` raise RuntimeError(name) from now on."""
+
+    def refused(self, *args):
+        raise RuntimeError(name)
+
+    monkeypatch.setattr(type(ring), name, refused)
+
+
+def spy(monkeypatch, ring, name):
+    """Count the calls of `ring`'s op `name` from now on."""
+    calls = []
+    real = getattr(type(ring), name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return real(self, *args)
+
+    monkeypatch.setattr(type(ring), name, counted)
+    return calls
+
+
+class TestUnreadProduct:
+    """`x * y` of two matrices checks the shapes and returns the product
+    unread: it multiplies through `ring.matmul` on the first read of its
+    entries, and a sum or difference of two unread products is one
+    `ring.product_sum`."""
+
+    RINGS = [Z9, P5, P9]
+
+    @staticmethod
+    def operands(ring, n=3, seed=0):
+        rng = random.Random(seed)
+        return [random_entries(ring, n, rng, 3, 0.2) for _ in range(4)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_mismatch_raises_at_the_product(self, monkeypatch, ring):
+        refuse(monkeypatch, ring, "matmul")
+        a = Matrix.identity(ring, 2)
+        other = P9 if ring is not P9 else Z9
+        for b in (Matrix.identity(ring, 3), Matrix.identity(other, 2)):
+            with pytest.raises(DomainError):
+                a * b
+            with pytest.raises(DomainError):
+                b * a
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_refused_matmul_raises_on_first_read(self, monkeypatch, ring):
+        a, b, _, _ = self.operands(ring)
+        want = literal_product(a, b)
+        refuse(monkeypatch, ring, "matmul")
+        prod = a * b
+        with pytest.raises(RuntimeError, match="matmul"):
+            prod.entries
+        with pytest.raises(RuntimeError, match="matmul"):
+            prod == want
+        monkeypatch.undo()
+        assert prod == want
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_read_twice_multiplies_once(self, monkeypatch, ring):
+        a, b, _, _ = self.operands(ring)
+        want = literal_product(a, b)
+        calls = spy(monkeypatch, ring, "matmul")
+        prod = a * b
+        assert calls == []
+        first = prod.entries
+        assert prod.entries is first and first == want.entries
+        assert prod == want and hash(prod) == hash(want)
+        assert repr(prod) == repr(want) and (prod - want).is_zero()
+        assert calls == ["matmul"]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sum_of_unread_products_is_one_product_sum(self, monkeypatch, ring, sign):
+        a, b, c, d = self.operands(ring)
+        want = read_alone(a, b, c, d, sign)
+        refuse(monkeypatch, ring, "matmul")
+        calls = spy(monkeypatch, ring, "product_sum")
+        p, q = a * b, c * d
+        out = p + q if sign > 0 else p - q
+        assert type(out) is Matrix and out == want
+        assert calls == ["product_sum"]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_read_product_takes_the_plain_op(self, monkeypatch, ring, sign):
+        # read on either side, or a plain matrix on the left: the unread
+        # side is multiplied, and the two are summed by `add_all` or
+        # `sub_all`
+        a, b, c, d = self.operands(ring)
+        want = read_alone(a, b, c, d, sign)
+        refuse(monkeypatch, ring, "product_sum")
+        op = "add_all" if sign > 0 else "sub_all"
+        for read in ("left", "right", "plain"):
+            matmuls = spy(monkeypatch, ring, "matmul")
+            plain = spy(monkeypatch, ring, op)
+            p, q = a * b, c * d
+            if read == "left":
+                p.entries
+            elif read == "right":
+                q.entries
+            else:
+                p = Matrix(ring, p.n, p.entries)
+            out = p + q if sign > 0 else p - q
+            assert out == want
+            assert matmuls == ["matmul", "matmul"] and plain == [op]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_value_semantics_match_a_plain_matrix(self, ring):
+        # each on a fresh unread product, against the plain matrix of
+        # the same payloads
+        a, b, _, _ = self.operands(ring)
+        want = Matrix(ring, a.n, ring.matmul(a, b))
+        assert a * b == want and want == a * b
+        assert hash(a * b) == hash(want)
+        assert repr(a * b) == repr(want)
+        assert {a * b, want} == {want}
+        for clone in (copy.copy(a * b), copy.deepcopy(a * b),
+                      pickle.loads(pickle.dumps(a * b))):
+            assert type(clone) is Matrix and clone == want
+            assert clone.entries == want.entries
+
+    def test_threads_reading_one_product_agree(self):
+        # the first read writes the product's entries, and over Z_m[t]
+        # its operands' packing memos: threads that read one unread
+        # product, or sum it with another, at once all see the exact
+        # payloads
+        a, b, c, d = self.operands(P5, n=4)
+        want = literal_product(a, b).entries
+        fused = read_alone(a, b, c, d, 1).entries
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                p, q = a * b, c * d
+                seen = []
+                readers = [lambda: seen.append(p.entries)] * 3
+                readers.append(lambda: seen.append((p + q).entries))
+                threads = [threading.Thread(target=read) for read in readers]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(seen) == sorted([want] * 3 + [fused])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def skew_witness(ring, n, c):
@@ -859,25 +1014,144 @@ class TestCommuteKernel:
         # negative control: one bit short of commute's width, the biased
         # slot K + B of [a, b] carries into its neighbour. At n = 1 every
         # bracket is zero, so nothing reaches the top of a slot.
+        # The same holds for `ring.product_sum`: ab - cd with c = d = 0
+        # reaches K + B, and ab + cd with worst-case operands 2B.
         exact = rings._slot_bits
         a, b = bound_pair(ring, n, 20)
-        assert ring.commute(a, b) == literal_bracket(a, b).entries
+        full, zero = worst_case(ring, n, 20), Matrix.zero(ring, n)
+        cases = [
+            (lambda: ring.commute(a, b), literal_bracket(a, b)),
+            (lambda: ring.product_sum(a, b, zero, zero, -1), literal_product(a, b)),
+            (lambda: ring.product_sum(full, full, full, full, 1),
+             literal_product(full, full) + literal_product(full, full)),
+        ]
+        for run, want in cases:
+            assert run() == want.entries
         monkeypatch.setattr(rings, "_slot_bits", lambda *args: exact(*args) - 1)
-        assert ring.commute(a, b) != literal_bracket(a, b).entries
+        for run, want in cases:
+            assert run() != want.entries
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_raw_and_reduced_kernels(self, n):
-        # raw, the signed int sums of ab - ba as a list; reduced, their
+        # commute's kernel is `_product_sums(n, -1)` on (a, b, b, a): raw,
+        # the signed int sums of ab - ba as a list; reduced, their
         # residues as a tuple
         rng = random.Random(1000 + n)
         a, b = (random_entries(Z9, n, rng, 0, 0.2).entries for _ in range(2))
         want = [
             x - y for x, y in zip(int_dot_products(n, a, b), int_dot_products(n, b, a))
         ]
-        raw = rings._commutators(n)(a, b)
+        raw = rings._product_sums(n, -1)(a, b, b, a)
         assert type(raw) is list and raw == want
-        reduced = rings._commutators(n, True)(a, b, 9)
+        reduced = rings._product_sums(n, -1, True)(a, b, b, a, 9)
         assert reduced == tuple([x % 9 for x in want])
+
+
+def read_alone(a, b, c, d, sign):
+    """Reference: ab + sign cd with each product read alone, through the
+    dense kernel, and summed by the plain whole-matrix `+` or `-`."""
+    p, q = a * b, c * d
+    p, q = Matrix(p.ring, p.n, p.entries), Matrix(q.ring, q.n, q.entries)
+    return p + q if sign > 0 else p - q
+
+
+def slot_widths(monkeypatch):
+    """The slot width of every `_unpack` call from now on, in order."""
+    widths = []
+    unpack = rings._unpack
+
+    def spied(packed, bits, m):
+        widths.append(bits)
+        return unpack(packed, bits, m)
+
+    monkeypatch.setattr(rings, "_unpack", spied)
+    return widths
+
+
+class TestProductSumKernel:
+    """`ring.product_sum(a, b, c, d, sign)`, the payloads of ab + sign cd
+    from one call of the generated `rings._product_sums(n, sign,
+    reduced)`, against the two products read alone and summed."""
+
+    RINGS = [
+        Zmod(3), Z5, Z9, Zmod(1000003),
+        PolyRing(Zmod(3)), P5, P9, PolyRing(Zmod(1000003)),
+    ]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_products_read_alone(self, ring, n, sign):
+        # every ordered pair of operands meets the next pair: all-zero
+        # operands in every position, zero-divisor leads on Z_9[t], and
+        # degrees 1 and 3, on both sides of the byte-slot edge
+        rng = random.Random(1100 + 10 * n + sign)
+        operands = [
+            random_entries(ring, n, rng, 1, 0.0),
+            random_entries(ring, n, rng, 3, 0.5),
+            worst_case(ring, n, 3),
+            Matrix.zero(ring, n),
+        ]
+        if ring is P9:
+            operands.append(zero_divisor_leads(ring, n, rng))
+        pairs = list(itertools.product(operands, repeat=2))
+        for (a, b), (c, d) in zip(pairs, pairs[1:] + pairs[:1]):
+            out = ring.product_sum(a, b, c, d, sign)
+            assert type(out) is tuple
+            assert out == read_alone(a, b, c, d, sign).entries
+            assert all(is_canonical(ring, p) for p in out)
+
+    @pytest.mark.parametrize(
+        "ring,degree,product_bits,sum_bits",
+        [(PolyRing(Zmod(3)), 3, 6, 7), (P5, 2, 7, 8), (P5, 3, 8, 9)],
+        ids=["Z3t-64", "Z5t-192", "Z5t-256"],
+    )
+    def test_a_product_alone_keeps_its_own_width(
+        self, monkeypatch, ring, degree, product_bits, sum_bits
+    ):
+        # n = 2, worst-case operands: one product's bound is B, the sum's
+        # 2B, and the biased difference's K + B (K = m ceil(B / m)). At
+        # degree 3 on Z_5[t], B = 128 packs bytes and 2B = 256 does not.
+        n, m = 2, modulus(ring)
+        full = worst_case(ring, n, degree)
+        length = degree + 1
+        bias, diff_bits = biased_width(ring, n, degree)
+        assert rings._slot_bits(n, length, length, m) == product_bits
+        assert rings._slot_bits(2 * n, length, length, m) == sum_bits
+        widths = slot_widths(monkeypatch)
+        assert (full * full).entries == literal_product(full, full).entries
+        assert widths == [product_bits] * (n * n)
+        widths.clear()
+        twice = literal_product(full, full) + literal_product(full, full)
+        assert full * full + full * full == twice
+        assert widths == [sum_bits] * (n * n)
+        widths.clear()
+        assert (full * full - full * full).is_zero()
+        assert widths == [diff_bits] * (n * n)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_raw_and_reduced_kernels(self, sign, n):
+        # raw, the int sums of ab + sign cd as a list; reduced, their
+        # residues as a tuple
+        rng = random.Random(1200 + n)
+        a, b, c, d = (random_entries(Z9, n, rng, 0, 0.2).entries for _ in range(4))
+        want = [
+            x + sign * y
+            for x, y in zip(int_dot_products(n, a, b), int_dot_products(n, c, d))
+        ]
+        raw = rings._product_sums(n, sign)(a, b, c, d)
+        assert type(raw) is list and raw == want
+        reduced = rings._product_sums(n, sign, True)(a, b, c, d, 9)
+        assert reduced == tuple([x % 9 for x in want])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_built_once_per_n_and_sign(self, n):
+        kernel = rings._product_sums
+        assert kernel(n, 1) is kernel(n, 1)
+        assert kernel(n, 1) is not kernel(n, -1)
+        assert kernel(n, -1, True) is not kernel(n, -1)
+        assert kernel(n, 1) is not kernel(n + 1, 1)
 
 
 def literal_plus_transpose(p, sign, scale):
