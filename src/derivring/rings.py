@@ -75,25 +75,43 @@ product of polynomials with at most la and lb coefficients is at most n
 no slot carries into the next. When that bound is below 256 (only
 possible for m <= 15) each slot is one byte: a polynomial packs with one
 `int.from_bytes` and a result unpacks with one `to_bytes`, one
-`bytes.translate` through a table of v % m and one `rstrip`. Wider slots
-are packed and unpacked one shift per coefficient. A single product is
-the case n = 1, except that a zero operand gives zero.
+`bytes.translate` through a table of v % m and one `rstrip`. A width of
+9 to 15 bits is rounded up to 16 where the pair rule (m - 1) * (1 + 256
+% m) < 256 holds (m <= 25, 51 and 85 among odd m < 256; `_two_byte`):
+there a slot's two bytes, each reduced mod m, fold into one byte
+lo + (256 % m) * hi that no carry leaves. So `_unpacked` reads a whole
+kernel result, every entry's sum, in one pass of `_planes`: one
+`to_bytes` per entry, joined and reduced through the table, the two byte
+planes folded as ints by one multiply and one add, reduced through the
+table again, and one slice, `rstrip` and `tuple` per entry. The width
+rule and the unpacking test the one predicate `_two_byte`: where the
+pair rule fails, an exact 16-bit width (Z_61[t] at n = 4 and degree 3)
+takes the shift path. Slots wider than a byte are packed one shift per
+coefficient. Every other width is unpacked one shift per coefficient,
+and so is a single sum at two-byte width (`mul`): for the short
+products the suites make, the loop costs less than one pass over one
+entry. A negative sum, a slot that borrowed, raises ContractError on
+every path. A single product is the case n = 1, except that a zero
+operand gives zero.
 
 The fused kernel `product_sum` runs on the same packed ints, with la
 the longer entry length of a and c and lb that of b and d, so that B
 bounds the slots of ab and of cd alike. A slot of ab + cd is at most 2B,
 the bound of one 2n-term dot product: only the sum takes that width,
 and a product read alone keeps the width of its own B (at n = 2 and
-degree 3 on Z_5[t], B = 128 packs bytes and 2B = 256 does not). A slot
+degree 3 on Z_5[t], B = 128 packs bytes and 2B = 256 two-byte slots;
+where B and 2B both round up to 16, one packing serves both). A slot
 of ab - cd lies in [-B, B], and a negative slot would borrow from the
 next. So a difference adds the bias K = m * ceil(B / m) to each result
 slot, laid out by `_pack` itself, so at the packing's real spacing (8
 bits on byte slots, whatever the width). Each slot then lies in
 [0, K + B] and is packed at the width of K + B, at most that of 2K;
-K = 0 mod m, so `_unpack` reduces every slot as it does for a product.
-`commute` is the difference on (a, b, b, a), packed at the lengths of a
-and b alone. A matrix keeps its packed entries per slot width (see
-`_packings`).
+K = 0 mod m, so every slot is reduced as it is for a product. The width
+and the packed bias of each kernel are its slot plan, `_slots(n, sign,
+la, lb, m)`, cached since it depends on those alone, so each bias is
+packed once. `commute` is the difference on (a, b, b, a), packed at the
+lengths of a and b alone. A matrix keeps its packed entries per slot
+width (see `_packings`).
 """
 
 from __future__ import annotations
@@ -102,7 +120,7 @@ from functools import cache
 from itertools import chain, count, islice, repeat, zip_longest
 from operator import mul
 
-from .errors import DomainError, InvalidRing
+from .errors import ContractError, DomainError, InvalidRing
 
 __all__ = [
     "Zmod",
@@ -238,12 +256,26 @@ def _slot_bound(n, la, lb, m):
     return n * max(min(la, lb), 1) * (m - 1) ** 2
 
 
+def _two_byte(bits, m):
+    """Whether slots of width `bits` are reduced mod m a byte plane at a
+    time (see `_unpacked`): the width is 16 and the pair rule
+    (m - 1) * (1 + 256 % m) < 256 holds, so that a slot's two bytes,
+    each reduced mod m, fold into one byte as lo + (256 % m) * hi. Among
+    odd m < 256 the rule holds for m <= 25 and for 51 and 85. Both the
+    rounding in `_slot_bits` and the choice of path in `_unpacked` ask
+    this one function, so they cannot disagree."""
+    return bits == 16 and (m - 1) * (1 + 256 % m) < 256
+
+
 def _slot_bits(n, la, lb, m, bias=0):
     """Slot width for such dot products with `bias` added to each slot:
     the bit length of bias + `_slot_bound`, the largest value a slot can
     hold. A width of at most 8 bits (a largest value below 256, so
-    m <= 15) is packed in byte slots."""
-    return (bias + _slot_bound(n, la, lb, m)).bit_length()
+    m <= 15) is packed in byte slots. A width of 9 to 15 bits is rounded
+    up to 16 where `_two_byte` holds at 16, so that its slots unpack by
+    byte planes."""
+    bits = (bias + _slot_bound(n, la, lb, m)).bit_length()
+    return 16 if 8 < bits < 16 and _two_byte(16, m) else bits
 
 
 @cache
@@ -266,11 +298,22 @@ def _pack(coeffs, bits):
     return packed
 
 
+def _negative(packed):
+    """The error for a negative packed sum. A correct bias keeps every
+    sum non-negative, so such a sum is a fault in the packing, and no
+    unpacking path may read it (the shift loop would never end)."""
+    return ContractError(f"negative packed sum {packed}: a slot borrowed")
+
+
 def _unpack(packed, bits, m):
     """The canonical payload of a packed sum of products: slot k is
     coefficient k, reduced mod m; trailing zeros are stripped. Byte
     slots (bits <= 8) take one `to_bytes`, one `translate` through the
-    table of v % m and one `rstrip`; wider slots one shift per slot."""
+    table of v % m and one `rstrip`; wider slots one shift per slot,
+    two-byte slots included: on one short sum the loop costs less than
+    the fixed cost of `_planes`. A negative sum raises ContractError."""
+    if packed < 0:
+        raise _negative(packed)
     if bits <= 8:
         raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
         return tuple(raw.translate(_residues(m)).rstrip(b"\0"))
@@ -280,6 +323,31 @@ def _unpack(packed, bits, m):
         coeffs.append((packed & mask) % m)
         packed >>= bits
     return _strip(coeffs)
+
+
+def _planes(sums, m):
+    """The payloads of the packed `sums` at two-byte slots, in one pass
+    over all of them: each sum is laid out in the same number of bytes,
+    two per slot, and the bytes are joined and reduced through the table
+    of v % m. The low and the high byte planes, read as ints, fold into
+    one, lo + (256 % m) * hi, whose every byte is below 256 by the pair
+    rule (so no byte carries) and is congruent to its slot mod m; one
+    more reduction through the table makes each byte its slot's
+    residue. Each sum's run of bytes is then sliced out and stripped of
+    trailing zeros."""
+    low = min(sums)
+    if low < 0:
+        raise _negative(low)
+    size = (max(sums).bit_length() + 15) // 16  # slots per sum
+    if not size:
+        return ((),) * len(sums)
+    table = _residues(m)
+    raw = b"".join([s.to_bytes(2 * size, "little") for s in sums]).translate(table)
+    lo, hi = int.from_bytes(raw[::2], "little"), int.from_bytes(raw[1::2], "little")
+    slots = (lo + 256 % m * hi).to_bytes(len(raw) // 2, "little").translate(table)
+    return tuple([
+        tuple(slots[i : i + size].rstrip(b"\0")) for i in range(0, len(slots), size)
+    ])
 
 
 def _packings(x):
@@ -306,6 +374,7 @@ def _packed(memo, bits):
     return packed
 
 
+@cache
 def _slots(n, sign, la, lb, m):
     """The slot width and the packed bias of a `PolyRing` matrix kernel
     over entries of at most la and lb coefficients: sign 0 for one
@@ -313,7 +382,9 @@ def _slots(n, sign, la, lb, m):
     most B = `_slot_bound(n, la, lb, m)` and those of ab + cd, a 2n-term
     dot product, at most 2B. Those of ab - cd lie in [-B, B], so each of
     their la + lb - 1 slots takes the bias K = m * ceil(B / m), packed by
-    `_pack` (see the module docstring); the bias of the others is 0."""
+    `_pack` (see the module docstring); the bias of the others is 0.
+    Cached: the plan depends on its arguments alone, so each bias is
+    packed once."""
     if sign >= 0:
         return _slot_bits(2 * n if sign else n, la, lb, m), 0
     bound = _slot_bound(n, la, lb, m)
@@ -324,8 +395,13 @@ def _slots(n, sign, la, lb, m):
 
 def _unpacked(sums, bits, offset, m):
     """The payloads of the packed `sums` of a matrix kernel, each with
-    the packed bias `offset` added and unpacked once."""
-    return tuple([_unpack(s + offset, bits, m) for s in sums])
+    the packed bias `offset` added: at two-byte slots (`_two_byte`) all
+    in one pass of `_planes`, at any other width each by `_unpack`."""
+    if offset:
+        sums = [s + offset for s in sums]
+    if _two_byte(bits, m):
+        return _planes(sums, m)
+    return tuple([_unpack(s, bits, m) for s in sums])
 
 
 def _compiled(name, label, source):
@@ -748,15 +824,14 @@ class PolyRing(_ReadOnly):
         `rows` as its rows and the payload tuple v, by Kronecker
         substitution: v and each row are packed at the slot width of a
         len(v)-term dot product, each row's packed dot product with v is
-        one sum of int products, and each sum is unpacked once."""
+        one sum of int products, and the sums are unpacked together by
+        `_unpacked`."""
         m = self.base.modulus
         lv, lr = max(map(len, v)), max(map(len, chain.from_iterable(rows)))
         bits = _slot_bits(len(v), lv, lr, m)
         pv = [_pack(c, bits) for c in v]
-        return tuple([
-            _unpack(sum(map(mul, pv, [_pack(c, bits) for c in row])), bits, m)
-            for row in rows
-        ])
+        sums = [sum(map(mul, pv, [_pack(c, bits) for c in row])) for row in rows]
+        return _unpacked(sums, bits, 0, m)
 
     def format_payload(self, payload):
         if not payload:

@@ -57,6 +57,21 @@ class TestVerify:
         assert report["failures"] == []
         assert report["config"]["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the pair rule holds (256 % 17 = 1): two-byte slots
+            ["two-generator", "--ring", "poly:zmod:17", "--n", "2", "--max-len", "4"],
+            # exact 16-bit slots where the pair rule fails: the shift path
+            ["two-generator", "--ring", "poly:zmod:61", "--n", "4", "--max-len", "3"],
+        ],
+        ids=["Z17t", "Z61t-n4"],
+    )
+    def test_kronecker_slot_cells(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["verify", *argv, "--trials", "1", "--seed", "7"])
+        assert code == 0, err
+        assert json.loads(out)["failures"] == []
+
     def test_even_modulus_is_config_error(self, capsys):
         code, out, err = run_cli(
             capsys, ["verify", "theorem1", "--ring", "zmod:6", "--trials", "1"]
@@ -415,6 +430,7 @@ class TestColdImport:
             "rings._mirrored",
             "rings._product_sums",
             "rings._residues",
+            "rings._slots",
         } <= set(built)
         assert not any(built.values()), built
 

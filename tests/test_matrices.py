@@ -3,6 +3,7 @@ symmetry predicates and the checked symmetric/skew types, and the shift
 probe."""
 
 import copy
+import functools
 import itertools
 import operator
 import pickle
@@ -170,6 +171,20 @@ def worst_case(ring, n, degree):
     m = modulus(ring)
     value = m - 1 if isinstance(ring, Zmod) else [m - 1] * (degree + 1)
     return Matrix.from_rows(ring, [[value] * n for _ in range(n)])
+
+
+def narrow_slots(monkeypatch):
+    """From now on, make every slot width one bit below the bit length of
+    its largest slot value. The final width that `_slot_bits` returns is
+    patched, not the width before the two-byte rounding (9 to 15 bits
+    would round back up to 16 and fit). `_slots` gets a fresh cache, so
+    no plan made at the true width serves."""
+
+    def short(n, la, lb, m, bias=0):
+        return (bias + rings._slot_bound(n, la, lb, m)).bit_length() - 1
+
+    monkeypatch.setattr(rings, "_slot_bits", short)
+    monkeypatch.setattr(rings, "_slots", functools.cache(rings._slots.__wrapped__))
 
 
 @st.composite
@@ -350,24 +365,22 @@ class TestPayloadKernel:
     def test_narrower_slot_is_caught(self, monkeypatch, ring, n):
         # negative control: one bit short of the slot bound, the worst-case
         # coefficient carries into its neighbour and the reference sees it
-        from derivring import rings
-
-        exact = rings._slot_bits
-        monkeypatch.setattr(rings, "_slot_bits", lambda *args: exact(*args) - 1)
         a = worst_case(ring, n, 20)
+        narrow_slots(monkeypatch)
         assert a * a != literal_product(a, a)
 
     @pytest.mark.parametrize(
         "n,degree,bits",
-        [(1, 14, 8), (1, 15, 9), (3, 3, 8), (4, 3, 9)],
+        [(1, 14, 8), (1, 15, 16), (3, 3, 8), (4, 3, 16)],
         ids=["scalar-240", "scalar-256", "n3-192", "n4-256"],
     )
     def test_byte_slot_cut_off(self, n, degree, bits):
         # worst-case Z_5[t] operands, every coefficient 4, whose slot bound
         # n * (degree + 1) * 16 is below 256 (byte slots) or reaches 256
-        # (one shift per slot); each product against the schoolbook
-        from derivring import rings
-
+        # (9 bits, rounded up to two-byte slots: the pair rule holds for
+        # 5); each product against the schoolbook
+        bound = rings._slot_bound(n, degree + 1, degree + 1, 5)
+        assert bound.bit_length() == (8 if bits == 8 else 9)
         assert rings._slot_bits(n, degree + 1, degree + 1, 5) == bits
         a = worst_case(P5, n, degree)
         if n == 1:
@@ -993,14 +1006,17 @@ class TestCommuteKernel:
     @pytest.mark.parametrize(
         "ring,n,degree,bits",
         [(PolyRing(Zmod(3)), 2, 3, 7), (PolyRing(Zmod(3)), 4, 6, 8),
-         (P5, 2, 3, 9), (P5, 1, 7, 9)],
-        ids=["Z3t-66", "Z3t-224", "Z5t-260", "Z5t-260-scalar"],
+         (P5, 2, 3, 16), (P5, 1, 7, 16), (PolyRing(Zmod(61)), 2, 1, 15)],
+        ids=["Z3t-66", "Z3t-224", "Z5t-260", "Z5t-260-scalar", "Z61t-28914"],
     )
     def test_byte_and_shift_slots(self, ring, n, degree, bits):
         # 2K below 256 packs byte slots, whose bias sits 8 bits apart
-        # whatever the width; 2K from 256 up takes one shift per slot
+        # whatever the width; 2K from 256 up takes two-byte slots where
+        # the pair rule holds (Z_5: K + B = 258, 9 bits, rounded up to 16)
+        # and one shift per slot where it does not (Z_61: 15 bits)
         bias, width = biased_width(ring, n, degree)
         assert width == bits and (2 * bias < 256) == (bits <= 8)
+        assert rings._two_byte(bits, modulus(ring)) == (bits == 16)
         operands = [worst_case(ring, n, degree), Matrix.zero(ring, n)]
         if n > 1:
             operands += bound_pair(ring, n, degree)
@@ -1016,7 +1032,6 @@ class TestCommuteKernel:
         # bracket is zero, so nothing reaches the top of a slot.
         # The same holds for `ring.product_sum`: ab - cd with c = d = 0
         # reaches K + B, and ab + cd with worst-case operands 2B.
-        exact = rings._slot_bits
         a, b = bound_pair(ring, n, 20)
         full, zero = worst_case(ring, n, 20), Matrix.zero(ring, n)
         cases = [
@@ -1027,7 +1042,7 @@ class TestCommuteKernel:
         ]
         for run, want in cases:
             assert run() == want.entries
-        monkeypatch.setattr(rings, "_slot_bits", lambda *args: exact(*args) - 1)
+        narrow_slots(monkeypatch)
         for run, want in cases:
             assert run() != want.entries
 
@@ -1056,15 +1071,16 @@ def read_alone(a, b, c, d, sign):
 
 
 def slot_widths(monkeypatch):
-    """The slot width of every `_unpack` call from now on, in order."""
+    """The slot width of every matrix kernel's `_unpacked` call from now
+    on, in order: one per kernel call."""
     widths = []
-    unpack = rings._unpack
+    unpacked = rings._unpacked
 
-    def spied(packed, bits, m):
+    def spied(sums, bits, offset, m):
         widths.append(bits)
-        return unpack(packed, bits, m)
+        return unpacked(sums, bits, offset, m)
 
-    monkeypatch.setattr(rings, "_unpack", spied)
+    monkeypatch.setattr(rings, "_unpacked", spied)
     return widths
 
 
@@ -1103,7 +1119,7 @@ class TestProductSumKernel:
 
     @pytest.mark.parametrize(
         "ring,degree,product_bits,sum_bits",
-        [(PolyRing(Zmod(3)), 3, 6, 7), (P5, 2, 7, 8), (P5, 3, 8, 9)],
+        [(PolyRing(Zmod(3)), 3, 6, 7), (P5, 2, 7, 8), (P5, 3, 8, 16)],
         ids=["Z3t-64", "Z5t-192", "Z5t-256"],
     )
     def test_a_product_alone_keeps_its_own_width(
@@ -1111,7 +1127,8 @@ class TestProductSumKernel:
     ):
         # n = 2, worst-case operands: one product's bound is B, the sum's
         # 2B, and the biased difference's K + B (K = m ceil(B / m)). At
-        # degree 3 on Z_5[t], B = 128 packs bytes and 2B = 256 does not.
+        # degree 3 on Z_5[t], B = 128 packs bytes and 2B = 256 takes
+        # two-byte slots.
         n, m = 2, modulus(ring)
         full = worst_case(ring, n, degree)
         length = degree + 1
@@ -1120,14 +1137,14 @@ class TestProductSumKernel:
         assert rings._slot_bits(2 * n, length, length, m) == sum_bits
         widths = slot_widths(monkeypatch)
         assert (full * full).entries == literal_product(full, full).entries
-        assert widths == [product_bits] * (n * n)
+        assert widths == [product_bits]
         widths.clear()
         twice = literal_product(full, full) + literal_product(full, full)
         assert full * full + full * full == twice
-        assert widths == [sum_bits] * (n * n)
+        assert widths == [sum_bits]
         widths.clear()
         assert (full * full - full * full).is_zero()
-        assert widths == [diff_bits] * (n * n)
+        assert widths == [diff_bits]
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", range(1, 10))
@@ -1923,30 +1940,33 @@ class TestPackingMemo:
 
     @pytest.mark.parametrize(
         "ring,degree,degrees",
-        [(P5, 15, (3, 7, 15)), (PolyRing(BIG), 5, (0, 2, 5))],
+        [(P5, 15, (3, 7, 15)), (PolyRing(Zmod(61)), 3, (0, 1, 3)),
+         (PolyRing(BIG), 5, (0, 2, 5))],
         ids=str,
     )
     def test_one_matrix_at_several_widths(self, ring, degree, degrees):
         # worst-case operands reach each slot bound exactly, so a packing
         # reused at the wrong width would carry into the next slot
-        from derivring import rings
-
         m = modulus(ring)
         a = worst_case(ring, 2, degree)
         widths = [rings._slot_bits(2, degree + 1, d + 1, m) for d in degrees]
-        assert len(set(widths)) == len(widths)
-        if ring is P5:
-            assert widths == [8, 9, 10]
+        if m == 5:
+            # 9 and 10 bits both round up to two-byte slots, so the third
+            # partner reuses the packing made for the second
+            assert widths == [8, 16, 16]
+        elif m == 61:
+            # the pair rule fails for 61: three shift widths, none rounded
+            assert widths == [13, 14, 15]
+        else:
+            assert len(set(widths)) == len(widths)
         for d in degrees:
             b = worst_case(ring, 2, d)
             first = (a * b, b * a)
             assert first == (literal_product(a, b), literal_product(b, a))
             assert (a * b, b * a) == first
-        assert sorted(a._packings[2]) == sorted(widths)
+        assert sorted(a._packings[2]) == sorted(set(widths))
 
     def test_fixed_operand_is_packed_once_per_width(self, monkeypatch):
-        from derivring import rings
-
         calls = [0]
         pack = rings._pack
 
@@ -1958,14 +1978,39 @@ class TestPackingMemo:
         n, k, rng = 3, 5, random.Random(8)
         fixed = full_entries(P5, n, rng, 6)
         widths = set()
-        # fresh operands of 2 and 6 coefficients: byte and 9-bit slots
+        # fresh operands of 2 and 6 coefficients: byte slots and 9-bit
+        # slots rounded up to two-byte ones
         for length in (2, 6):
             widths.add(rings._slot_bits(n, 6, length, 5))
             for _ in range(k):
                 fresh = full_entries(P5, n, rng, length)
                 assert fixed * fresh == literal_product(fixed, fresh)
-        assert widths == {7, 9}
+        assert widths == {7, 16}
         assert calls[0] == n * n * (len(widths) + 2 * k)
+
+    def test_product_and_sum_share_one_two_byte_packing(self, monkeypatch):
+        # n = 2, degree 7 on Z_5[t]: a product alone needs B = 256 (9 bits)
+        # and a sum of two products 2B = 512 (10 bits). Both round up to
+        # two-byte slots, so the operand is packed once, at one width.
+        n, length = 2, 8
+        full = worst_case(P5, n, length - 1)
+        bound = rings._slot_bound(n, length, length, 5)
+        assert (bound.bit_length(), (2 * bound).bit_length()) == (9, 10)
+        assert rings._slots(n, 0, length, length, 5)[0] == 16
+        assert rings._slots(n, 1, length, length, 5)[0] == 16
+        want = literal_product(full, full)
+        calls = [0]
+        pack = rings._pack
+
+        def counted(coeffs, bits):
+            calls[0] += 1
+            return pack(coeffs, bits)
+
+        monkeypatch.setattr(rings, "_pack", counted)
+        assert full * full == want
+        assert full * full + full * full == want + want
+        assert calls[0] == n * n
+        assert list(full._packings[2]) == [16]
 
     def test_reassigned_entries_are_packed_again(self):
         # `entries` is a writable slot: a packing kept for the old tuple

@@ -21,7 +21,7 @@ from derivring import (
     matrix_unit,
     rings,
 )
-from derivring.errors import ParseError
+from derivring.errors import ContractError, ParseError
 from derivring.serialize import loads_strict, matrix_from_obj, ring_to_obj
 
 Z5 = Zmod(5)
@@ -484,6 +484,134 @@ class TestMonomialProducts:
         assert P9.mul((1, 3, 6, 3), (3,)) == (3,)
         assert P9.mul((), (1, 2)) == P9.mul((1, 2), ()) == ()
         assert P5.scale_all(P5.half.payload, ((2, 4),)) == ((1, 2),)
+
+
+# Every odd modulus of a byte, and one far past it
+KRONECKER_MODULI = list(range(3, 256, 2)) + [1000003]
+
+# (n, la, lb): kernels over n-term dot products of entries with at most
+# la and lb coefficients, from byte slots up to widths past 16 bits
+SLOT_SHAPES = [(1, 1, 1), (1, 4, 7), (2, 4, 4), (5, 4, 4), (8, 7, 4)]
+
+
+def packed_slots(slots, bits):
+    """Reference packing: the int whose slot k holds slots[k], of any
+    sign, at `_pack`'s spacing (8 bits on byte slots, else `bits`)."""
+    spacing = 8 if bits <= 8 else bits
+    return sum(v << spacing * k for k, v in enumerate(slots))
+
+
+def per_slot_payload(slots, m):
+    """Reference unpacking: each slot reduced mod m on its own, trailing
+    zeros stripped."""
+    coeffs = [v % m for v in slots]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def slot_cases(rng, size, low, high, m):
+    """Lists of `size` slot values in [low, high]: all zero, all at
+    either end, random, and random under a top slot that is a nonzero
+    multiple of m, so that it cancels (3 * 3 mod 9, 3 * 5 mod 15 and
+    5 * 5 mod 25 are such tops)."""
+    draw = [[rng.randint(low, high) for _ in range(size)] for _ in range(4)]
+    tops = [m * rng.randint(1, high // m) for _ in range(3)]
+    if low:
+        tops += [-top for top in tops]
+    cancelled = [row[:-1] + [top] for row, top in zip(draw * 2, tops)]
+    return [[[0] * size] * 3, [[high] * size, [low] * size], draw, cancelled]
+
+
+class TestKroneckerSlots:
+    """`rings._unpacked`, which reads a whole kernel result (one packed
+    sum per entry), against the per-slot reference, at the width and
+    with the bias that `rings._slots` plans: byte slots, two-byte slots
+    read by byte planes where the pair rule holds, and one shift per
+    slot elsewhere."""
+
+    @pytest.mark.parametrize("m", KRONECKER_MODULI)
+    def test_unpacked_matches_per_slot_reference(self, m):
+        # sign 0: a product, slots in [0, B]; sign 1: a sum of two, in
+        # [0, 2B]; sign -1: a difference, in [-B, B] before the bias
+        rng = random.Random(m)
+        for n, la, lb in SLOT_SHAPES:
+            size, bound = la + lb - 1, rings._slot_bound(n, la, lb, m)
+            for sign, low, high in ((0, 0, bound), (1, 0, 2 * bound), (-1, -bound, bound)):
+                bits, offset = rings._slots(n, sign, la, lb, m)
+                assert (offset != 0) == (sign < 0)
+                for rows in slot_cases(rng, size, low, high, m):
+                    sums = [packed_slots(row, bits) for row in rows]
+                    want = tuple(per_slot_payload(row, m) for row in rows)
+                    assert rings._unpacked(sums, bits, offset, m) == want, (n, la, lb, sign)
+
+    def test_two_byte_width_is_the_pair_rule(self):
+        # a width of 9 to 15 bits rounds up to 16 exactly where the pair
+        # rule holds, and `_unpacked` takes the byte planes exactly there
+        pairs = [m for m in KRONECKER_MODULI if (m - 1) * (1 + 256 % m) < 256]
+        assert pairs == list(range(3, 26, 2)) + [51, 85]
+        for m in KRONECKER_MODULI:
+            for n, la, lb in SLOT_SHAPES:
+                exact = rings._slot_bound(n, la, lb, m).bit_length()
+                bits = rings._slot_bits(n, la, lb, m)
+                rounds = 8 < exact < 16 and m in pairs
+                assert bits == (16 if rounds else exact)
+                assert rings._two_byte(bits, m) == (bits == 16 and m in pairs)
+
+    def test_exact_two_byte_width_without_the_pair_rule(self):
+        # Z_61[t], n = 4, degree 3: the bound 57,600 needs exactly 16
+        # bits, but 60 * (1 + 256 % 61) = 780 does not fit a byte, so the
+        # slots take the shift path, never the byte planes
+        n, length, m = 4, 4, 61
+        assert rings._slot_bound(n, length, length, m) == 57_600
+        bits, offset = rings._slots(n, 0, length, length, m)
+        assert (bits, offset) == (16, 0) and not rings._two_byte(bits, m)
+        rng = random.Random(61)
+        for rows in slot_cases(rng, 2 * length - 1, 0, 57_600, m):
+            sums = [packed_slots(row, bits) for row in rows]
+            want = tuple(per_slot_payload(row, m) for row in rows)
+            assert rings._unpacked(sums, bits, 0, m) == want
+        ring = PolyRing(Zmod(m))
+        full = Matrix.from_rows(ring, [[[m - 1] * length] * n] * n)
+        top = ref_poly_mul((m - 1,) * length, (m - 1,) * length, m)
+        want = tuple(
+            per_slot_payload([n * c for c in top], m) for _ in range(n * n)
+        )
+        assert ring.matmul(full, full) == want
+
+    @pytest.mark.parametrize("bits", [8, 9, 15, 17])
+    def test_negative_sum_raises_on_one_sum(self, bits):
+        # a negative sum is a borrowing slot: it raises, where the shift
+        # loop used to run on forever (-1 >> bits is -1)
+        with pytest.raises(ContractError, match="negative packed sum"):
+            rings._unpack(-1, bits, 5)
+
+    def test_negative_sum_raises_on_two_byte_slots(self):
+        # a difference whose bias is laid one slot short: the top slot
+        # borrows and the whole sum is negative, on the byte planes as on
+        # the shift path
+        n, la, lb = 2, 4, 4
+        for m in (5, 61):
+            bits, offset = rings._slots(n, -1, la, lb, m)
+            bias = offset >> bits * (la + lb - 2)  # the top slot's K
+            short = offset - (bias << bits * (la + lb - 2))
+            bound = rings._slot_bound(n, la, lb, m)
+            rows = [[0] * 6 + [-bound], [1]]
+            sums = [packed_slots(row, bits) for row in rows]
+            assert rings._two_byte(bits, m) == (m == 5)
+            want = tuple(per_slot_payload(row, m) for row in rows)
+            assert rings._unpacked(sums, bits, offset, m) == want
+            with pytest.raises(ContractError, match="negative packed sum"):
+                rings._unpacked(sums, bits, short, m)
+        with pytest.raises(ContractError):
+            rings._unpacked([0, -1], 16, 0, 5)
+
+    def test_slot_plans_are_cached(self):
+        # the plan is pure in (n, sign, la, lb, m): the bias is packed once
+        plan = rings._slots(3, -1, 5, 2, 9)
+        hits = rings._slots.cache_info().hits
+        assert rings._slots(3, -1, 5, 2, 9) is plan
+        assert rings._slots.cache_info().hits == hits + 1
 
 
 def randrange_reference(ring, rng, count, max_degree):
