@@ -4,9 +4,11 @@ entrywise lift, the 2x2 extension block and its doubling tower, which
 share one closed form), and the two-generator propagation check.
 
 A lift maps each entry a to delta(a) + s a, s a weight difference mod m,
-through one call of the closed form `BaseDerivation.on_payload(a, s)`:
-with delta(t) = c t^d, coefficient k is (s a_k + c (k-d+1) a_{k-d+1})
-mod m, one comprehension per entry and no ring product or sum.
+through one call of `BaseDerivation.on_payloads(entries, shifts)` per
+matrix. It splits the entries into coefficient planes, plane k holding
+coefficient k of every entry, and runs one Z_m kernel per output plane:
+with delta(t) = c t^d, output plane k is (s * P_k + c (k-d+1) P_{k-d+1})
+mod m, entry by entry, with no ring product or sum and no call per entry.
 """
 
 from __future__ import annotations
@@ -64,16 +66,16 @@ def _lift(delta, n, weight):
     """The map X_ij -> delta(X_ij) + (weight[j] - weight[i]) X_ij on
     M_n(R): the entrywise lift of delta plus the inner derivation of
     -diag(weight), hence a derivation for any integer weights. Each
-    weight difference becomes an int mod m here, once, and each entry
-    is one call of the closed form `delta.on_payload(x, s)`."""
+    weight difference becomes an int mod m here, once, and each matrix
+    is one call of the plane form `delta.on_payloads(entries, shifts)`."""
     _require_dimension(n)
     ring, m = delta.ring, delta.modulus
     shifts = tuple((wj - wi) % m for wi in weight for wj in weight)
-    closed_form = delta.on_payload
+    closed_form = delta.on_payloads
 
     def apply(mat):
         require_shape(mat, ring, n)
-        return Matrix(ring, n, tuple(map(closed_form, mat.entries, shifts)))
+        return Matrix(ring, n, closed_form(mat.entries, shifts))
 
     return apply
 
@@ -101,12 +103,13 @@ def extend_tower(delta, n):
     bit length of n - 1, then compression with e = e_{1,1} + ... +
     e_{n,n}.
 
-    It is evaluated entry by entry through the closed form
-    X_ij -> delta(X_ij) + (popcount(j-1) - popcount(i-1)) X_ij (one
-    `delta.on_payload` call per entry, see `_lift`): each
-    doubling level adds +X on its upper-right and -X on its lower-left
-    block, so the level splitting on bit k adds bit_k(j-1) - bit_k(i-1),
-    and padding and compression leave the top-left n x n block alone.
+    It is evaluated as the closed form
+    X_ij -> delta(X_ij) + (popcount(j-1) - popcount(i-1)) X_ij, one
+    `delta.on_payloads` call per matrix over its coefficient planes (see
+    `_lift`): each doubling level adds +X on its upper-right and -X on
+    its lower-left block, so the level splitting on bit k adds
+    bit_k(j-1) - bit_k(i-1), and padding and compression leave the
+    top-left n x n block alone.
     """
     if n < 2:
         raise DomainError("the tower extension needs n >= 2")

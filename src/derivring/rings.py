@@ -18,8 +18,11 @@ with no kernel; the tabulated Jordan oracle makes one per call, see
 tuples to the tuple ops: Z_m runs `_entrywise(size, op)` on the
 residues, and Z_m[t] maps its scalar ops. Z_m[t] has exactly two kinds
 of arithmetic:
-- the Z_m kernels, coefficient by coefficient: `add`, `sub`, `neg`, and
-  `plus_transpose` plane by plane;
+- the Z_m kernels, coefficient by coefficient: `add`, `sub` and `neg`;
+  and plane by plane, where plane k holds coefficient k of every entry
+  of a matrix: `plus_transpose` (`_mirrored`) and the derivation lift
+  `BaseDerivation.on_payloads`, through the `_ENTRYWISE` rules `weigh`
+  (s_k a_k), `lift` (s_k a_k + u b_k) and `add_scaled` (a_k + u b_k);
 - Kronecker substitution (below): `mul`, `matmul`, `commute`,
   `product_sum` and `matvec`.
 A zero operand of `add` or `sub` gives the other back (negated, when it
@@ -55,14 +58,12 @@ computes each entry as one straight-line expression over them, with no
 call per entry. `_straight_line` writes `_entrywise(size, op)` and
 `_mirrored(n, sign)`, each returning one tuple literal. Z_m[t] builds an
 `_entrywise` kernel for each coefficient length that its `add`, `sub`
-and `neg` meet (`derivring verify extend --ring poly:zmod:5 --n 12
---max-degree 40 --delta d/dt --trials 1 --seed 7` builds 7, about 3.3 ms
-of its 18.4 ms wall time, medians of 5 runs, CPython 3.11 on a 2-vCPU
-x86-64 host). `_row_loop` writes the two matrix kernels of both rings,
-`_dot_products(n, reduced)` and `_product_sums(n, sign, reduced)`, one
-tuple of n sums per row of their operands. On Z_m the entries are the
-ints, and
-the reduced kernel ends each sum in % m, so it returns the residues. On
+and `neg` meet; the lift's are keyed by the number of entries alone,
+whatever their lengths. `_row_loop` writes the two matrix kernels of both
+rings, `_dot_products(n, reduced)` and `_product_sums(n, sign,
+reduced)`, one tuple of n sums per row of their operands. On Z_m the
+entries are the ints, and the reduced kernel ends each sum in % m, so
+it returns the residues. On
 Z_m[t], products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
 polynomial is packed into one int with a `bits`-wide slot per
@@ -117,7 +118,7 @@ width (see `_packings`).
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, count, islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 from operator import mul
 
 from .errors import ContractError, DomainError, InvalidRing
@@ -241,10 +242,12 @@ def _strip(coeffs):
     coefficient is nonzero comes back as it is, uncopied."""
     if coeffs and coeffs[-1]:
         return tuple(coeffs)
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+    if not any(coeffs):
+        return ()
+    top = len(coeffs) - 2  # the last coefficient is zero, and some other is not
+    while not coeffs[top]:
+        top -= 1
+    return tuple(coeffs[: top + 1])
 
 
 def _slot_bound(n, la, lb, m):
@@ -493,12 +496,16 @@ def _product_sums(n, sign, reduced=False):
     return _row_loop("product_sums", n, reduced, ("b", "d"), ("a", "c"), sums)
 
 
-# op -> (parameters, operands, entry k): the Z_m tuple ops on residues
+# op -> (parameters, operands, entry k): the Z_m tuple ops on residues,
+# and the three plane rules of the derivation lift (`on_payloads`)
 _ENTRYWISE = {
     "add": ("a, b, m", ("a", "b"), "(a{k} + b{k}) % m"),
     "sub": ("a, b, m", ("a", "b"), "(a{k} - b{k}) % m"),
     "neg": ("a, m", ("a",), "-a{k} % m"),
     "scale": ("s, a, m", ("a",), "s * a{k} % m"),
+    "weigh": ("s, a, m", ("s", "a"), "s{k} * a{k} % m"),
+    "lift": ("s, a, u, b, m", ("s", "a", "b"), "(s{k} * a{k} + u * b{k}) % m"),
+    "add_scaled": ("a, u, b, m", ("a", "b"), "(a{k} + u * b{k}) % m"),
 }
 
 
@@ -507,9 +514,11 @@ def _entrywise(size, op):
     """The Z_m tuple-op kernel, built once per (size, op): for op "add"
     or "sub" the map (a, b, m) to the residues of a_k + b_k or a_k - b_k,
     for "neg" (a, m) to those of -a_k, for "scale" (s, a, m) to those of
-    s a_k, over operands (tuples or lists) of `size` residues each. It
-    passes `_straight_line` the op's `_ENTRYWISE` rule at each k as the
-    outputs, so size 0 returns ()."""
+    s a_k, and for the lift's "weigh" (s, a, m), "lift" (s, a, u, b, m)
+    and "add_scaled" (a, u, b, m) to those of s_k a_k, s_k a_k + u b_k
+    and a_k + u b_k, over operands (tuples or lists) of `size` residues
+    each and int scalars u. It passes `_straight_line` the op's
+    `_ENTRYWISE` rule at each k as the outputs, so size 0 returns ()."""
     params, operands, rule = _ENTRYWISE[op]
     outputs = [rule.format(k=k) for k in range(size)]
     return _straight_line(f"{op}_all", params, operands, size, outputs)
@@ -862,10 +871,10 @@ class PolyRing(_ReadOnly):
 
 
 def _derivative_terms(scale):
-    """The terms c t^j of delta(t) = `scale` that `on_payload` reads,
+    """The terms c t^j of delta(t) = `scale` that `on_payloads` reads,
     highest j first, as (j - 1, c * (1 - j), c): c t^j moves a's
-    coefficients up by j - 1, and position k takes the multiplier
-    c (k - j + 1), which starts at c (1 - j) and steps by c."""
+    coefficient planes up by j - 1, and output plane k takes the
+    multiplier c (k - j + 1), which starts at c (1 - j) and steps by c."""
     return tuple(
         (j - 1, c * (1 - j), c) for j, c in reversed(list(enumerate(scale))) if c
     )
@@ -881,13 +890,20 @@ class BaseDerivation(_ReadOnly):
     plus delta(1) = 0 force it), so the constructor refuses any other
     scale there. The scale passes the ring's value rule, `ring.element`.
 
-    The payload map is `on_payload(a, s)`, delta(a) + s a for an int s
-    mod m (s = 0 gives delta alone), evaluated as one closed form on the
-    coefficients: with delta(t) = c t^j, coefficient k of delta(a) + s a
-    is (s a_k + c (k - j + 1) a_{k-j+1}) mod m, trailing zeros stripped.
-    That is one comprehension per payload, and one more for each further
-    nonzero term of delta(t) (see `_derivative_terms`). On Z_m, where
-    delta = 0, the map is s a mod m.
+    The payload map is `on_payloads(entries, shifts)`, delta(a) + s a for
+    each payload a of `entries` and its int s mod m in `shifts` (s = 0
+    gives delta alone), on coefficient planes: plane k, P_k, holds
+    coefficient k of every entry, 0 past an entry's end. With
+    delta(t) = c t^j, coefficient k of delta(a) + s a is
+    (s a_k + c (k - j + 1) a_{k-j+1}) mod m, so output plane k is one
+    "lift" kernel call, (s * P_k + u_k P_{k-j+1}) mod m with * entry by
+    entry and the int u_k = c (k - j + 1) mod m, zero planes standing in
+    outside a's. Each further term of delta(t) adds its own u_k P_{k-j+1}
+    through "add_scaled" (see `_derivative_terms`). delta = 0 is one
+    "weigh" call, s * P_k mod m, per plane, and on Z_m one over the
+    residues. Each output entry is stripped of trailing zeros. The
+    kernels (`_entrywise`) are keyed by the number of entries, never by
+    a coefficient length; `on_payload(a, s)` is the one-entry call.
     """
 
     __slots__ = ("ring", "scale", "modulus", "_terms")
@@ -927,32 +943,42 @@ class BaseDerivation(_ReadOnly):
 
     def on_payload(self, a, s=0):
         """delta(a) + s a on a canonical payload `a` of the ring, for an
-        int s in [0, m): the closed form of the class docstring."""
-        terms, m = self._terms, self.modulus
+        int s in [0, m): `on_payloads` of the one entry."""
+        return self.on_payloads((a,), (s,))[0]
+
+    def on_payloads(self, entries, shifts):
+        """The payloads of delta(a_e) + s_e a_e for the canonical payloads
+        `entries` and the ints `shifts` in [0, m), one s_e per entry: the
+        plane form of the class docstring, one `_entrywise(len(entries),
+        op)` kernel call per output plane and per term of delta(t)."""
+        terms, m, size = self._terms, self.modulus, len(entries)
+        if terms is None:  # Z_m: delta = 0
+            return _entrywise(size, "weigh")(shifts, entries, m)
+        planes = list(zip_longest(*entries, fillvalue=0))
+        if not planes:
+            return entries  # every entry is zero
         if not terms:
-            if terms is None:
-                return s * a % m
-            if not s:
-                return ()
-            out = [s * x % m for x in a]
+            weigh = _entrywise(size, "weigh")
+            out = [weigh(shifts, p, m) for p in planes]
         else:
-            shift, start, c = terms[0]
-            if not shift:
-                # delta(t) = c t: coefficient k is (s + c k) a_k
-                out = [x * i % m for x, i in zip(a, count(start + s, c))]
-            elif shift < 0:
-                lo = a[1:] + (0,)
-                out = [(s * x + y * i) % m for x, y, i in zip(a, lo, count(start, c))]
-            else:
-                pad = (0,) * shift
-                hi, lo = a + pad, pad + a
-                out = [(s * x + y * i) % m for x, y, i in zip(hi, lo, count(start, c))]
-            for low, start, c in terms[1:]:
-                # a lower power of t: a's coefficients aligned to len(out)
-                top = shift - low
-                lo = a[1:] + (0,) * top if low < 0 else (0,) * low + a + (0,) * top
-                out = [(o + y * i) % m for o, y, i in zip(out, lo, count(start, c))]
-        return _strip(out)
+            (shift, start, c), lower = terms[0], terms[1:]
+            top = max(shift, 0)  # the planes that delta adds above a's
+            # padded[at + i] is P_i, and a zero plane for each i outside
+            # a's that some term reads, from -top to len(planes) + top
+            zeros, at = [(0,) * size] * (top + 1), top + 1
+            padded = zeros + planes + zeros
+            lift = _entrywise(size, "lift")
+            out = [
+                lift(shifts, padded[at + k], (start + c * k) % m, padded[at + k - shift], m)
+                for k in range(len(planes) + top)
+            ]
+            for shift, start, c in lower:
+                add_scaled = _entrywise(size, "add_scaled")
+                out = [
+                    add_scaled(p, (start + c * k) % m, padded[at + k - shift], m)
+                    for k, p in enumerate(out)
+                ]
+        return tuple(map(_strip, zip(*out)))
 
     def __repr__(self):
         scale = self.ring.format_payload(self.scale)

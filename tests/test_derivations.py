@@ -2,6 +2,8 @@
 doubling tower, and the two-generator propagation check."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -201,8 +203,9 @@ class TestEntrywise:
 
 
 class TestClosedForm:
-    """`on_payload(a, s)`, the closed form of delta(a) + s a that every
-    lift runs per entry, against the schoolbook delta plus s a."""
+    """`on_payload(a, s)`, the one-entry call of the plane form of
+    delta(a) + s a that every lift runs, against the schoolbook delta
+    plus s a."""
 
     @given(
         st.sampled_from([P5, P9]),
@@ -348,6 +351,100 @@ class TestTowerClosedForm:
             for _ in range(5):
                 m = random_matrix(ring, n, rng)
                 assert tower(m) == reference(m), n
+
+
+def schoolbook_lift(dt, weight):
+    """X_ij -> delta(X_ij) + (weight[j] - weight[i]) X_ij, one entry at a
+    time through `schoolbook_delta` and RingElement operations."""
+    ring, delta = dt.ring, schoolbook_delta(dt)
+
+    def apply(mat):
+        n = mat.n
+        out = []
+        for i in range(n):
+            for j in range(n):
+                x = mat.entry(i + 1, j + 1)
+                out.append((delta(x) + x * ring.element(weight[j] - weight[i])).payload)
+        return Matrix(ring, n, tuple(out))
+
+    return apply
+
+
+def mixed_matrix(ring, n, rng, max_degree):
+    """An n x n matrix whose entries have mixed lengths up to
+    max_degree + 1 coefficients, about a quarter of them zero."""
+    entries = [
+        () if rng.random() < 0.25 else ring.draw(rng, 1, rng.randint(0, max_degree))[0]
+        for _ in range(n * n)
+    ]
+    return Matrix(ring, n, tuple(entries))
+
+
+class TestMatrixLift:
+    """Each lift runs one kernel per coefficient plane of the whole matrix
+    (`BaseDerivation.on_payloads`); against the per-entry schoolbook
+    delta(a) + (w_j - w_i) a."""
+
+    @pytest.mark.parametrize("max_degree", [0, 12])
+    @pytest.mark.parametrize("ring", [P5, P9], ids=str)
+    @pytest.mark.parametrize("kind", list(DELTA_T))
+    def test_matches_schoolbook_per_entry(self, kind, ring, max_degree):
+        dt = ring.element(DELTA_T[kind])
+        delta = BaseDerivation.scaled(dt)
+        rng = random.Random(f"{kind}-{ring}-{max_degree}")
+        cases = [(entrywise(delta, n), n, (0,) * n) for n in range(1, 9)]
+        cases += [
+            (extend_tower(delta, n), n, [k.bit_count() for k in range(n)])
+            for n in range(2, 9)
+        ]
+        for lift, n, weight in cases:
+            reference = schoolbook_lift(dt, weight)
+            mats = [mixed_matrix(ring, n, rng, max_degree), Matrix.zero(ring, n)]
+            top = [(0,) * max_degree + (1,)] + [()] * (n * n - 1)  # one entry, t^max
+            mats.append(Matrix(ring, n, tuple(top)))
+            for m in mats:
+                assert lift(m) == reference(m), (n, weight, m.entries)
+
+    def test_zmod_lift_is_multiplication_by_the_weights(self):
+        rng = random.Random(35)
+        Z9 = P9.base
+        delta = BaseDerivation.zero(Z9)
+        for n in range(2, 9):
+            weight = [k.bit_count() for k in range(n)]
+            m = random_matrix(Z9, n, rng)
+            expected = tuple(
+                m.entries[i * n + j] * (weight[j] - weight[i]) % 9
+                for i in range(n)
+                for j in range(n)
+            )
+            assert extend_tower(delta, n)(m).entries == expected
+            assert entrywise(delta, n)(m) == Matrix.zero(Z9, n)
+
+    def test_kernels_are_keyed_by_size_not_length(self):
+        # a fresh interpreter: lifting matrices whose entries have 1 to 41
+        # coefficients builds one kernel per op at n*n, not one per length
+        probe = (
+            "from derivring import BaseDerivation, Matrix, PolyRing, Zmod, rings\n"
+            "from derivring.derivations import extend_tower\n"
+            "info = rings._entrywise.cache_info\n"
+            "ring = PolyRing(Zmod(5))\n"
+            f"kinds = {list(DELTA_T.values())!r}\n"
+            "added = []\n"
+            "for n, dt in enumerate(kinds, start=3):\n"
+            "    tower = extend_tower(BaseDerivation(ring, dt), n)\n"
+            "    before = info().currsize\n"
+            "    for length in range(1, 42):\n"
+            "        top = (0,) * (length - 1) + (1,)\n"
+            "        tower(Matrix(ring, n, (top,) + ((1, 2),) * (n * n - 1)))\n"
+            "    added.append(info().currsize - before)\n"
+            "print(*added)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        # one kernel for each kind, and a second to chain delta(t)'s lower terms
+        assert result.stdout.split() == ["1", "1", "1", "1", "2"]
 
 
 class TestTwoGenerator:

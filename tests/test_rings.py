@@ -353,13 +353,13 @@ class TestTupleOps:
         m, a, b, s = operands
         assert_tuple_ops_map_scalar_ops(Zmod(m), a, b, (0, 1, m - 1, s))
 
-    @pytest.mark.parametrize("op", ["add", "sub", "neg", "scale"])
+    @pytest.mark.parametrize("op", list(rings._ENTRYWISE))
     @pytest.mark.parametrize("size", [0, 1, 4, 64])
     def test_kernel_built_once_per_length_and_op(self, op, size):
         kernel = rings._entrywise(size, op)
         assert rings._entrywise(size, op) is kernel
         assert rings._entrywise(size + 1, op) is not kernel
-        others = {"add", "sub", "neg", "scale"} - {op}
+        others = set(rings._ENTRYWISE) - {op}
         assert all(rings._entrywise(size, o) is not kernel for o in others)
 
     def test_ops_build_each_kernel_once_on_first_use(self):
@@ -420,6 +420,36 @@ class TestTupleOps:
         m = ring.base.modulus
         assert ring.add(p, ()) is p and ring.add((), p) is p and ring.sub(p, ()) is p
         assert ring.sub((), p) == tuple((-c) % m for c in p)
+
+
+def strip_reference(coeffs):
+    """The literal rule: drop zeros from the top until the top is nonzero."""
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+class TestStrip:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(), [], (0,), [0], (0, 0, 0, 0, 0, 0, 0), [0, 0], (1,), (0, 1), (3, 0),
+         (1, 2, 0, 0, 0, 0, 0), [1, 2, 0, 0, 0, 0, 0], (0, 0, 5, 0), [4, 0, 0, 1]],
+    )
+    def test_matches_reference(self, coeffs):
+        stripped = rings._strip(coeffs)
+        assert type(stripped) is tuple
+        assert stripped == strip_reference(coeffs)
+
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, 7]), max_size=12), st.booleans())
+    def test_matches_reference_on_draws(self, coeffs, as_tuple):
+        coeffs = tuple(coeffs) if as_tuple else coeffs
+        stripped = rings._strip(coeffs)
+        assert type(stripped) is tuple and stripped == strip_reference(coeffs)
+
+    def test_nonzero_top_is_not_copied(self):
+        p = (0, 0, 3)
+        assert rings._strip(p) is p
 
 
 def is_canonical_poly(payload, m):
