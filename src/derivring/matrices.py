@@ -23,11 +23,12 @@ its draws, and the tabulated Jordan oracle uses both. The ring's
 triangle. Only `entry` builds a ring element.
 
 `a * b` of two matrices checks their shapes and returns the product
-unread (`_Product`). It goes to the ring's dense kernel
-`ring.matmul(a, b)`, with no scan of its operands, on the first read of
-its entries, and its sum or difference with another unread product cd is
-one `ring.product_sum(a, b, c, d, sign)`, which multiplies neither
-alone: `dx * y + x * dy` is one kernel call and one unpack per entry.
+unread (`_Product`). It goes to `ring.matmul(a, b)`, with no scan of its
+operands, on the first read of its entries, and its sum or difference
+with another unread product cd is one `ring.product_sum(a, b, c, d,
+sign)`, which multiplies neither alone: `dx * y + x * dy` is one kernel
+call and one unpack per entry. Both, and `ring.commute`, run the ring's
+one family of matrix kernels (see `derivring.rings`).
 Every product still enters through `Matrix.__mul__`. No commutator forms
 a product: `commutator` takes its rule from the shape of its right
 operand alone, typed or not. A probe (e_{i,j}, x0) is a partial

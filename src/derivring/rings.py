@@ -59,60 +59,31 @@ call per entry. `_straight_line` writes `_entrywise(size, op)` and
 `_mirrored(n, sign)`, each returning one tuple literal. Z_m[t] builds an
 `_entrywise` kernel for each coefficient length that its `add`, `sub`
 and `neg` meet; the lift's are keyed by the number of entries alone,
-whatever their lengths. `_row_loop` writes the two matrix kernels of both
-rings, `_dot_products(n, reduced)` and `_product_sums(n, sign,
-reduced)`, one tuple of n sums per row of their operands. On Z_m the
-entries are the ints, and the reduced kernel ends each sum in % m, so
-it returns the residues. On
-Z_m[t], products use Kronecker substitution (Harvey, "Faster polynomial
+whatever their lengths. Every matrix kernel of both rings is one family,
+`_product_sums(n, sign, reduced)`, one tuple of n sums per row of its
+operands: ab for sign 0 (`matmul`), ab + sign cd for sign 1 or -1
+(`product_sum`), and ab - ba as (a, b, b, a) with sign -1 (`commute`).
+Z_m runs it reduced, each sum ending in % m, so that it returns the
+residues; Z_m[t] runs it raw on packed ints.
+
+Z_m[t] multiplies by Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
 polynomial is packed into one int with a `bits`-wide slot per
-coefficient, the kernel sums the packed ints, and each result is
-unpacked once, every slot reduced mod m and trailing zeros stripped (a
-leading term can vanish mod a composite m: 3t * 3t = 0 in Z_9[t]).
-Coefficients are residues in [0, m), so a coefficient of an n-term dot
-product of polynomials with at most la and lb coefficients is at most n
-* min(la, lb) * (m - 1)**2; `_slot_bits` makes each slot that wide, so
-no slot carries into the next. When that bound is below 256 (only
-possible for m <= 15) each slot is one byte: a polynomial packs with one
-`int.from_bytes` and a result unpacks with one `to_bytes`, one
-`bytes.translate` through a table of v % m and one `rstrip`. A width of
-9 to 15 bits is rounded up to 16 where the pair rule (m - 1) * (1 + 256
-% m) < 256 holds (m <= 25, 51 and 85 among odd m < 256; `_two_byte`):
-there a slot's two bytes, each reduced mod m, fold into one byte
-lo + (256 % m) * hi that no carry leaves. So `_unpacked` reads a whole
-kernel result, every entry's sum, in one pass of `_planes`: one
-`to_bytes` per entry, joined and reduced through the table, the two byte
-planes folded as ints by one multiply and one add, reduced through the
-table again, and one slice, `rstrip` and `tuple` per entry. The width
-rule and the unpacking test the one predicate `_two_byte`: where the
-pair rule fails, an exact 16-bit width (Z_61[t] at n = 4 and degree 3)
-takes the shift path. Slots wider than a byte are packed one shift per
-coefficient. Every other width is unpacked one shift per coefficient,
-and so is a single sum at two-byte width (`mul`): for the short
-products the suites make, the loop costs less than one pass over one
-entry. A negative sum, a slot that borrowed, raises ContractError on
-every path. A single product is the case n = 1, except that a zero
-operand gives zero.
-
-The fused kernel `product_sum` runs on the same packed ints, with la
-the longer entry length of a and c and lb that of b and d, so that B
-bounds the slots of ab and of cd alike. A slot of ab + cd is at most 2B,
-the bound of one 2n-term dot product: only the sum takes that width,
-and a product read alone keeps the width of its own B (at n = 2 and
-degree 3 on Z_5[t], B = 128 packs bytes and 2B = 256 two-byte slots;
-where B and 2B both round up to 16, one packing serves both). A slot
-of ab - cd lies in [-B, B], and a negative slot would borrow from the
-next. So a difference adds the bias K = m * ceil(B / m) to each result
-slot, laid out by `_pack` itself, so at the packing's real spacing (8
-bits on byte slots, whatever the width). Each slot then lies in
-[0, K + B] and is packed at the width of K + B, at most that of 2K;
-K = 0 mod m, so every slot is reduced as it is for a product. The width
-and the packed bias of each kernel are its slot plan, `_slots(n, sign,
-la, lb, m)`, cached since it depends on those alone, so each bias is
-packed once. `commute` is the difference on (a, b, b, a), packed at the
-lengths of a and b alone. A matrix keeps its packed entries per slot
-width (see `_packings`).
+coefficient (`_pack`), the packed ints are multiplied and summed, and
+each result is unpacked once, every slot reduced mod m and trailing
+zeros stripped (a leading term can vanish mod a composite m: 3t * 3t = 0
+in Z_9[t]). Its `matmul`, `commute` and `product_sum` run one body,
+`PolyRing._kronecker`. The kernel's slot plan, `_slots`, gives the width
+at which no slot carries into the next (`_slot_bound`, `_slot_bits`) and
+the bias that keeps a difference's slots from borrowing. Each operand is
+packed at that width once per matrix (`_packings`), the kernel sums, and
+`_unpacked` adds the bias and reads every sum: byte slots through one
+`translate` by the table of v % m, two-byte slots (`_two_byte`) all in
+one pass of `_planes`, and any other width one shift per slot
+(`_unpack`). A negative sum, a slot that borrowed, raises ContractError
+on every path. `mul` is the case n = 1, except that a zero operand gives
+zero, and `matvec` packs v and each row at the width of a len(v)-term
+dot product.
 """
 
 from __future__ import annotations
@@ -266,7 +237,9 @@ def _two_byte(bits, m):
     each reduced mod m, fold into one byte as lo + (256 % m) * hi. Among
     odd m < 256 the rule holds for m <= 25 and for 51 and 85. Both the
     rounding in `_slot_bits` and the choice of path in `_unpacked` ask
-    this one function, so they cannot disagree."""
+    this one function, so they cannot disagree: where the rule fails, an
+    exact 16-bit width (Z_61[t] at n = 4 and degree 3) takes the shift
+    path."""
     return bits == 16 and (m - 1) * (1 + 256 % m) < 256
 
 
@@ -290,9 +263,8 @@ def _residues(m):
 def _pack(coeffs, bits):
     """Kronecker substitution: the polynomial evaluated at t = 2**bits,
     or at t = 256 when bits <= 8, one byte per coefficient. `mul` packs
-    every nonzero operand, `matmul`, `commute` and `product_sum` every
-    entry and a difference its bias, and `matvec` every entry of v and
-    of each row."""
+    every nonzero operand, `PolyRing._kronecker` every entry, `_slots` a
+    difference's bias, and `matvec` every entry of v and of each row."""
     if bits <= 8:
         return int.from_bytes(bytes(coeffs), "little")
     packed = 0
@@ -383,11 +355,17 @@ def _slots(n, sign, la, lb, m):
     over entries of at most la and lb coefficients: sign 0 for one
     product, 1 for ab + cd and -1 for ab - cd. A product's slots hold at
     most B = `_slot_bound(n, la, lb, m)` and those of ab + cd, a 2n-term
-    dot product, at most 2B. Those of ab - cd lie in [-B, B], so each of
-    their la + lb - 1 slots takes the bias K = m * ceil(B / m), packed by
-    `_pack` (see the module docstring); the bias of the others is 0.
-    Cached: the plan depends on its arguments alone, so each bias is
-    packed once."""
+    dot product, at most 2B: only the sum takes that width, and a product
+    read alone keeps the width of its own B (at n = 2 and degree 3 on
+    Z_5[t], B = 128 packs bytes and 2B = 256 two-byte slots). Those of
+    ab - cd lie in [-B, B], and a negative slot would borrow from the
+    next, so each of their la + lb - 1 slots takes the bias
+    K = m * ceil(B / m), laid out by `_pack` itself and so at the
+    packing's real spacing (8 bits on byte slots, whatever the width).
+    Each slot then lies in [0, K + B] and is packed at the width of
+    K + B; K = 0 mod m, so every slot is reduced as a product's is. The
+    bias of the others is 0. Cached: the plan depends on its arguments
+    alone, so each bias is packed once."""
     if sign >= 0:
         return _slot_bits(2 * n if sign else n, la, lb, m), 0
     bound = _slot_bound(n, la, lb, m)
@@ -429,71 +407,46 @@ def _straight_line(name, params, operands, size, outputs):
     return _compiled(name, f"{name}, size={size}", "".join(lines))
 
 
-# the locals that a row-loop kernel zips each operand's rows into
-_ROW_LOCALS = {"a": "x", "c": "z"}
-
-
-def _row_loop(name, n, reduced, whole, rows, sums):
-    """The kernel `def name(...)` over the operands named in `whole` and
-    `rows`, in alphabetical order, and then m when reduced, in the
-    row-loop shape of both rings' matrix kernels, its source O(n^2):
-    each operand named in `whole` is unpacked into n*n locals once (b
-    into b0, b1, ...), and each pass of the loop zips the next row of
-    each operand in `rows` into n locals (a into x0, ..., x{n-1}, c into
-    z0, ...) and appends the n expressions `sums` of that row, each
-    ending in % m when reduced. Raw, the kernel returns the list of plain
-    sums; reduced, the tuple of residues."""
-    row = ", ".join([f"{_ROW_LOCALS[x]}{k}" for x in rows for k in range(n)])
-    rows_in = ", ".join([f"i{x}" for x in rows for _ in range(n)])
-    params = ", ".join(sorted({*whole, *rows}) + (["m"] if reduced else []))
+@cache
+def _product_sums(n, sign, reduced=False):
+    """The matrix kernel of both rings, built once per (n, sign, reduced):
+    the map from the row-major entries (tuples or lists of ints) of the
+    n x n matrices a and b, and for sign 1 or -1 also c and d, to the n*n
+    entries of ab, for sign 0, or of ab + sign cd, row-major, in one
+    pass. Item i*n + j is the sum over k of x_k b_kj (+ sign z_k d_kj),
+    where x and z are row i of a and of c. Its source is O(n^2): b (and
+    d) are unpacked into n*n locals once, b0, b1, ..., and each pass of
+    the loop zips the next row of a (and of c) into n locals, x0, ...,
+    x{n-1} (z0, ...), and appends that row's n sums. Raw (`PolyRing`'s
+    packed ints), the kernel returns the list of plain sums, which a
+    difference can make negative; reduced (`Zmod`), it takes the modulus
+    m as its last argument, ends each sum in % m and returns the tuple of
+    residues. The commutator ab - ba is the case (a, b, b, a), sign -1."""
+    # (operand zipped by rows, its row's locals, operand unpacked whole)
+    pairs = [("a", "x", "b"), ("c", "z", "d")][: 2 if sign else 1]
+    op = "+" if sign > 0 else "-"
+    sums = [
+        " + ".join([f"x{k} * b{k * n + j}" for k in range(n)])
+        + "".join([f" {op} z{k} * d{k * n + j}" for k in range(n) if sign])
+        for j in range(n)
+    ]
     if reduced:
         sums = [f"({s}) % m" for s in sums]
-    lines = [f"def {name}({params}):\n"]
-    lines += [f"    {', '.join([f'{x}{k}' for k in range(n * n)])}, = {x}\n" for x in whole]
-    lines += [f"    i{x} = iter({x})\n" for x in rows]
+    params = [x for r, _, w in pairs for x in (r, w)] + (["m"] if reduced else [])
+    row = ", ".join([f"{x}{k}" for _, x, _ in pairs for k in range(n)])
+    rows_in = ", ".join([f"i{r}" for r, _, _ in pairs for _ in range(n)])
+    lines = [f"def product_sums({', '.join(params)}):\n"]
+    for _, _, w in pairs:
+        lines.append(f"    {', '.join([f'{w}{k}' for k in range(n * n)])}, = {w}\n")
+    lines += [f"    i{r} = iter({r})\n" for r, _, _ in pairs]
     lines += [
         "    out = []\n",
         f"    for {row}, in zip({rows_in}):\n",
         f"        out += ({', '.join(sums)},)\n",
         f"    return {'tuple(out)' if reduced else 'out'}\n",
     ]
-    return _compiled(name, f"{name}, n={n}", "".join(lines))
-
-
-@cache
-def _dot_products(n, reduced=False):
-    """The dense kernel of both rings, built once per (n, reduced): the
-    map from the row-major entries of two n x n matrices over the ints
-    (tuples or lists) to their n*n dot products, row-major, so that item
-    i*n + j is row i of the first times column j of the second. Through
-    `_row_loop`, the second operand is unpacked into n*n locals once and
-    each row of the first zipped into n locals. Raw (`PolyRing.matmul`'s
-    packed ints), the kernel returns a list of the plain sums; reduced
-    (`Zmod.matmul`), it takes the modulus m as a third argument, ends
-    each sum in % m and returns a tuple of residues."""
-    sums = [" + ".join([f"x{k} * b{k * n + j}" for k in range(n)]) for j in range(n)]
-    return _row_loop("dot_products", n, reduced, ("b",), ("a",), sums)
-
-
-@cache
-def _product_sums(n, sign, reduced=False):
-    """The fused kernel of both rings, built once per (n, sign, reduced):
-    the map from the row-major entries of four n x n matrices a, b, c and
-    d over the ints to the n*n entries of ab + sign cd, sign 1 or -1,
-    row-major, in one pass. Item i*n + j is the sum over k of
-    x_k b_kj + sign z_k d_kj, where x and z are row i of a and of c.
-    Through `_row_loop`, b and d are unpacked into n*n locals once and
-    one row of a and of c is zipped per pass. Raw (`PolyRing`'s packed
-    ints), a difference can be negative; reduced (`Zmod`), each sum ends
-    in % m and the kernel returns residues. The commutator ab - ba is
-    the case (a, b, b, a) with sign -1."""
-    op = "+" if sign > 0 else "-"
-    sums = [
-        " + ".join([f"x{k} * b{k * n + j}" for k in range(n)])
-        + "".join([f" {op} z{k} * d{k * n + j}" for k in range(n)])
-        for j in range(n)
-    ]
-    return _row_loop("product_sums", n, reduced, ("b", "d"), ("a", "c"), sums)
+    label = f"product_sums, n={n}, sign={sign}"
+    return _compiled("product_sums", label, "".join(lines))
 
 
 # op -> (parameters, operands, entry k): the Z_m tuple ops on residues,
@@ -640,9 +593,10 @@ class Zmod(_ReadOnly):
 
     def matmul(self, a, b):
         """The payloads of the product of the n x n matrices a and b: the
-        n*n dot products of the reduced `_dot_products(n, True)`, summed
-        in plain ints and each reduced mod m once inside the kernel."""
-        return _dot_products(a.n, True)(a.entries, b.entries, self.modulus)
+        n*n dot products of the reduced `_product_sums(n, 0, True)`,
+        summed in plain ints and each reduced mod m once inside the
+        kernel."""
+        return _product_sums(a.n, 0, True)(a.entries, b.entries, self.modulus)
 
     def commute(self, a, b):
         """The payloads of ab - ba for the n x n matrices a and b: the
@@ -796,37 +750,37 @@ class PolyRing(_ReadOnly):
             return entries  # every entry is zero
         return tuple(map(_strip, zip(*planes)))
 
-    def matmul(self, a, b):
-        """The payloads of the product of the n x n matrices a and b by
-        Kronecker substitution: the n*n dot products of `_dot_products(n)`
-        summed as ints over the packed entries (see `_slots`)."""
-        m, n = self.base.modulus, a.n
-        pa, pb = _packings(a), _packings(b)
-        bits, offset = _slots(n, 0, pa[1], pb[1], m)
-        sums = _dot_products(n)(_packed(pa, bits), _packed(pb, bits))
+    def _kronecker(self, n, sign, memos, la, lb):
+        """The payloads of the raw `_product_sums(n, sign)` kernel by
+        Kronecker substitution, over the matrices whose `_packings` are
+        `memos` (a and b, or a, b, c and d): each is packed at the width of
+        the slot plan `_slots(n, sign, la, lb, m)`, the kernel sums the
+        packed ints, and the plan's bias is added as the sums are
+        unpacked. la and lb are the entry lengths that the plan bounds."""
+        m = self.base.modulus
+        bits, offset = _slots(n, sign, la, lb, m)
+        sums = _product_sums(n, sign)(*[_packed(memo, bits) for memo in memos])
         return _unpacked(sums, bits, offset, m)
+
+    def matmul(self, a, b):
+        """The payloads of the product of the n x n matrices a and b: the
+        sign-0 `_kronecker` body."""
+        pa, pb = _packings(a), _packings(b)
+        return self._kronecker(a.n, 0, (pa, pb), pa[1], pb[1])
 
     def commute(self, a, b):
         """The payloads of ab - ba for the n x n matrices a and b: the
-        n*n entries of `_product_sums(n, -1)` on (a, b, b, a), packed at
-        the width of the two operands alone, each slot biased (see
-        `_slots`)."""
-        m, n = self.base.modulus, a.n
+        `_kronecker` body on (a, b, b, a) with sign -1, planned at the
+        lengths of the two operands alone."""
         pa, pb = _packings(a), _packings(b)
-        bits, offset = _slots(n, -1, pa[1], pb[1], m)
-        ka, kb = _packed(pa, bits), _packed(pb, bits)
-        return _unpacked(_product_sums(n, -1)(ka, kb, kb, ka), bits, offset, m)
+        return self._kronecker(a.n, -1, (pa, pb, pb, pa), pa[1], pb[1])
 
     def product_sum(self, a, b, c, d, sign):
         """The payloads of ab + sign cd for the n x n matrices a, b, c and
-        d, sign 1 or -1: the n*n entries of `_product_sums(n, sign)` over
-        the packed entries, with la the longer entry length of a and c
-        and lb that of b and d (see `_slots`)."""
-        m, n = self.base.modulus, a.n
+        d, sign 1 or -1: the `_kronecker` body, planned with la the longer
+        entry length of a and c and lb that of b and d."""
         memos = pa, pb, pc, pd = _packings(a), _packings(b), _packings(c), _packings(d)
-        bits, offset = _slots(n, sign, max(pa[1], pc[1]), max(pb[1], pd[1]), m)
-        sums = _product_sums(n, sign)(*[_packed(memo, bits) for memo in memos])
-        return _unpacked(sums, bits, offset, m)
+        return self._kronecker(a.n, sign, memos, max(pa[1], pc[1]), max(pb[1], pd[1]))
 
     def matvec(self, rows, v):
         """The payloads of M v for the matrix M with the payload tuples

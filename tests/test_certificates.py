@@ -1,0 +1,204 @@
+"""Exact certificates of the generated matrix kernels.
+
+Each `rings._product_sums(n, sign, reduced)` is straight-line code over
++, - and * with, when reduced, one % m at the end of each output. So one
+run on symbolic operands, one variable per operand entry, shows each
+output as an exact integer polynomial: the kernel is certified for every
+input at once when each output is sum_k a_ik b_kj + sign c_ik d_kj and
+ends in % m exactly when the kernel is reduced (symbolic execution on
+straight-line code; King, "Symbolic execution and program testing",
+CACM 1976). The negative controls rewrite the generated source and see
+each mutant refused."""
+
+import re
+
+import pytest
+
+from derivring import rings
+
+
+class Poly:
+    """A sparse polynomial with int coefficients: `terms` maps each
+    monomial, a sorted tuple of variable names, to its nonzero
+    coefficient. `p % m` is p reduced mod m (`modulus` m, None while
+    exact). A reduced value takes no further arithmetic, so an output
+    is reduced only if its last operation is its one % m."""
+
+    __slots__ = ("terms", "modulus")
+
+    def __init__(self, terms, modulus=None):
+        self.terms = {mono: c for mono, c in terms.items() if c}
+        self.modulus = modulus
+
+    @classmethod
+    def var(cls, name):
+        return cls({(name,): 1})
+
+    @staticmethod
+    def _exact(x):
+        """The terms of an int or an unreduced Poly."""
+        if isinstance(x, int):
+            return {(): x}
+        if x.modulus is not None:
+            raise TypeError(f"arithmetic on a value reduced mod {x.modulus}")
+        return x.terms
+
+    def __add__(self, other):
+        out = dict(self._exact(self))
+        for mono, c in self._exact(other).items():
+            out[mono] = out.get(mono, 0) + c
+        return Poly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for ma, ca in self._exact(self).items():
+            for mb, cb in self._exact(other).items():
+                mono = tuple(sorted(ma + mb))
+                out[mono] = out.get(mono, 0) + ca * cb
+        return Poly(out)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mod__(self, m):
+        return Poly(self._exact(self), m)
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return (self.terms, self.modulus) == (other.terms, other.modulus)
+
+    def __repr__(self):
+        terms = [f"{c}*{'*'.join(mono) or '1'}" for mono, c in self.terms.items()]
+        body = f"({' + '.join(terms) or '0'})"
+        return body if self.modulus is None else f"{body} % {self.modulus}"
+
+
+M = 9  # the modulus that reduced kernels are run with
+
+
+def symbolic_operands(n, sign):
+    """a and b, and for sign 1 or -1 also c and d: n*n variables each,
+    named by operand and row-major index (a0, a1, ...)."""
+    names = "abcd" if sign else "ab"
+    return [[Poly.var(f"{x}{e}") for e in range(n * n)] for x in names]
+
+
+def definition(n, sign, reduced):
+    """The outputs that `_product_sums(n, sign, reduced)` must return:
+    entry i*n + j is sum_k a_ik b_kj + sign c_ik d_kj, written term by
+    term, % M when reduced."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            terms = {}
+            for k in range(n):
+                terms[(f"a{i * n + k}", f"b{k * n + j}")] = 1
+                if sign:
+                    terms[(f"c{i * n + k}", f"d{k * n + j}")] = sign
+            out.append(Poly(terms, M if reduced else None))
+    return out
+
+
+def refusal(kernel, n, sign, reduced):
+    """Why `kernel` fails its certificate as `_product_sums(n, sign,
+    reduced)`, or None when it passes: run once on symbolic operands, it
+    must return a tuple of outputs when reduced and a list when raw, each
+    exactly its `definition`."""
+    try:
+        out = kernel(*symbolic_operands(n, sign), *([M] if reduced else []))
+    except Exception as exc:  # a mutant may not run at all
+        return f"raised {exc!r}"
+    if type(out) is not (tuple if reduced else list):
+        return f"returned a {type(out).__name__}"
+    want = definition(n, sign, reduced)
+    if len(out) != len(want):
+        return f"returned {len(out)} outputs, not {len(want)}"
+    for e, (got, exact) in enumerate(zip(out, want)):
+        if got != exact:
+            return f"output {e} is {got!r}, not {exact!r}"
+    return None
+
+
+KEYS = [
+    (n, sign, reduced)
+    for n in range(1, 9)
+    for sign in (0, 1, -1)
+    for reduced in (False, True)
+]
+
+
+class TestProductSumsCertificate:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_key_certified(self, n):
+        for sign in (0, 1, -1):
+            for reduced in (False, True):
+                kernel = rings._product_sums(n, sign, reduced)
+                assert refusal(kernel, n, sign, reduced) is None, (sign, reduced)
+
+    def test_n16_certified(self):
+        assert refusal(rings._product_sums(16, -1, True), 16, -1, True) is None
+
+    def test_definition_is_not_a_kernel(self):
+        # the certificate is not vacuous: the exact sums are refused as a
+        # reduced kernel's outputs, and their residues as a raw one's
+        for n, sign, reduced in KEYS:
+            kind = tuple if reduced else list
+            exact = kind(definition(n, sign, reduced))
+            other = kind(definition(n, sign, not reduced))
+            assert refusal(lambda *args: exact, n, sign, reduced) is None
+            assert refusal(lambda *args: other, n, sign, reduced)
+
+
+def mutant(monkeypatch, rewrite, free=()):
+    """The uncached `_product_sums` builder, compiling every kernel from
+    its generated source after `rewrite`, with the names in `free` bound
+    to symbolic variables of the same name."""
+
+    def compiled(name, label, source):
+        namespace = {x: Poly.var(x) for x in free}
+        exec(compile(rewrite(source), f"<mutant {label}>", "exec"), namespace)
+        return namespace[name]
+
+    monkeypatch.setattr(rings, "_compiled", compiled)
+    return rings._product_sums.__wrapped__
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_d_index_transposed(self, monkeypatch, n):
+        # each term z_k d_kj reads d_jk instead; at n = 1 that is the
+        # same kernel, from n = 2 every key is refused
+        def transpose(source):
+            def swap(term):
+                e = int(term[1])
+                return f"* d{e % n * n + e // n}"
+
+            return re.sub(r"\* d(\d+)", swap, source)
+
+        build = mutant(monkeypatch, transpose)
+        for sign in (1, -1):
+            for reduced in (False, True):
+                reason = refusal(build(n, sign, reduced), n, sign, reduced)
+                assert (reason is None) == (n == 1), (sign, reduced, reason)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reduced_kernel_without_mod(self, monkeypatch, n):
+        build = mutant(monkeypatch, lambda source: source.replace(") % m", ")"))
+        for sign in (0, 1, -1):
+            reason = refusal(build(n, sign, True), n, sign, True)
+            assert reason.startswith("output 0"), reason
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sign_zero_keeps_a_cd_term(self, monkeypatch, n):
+        # each x_k b_kj of the product kernel also subtracts z_k d_kj: with
+        # z and d unbound the kernel raises, and bound to free variables
+        # its outputs carry the extra terms
+        def keep_cd(source):
+            return re.sub(r"x(\d+) \* b(\d+)", r"x\1 * b\2 - z\1 * d\2", source)
+
+        for free in ((), [f"z{k}" for k in range(n)] + [f"d{e}" for e in range(n * n)]):
+            build = mutant(monkeypatch, keep_cd, free)
+            for reduced in (False, True):
+                reason = refusal(build(n, 0, reduced), n, 0, reduced)
+                assert reason.startswith("raised" if not free else "output 0"), reason

@@ -425,7 +425,6 @@ class TestColdImport:
             "matrices._toeplitz",
             "matrices._transposer",
             "matrices._upper",
-            "rings._dot_products",
             "rings._entrywise",
             "rings._mirrored",
             "rings._product_sums",

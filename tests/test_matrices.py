@@ -869,9 +869,9 @@ def int_dot_products(n, a, b):
 
 
 class TestDotProductKernel:
-    """`rings._dot_products(n, reduced)`, the one dense kernel generator of
-    `Zmod.matmul` (reduced) and `PolyRing.matmul` (raw), against the
-    literal triple loop."""
+    """`rings._product_sums(n, 0, reduced)`, the sign-0 case of the one
+    matrix kernel generator, run by `Zmod.matmul` (reduced) and
+    `PolyRing.matmul` (raw), against the literal triple loop."""
 
     RINGS = [Zmod(3), Z9, Zmod(1000003), P5]
     MODULI = [3, 9, 1000003]
@@ -900,7 +900,7 @@ class TestDotProductKernel:
         bits = rings._slot_bits(n, pa[1], pb[1], 5)
         ka, kb = rings._packed(pa, bits), rings._packed(pb, bits)
         assert type(ka) is list and type(kb) is list
-        kernel = rings._dot_products(n)
+        kernel = rings._product_sums(n, 0)
         want = int_dot_products(n, ka, kb)
         assert kernel(ka, kb) == kernel(tuple(ka), tuple(kb)) == want
         x, y = (random_entries(Z9, n, rng, 0, 0.2).entries for _ in range(2))
@@ -915,7 +915,7 @@ class TestDotProductKernel:
         ring = Zmod(m)
         full = worst_case(ring, n, 0).entries
         operands = [full, random_entries(ring, n, rng, 0, 0.0).entries]
-        kernel = rings._dot_products(n, True)
+        kernel = rings._product_sums(n, 0, True)
         for a in operands:
             for b in operands:
                 want = tuple([s % m for s in int_dot_products(n, a, b)])
@@ -926,22 +926,26 @@ class TestDotProductKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_built_once_per_n(self, n):
-        assert rings._dot_products(n) is rings._dot_products(n)
-        assert rings._dot_products(n) is not rings._dot_products(n + 1)
-        assert rings._dot_products(n, True) is rings._dot_products(n, True)
-        assert rings._dot_products(n, True) is not rings._dot_products(n)
+        kernel = rings._product_sums
+        for sign in (0, 1, -1):
+            assert kernel(n, sign) is kernel(n, sign)
+            assert kernel(n, sign) is not kernel(n + 1, sign)
+            assert kernel(n, sign, True) is kernel(n, sign, True)
+            assert kernel(n, sign, True) is not kernel(n, sign)
+        assert kernel(n, 0) is not kernel(n, 1)
+        assert kernel(n, 0, True) is not kernel(n, -1, True)
 
     def test_built_on_first_use_not_at_import(self):
         # one Z_5 product builds exactly the reduced kernel at n = 2: a
         # later lookup of (2, True) is a cache hit and builds nothing
         probe = (
             "from derivring import Matrix, Zmod, rings\n"
-            "info = rings._dot_products.cache_info\n"
+            "info = rings._product_sums.cache_info\n"
             "built = info().currsize\n"
             "a = Matrix.from_rows(Zmod(5), [[1, 2], [3, 4]])\n"
             "assert (a * a).entries == (2, 0, 0, 2)\n"
             "after, hits = info().currsize, info().hits\n"
-            "rings._dot_products(2, True)\n"
+            "rings._product_sums(2, 0, True)\n"
             "print(built, after, info().currsize, info().hits - hits)\n"
         )
         result = subprocess.run(
