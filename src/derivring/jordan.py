@@ -9,30 +9,34 @@ one skewness check is the corner consistency condition.
 The pair-list map is R-linear, since x.y is bilinear, so it is fixed by
 its values on the n(n+1)/2 symmetric units E_ii and E_ij + E_ji (i < j).
 `_tabulated` evaluates the pair list once on each unit and answers every
-later call with one `ring.matvec` from the upper entries of x. The table
-comes from `JordanPairDerivation.__call__` alone, never from the
-reduction that `pairs_to_commutator` performs and `jordan-diag` checks,
-so a defect in the pair list reaches every value. Building it costs one
-pair-list call per unit, and a jordan-theorem instance makes samples + n
-oracle calls, so `gen_jordan_instance` tabulates only up to
-_TABULATED_UP_TO = 4. Per call, warm, in us (pair list / table), with
-the build in us and the break-even number of calls (build / saving per
-call); two hidden pairs of degree 3, the least of 5 x 100 calls, CPython
-3.11 on a 2-vCPU x86-64 host:
+later call with one `ring.matvec` (the one-column matrix kernel) from
+the upper entries of x. The table comes from
+`JordanPairDerivation.__call__` alone, never from the reduction that
+`pairs_to_commutator` performs and `jordan-diag` checks, so a defect in
+the pair list reaches every value. Building it costs one pair-list call
+per unit, and a jordan-theorem instance makes 2 * samples + n oracle
+calls (n validations, and for each sample its action check and the
+Leibniz check of the pair it starts), so `gen_jordan_instance`
+tabulates only up to _TABULATED_UP_TO = 4. Per call, warm, in us (pair
+list / table), with the build in us and the break-even number of calls
+(build / saving per call); two hidden pairs of degree 3, the least of
+15 x 100 calls in each of 4 fresh processes, CPython 3.11.7 on a
+2-vCPU x86-64 host:
 
                       Z_9                              Z_5[t]
     n  units  pair / table  build   even    pair / table   build   even
-    2    3    31.1 /   3.4     101    3.7      90 /    9      267    3.3
-    3    6    39.5 /   5.7     250    7.4     155 /   31      882    7.1
-    4   10    52.5 /   9.9     543   12.8     320 /   65    2,495    9.8
-    5   15    69.3 /  16.5   1,082   20.5     475 /  123    5,427   15.4
-    6   21    60.3 /  18.1   1,352   32.0     681 /  214   10,652   22.8
-    8   36   111.2 /  45.7   4,313   65.8   1,318 /  537   32,817   42.0
-   10   55   170.3 / 108.2  10,331  166.2   2,086 / 1,115  76,937   79.2
+    2    3    17.7 /   1.6      57    3.5      93 /    9      259    3.1
+    3    6    22.4 /   2.5     143    7.2     154 /   25      826    6.4
+    4   10    30.0 /   4.2     316   12.2     242 /   55    1,949   10.4
+    5   15    39.7 /   7.0     655   20.0     356 /  107    3,876   15.5
+    6   21    56.7 /  12.8   1,321   30.1     514 /  193    7,473   23.2
+    8   36   101.3 /  33.4   4,016   59.1     918 /  476   22,351   50.6
+   10   55   165.8 /  72.0   9,863  105.1   1,470 / 1,024  51,014  114.3
 
-At the default 20 samples an instance makes 22 to 30 calls, and the
+At the default 20 samples an instance makes 42 to 50 calls, and the
 hidden list has 1 to 3 pairs; the end-to-end times in
-`gen_jordan_instance` put the crossover at n = 5 on both rings.
+`gen_jordan_instance` put the crossover between n = 6 and n = 8 on both
+rings, above the cut-off (see there).
 """
 
 from __future__ import annotations
@@ -225,34 +229,31 @@ def verify_jordan_theorem(family, samples):
     samples in H_n(R) (a non-symmetric sample is a DomainError): that
     Delta(x) is in H_n(R) (`closure`, checked first, so it fires for any
     oracle that leaves H_n(R)), that Delta(x) = [abar, x] (`action`), and
-    the Jordan Leibniz rule D(x.y) = D(x).y + x.D(y) for D = [abar, .] on
-    consecutive samples: pair k is (sample k, sample k+1), and the last
-    sample pairs with the first (a single sample pairs with itself). The
-    rule reuses the values [abar, x] that the action check computed. Its
-    right-hand side is one symmetric part, of D(x) y + x D(y): D(x), D(y),
-    x and y are symmetric, so that is D(x).y + x.D(y) (see
-    `symmetric_part`).
+    then the Jordan Leibniz rule for Delta itself on consecutive samples
+    (`jordan-leibniz`): pair k is (sample k, sample k+1), and the last
+    sample pairs with the first (a single sample pairs with itself). With
+    z = x.y, the check is Delta(z) = [abar, z], one Jordan product, one
+    oracle call and one commutator per pair, reported at index
+    count + k.
 
-    `jordan-leibniz` cannot fire for any map a suite passes in: whatever
-    abar is reconstructed, D = [abar, .] is an inner derivation of the
-    associative product, so D(xy) = D(x) y + x D(y), and D(yx) is the
-    transpose of that for symmetric x, y and D-values. The left side,
-    D(x.y) = (D(xy) + D(yx))/2, is then the symmetric part of the same
-    sum, whatever abar is. Only a non-associative product, or a Jordan
-    product computed wrongly, would break it; a wrong map shows up as
-    `action` or `closure`. The two sides take two kernels: the left one
-    `ring.commute`, the right one `ring.product_sum` of two unread
-    products, so a fault in either fires it. The pair list's
-    a.(b.x) - b.(a.x) is also one `ring.product_sum`, so a product_sum
-    that drops its second term is caught earlier still: the oracle no
-    longer agrees with the reduced witnesses, and the family's
-    validation raises ContractError."""
+    Once `action` has passed at x and y, that identity is exactly
+    Delta(x.y) = Delta(x).y + x.Delta(y), the claim that Delta is a
+    derivation: D = [abar, .] is an inner derivation of the associative
+    product, so D(xy + yx) = D(x) y + x D(y) + D(y) x + y D(x), that is
+    D(x.y) = D(x).y + x.D(y), and D(x) = Delta(x), D(y) = Delta(y). So
+    the check fires for an oracle that agrees with an inner map on the
+    probes and on the samples but not on their Jordan products. A Jordan
+    product computed wrongly reaches both sides alike, so it is not this
+    check's to see. The pair list's a.(b.x) - b.(a.x) is one
+    `ring.product_sum`, so a product_sum that drops its second term is
+    caught before any sample: the oracle no longer agrees with the
+    reduced witnesses, and the family's validation raises
+    ContractError."""
     samples = [SymmetricMatrix.of(x) for x in samples]
     if not samples:
         raise DomainError("verify_jordan_theorem needs at least one sample")
     oracle = family.oracle
     abar = reconstruct_abar_jordan(family).abar
-    images = []
     for idx, x in enumerate(samples):
         lhs = oracle(x)
         if not lhs.is_symmetric():
@@ -262,13 +263,10 @@ def verify_jordan_theorem(family, samples):
         rhs = commutator(abar, x)
         if lhs != rhs:
             return CheckReport(idx, (Violation("action", f"sample {idx}", lhs, rhs),))
-        images.append(rhs)
     count = len(samples)
     for idx, x in enumerate(samples):
-        nxt = (idx + 1) % count
-        y = samples[nxt]
-        lhs = commutator(abar, jordan_mul(x, y))
-        rhs = symmetric_part(images[idx] * y + x * images[nxt])
+        z = jordan_mul(x, samples[(idx + 1) % count])
+        lhs, rhs = oracle(z), commutator(abar, z)
         if lhs != rhs:
             return CheckReport(
                 count + idx, (Violation("jordan-leibniz", f"pair {idx}", lhs, rhs),)
@@ -281,17 +279,21 @@ def gen_jordan_instance(hidden_pairs, seed, max_degree=3):
     The oracle evaluates the table of the pair list (`_tabulated`) for
     n <= _TABULATED_UP_TO = 4 and the pair list itself above it. The
     rule is measured: a jordan-theorem campaign of 20 samples, seed 7,
-    the least of 4 runs, in ms (pair list / table), CPython 3.11 on a
-    2-vCPU x86-64 host:
+    the least of 4 runs in each of 4 fresh processes, in ms (pair list /
+    table), CPython 3.11.7 on a 2-vCPU x86-64 host:
 
         n    Z_9, 10 trials    Z_5[t], 4 trials
-        3       9.1 /  7.1       20.9 /  17.1
-        4      12.9 / 11.5       41.5 /  36.0
-        5      17.2 / 17.4       63.5 /  61.4
-        6      25.0 / 28.3       93.0 / 102.0
-        8      45.5 / 67.0      180.9 / 239.4
+        3      12.0 /  6.7       27.6 /  15.9
+        4      17.1 / 10.8       43.3 /  28.9
+        5      23.3 / 17.5       65.1 /  52.5
+        6      32.9 / 29.6       90.8 /  85.6
+        8      62.2 / 70.7      160.9 / 205.2
 
-    The per-call costs are in the module docstring. Each d(ii) is
+    The cut-off was measured when an instance made samples + n oracle
+    calls, and put the crossover at n = 5. With the Leibniz check's
+    oracle call per sample the table wins through n = 6 on both rings;
+    the cut-off stays at 4 until a change that moves it measures it
+    again. The per-call costs are in the module docstring. Each d(ii) is
     reduced from an independently re-expressed pair list for the same
     map: pairs are split by bilinearity in the first slot, canceling
     pairs (r, r) are appended, and the list is shuffled. All of these
@@ -328,11 +330,11 @@ def _tabulated(pd):
     zero, one = ring.zero.payload, ring.one.payload
     units = [(zero,) * k + (one,) + (zero,) * (size - 1 - k) for k in range(size)]
     columns = [upper(pd(SymmetricMatrix(ring, n, mirror(u))).entries) for u in units]
-    rows = tuple(zip(*columns))
+    table = tuple([column[r] for r in range(size) for column in columns])
 
     def evaluate(x):
         entries = upper(SymmetricMatrix.of(x).entries)
-        return SymmetricMatrix(ring, n, mirror(matvec(rows, entries)))
+        return SymmetricMatrix(ring, n, mirror(matvec(table, entries)))
 
     return evaluate
 

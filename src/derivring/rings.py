@@ -12,12 +12,12 @@ and, each returning payloads, `matmul(a, b)`, `commute(a, b)` and
 `product_sum(a, b, c, d, sign)` (of ab, of ab - ba and of ab + sign cd
 for n x n matrices, row-major, one kernel call each),
 `plus_transpose(n, entries, sign, scale)` (of (p + sign p^T) * scale)
-and `matvec(rows, v)` (of M v for the rows of M and a payload tuple v,
-with no kernel; the tabulated Jordan oracle makes one per call, see
-`derivring.jordan`). Matrices store bare payloads and hand whole entry
-tuples to the tuple ops: Z_m runs `_entrywise(size, op)` on the
-residues, and Z_m[t] maps its scalar ops. Z_m[t] has exactly two kinds
-of arithmetic:
+and `matvec(table, v)` (of M v for a payload tuple v and the matrix M of
+len(v) columns whose payloads `table` holds flat, row-major; the
+tabulated Jordan oracle makes one per call, see `derivring.jordan`).
+Matrices store bare payloads and hand whole entry tuples to the tuple
+ops: Z_m runs `_entrywise(size, op)` on the residues, and Z_m[t] maps
+its scalar ops. Z_m[t] has exactly two kinds of arithmetic:
 - the Z_m kernels, coefficient by coefficient: `add`, `sub` and `neg`;
   and plane by plane, where plane k holds coefficient k of every entry
   of a matrix: `plus_transpose` (`_mirrored`) and the derivation lift
@@ -60,9 +60,11 @@ call per entry. `_straight_line` writes `_entrywise(size, op)` and
 `_entrywise` kernel for each coefficient length that its `add`, `sub`
 and `neg` meet; the lift's are keyed by the number of entries alone,
 whatever their lengths. Every matrix kernel of both rings is one family,
-`_product_sums(n, sign, reduced)`, one tuple of n sums per row of its
-operands: ab for sign 0 (`matmul`), ab + sign cd for sign 1 or -1
-(`product_sum`), and ab - ba as (a, b, b, a) with sign -1 (`commute`).
+`_product_sums(n, sign, reduced, cols)`, one tuple of cols sums (n
+unless given) per row of its operands: ab for sign 0 (`matmul`),
+ab + sign cd for sign 1 or -1 (`product_sum`), ab - ba as (a, b, b, a)
+with sign -1 (`commute`), and M v as its one-column case, sign 0 and
+cols = 1 with n = len(v) (`matvec`).
 Z_m runs it reduced, each sum ending in % m, so that it returns the
 residues; Z_m[t] runs it raw on packed ints.
 
@@ -82,15 +84,14 @@ packed at that width once per matrix (`_packings`), the kernel sums, and
 one pass of `_planes`, and any other width one shift per slot
 (`_unpack`). A negative sum, a slot that borrowed, raises ContractError
 on every path. `mul` is the case n = 1, except that a zero operand gives
-zero, and `matvec` packs v and each row at the width of a len(v)-term
-dot product.
+zero, and `matvec` packs v and the whole table, on every call, at the
+width of a len(v)-term dot product and runs the one-column kernel.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, islice, repeat, zip_longest
-from operator import mul
+from itertools import islice, repeat, zip_longest
 
 from .errors import ContractError, DomainError, InvalidRing
 
@@ -264,7 +265,7 @@ def _pack(coeffs, bits):
     """Kronecker substitution: the polynomial evaluated at t = 2**bits,
     or at t = 256 when bits <= 8, one byte per coefficient. `mul` packs
     every nonzero operand, `PolyRing._kronecker` every entry, `_slots` a
-    difference's bias, and `matvec` every entry of v and of each row."""
+    difference's bias, and `matvec` every entry of v and of the table."""
     if bits <= 8:
         return int.from_bytes(bytes(coeffs), "little")
     packed = 0
@@ -408,27 +409,31 @@ def _straight_line(name, params, operands, size, outputs):
 
 
 @cache
-def _product_sums(n, sign, reduced=False):
-    """The matrix kernel of both rings, built once per (n, sign, reduced):
-    the map from the row-major entries (tuples or lists of ints) of the
-    n x n matrices a and b, and for sign 1 or -1 also c and d, to the n*n
+def _product_sums(n, sign, reduced=False, cols=None):
+    """The matrix kernel of both rings, built once per (n, sign, reduced,
+    cols): the map from the row-major entries (tuples or lists of ints)
+    of the matrices a and b, and for sign 1 or -1 also c and d, to the
     entries of ab, for sign 0, or of ab + sign cd, row-major, in one
-    pass. Item i*n + j is the sum over k of x_k b_kj (+ sign z_k d_kj),
-    where x and z are row i of a and of c. Its source is O(n^2): b (and
-    d) are unpacked into n*n locals once, b0, b1, ..., and each pass of
-    the loop zips the next row of a (and of c) into n locals, x0, ...,
-    x{n-1} (z0, ...), and appends that row's n sums. Raw (`PolyRing`'s
-    packed ints), the kernel returns the list of plain sums, which a
-    difference can make negative; reduced (`Zmod`), it takes the modulus
-    m as its last argument, ends each sum in % m and returns the tuple of
-    residues. The commutator ab - ba is the case (a, b, b, a), sign -1."""
+    pass. b and d are n x cols, and a and c have n columns and as many
+    rows as they hold; cols defaults to n, the n x n case of every matrix
+    op, and cols = 1 is `matvec`. Item i*cols + j is the sum over k of
+    x_k b_kj (+ sign z_k d_kj), where x and z are row i of a and of c.
+    Its source is O(n cols): b (and d) are unpacked into n*cols locals
+    once, b0, b1, ..., and each pass of the loop zips the next row of a
+    (and of c) into n locals, x0, ..., x{n-1} (z0, ...), and appends that
+    row's cols sums. Raw (`PolyRing`'s packed ints), the kernel returns
+    the list of plain sums, which a difference can make negative; reduced
+    (`Zmod`), it takes the modulus m as its last argument, ends each sum
+    in % m and returns the tuple of residues. The commutator ab - ba is
+    the case (a, b, b, a), sign -1."""
+    cols = n if cols is None else cols
     # (operand zipped by rows, its row's locals, operand unpacked whole)
     pairs = [("a", "x", "b"), ("c", "z", "d")][: 2 if sign else 1]
     op = "+" if sign > 0 else "-"
     sums = [
-        " + ".join([f"x{k} * b{k * n + j}" for k in range(n)])
-        + "".join([f" {op} z{k} * d{k * n + j}" for k in range(n) if sign])
-        for j in range(n)
+        " + ".join([f"x{k} * b{k * cols + j}" for k in range(n)])
+        + "".join([f" {op} z{k} * d{k * cols + j}" for k in range(n) if sign])
+        for j in range(cols)
     ]
     if reduced:
         sums = [f"({s}) % m" for s in sums]
@@ -437,7 +442,7 @@ def _product_sums(n, sign, reduced=False):
     rows_in = ", ".join([f"i{r}" for r, _, _ in pairs for _ in range(n)])
     lines = [f"def product_sums({', '.join(params)}):\n"]
     for _, _, w in pairs:
-        lines.append(f"    {', '.join([f'{w}{k}' for k in range(n * n)])}, = {w}\n")
+        lines.append(f"    {', '.join([f'{w}{k}' for k in range(n * cols)])}, = {w}\n")
     lines += [f"    i{r} = iter({r})\n" for r, _, _ in pairs]
     lines += [
         "    out = []\n",
@@ -446,6 +451,8 @@ def _product_sums(n, sign, reduced=False):
         f"    return {'tuple(out)' if reduced else 'out'}\n",
     ]
     label = f"product_sums, n={n}, sign={sign}"
+    if cols != n:
+        label += f", cols={cols}"
     return _compiled("product_sums", label, "".join(lines))
 
 
@@ -619,12 +626,13 @@ class Zmod(_ReadOnly):
         once per pair above the diagonal and mirrored (see `_mirrored`)."""
         return _mirrored(n, sign)(entries, scale, self.modulus)
 
-    def matvec(self, rows, v):
-        """The payloads of M v for the matrix M with the payload tuples
-        `rows` as its rows and the payload tuple v: each row's dot product
-        with v, summed in plain ints and reduced mod m once."""
-        m = self.modulus
-        return tuple([sum(map(mul, v, row)) % m for row in rows])
+    def matvec(self, table, v):
+        """The payloads of M v for the payload tuple v and the matrix M of
+        len(v) columns whose payloads `table` holds flat, row-major: the
+        one-column kernel `_product_sums(len(v), 0, True, 1)`, each row's
+        dot product with v summed in plain ints and reduced mod m once
+        inside the kernel."""
+        return _product_sums(len(v), 0, True, 1)(table, v, self.modulus)
 
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.modulus == self.modulus
@@ -782,18 +790,18 @@ class PolyRing(_ReadOnly):
         memos = pa, pb, pc, pd = _packings(a), _packings(b), _packings(c), _packings(d)
         return self._kronecker(a.n, sign, memos, max(pa[1], pc[1]), max(pb[1], pd[1]))
 
-    def matvec(self, rows, v):
-        """The payloads of M v for the matrix M with the payload tuples
-        `rows` as its rows and the payload tuple v, by Kronecker
-        substitution: v and each row are packed at the slot width of a
-        len(v)-term dot product, each row's packed dot product with v is
-        one sum of int products, and the sums are unpacked together by
+    def matvec(self, table, v):
+        """The payloads of M v for the payload tuple v and the matrix M of
+        len(v) columns whose payloads `table` holds flat, row-major, by
+        Kronecker substitution: v and the table are packed at the slot
+        width of a len(v)-term dot product, the raw one-column kernel
+        `_product_sums(len(v), 0, False, 1)` sums each row's packed dot
+        product with v, and the sums are unpacked together by
         `_unpacked`."""
         m = self.base.modulus
-        lv, lr = max(map(len, v)), max(map(len, chain.from_iterable(rows)))
-        bits = _slot_bits(len(v), lv, lr, m)
-        pv = [_pack(c, bits) for c in v]
-        sums = [sum(map(mul, pv, [_pack(c, bits) for c in row])) for row in rows]
+        bits = _slot_bits(len(v), max(map(len, v)), max(map(len, table)), m)
+        kernel = _product_sums(len(v), 0, False, 1)
+        sums = kernel([_pack(c, bits) for c in table], [_pack(c, bits) for c in v])
         return _unpacked(sums, bits, 0, m)
 
     def format_payload(self, payload):

@@ -480,6 +480,35 @@ def plant_jordan_closure(monkeypatch):
     )
 
 
+def plant_jordan_leibniz(monkeypatch):
+    # the oracle answers its first n + samples calls (the validation
+    # probes and the action samples) with the pair map and adds the
+    # identity after that: the witnesses validate and every action check
+    # passes, so only the Leibniz check on Delta, Delta(x.y) against
+    # [abar, x.y], can see it
+    real = campaign.gen_jordan_instance
+    samples = 2
+
+    def planted(hidden, seed, max_degree):
+        _, family = real(hidden, seed, max_degree)
+        ring, n = hidden.ring, hidden.n
+        calls = [0]
+
+        def evaluate(x):
+            calls[0] += 1
+            if calls[0] <= n + samples:
+                return hidden(x)
+            return hidden(x) + Matrix.identity(ring, n)
+
+        oracle = TwoLocalOracle(ring, n, evaluate)
+        return oracle, JordanWitnessFamily(oracle, family.diag)
+
+    monkeypatch.setattr(campaign, "gen_jordan_instance", planted)
+    return CampaignConfig(
+        suite="jordan-theorem", ring=Z9, n=3, trials=2, seed=20, samples=samples
+    )
+
+
 def plant_jordan_samples(monkeypatch):
     # a "symmetric" sample that is not: a plain Matrix outside H_n(R),
     # which the Jordan layer refuses (see TestJordanBoundary)
@@ -546,6 +575,10 @@ PLANTED = [
     (
         plant_jordan_closure, {"closure"},
         "b8ae3bd8cfe16dddaac90838f21517041f7054b4b39d1ff1dabfa25dd853a207",
+    ),
+    (
+        plant_jordan_leibniz, {"jordan-leibniz"},
+        "a44c3a93275db946b7143f928ab0bc08019c791e124f5c4b2307f27a0b18a934",
     ),
 ]
 
@@ -637,8 +670,9 @@ def plant_dropped_pair_term(monkeypatch):
 class TestTabulatedOracleRule:
     """gen_jordan_instance tabulates the hidden pair list up to
     jordan._TABULATED_UP_TO = 4: an instance evaluates the pair list once
-    per symmetric unit there, and once per oracle call (n validations and
-    the samples) above it."""
+    per symmetric unit there, and once per oracle call above it: n
+    validations, and two per sample, its action check and the Leibniz
+    check of the pair it starts."""
 
     @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -649,7 +683,7 @@ class TestTabulatedOracleRule:
             suite="jordan-theorem", ring=ring, n=n, trials=1, seed=5, samples=samples
         )
         assert run_campaign(config).exit_code == 0
-        assert calls[0] == (n * (n + 1) // 2 if n <= 4 else samples + n)
+        assert calls[0] == (n * (n + 1) // 2 if n <= 4 else 2 * samples + n)
 
     # the pair-list oracle raised these same errors before n <= 4 took
     # the table

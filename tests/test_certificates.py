@@ -1,14 +1,16 @@
 """Exact certificates of the generated matrix kernels.
 
-Each `rings._product_sums(n, sign, reduced)` is straight-line code over
-+, - and * with, when reduced, one % m at the end of each output. So one
-run on symbolic operands, one variable per operand entry, shows each
-output as an exact integer polynomial: the kernel is certified for every
-input at once when each output is sum_k a_ik b_kj + sign c_ik d_kj and
-ends in % m exactly when the kernel is reduced (symbolic execution on
-straight-line code; King, "Symbolic execution and program testing",
-CACM 1976). The negative controls rewrite the generated source and see
-each mutant refused."""
+Each `rings._product_sums(n, sign, reduced, cols)` is straight-line
+code over +, - and * with, when reduced, one % m at the end of each
+output. So one run on symbolic operands, one variable per operand entry,
+shows each output as an exact integer polynomial: the kernel is
+certified for every input at once when each output is
+sum_k a_ik b_kj + sign c_ik d_kj and ends in % m exactly when the kernel
+is reduced (symbolic execution on straight-line code; King, "Symbolic
+execution and program testing", CACM 1976). The square kernels
+(cols = n) serve every matrix op, the one-column ones (cols = 1)
+`ring.matvec`. The negative controls rewrite the generated source and
+see each mutant refused."""
 
 import re
 
@@ -77,41 +79,46 @@ class Poly:
 M = 9  # the modulus that reduced kernels are run with
 
 
-def symbolic_operands(n, sign):
-    """a and b, and for sign 1 or -1 also c and d: n*n variables each,
-    named by operand and row-major index (a0, a1, ...)."""
-    names = "abcd" if sign else "ab"
-    return [[Poly.var(f"{x}{e}") for e in range(n * n)] for x in names]
+def symbolic_operands(n, sign, cols=None):
+    """a and b, and for sign 1 or -1 also c and d, named by operand and
+    row-major index (a0, a1, ...): n x n for a and c, and n x cols (by
+    default n) for b and d."""
+    cols = n if cols is None else cols
+    shapes = [("a", n), ("b", cols), ("c", n), ("d", cols)][: 4 if sign else 2]
+    return [[Poly.var(f"{x}{e}") for e in range(n * w)] for x, w in shapes]
 
 
-def definition(n, sign, reduced):
-    """The outputs that `_product_sums(n, sign, reduced)` must return:
-    entry i*n + j is sum_k a_ik b_kj + sign c_ik d_kj, written term by
-    term, % M when reduced."""
+def definition(n, sign, reduced, cols=None):
+    """The outputs that `_product_sums(n, sign, reduced, cols)` must
+    return for n x n a and c: entry i*cols + j is
+    sum_k a_ik b_kj + sign c_ik d_kj, written term by term, % M when
+    reduced."""
+    cols = n if cols is None else cols
     out = []
     for i in range(n):
-        for j in range(n):
+        for j in range(cols):
             terms = {}
             for k in range(n):
-                terms[(f"a{i * n + k}", f"b{k * n + j}")] = 1
+                terms[(f"a{i * n + k}", f"b{k * cols + j}")] = 1
                 if sign:
-                    terms[(f"c{i * n + k}", f"d{k * n + j}")] = sign
+                    terms[(f"c{i * n + k}", f"d{k * cols + j}")] = sign
             out.append(Poly(terms, M if reduced else None))
     return out
 
 
-def refusal(kernel, n, sign, reduced):
+def refusal(kernel, n, sign, reduced, cols=None):
     """Why `kernel` fails its certificate as `_product_sums(n, sign,
-    reduced)`, or None when it passes: run once on symbolic operands, it
-    must return a tuple of outputs when reduced and a list when raw, each
-    exactly its `definition`."""
+    reduced, cols)`, or None when it passes: run once on symbolic
+    operands, it must return a tuple of outputs when reduced and a list
+    when raw, each exactly its `definition`."""
+    operands = symbolic_operands(n, sign, cols)
     try:
-        out = kernel(*symbolic_operands(n, sign), *([M] if reduced else []))
+        out = kernel(*operands, *([M] if reduced else []))
     except Exception as exc:  # a mutant may not run at all
         return f"raised {exc!r}"
     if type(out) is not (tuple if reduced else list):
         return f"returned a {type(out).__name__}"
-    want = definition(n, sign, reduced)
+    want = definition(n, sign, reduced, cols)
     if len(out) != len(want):
         return f"returned {len(out)} outputs, not {len(want)}"
     for e, (got, exact) in enumerate(zip(out, want)):
@@ -139,6 +146,15 @@ class TestProductSumsCertificate:
     def test_n16_certified(self):
         assert refusal(rings._product_sums(16, -1, True), 16, -1, True) is None
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_column_certified(self, n):
+        # `matvec`'s kernel (sign 0) at every inner length of a table up
+        # to n = 4 and the lengths between, with both signed forms
+        for sign in (0, 1, -1):
+            for reduced in (False, True):
+                kernel = rings._product_sums(n, sign, reduced, 1)
+                assert refusal(kernel, n, sign, reduced, 1) is None, (sign, reduced)
+
     def test_definition_is_not_a_kernel(self):
         # the certificate is not vacuous: the exact sums are refused as a
         # reduced kernel's outputs, and their residues as a raw one's
@@ -165,6 +181,18 @@ def mutant(monkeypatch, rewrite, free=()):
 
 
 class TestNegativeControls:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_column_index_reversed(self, monkeypatch, n):
+        # each term x_k b_k of the one-column kernel reads b_{n-1-k}: at
+        # n = 1 that is the same kernel, from n = 2 every key is refused
+        def reverse(source):
+            return re.sub(r"\* b(\d+)", lambda t: f"* b{n - 1 - int(t[1])}", source)
+
+        build = mutant(monkeypatch, reverse)
+        for reduced in (False, True):
+            reason = refusal(build(n, 0, reduced, 1), n, 0, reduced, 1)
+            assert (reason is None) == (n == 1), (reduced, reason)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_d_index_transposed(self, monkeypatch, n):
         # each term z_k d_kj reads d_jk instead; at n = 1 that is the

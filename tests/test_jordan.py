@@ -717,31 +717,30 @@ class TestJordanTheorem:
         assert all(p * q for p, q in parities)
 
     @pytest.mark.parametrize("count,k", [(3, 0), (3, 1), (3, 2), (1, 0)])
-    def test_leibniz_sees_a_bent_product(self, monkeypatch, count, k):
-        # bend x.y for pair k = (sample k, sample k+1) alone, the last
-        # sample pairing with the first and a single sample with itself;
-        # [s, e_11] != 0, so only the Leibniz check of pair k can fire
-        import derivring.jordan as jordan
-
+    def test_leibniz_sees_a_bent_product(self, count, k):
+        # an oracle that agrees with [s, .] everywhere but at z = x.y for
+        # pair k = (sample k, sample k+1), the last sample pairing with
+        # the first and a single sample with itself: there it adds e_11,
+        # so it stays in H_n(R) and passes validation and every action
+        # check, and only the Leibniz check of pair k, on Delta, can fire
         s = skew_unit(Z9, 3, 1, 2, Z9.one)
         e11 = sym_unit(Z9, 3, 1, 1)
         rng = random.Random(87)
         samples = [random_symmetric(Z9, 3, rng) for _ in range(count)]
-        x, y = samples[k], samples[(k + 1) % count]
-        real = jordan.jordan_mul
+        z = jordan_mul(samples[k], samples[(k + 1) % count])
+        assert z not in samples
 
-        def bent(a, b):
-            out = real(a, b)
-            if a is x and b is y:
-                out = SymmetricMatrix.of(out + e11)
-            return out
+        def bent(x):
+            out = commutator(s, x)
+            return SymmetricMatrix.of(out + e11) if x == z else out
 
-        monkeypatch.setattr(jordan, "jordan_mul", bent)
-        report = verify_jordan_theorem(family_from_skew(s), samples)
+        oracle = TwoLocalOracle(Z9, 3, bent)
+        report = verify_jordan_theorem(family_from_skew(s, oracle), samples)
         assert report.checked == count + k
         (v,) = report.violations
         assert (v.kind, v.probe) == ("jordan-leibniz", f"pair {k}")
-        assert v.lhs - v.rhs == commutator(s, e11)
+        assert v.lhs == oracle(z)
+        assert v.lhs - v.rhs == e11
 
     def test_symmetric_unit_probes(self):
         rng = random.Random(83)
@@ -830,6 +829,16 @@ class TestTabulatedOracle:
             out = table(x)
             assert type(out) is SymmetricMatrix
             assert out == pd(x)
+
+    @pytest.mark.parametrize("ring", TABLE_RINGS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_zero_pair_list_tabulates_zero(self, ring, n):
+        # tables of 1, 3, 6 and 10 units, every entry of them zero
+        pd = JordanPairDerivation(ring, n)
+        x = lead_symmetric(ring, n, random.Random(98 + n))
+        out = _tabulated(pd)(x)
+        assert type(out) is SymmetricMatrix
+        assert out == pd(x) == SymmetricMatrix.zero(ring, n)
 
     def test_zero_divisor_leads_cancel_in_the_images(self):
         # every entry of a, b and x leads with 3 or 6, so each product of

@@ -644,6 +644,91 @@ class TestKroneckerSlots:
         assert rings._slots.cache_info().hits == hits + 1
 
 
+def matvec_reference(ring, table, v):
+    """Reference M v, row by row: M has len(v) columns and its payloads
+    flat in `table`, row-major; each entry is a dot product summed with
+    plain ints on Z_m and with `ref_poly_mul` and coefficient sums on
+    Z_m[t]."""
+    size = len(v)
+    rows = [table[r : r + size] for r in range(0, len(table), size)]
+    if isinstance(ring, Zmod):
+        return tuple(sum(a * b for a, b in zip(row, v)) % ring.modulus for row in rows)
+    m = ring.base.modulus
+    out = []
+    for row in rows:
+        total = []
+        for a, b in zip(row, v):
+            for k, c in enumerate(ref_poly_mul(a, b, m)):
+                total += [0] * (k + 1 - len(total))
+                total[k] = (total[k] + c) % m
+        out.append(per_slot_payload(total, m))
+    return tuple(out)
+
+
+def matvec_entries(ring, rng, count, longest):
+    """`count` payloads: residues on Z_m; on Z_m[t] coefficient tuples of
+    mixed lengths 0 to `longest`, the zero polynomial among them."""
+    if isinstance(ring, Zmod):
+        return tuple(rng.randrange(ring.modulus) for _ in range(count))
+    m = ring.base.modulus
+    lengths = [rng.randint(0, longest) for _ in range(count)]
+    return tuple(
+        tuple([rng.randrange(m) for _ in range(k - 1)] + [rng.randrange(1, m)])
+        if k
+        else ()
+        for k in lengths
+    )
+
+
+# Z_m[t] at byte, two-byte and shift slots, the last wider than 16 bits
+MATVEC_RINGS = [
+    Z5, Z9, Zmod(1000003), P5, P9, PolyRing(Zmod(61)), PolyRing(Zmod(1000003))
+]
+
+
+class TestMatvec:
+    """`ring.matvec(table, v)`, the tabulated Jordan oracle's one op: the
+    one-column kernel of `rings._product_sums` against a literal per-row
+    reference, at every table size the oracle builds up to n = 4 (1, 3,
+    6 and 10) and the sizes between."""
+
+    @pytest.mark.parametrize("ring", MATVEC_RINGS, ids=str)
+    @pytest.mark.parametrize("size", range(1, 11))
+    def test_matches_the_per_row_reference(self, ring, size):
+        rng = random.Random(size)
+        zero = ring.zero.payload
+        for longest in (1, 3, 6):
+            table = matvec_entries(ring, rng, size * size, longest)
+            v = matvec_entries(ring, rng, size, longest)
+            cases = [
+                (table, v),
+                (table, (zero,) * size),  # an all-zero v
+                ((zero,) * (size * size), v),  # the table of a zero pair list
+            ]
+            for table, v in cases:
+                out = ring.matvec(table, v)
+                assert type(out) is tuple and len(out) == size
+                assert out == matvec_reference(ring, table, v), (longest, table, v)
+
+    @pytest.mark.parametrize("ring", MATVEC_RINGS, ids=str)
+    @pytest.mark.parametrize("size", [1, 3, 6, 10])
+    def test_largest_entries_fill_every_slot(self, ring, size):
+        # every coefficient m - 1: each dot product reaches the slot bound
+        m = ring.modulus if isinstance(ring, Zmod) else ring.base.modulus
+        top = m - 1 if isinstance(ring, Zmod) else (m - 1,) * 4
+        table, v = (top,) * (size * size), (top,) * size
+        assert ring.matvec(table, v) == matvec_reference(ring, table, v)
+
+    def test_rectangular_table(self):
+        # the kernel zips rows of len(v) columns, however many there are
+        rng = random.Random(7)
+        for ring in (Z9, P9):
+            table = matvec_entries(ring, rng, 12, 3)
+            v = matvec_entries(ring, rng, 4, 3)
+            out = ring.matvec(table, v)
+            assert len(out) == 3 and out == matvec_reference(ring, table, v)
+
+
 def randrange_reference(ring, rng, count, max_degree):
     """What `ring.draw` must return: one rng.randrange(m) per coefficient,
     constant term first, each polynomial stripped of trailing zeros."""
