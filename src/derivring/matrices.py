@@ -64,10 +64,10 @@ For a probe, the fused kernel wins on Z_9 at n = 2 (by about 0.5 us)
 and is level with the gathers at n = 3; the gathers win on Z_9 from
 n = 4 and on Z_5[t] at every n, so one probe rule serves every ring
 and every n. Typed pairs pay for the one shape rule where no workload
-looks: the fused kernel wins on Z_9 up to n = 3 (the benchmark forms
-typed brackets only there) and is level on Z_5[t] up to n = 5, but
-loses above (59.2 against 32.6 us at n = 12 on Z_9); jordan-theorem on
-Z_9 at n = 8 reads 5% slower (46.6 -> 49.2 ms, 10 trials). The
+looks: the fused kernel wins on Z_9 up to n = 3 and is level on Z_5[t]
+up to n = 5, but loses above (59.2 against 32.6 us at n = 12 on Z_9).
+The typed brackets of jordan-theorem, all with one skew a, go to
+`brackets` instead, one product and `plus_transpose` each. The
 Kronecker kernels keep each matrix's packed entries for each slot width
 in its `_packings` slot, set on its first kernel call over Z_m[t]
 (never in __init__) and used only while `entries` is the tuple it
@@ -79,10 +79,13 @@ their property in their one constructor; `_TYPE_OF_PARITY` maps each
 parity to its type. For typed a and b, ba = sign (ab)^T with
 sign = a.parity * b.parity, so [a, b] has the type of parity -sign.
 That rule saves a product only in `jordan_mul` ((p + sign p^T)/2 with
-p = ab), `symmetric_part` and `jordan.pairs_to_commutator`: a sum of
-Jordan products of symmetric matrices is the symmetric part
+p = ab), `symmetric_part`, `jordan.pairs_to_commutator` and `brackets`:
+a sum of Jordan products of symmetric matrices is the symmetric part
 (q + q^T)/2 of the sum q of their plain products, so `symmetric_part`
-symmetrises a whole sum once.
+symmetrises a whole sum once; and [a, x] = (p - sign p^T) * (-1) with
+p = xa, so `brackets` takes every p of one a and many x's from one
+product of the x's stacked by rows (`ring.matmul_each`) and mirrors
+each, with no type check: the mirrored kernel gives the property.
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ __all__ = [
     "matrix_unit",
     "probe_x0",
     "commutator",
+    "brackets",
     "jordan_mul",
     "symmetric_part",
 ]
@@ -425,7 +429,8 @@ def commutator(a, b):
     elsewhere; see `_probe_gathers`), one fused `ring.commute` otherwise;
     no product. The result has the checked type of parity
     -a.parity * b.parity; the one-product parity rule serves only
-    `jordan_mul`, `symmetric_part` and `jordan.pairs_to_commutator`."""
+    `jordan_mul`, `symmetric_part`, `brackets` (many x's against one a)
+    and `jordan.pairs_to_commutator`."""
     ring, n = a.ring, a.n
     require_shape(b, ring, n)
     kind = _TYPE_OF_PARITY[-a.parity * b.parity]
@@ -439,6 +444,31 @@ def commutator(a, b):
             ext = a.entries + (ring.zero.payload,)
             return kind(ring, n, ring.sub_all(ab(ext), ba(ext)))
     return kind(ring, n, ring.commute(a, b))
+
+
+def brackets(a, xs):
+    """[a, x] for each x of the sequence xs, as plain matrices, from one
+    stacked product: a and every x must be typed (DomainError otherwise).
+    With sign = a.parity * x.parity, ax = sign (xa)^T, so
+    [a, x] = (p - sign p^T) * (-1) with p = xa. One `ring.matmul_each`
+    gives every p, and `ring.plus_transpose` mirrors each (`_mirrored(n,
+    -sign)`), so each result r has r^T = -sign r by construction and no
+    constructor checks it. Both are kernels that `jordan_mul` and
+    `jordan.pairs_to_commutator` build; the Jordan theorem's reference
+    side is one call (see `jordan.verify_jordan_theorem`)."""
+    ring, n, parity = a.ring, a.n, a.parity
+    for x in xs:
+        # `require_shape`'s test, inline on the hot path; it raises there
+        if x.n != n or (x.ring is not ring and x.ring != ring):
+            require_shape(x, ring, n)
+    signs = [parity * x.parity for x in xs]
+    if not all(signs):
+        raise DomainError("brackets needs symmetric or skew operands")
+    if not signs:
+        return []
+    blocks = zip(*[iter(ring.matmul_each(xs, a))] * (n * n))  # one p per x
+    mirror, scale = ring.plus_transpose, ring.neg(ring.one.payload)
+    return [Matrix(ring, n, mirror(n, p, -sign, scale)) for p, sign in zip(blocks, signs)]
 
 
 def symmetric_part(p):

@@ -11,6 +11,9 @@ The ring owns the arithmetic, written once on payloads: the scalar ops
 and, each returning payloads, `matmul(a, b)`, `commute(a, b)` and
 `product_sum(a, b, c, d, sign)` (of ab, of ab - ba and of ab + sign cd
 for n x n matrices, row-major, one kernel call each),
+`matmul_each(xs, b)` (of xb for every x of xs, concatenated, in one
+kernel call on the stacked rows; `derivring.matrices.brackets` makes one
+per Jordan instance),
 `plus_transpose(n, entries, sign, scale)` (of (p + sign p^T) * scale)
 and `matvec(table, v)` (of M v for a payload tuple v and the matrix M of
 len(v) columns whose payloads `table` holds flat, row-major; the
@@ -23,8 +26,8 @@ its scalar ops. Z_m[t] has exactly two kinds of arithmetic:
   of a matrix: `plus_transpose` (`_mirrored`) and the derivation lift
   `BaseDerivation.on_payloads`, through the `_ENTRYWISE` rules `weigh`
   (s_k a_k), `lift` (s_k a_k + u b_k) and `add_scaled` (a_k + u b_k);
-- Kronecker substitution (below): `mul`, `matmul`, `commute`,
-  `product_sum` and `matvec`.
+- Kronecker substitution (below): `mul`, `matmul`, `matmul_each`,
+  `commute`, `product_sum` and `matvec`.
 A zero operand of `add` or `sub` gives the other back (negated, when it
 is the right operand of `sub`); any other sum or difference is one
 `_entrywise` call on the coefficient tuples, the shorter padded with
@@ -61,7 +64,8 @@ call per entry. `_straight_line` writes `_entrywise(size, op)` and
 and `neg` meet; the lift's are keyed by the number of entries alone,
 whatever their lengths. Every matrix kernel of both rings is one family,
 `_product_sums(n, sign, reduced, cols)`, one tuple of cols sums (n
-unless given) per row of its operands: ab for sign 0 (`matmul`),
+unless given) per row of its operands: ab for sign 0 (`matmul`, and
+`matmul_each` with the rows of several a's stacked),
 ab + sign cd for sign 1 or -1 (`product_sum`), ab - ba as (a, b, b, a)
 with sign -1 (`commute`), and M v as its one-column case, sign 0 and
 cols = 1 with n = len(v) (`matvec`).
@@ -74,11 +78,13 @@ polynomial is packed into one int with a `bits`-wide slot per
 coefficient (`_pack`), the packed ints are multiplied and summed, and
 each result is unpacked once, every slot reduced mod m and trailing
 zeros stripped (a leading term can vanish mod a composite m: 3t * 3t = 0
-in Z_9[t]). Its `matmul`, `commute` and `product_sum` run one body,
-`PolyRing._kronecker`. The kernel's slot plan, `_slots`, gives the width
-at which no slot carries into the next (`_slot_bound`, `_slot_bits`) and
-the bias that keeps a difference's slots from borrowing. Each operand is
-packed at that width once per matrix (`_packings`), the kernel sums, and
+in Z_9[t]). Its `matmul`, `matmul_each`, `commute` and `product_sum`
+run one body, `PolyRing._kronecker`; `matmul_each` packs every x at one
+plan, for the longest entry of any of them. The kernel's slot plan,
+`_slots`, gives the width at which no slot carries into the next
+(`_slot_bound`, `_slot_bits`) and the bias that keeps a difference's
+slots from borrowing. Each operand is packed at that width once per
+matrix (`_packings`), the kernel sums, and
 `_unpacked` adds the bias and reads every sum: byte slots through one
 `translate` by the table of v % m, two-byte slots (`_two_byte`) all in
 one pass of `_planes`, and any other width one shift per slot
@@ -91,7 +97,7 @@ width of a len(v)-term dot product and runs the one-column kernel.
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 
 from .errors import ContractError, DomainError, InvalidRing
 
@@ -342,7 +348,10 @@ def _packings(x):
 
 def _packed(memo, bits):
     """The entries of `memo` packed at slot width `bits`, packed on the
-    first request for that width."""
+    first request for that width. A list of memos is a row-stacked
+    operand (`matmul_each`): the packed entries of each, concatenated."""
+    if type(memo) is list:
+        return [p for one in memo for p in _packed(one, bits)]
     entries, _, widths = memo
     packed = widths.get(bits)
     if packed is None:
@@ -605,6 +614,14 @@ class Zmod(_ReadOnly):
         kernel."""
         return _product_sums(a.n, 0, True)(a.entries, b.entries, self.modulus)
 
+    def matmul_each(self, xs, b):
+        """The payloads of xb for each n x n matrix x of the non-empty
+        sequence xs, concatenated in order: one call of the reduced
+        `_product_sums(n, 0, True)`, whose row loop takes the rows of
+        every x, stacked, as one left operand."""
+        stacked = chain.from_iterable([x.entries for x in xs])
+        return _product_sums(b.n, 0, True)(stacked, b.entries, self.modulus)
+
     def commute(self, a, b):
         """The payloads of ab - ba for the n x n matrices a and b: the
         `_product_sums(n, -1, True)` kernel on (a, b, b, a), summed in
@@ -764,7 +781,8 @@ class PolyRing(_ReadOnly):
         `memos` (a and b, or a, b, c and d): each is packed at the width of
         the slot plan `_slots(n, sign, la, lb, m)`, the kernel sums the
         packed ints, and the plan's bias is added as the sums are
-        unpacked. la and lb are the entry lengths that the plan bounds."""
+        unpacked. la and lb are the entry lengths that the plan bounds.
+        A list of memos in place of a's is a row-stacked a (`_packed`)."""
         m = self.base.modulus
         bits, offset = _slots(n, sign, la, lb, m)
         sums = _product_sums(n, sign)(*[_packed(memo, bits) for memo in memos])
@@ -775,6 +793,16 @@ class PolyRing(_ReadOnly):
         sign-0 `_kronecker` body."""
         pa, pb = _packings(a), _packings(b)
         return self._kronecker(a.n, 0, (pa, pb), pa[1], pb[1])
+
+    def matmul_each(self, xs, b):
+        """The payloads of xb for each n x n matrix x of the non-empty
+        sequence xs, concatenated in order: the sign-0 `_kronecker` body
+        on the rows of every x, stacked, planned at the longest entry of
+        any x, so that one raw kernel call and one `_unpacked` pass serve
+        them all. Each x is packed through its own `_packings` memo."""
+        memos, pb = [_packings(x) for x in xs], _packings(b)
+        la = max([memo[1] for memo in memos])
+        return self._kronecker(b.n, 0, (memos, pb), la, pb[1])
 
     def commute(self, a, b):
         """The payloads of ab - ba for the n x n matrices a and b: the

@@ -10,7 +10,9 @@ import pytest
 
 import derivring.campaign as campaign
 import derivring.derivations as derivations
+import derivring.jordan as jordan
 import derivring.rings as rings
+import derivring.twolocal as twolocal
 from derivring import (
     CampaignConfig,
     CheckReport,
@@ -24,6 +26,7 @@ from derivring import (
     PolyRing,
     ReconstructionResult,
     Report,
+    SkewMatrix,
     SymmetricMatrix,
     TwoLocalOracle,
     Violation,
@@ -509,6 +512,37 @@ def plant_jordan_leibniz(monkeypatch):
     )
 
 
+def plant_jordan_abar(monkeypatch):
+    # abar + (e_12 - e_21) is still skew, and every witness still
+    # validates, but the theorem check's right-hand sides, all from one
+    # stacked `brackets` call, now disagree with Delta: `action` fires
+    real = jordan.reconstruct_abar_jordan
+
+    def planted(family):
+        ring, n = family.ring, family.n
+        bend = matrix_unit(ring, n, 1, 2) - matrix_unit(ring, n, 2, 1)
+        return ReconstructionResult(SkewMatrix.of(real(family).abar + bend))
+
+    monkeypatch.setattr(jordan, "reconstruct_abar_jordan", planted)
+    return CampaignConfig(
+        suite="jordan-theorem", ring=Z9, n=3, trials=2, seed=21, samples=2
+    )
+
+
+def plant_theorem1_abar(monkeypatch):
+    # abar + e_12 in the theorem check alone: the campaign's recovery
+    # check reconstructs through its own binding and still sees the true
+    # abar, so `action` fires by itself
+    real = twolocal.reconstruct_abar
+
+    def planted(family):
+        bend = matrix_unit(family.ring, family.n, 1, 2)
+        return ReconstructionResult(real(family).abar + bend)
+
+    monkeypatch.setattr(twolocal, "reconstruct_abar", planted)
+    return CampaignConfig(suite="theorem1", ring=Z5, n=3, trials=3, seed=22, samples=2)
+
+
 def plant_jordan_samples(monkeypatch):
     # a "symmetric" sample that is not: a plain Matrix outside H_n(R),
     # which the Jordan layer refuses (see TestJordanBoundary)
@@ -579,6 +613,14 @@ PLANTED = [
     (
         plant_jordan_leibniz, {"jordan-leibniz"},
         "a44c3a93275db946b7143f928ab0bc08019c791e124f5c4b2307f27a0b18a934",
+    ),
+    (
+        plant_jordan_abar, {"action"},
+        "cc3d4d348ef25bfcb138a606dfe6142dfe62d13173cea41d6b0524a71bbee51d",
+    ),
+    (
+        plant_theorem1_abar, {"action"},
+        "2940fb283210e37001283e407bee243e38fc5aeb332c59822a9ce7ed80a80aaf",
     ),
 ]
 

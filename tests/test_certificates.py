@@ -9,7 +9,8 @@ sum_k a_ik b_kj + sign c_ik d_kj and ends in % m exactly when the kernel
 is reduced (symbolic execution on straight-line code; King, "Symbolic
 execution and program testing", CACM 1976). The square kernels
 (cols = n) serve every matrix op, the one-column ones (cols = 1)
-`ring.matvec`. The negative controls rewrite the generated source and
+`ring.matvec`, and the product kernel (sign 0) also runs on the rows of
+several matrices stacked (`ring.matmul_each`). The negative controls rewrite the generated source and
 see each mutant refused."""
 
 import re
@@ -79,23 +80,28 @@ class Poly:
 M = 9  # the modulus that reduced kernels are run with
 
 
-def symbolic_operands(n, sign, cols=None):
+def symbolic_operands(n, sign, cols=None, blocks=1):
     """a and b, and for sign 1 or -1 also c and d, named by operand and
-    row-major index (a0, a1, ...): n x n for a and c, and n x cols (by
-    default n) for b and d."""
+    row-major index (a0, a1, ...): blocks * n x n for a and c (the rows
+    of `blocks` n x n matrices, stacked), and n x cols (by default n) for
+    b and d."""
     cols = n if cols is None else cols
-    shapes = [("a", n), ("b", cols), ("c", n), ("d", cols)][: 4 if sign else 2]
-    return [[Poly.var(f"{x}{e}") for e in range(n * w)] for x, w in shapes]
+    shapes = [("a", blocks * n, n), ("b", n, cols), ("c", blocks * n, n), ("d", n, cols)]
+    return [
+        [Poly.var(f"{x}{e}") for e in range(rows * w)]
+        for x, rows, w in shapes[: 4 if sign else 2]
+    ]
 
 
-def definition(n, sign, reduced, cols=None):
+def definition(n, sign, reduced, cols=None, blocks=1):
     """The outputs that `_product_sums(n, sign, reduced, cols)` must
-    return for n x n a and c: entry i*cols + j is
+    return for a and c of blocks * n rows: entry i*cols + j is
     sum_k a_ik b_kj + sign c_ik d_kj, written term by term, % M when
-    reduced."""
+    reduced. For row i = q*n + r, that is entry (r, j) of block q's own
+    product: block q's outputs are exactly that block's product."""
     cols = n if cols is None else cols
     out = []
-    for i in range(n):
+    for i in range(blocks * n):
         for j in range(cols):
             terms = {}
             for k in range(n):
@@ -106,19 +112,20 @@ def definition(n, sign, reduced, cols=None):
     return out
 
 
-def refusal(kernel, n, sign, reduced, cols=None):
+def refusal(kernel, n, sign, reduced, cols=None, blocks=1):
     """Why `kernel` fails its certificate as `_product_sums(n, sign,
-    reduced, cols)`, or None when it passes: run once on symbolic
-    operands, it must return a tuple of outputs when reduced and a list
-    when raw, each exactly its `definition`."""
-    operands = symbolic_operands(n, sign, cols)
+    reduced, cols)` on a left operand of `blocks` n x n matrices stacked
+    by rows, or None when it passes: run once on symbolic operands, it
+    must return a tuple of outputs when reduced and a list when raw, each
+    exactly its `definition`."""
+    operands = symbolic_operands(n, sign, cols, blocks)
     try:
         out = kernel(*operands, *([M] if reduced else []))
     except Exception as exc:  # a mutant may not run at all
         return f"raised {exc!r}"
     if type(out) is not (tuple if reduced else list):
         return f"returned a {type(out).__name__}"
-    want = definition(n, sign, reduced, cols)
+    want = definition(n, sign, reduced, cols, blocks)
     if len(out) != len(want):
         return f"returned {len(out)} outputs, not {len(want)}"
     for e, (got, exact) in enumerate(zip(out, want)):
@@ -154,6 +161,18 @@ class TestProductSumsCertificate:
             for reduced in (False, True):
                 kernel = rings._product_sums(n, sign, reduced, 1)
                 assert refusal(kernel, n, sign, reduced, 1) is None, (sign, reduced)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stacked_rows_certified(self, n):
+        # `ring.matmul_each`: the product kernel on the rows of k matrices
+        # stacked. Its row loop does not depend on k, and k = 1..5 shows
+        # that each block's outputs are that block's product, read from
+        # its own rows, raw and reduced
+        for blocks in range(1, 6):
+            for reduced in (False, True):
+                kernel = rings._product_sums(n, 0, reduced)
+                reason = refusal(kernel, n, 0, reduced, blocks=blocks)
+                assert reason is None, (blocks, reduced, reason)
 
     def test_definition_is_not_a_kernel(self):
         # the certificate is not vacuous: the exact sums are refused as a
@@ -230,3 +249,32 @@ class TestNegativeControls:
             for reduced in (False, True):
                 reason = refusal(build(n, 0, reduced), n, 0, reduced)
                 assert reason.startswith("raised" if not free else "output 0"), reason
+
+
+def restarted_late(kernel, n):
+    """A stacked product that restarts each block after the first one row
+    late: block q reads the n rows from row q*n + 1 on, the last block
+    wrapping round to row 0."""
+
+    def run(a, b, *m):
+        size = len(a)
+        rows = a + a  # the wrap
+        out = []
+        for start in range(0, size, n * n):
+            offset = start + n if start else 0
+            out += kernel(rows[offset : offset + n * n], b, *m)
+        return tuple(out) if m else out
+
+    return run
+
+
+class TestStackedNegativeControl:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_restarted_at_the_wrong_offset(self, n):
+        # one block is the kernel itself; from two blocks on every
+        # stack is refused
+        for blocks in range(1, 6):
+            for reduced in (False, True):
+                late = restarted_late(rings._product_sums(n, 0, reduced), n)
+                reason = refusal(late, n, 0, reduced, blocks=blocks)
+                assert (reason is None) == (blocks == 1), (blocks, reduced, reason)

@@ -697,17 +697,23 @@ class TestJordanTheorem:
         assert verify_jordan_theorem(family, samples).ok
 
     def test_every_commutator_has_typed_arguments(self, monkeypatch):
-        # each commutator of the witness pipeline takes one product
+        # each commutator of the witness pipeline takes one product, and
+        # each bracket of the theorem check one stacked product
         import derivring.jordan as jordan
 
-        parities = []
-        real = jordan.commutator
+        parities, stacked = [], []
+        real, real_brackets = jordan.commutator, jordan.brackets
 
         def tallied(a, b):
             parities.append((a.parity, b.parity))
             return real(a, b)
 
+        def tallied_brackets(a, xs):
+            stacked.extend((a.parity, x.parity) for x in xs)
+            return real_brackets(a, xs)
+
         monkeypatch.setattr(jordan, "commutator", tallied)
+        monkeypatch.setattr(jordan, "brackets", tallied_brackets)
         rng = random.Random(85)
         hidden = JordanPairDerivation(Z9, 3, random_pairs(Z9, 3, rng, 3))
         _, family = gen_jordan_instance(hidden, seed=12)
@@ -715,6 +721,31 @@ class TestJordanTheorem:
         assert verify_jordan_theorem(family, samples).ok
         assert parities
         assert all(p * q for p, q in parities)
+        # abar is skew, and the samples and their Jordan products symmetric
+        assert stacked == [(-1, 1)] * 8
+
+    @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
+    @pytest.mark.parametrize("count", [1, 2, 20])
+    def test_one_stacked_call_per_instance(self, monkeypatch, ring, count):
+        # every [abar, x] of the samples and their Jordan products comes
+        # from one `matmul_each`; no commutator kernel (`commute`, or the
+        # probe rule's `sub_all`) runs after the family is built
+        rng = random.Random(86)
+        hidden = JordanPairDerivation(ring, 3, random_pairs(ring, 3, rng, 2))
+        _, family = gen_jordan_instance(hidden, seed=13)
+        samples = [random_symmetric(ring, 3, rng) for _ in range(count)]
+        calls = []
+        for name in ("matmul_each", "commute", "sub_all"):
+            real = getattr(type(ring), name)
+
+            def counted(self, *args, real=real, name=name):
+                calls.append(name)
+                return real(self, *args)
+
+            monkeypatch.setattr(type(ring), name, counted)
+        report = verify_jordan_theorem(family, samples)
+        assert report.ok and report.checked == 2 * count
+        assert calls == ["matmul_each"]
 
     @pytest.mark.parametrize("count,k", [(3, 0), (3, 1), (3, 2), (1, 0)])
     def test_leibniz_sees_a_bent_product(self, count, k):

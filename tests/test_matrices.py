@@ -39,7 +39,7 @@ from derivring import (
     two_generator_check,
 )
 from derivring import matrices, rings
-from derivring.matrices import require_shape
+from derivring.matrices import brackets, require_shape
 from derivring.sampling import random_matrix, random_symmetric
 from test_jordan import (
     corner,
@@ -1840,6 +1840,89 @@ class TestTypedBrackets:
                 patch.setattr(type(ring), name, broken)
                 with pytest.raises(DomainError, match=refusal):
                     commutator(x, y)
+
+
+# (ring, degree): Z_m, and Z_m[t] with entries of up to degree + 1
+# coefficients at byte (Z_3[t]), two-byte (Z_5[t] from n = 3, Z_9[t]) and
+# shift (Z_1000003[t]) slots
+STACKED_RINGS = [
+    (Z9, 0),
+    (Zmod(1000003), 0),
+    (PolyRing(Zmod(3)), 3),
+    (P5, 6),
+    (P9, 3),
+    (PolyRing(Zmod(1000003)), 2),
+]
+
+
+def typed_stack(ring, n, rng, degree, parity, count):
+    """`count` matrices of `parity` (SymmetricMatrix for 1, SkewMatrix
+    for -1), mirrored from random entries: dense, sparse and zero in
+    turn."""
+    kind = {1: SymmetricMatrix, -1: SkewMatrix}[parity]
+    shares = (0.0, 0.5, 1.0)
+    return [
+        kind.of(mirrored(random_entries(ring, n, rng, degree, shares[k % 3]), parity))
+        for k in range(count)
+    ]
+
+
+class TestStackedBrackets:
+    """`brackets(a, xs)`: [a, x] for every typed x of xs from one
+    `ring.matmul_each` and one mirrored kernel per x, against the literal
+    ab - ba, as plain matrices."""
+
+    @pytest.mark.parametrize("ring,degree", STACKED_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_match_literal_for_every_typed_pair(self, ring, degree, n):
+        rng = random.Random(910 + n)
+        for pa in (1, -1):
+            # a dense, sparse and zero a; stacks of 1, 2 and 2 * 20 x's
+            for a in typed_stack(ring, n, rng, degree, pa, 3):
+                for px in (1, -1):
+                    for count in (1, 2, 40):
+                        xs = typed_stack(ring, n, rng, degree, px, count)
+                        out = brackets(a, xs)
+                        assert [type(r) for r in out] == [Matrix] * count
+                        assert out == [literal_bracket(a, x) for x in xs]
+                        assert all(
+                            is_canonical(ring, p) for r in out for p in r.entries
+                        )
+
+    @pytest.mark.parametrize(
+        "ring,length", [(PolyRing(Zmod(3)), 23), (P5, 7), (PolyRing(Zmod(1000003)), 3)],
+        ids=str,
+    )
+    def test_plan_covers_the_longest_x(self, ring, length):
+        # the first x is constant and a later one has `length` coefficients,
+        # all m - 1: a product planned at the first x's length alone
+        # overflows its slots (a narrower width than the true plan's)
+        n, m = 4, modulus(ring)
+        a = SkewMatrix.of(mirrored(worst_case(ring, n, length - 1), -1))
+        short = SymmetricMatrix.of(worst_case(ring, n, 0))
+        long = SymmetricMatrix.of(worst_case(ring, n, length - 1))
+        assert rings._slots(n, 0, 1, length, m)[0] < rings._slots(n, 0, length, length, m)[0]
+        xs = [short, long, short, long]
+        assert brackets(a, xs) == [literal_bracket(a, x) for x in xs]
+
+    @pytest.mark.parametrize("ring", [Z9, P5], ids=str)
+    def test_untyped_operands_are_refused(self, ring):
+        rng = random.Random(5)
+        s = typed_stack(ring, 3, rng, 2, -1, 1)[0]
+        x = typed_stack(ring, 3, rng, 2, 1, 1)[0]
+        plain = random_entries(ring, 3, rng, 2, 0.0)
+        for a, xs in ((plain, [x]), (s, [plain]), (s, [x, plain, x]), (plain, [plain])):
+            with pytest.raises(DomainError, match="symmetric or skew"):
+                brackets(a, xs)
+
+    def test_shapes_are_checked(self):
+        s = SkewMatrix.of(skew_witness(Z9, 3, 1))
+        for x in (SymmetricMatrix.zero(Z9, 2), SymmetricMatrix.zero(Z5, 3)):
+            with pytest.raises(DomainError, match="expected a 3x3 matrix over Z_9"):
+                brackets(s, [SymmetricMatrix.zero(Z9, 3), x])
+
+    def test_empty_stack(self):
+        assert brackets(SkewMatrix.of(skew_witness(P5, 2, (1,))), []) == []
 
 
 class TestPredicates:

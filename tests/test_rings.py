@@ -729,6 +729,65 @@ class TestMatvec:
             assert len(out) == 3 and out == matvec_reference(ring, table, v)
 
 
+def matmul_each_reference(ring, xs, b):
+    """Reference payloads of x b for each x of xs, concatenated: column j
+    of each product is `matvec_reference` of x's entries against column
+    j of b, read back row by row."""
+    n = b.n
+    out = []
+    for x in xs:
+        columns = [matvec_reference(ring, x.entries, b.entries[j::n]) for j in range(n)]
+        out += [columns[j][i] for i in range(n) for j in range(n)]
+    return tuple(out)
+
+
+# Z_m, and Z_m[t] at byte (Z_3[t]), two-byte (Z_5[t], Z_9[t]) and shift
+# (Z_1000003[t]) slots
+STACKED_RINGS = [
+    Z9, Zmod(1000003), PolyRing(Zmod(3)), P5, P9, PolyRing(Zmod(1000003))
+]
+
+
+class TestMatmulEach:
+    """`ring.matmul_each(xs, b)`: the payloads of x b for every x of xs,
+    concatenated, from one kernel call on the stacked rows, against a
+    literal per-entry reference and against one `matmul` per x."""
+
+    @pytest.mark.parametrize("ring", STACKED_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_reference(self, ring, n):
+        rng = random.Random(920 + n)
+        zero = Matrix.zero(ring, n)
+        for longest in (1, 4, 7):
+            def draw():
+                return Matrix(ring, n, matvec_entries(ring, rng, n * n, longest))
+
+            b = draw()
+            for count in (1, 2, 40):
+                xs = [draw() for _ in range(count)]
+                for stack, right in ((xs, b), (xs + [zero], b), (xs, zero)):
+                    out = ring.matmul_each(stack, right)
+                    assert type(out) is tuple and len(out) == len(stack) * n * n
+                    assert out == matmul_each_reference(ring, stack, right)
+                    assert out == sum((ring.matmul(x, right) for x in stack), ())
+
+    @pytest.mark.parametrize("ring", STACKED_RINGS[2:], ids=str)
+    def test_each_x_is_packed_through_its_memo(self, ring):
+        # every x gets the plan's width in its own `_packings` memo, which
+        # a later call at that width reuses
+        rng = random.Random(9)
+        xs = [Matrix(ring, 3, matvec_entries(ring, rng, 9, k)) for k in (1, 5, 3)]
+        b = Matrix(ring, 3, matvec_entries(ring, rng, 9, 4))
+        out = ring.matmul_each(xs, b)
+        m = ring.base.modulus
+        la, lb = (max(len(p) for x in mats for p in x.entries) for mats in (xs, [b]))
+        bits = rings._slots(3, 0, la, lb, m)[0]
+        packed = [x._packings[2][bits] for x in xs]
+        assert ring.matmul_each(xs, b) == out
+        assert [x._packings[2][bits] for x in xs] == packed
+        assert all(x._packings[2][bits] is p for x, p in zip(xs, packed))
+
+
 def randrange_reference(ring, rng, count, max_degree):
     """What `ring.draw` must return: one rng.randrange(m) per coefficient,
     constant term first, each polynomial stripped of trailing zeros."""
